@@ -13,148 +13,15 @@ a batch command line.
 
 from __future__ import annotations
 
-from .compose import (
-    CompoundChainSpec,
-    CopulaSpec,
-    NonGenerator,
-    QuadratureFailure,
-    StateMapping,
-    Unsupported,
-    bivariate_normal_cdf,
-    compose_copula,
-    compose_discrete_product,
-    compose_independent,
-    copula_joint_pmf,
-    gaussian_copula,
-    kronecker_sum,
-    marginalize,
-)
-from .hjb import (
-    ConcavityViolation,
-    GrowthCoefficients,
-    IncomeLoading,
-    MarketModel,
-    RegimeFactorTable,
-    StepTooCoarse,
-    apply_hjb_operator,
-    growth_coefficients,
-    hjb_residual,
-    regime_growth_rate,
-    solve_income_loading,
-    solve_regime_factors,
-)
-from .markov import (
-    AbsorbingState,
-    GeneratorError,
-    GeneratorMatrix,
-    NegativeOffDiagonal,
-    NonSquare,
-    Reducible,
-    RegimePath,
-    RngStream,
-    RowSumViolation,
-    TransitionMatrix,
-    embedded_chain,
-    generator_from_embedded,
-    simulate_path,
-    stationary_distribution,
-    transition_probabilities,
-    validate_generator,
-)
-from .montecarlo import (
-    IncomePath,
-    MCEstimate,
-    NonZeroRho,
-    estimate_regime_factor,
-    estimate_value_factor,
-    estimate_value_mc,
-    merged_time_grid,
-    simulate_income_path,
-)
-from .portfolio import (
-    NORMAL_INCOME,
-    RHO_ZERO,
-    CaseMismatch,
-    SolutionBundle,
-    Strategy,
-    WealthPath,
-    build_solution,
-    evaluate_policy,
-    hedge_weight,
-    merton_weight,
-    optimal_strategy,
-    simulate_wealth,
-    strategy_from_value_factor,
-    utility,
-    value_function,
-)
+from . import compose, hjb, markov, montecarlo, portfolio
+from .compose import *  # noqa: F403
+from .hjb import *  # noqa: F403
+from .markov import *  # noqa: F403
+from .montecarlo import *  # noqa: F403
+from .portfolio import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbsorbingState",
-    "CaseMismatch",
-    "CompoundChainSpec",
-    "ConcavityViolation",
-    "CopulaSpec",
-    "GeneratorError",
-    "GeneratorMatrix",
-    "GrowthCoefficients",
-    "IncomeLoading",
-    "IncomePath",
-    "MCEstimate",
-    "MarketModel",
-    "NORMAL_INCOME",
-    "NegativeOffDiagonal",
-    "NonGenerator",
-    "NonSquare",
-    "NonZeroRho",
-    "QuadratureFailure",
-    "RHO_ZERO",
-    "Reducible",
-    "RegimeFactorTable",
-    "RegimePath",
-    "RngStream",
-    "RowSumViolation",
-    "SolutionBundle",
-    "StateMapping",
-    "StepTooCoarse",
-    "Strategy",
-    "TransitionMatrix",
-    "Unsupported",
-    "WealthPath",
-    "apply_hjb_operator",
-    "bivariate_normal_cdf",
-    "build_solution",
-    "compose_copula",
-    "compose_discrete_product",
-    "compose_independent",
-    "copula_joint_pmf",
-    "embedded_chain",
-    "estimate_regime_factor",
-    "estimate_value_factor",
-    "estimate_value_mc",
-    "evaluate_policy",
-    "gaussian_copula",
-    "generator_from_embedded",
-    "growth_coefficients",
-    "hedge_weight",
-    "hjb_residual",
-    "kronecker_sum",
-    "marginalize",
-    "merged_time_grid",
-    "merton_weight",
-    "optimal_strategy",
-    "regime_growth_rate",
-    "simulate_income_path",
-    "simulate_path",
-    "simulate_wealth",
-    "solve_income_loading",
-    "solve_regime_factors",
-    "stationary_distribution",
-    "strategy_from_value_factor",
-    "transition_probabilities",
-    "utility",
-    "validate_generator",
-    "value_function",
-]
+__all__ = sorted(
+    name for module in (markov, compose, hjb, montecarlo, portfolio) for name in module.__all__
+)

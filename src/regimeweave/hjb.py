@@ -98,10 +98,12 @@ class MarketModel:
 
     def __post_init__(self) -> None:
         problems: list[str] = []
-        if not self.risk_aversion > 0:
-            problems.append(f"risk_aversion must be positive, got {self.risk_aversion}")
-        if not self.horizon > 0:
-            problems.append(f"horizon must be positive, got {self.horizon}")
+        if not np.isfinite(self.rate):
+            problems.append(f"rate must be finite, got {self.rate}")
+        if not 0 < self.risk_aversion < np.inf:
+            problems.append(f"risk_aversion must be positive and finite, got {self.risk_aversion}")
+        if not 0 < self.horizon < np.inf:
+            problems.append(f"horizon must be positive and finite, got {self.horizon}")
         if not -1.0 <= self.correlation <= 1.0:
             problems.append(f"correlation must lie in [-1, 1], got {self.correlation}")
         n = self.generator.n_states
@@ -110,6 +112,8 @@ class MarketModel:
             object.__setattr__(self, name, arr)
             if arr.shape != (n,):
                 problems.append(f"{name} must have one entry per regime ({n}), got shape {arr.shape}")
+            if not np.all(np.isfinite(arr)):
+                problems.append(f"{name} entries must be finite")
         if np.any(self.stock_vol <= 0):
             problems.append("stock_vol entries must be strictly positive")
         if self.income_kind == NORMAL_LEVELS:
@@ -118,6 +122,8 @@ class MarketModel:
                 object.__setattr__(self, name, arr)
                 if arr.shape != (n,):
                     problems.append(f"{name} must have one entry per regime ({n}), got shape {arr.shape}")
+                if not np.all(np.isfinite(arr)):
+                    problems.append(f"{name} entries must be finite")
             if isinstance(self.income_vol, np.ndarray) and np.any(self.income_vol < 0):
                 problems.append("income_vol entries must be nonnegative")
         elif self.income_kind == GENERAL_CALLABLE:
@@ -372,7 +378,8 @@ def solve_regime_factors(
     coarse = _rk4_grid(rhs, start, horizon, n_steps // 2)
     gap = np.abs(fine[-1] - coarse[-1]) / np.abs(fine[-1])
     estimate = float(gap.max()) / 15.0
-    if estimate > rtol:
+    # a run that overflowed leaves a NaN estimate or NaN factors: too coarse as well
+    if not (estimate <= rtol and np.all(np.isfinite(fine))):
         raise StepTooCoarse(
             f"estimated relative error {estimate:.3e} exceeds rtol={rtol:.1e}; "
             f"increase n_steps above {n_steps}"

@@ -32,7 +32,10 @@ __all__ = [
 ]
 
 ROW_SUM_TOL = 1e-9
+# relative to the largest exit rate, so the check is invariant to time units
 STATIONARY_RESIDUAL_TOL = 1e-12
+# variates per exponential and per uniform block drawn by path simulation
+JUMP_BLOCK = 1024
 
 
 class GeneratorError(ValueError):
@@ -228,9 +231,9 @@ def stationary_distribution(generator: GeneratorMatrix) -> NDArray[np.float64]:
     pi = pi / pi.sum()
     if np.any(pi <= 0):
         raise Reducible("stationary solution is not strictly positive")
-    residual = np.max(np.abs(pi @ q))
+    residual = np.max(np.abs(pi @ q)) / max(generator.exit_rates().max(), np.finfo(float).tiny)
     if residual >= STATIONARY_RESIDUAL_TOL:
-        raise Reducible(f"stationary residual {residual:.3e} exceeds {STATIONARY_RESIDUAL_TOL}")
+        raise Reducible(f"relative stationary residual {residual:.3e} exceeds {STATIONARY_RESIDUAL_TOL}")
     return pi
 
 
@@ -240,7 +243,7 @@ def simulate_path(
     t_start: float,
     t_end: float,
     rng: RngStream | np.random.Generator,
-    _block: int = 1024,
+    _block: int = JUMP_BLOCK,
 ) -> RegimePath:
     """Simulate one trajectory by exponential holding times and jump draws.
 
@@ -251,18 +254,8 @@ def simulate_path(
     instead of a stream lets a caller draw further variates from the same
     stream after the path.
     """
-    if not 0 <= initial_state < generator.n_states:
-        raise ValueError(f"initial_state {initial_state} out of range")
-    if not t_end > t_start:
-        raise ValueError("t_end must exceed t_start")
-    q = generator.rates
-    lam = generator.exit_rates()
-    # Cumulative embedded rows; rows with zero exit rate are never consulted.
-    off = q.copy()
-    np.fill_diagonal(off, 0.0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cum = np.cumsum(off / np.where(lam[:, None] == 0, 1.0, lam[:, None]), axis=1)
-
+    _check_path_span(generator, initial_state, t_start, t_end)
+    lam, cum = _jump_table(generator)
     gen = rng.generator() if isinstance(rng, RngStream) else rng
     times = [t_start]
     states = [int(initial_state)]
@@ -295,6 +288,26 @@ def simulate_path(
         states=np.asarray(states, dtype=np.int64),
         n_states=generator.n_states,
     )
+
+
+def _check_path_span(generator: GeneratorMatrix, initial_state: int, t_start, t_end) -> None:
+    if not 0 <= initial_state < generator.n_states:
+        raise ValueError(f"initial_state {initial_state} out of range")
+    if not t_end > t_start:
+        raise ValueError("t_end must exceed t_start")
+
+
+def _jump_table(generator: GeneratorMatrix) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Exit rates and cumulative embedded rows: a jump from ``i`` with uniform
+    ``u`` lands on the first index whose entry exceeds ``u * cum[i, -1]``."""
+    q = generator.rates
+    lam = generator.exit_rates()
+    # rows with zero exit rate are never consulted
+    off = q.copy()
+    np.fill_diagonal(off, 0.0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cum = np.cumsum(off / np.where(lam[:, None] == 0, 1.0, lam[:, None]), axis=1)
+    return lam, cum
 
 
 def transition_probabilities(generator: GeneratorMatrix, t: float) -> TransitionMatrix:

@@ -13,21 +13,26 @@ regime chain:
   over income paths ``Y``, sampled with per-regime-exact Gaussian steps and
   a trapezoid rule for the time integral.
 
-Estimators assign one counter-based stream per path, so results do not
-depend on execution order or on the ``REGIMEWEAVE_THREADS`` worker count.
+Path ``k`` of an estimator called with ``rng`` draws from the Philox
+stream keyed ``[rng.seed, rng.stream_id + k]`` (Salmon et al., SC'11): its
+chain's variate blocks as :func:`~regimeweave.markov.simulate_path` draws
+them, then the normals of its jump-refined grid (stock, then income shocks
+for wealth paths).  Paths run in chunks of :data:`CHUNK`; only the draws
+loop over paths, while the jump loop and the grid arithmetic run over rows
+padded past each path's end.  Per-path sums never include the padding, so
+every estimate equals the one-path-at-a-time loop bit for bit, whatever
+the chunk size.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .hjb import MarketModel, growth_coefficients, solve_income_loading
-from .markov import RegimePath, RngStream, simulate_path
+from .markov import JUMP_BLOCK, GeneratorMatrix, RegimePath, RngStream, _check_path_span, _jump_table
 
 __all__ = [
     "NonZeroRho",
@@ -40,7 +45,10 @@ __all__ = [
     "estimate_value_mc",
 ]
 
-THREADS_ENV = "REGIMEWEAVE_THREADS"
+# paths simulated together; results do not depend on it, memory grows with it
+CHUNK = 128
+# grids evaluated together; bounds the memory of the grid arithmetic
+GROUP = 32
 
 
 class NonZeroRho(ValueError):
@@ -111,11 +119,7 @@ def simulate_income_path(
     elif len(normals) != len(dt):
         raise ValueError(f"need {len(dt)} normals, got {len(normals)}")
     steps = market.income_drift[regimes] * dt + market.income_vol[regimes] * np.sqrt(dt) * normals
-    values = np.empty(len(times))
-    values[0] = income_start
-    np.cumsum(steps, out=values[1:])
-    values[1:] += income_start
-    return IncomePath(times=times, values=values, regimes=regimes)
+    return IncomePath(times=times, values=_accumulate(income_start, steps), regimes=regimes)
 
 
 def estimate_regime_factor(
@@ -134,18 +138,17 @@ def estimate_regime_factor(
     _check_horizon(market, t_start)
     coeffs = growth_coefficients(market)
     loading = solve_income_loading(market)
-
-    def one_path(gen: np.random.Generator) -> float:
-        path = simulate_path(market.generator, regime, t_start, market.horizon, gen)
-        starts, ends, states = path.segments()
-        exponent = (
+    values = np.empty(n_paths)
+    blocks = _simulate_chains(market.generator, regime, t_start, market.horizon, n_paths, rng)
+    for index, starts, states, n_jumps, _ in blocks:
+        # segment m runs from column m to column m + 1; the padding adds empty segments
+        ends = np.concatenate([starts[:, 1:], np.full((len(starts), 1), market.horizon)], axis=1)
+        terms = (
             coeffs.constant[states] * (ends - starts)
             + coeffs.linear[states] * loading.integral(starts, ends)
             + coeffs.quadratic[states] * loading.square_integral(starts, ends)
-        ).sum()
-        return float(np.exp(exponent))
-
-    values = _run_paths(one_path, n_paths, rng)
+        )
+        values[index] = np.exp(_row_sums(terms, n_jumps + 1))
     return _estimate(values)
 
 
@@ -178,30 +181,22 @@ def estimate_value_factor(
     gamma = market.risk_aversion
     # half squared Sharpe per regime, the sign-flipped constant growth term
     sharpe_half = -growth_coefficients(market).constant
-
-    def one_path(gen: np.random.Generator) -> float:
-        path = simulate_path(market.generator, regime, t_start, market.horizon, gen)
-        times, regimes = merged_time_grid(path, n_steps)
+    values = np.empty(n_paths)
+    grids = _simulate_grids(market, regime, t_start, n_paths, n_steps, rng, 1)
+    for index, lengths, times, regimes, (z,) in grids:
         dt = np.diff(times)
-        z = gen.standard_normal(len(dt))
         discount = gamma * np.exp(market.rate * (market.horizon - times))
-        regime_term = float((sharpe_half[regimes] * dt).sum())
+        regime_term = _row_sums(sharpe_half[regimes] * dt, lengths - 1)
         drift = market.income_drift[regimes] * dt
         shock = market.income_vol[regimes] * np.sqrt(dt)
 
-        def sample(sign: float) -> float:
-            income = np.empty(len(times))
-            income[0] = income_start
-            np.cumsum(drift + sign * shock * z, out=income[1:])
-            income[1:] += income_start
-            income_term = float(np.trapezoid(discount * income, times))
-            return float(np.exp(-income_term - regime_term))
+        def sample(sign: float) -> NDArray[np.float64]:
+            y = discount * _accumulate(income_start, drift + sign * shock * z)
+            # the trapezoid rule's terms as np.trapezoid forms them, summed path by path
+            income_term = _row_sums(dt * (y[:, 1:] + y[:, :-1]) / 2.0, lengths - 1)
+            return np.exp(-income_term - regime_term)
 
-        if antithetic:
-            return 0.5 * (sample(1.0) + sample(-1.0))
-        return sample(1.0)
-
-    values = _run_paths(one_path, n_paths, rng)
+        values[index] = 0.5 * (sample(1.0) + sample(-1.0)) if antithetic else sample(1.0)
     return _estimate(values)
 
 
@@ -234,6 +229,166 @@ def estimate_value_mc(
     )
 
 
+def _accumulate(start: float, steps: NDArray[np.float64]) -> NDArray[np.float64]:
+    """``start``, then ``start`` plus the running sums of ``steps`` along the last axis."""
+    out = np.empty(steps.shape[:-1] + (steps.shape[-1] + 1,))
+    out[..., 0] = start
+    np.cumsum(steps, axis=-1, out=out[..., 1:])
+    out[..., 1:] += start
+    return out
+
+
+def _row_sums(rows: NDArray[np.float64], lengths: NDArray[np.int64]) -> NDArray[np.float64]:
+    """Sum of the first ``lengths[i]`` entries of each row, bit for bit the
+    ``ndarray.sum`` of that prefix alone: rows of one length are summed
+    together, never with their padding, which would regroup the pairwise sum."""
+    out = np.empty(len(lengths))
+    for n in np.unique(lengths):
+        same = lengths == n
+        out[same] = rows[same, :n].sum(axis=-1)
+    return out
+
+
+def _block_head(mean_jumps: float) -> int:
+    """Columns kept of each path's variate blocks: enough for all but rare
+    paths, which draw their blocks again when they run past them."""
+    return int(min(JUMP_BLOCK, mean_jumps + 6.0 * np.sqrt(mean_jumps) + 16.0))
+
+
+def _simulate_chains(
+    generator: GeneratorMatrix, regime: int, t_start, t_end, n_paths: int, rng: RngStream,
+    keep_state: bool = False,
+):
+    """Chain paths, ``CHUNK`` at a time; path ``k`` is the one
+    :func:`~regimeweave.markov.simulate_path` draws from stream ``rng.stream_id + k``.
+
+    Yields ``(index, times, states, n_jumps, resume)`` for blocks of up to
+    ``GROUP`` paths.  Row ``r`` (path ``index[r]``) holds the start time and
+    state, then one column per jump, up to column ``n_jumps[r]``, then
+    ``t_end`` and state 0.  With ``keep_state``, ``resume(k)`` returns the
+    generator as it stands after path ``k``'s chain draws.
+    """
+    if n_paths < 2:
+        raise ValueError("need at least two paths for a standard error")
+    _check_path_span(generator, regime, t_start, t_end)
+    RngStream(rng.seed, rng.stream_id + n_paths - 1)  # every path's key must be valid
+    # resetting one Philox per path is several times cheaper than a new generator
+    bits = np.random.Philox(key=[rng.seed, rng.stream_id])
+    gen = np.random.Generator(bits)
+    fresh = bits.state
+    lam, cum = _jump_table(generator)
+    moving = lam[regime] != 0.0  # an absorbing start state draws nothing
+    head = _block_head(lam.max() * (t_end - t_start))
+    block_exps, block_unis = np.empty(JUMP_BLOCK), np.empty(JUMP_BLOCK)
+
+    for first in range(0, n_paths, CHUNK):
+        n = min(CHUNK, n_paths - first)
+        exps, unis = np.empty((n, head)), np.empty((n, head))
+
+        def draw_blocks(i: int, count: int) -> dict | None:
+            fresh["state"]["key"][1] = rng.stream_id + first + i
+            bits.state = fresh
+            for _ in range(count):
+                gen.standard_exponential(out=block_exps)
+                gen.random(out=block_unis)
+            exps[i], unis[i] = block_exps[: exps.shape[1]], block_unis[: exps.shape[1]]
+            return bits.state if keep_state else None
+
+        def resume(k: int) -> np.random.Generator:
+            bits.state = after[k - first]
+            return gen
+
+        after = [draw_blocks(i, int(moving)) for i in range(n)]
+        alive = np.arange(n) if moving else np.empty(0, dtype=np.int64)
+        t, state = np.full(len(alive), float(t_start)), np.full(len(alive), regime)
+        steps = []  # (paths, arrival times, destinations) of each jump in turn
+        while alive.size:
+            rate = lam[state]
+            if not rate.all():
+                keep = rate != 0.0
+                alive, t, state, rate = alive[keep], t[keep], state[keep], rate[keep]
+            column = len(steps) % JUMP_BLOCK
+            if column == exps.shape[1] or (steps and column == 0):
+                if column:  # past the kept head of the block: keep all of it
+                    exps = np.pad(exps, ((0, 0), (0, JUMP_BLOCK - column)))
+                    unis = np.pad(unis, ((0, 0), (0, JUMP_BLOCK - column)))
+                for i in alive:
+                    after[i] = draw_blocks(i, len(steps) // JUMP_BLOCK + 1)
+            t = t + exps[alive, column] / rate
+            keep = t < t_end
+            alive, t, state = alive[keep], t[keep], state[keep]
+            rows = cum[state]
+            state = (rows <= (unis[alive, column] * rows[:, -1])[:, None]).sum(axis=1)
+            steps.append((alive, t, state))
+        times = np.full((n, len(steps) + 1), float(t_end))
+        states = np.zeros((n, len(steps) + 1), dtype=np.int64)
+        times[:, 0], states[:, 0] = t_start, regime
+        n_jumps = np.zeros(n, dtype=np.int64)
+        for jump, (rows, arrival, destination) in enumerate(steps, start=1):
+            times[rows, jump], states[rows, jump], n_jumps[rows] = arrival, destination, jump
+        del exps, unis, steps  # free the chunk's draws while its blocks are consumed
+        for rows in np.split(np.arange(n), range(GROUP, n, GROUP)):
+            width = n_jumps[rows].max() + 1
+            yield first + rows, times[rows, :width], states[rows, :width], n_jumps[rows], resume
+
+
+def _simulate_grids(
+    market: MarketModel, regime: int, t_start, n_paths: int, n_steps: int, rng: RngStream, n_sets: int
+):
+    """Chain paths on jump-refined grids, each followed by ``n_sets`` sets of
+    grid normals, as ``(index, lengths, times, regimes, normals)`` blocks of
+    up to ``GROUP`` paths: row ``r`` holds path ``index[r]``'s grid, as
+    :func:`merged_time_grid` builds it, in its first ``lengths[r]`` entries,
+    then the horizon; its step regimes and normals fill the first
+    ``lengths[r] - 1`` entries, then the last regime and zeros.
+    """
+    if n_steps < 1:
+        raise ValueError("n_steps must be positive")
+    uniform = np.linspace(float(t_start), float(market.horizon), n_steps + 1)
+    blocks = _simulate_chains(market.generator, regime, t_start, market.horizon, n_paths, rng, True)
+    for index, chain_times, chain_states, n_jumps, resume in blocks:
+        lengths, times, regimes = _padded_grids(
+            chain_times, chain_states, n_jumps, uniform, market.n_regimes
+        )
+        normals = np.zeros((n_sets, len(index), times.shape[1] - 1))
+        for r, k in enumerate(index):
+            gen = resume(k)
+            for z in normals:
+                gen.standard_normal(out=z[r, : lengths[r] - 1])
+        yield index, lengths, times, regimes, normals
+
+
+def _padded_grids(chain_times, chain_states, n_jumps, uniform, n_states: int):
+    """Grid lengths, grids and step regimes of chain rows, padded as
+    :func:`_simulate_grids` yields them."""
+    width = int(n_jumps.max())
+    column = np.arange(width)
+    real = column < n_jumps[:, None]
+    jumps = chain_times[:, 1 : width + 1]  # padded with the horizon
+    # a jump's slot counts the uniform nodes and the jumps before it; padding goes last
+    slots = np.where(real, np.searchsorted(uniform, jumps) + column, len(uniform) + column)
+    is_jump = np.zeros((len(n_jumps), len(uniform) + width), dtype=bool)
+    np.put_along_axis(is_jump, slots, True, axis=1)
+    times = np.empty(is_jump.shape)
+    times[is_jump] = jumps.ravel()
+    times[~is_jump] = np.tile(uniform, len(n_jumps))
+    held = np.minimum(np.cumsum(is_jump[:, :-1], axis=1), n_jumps[:, None])  # jumps so far
+    regimes = np.take_along_axis(chain_states[:, : width + 1], held, axis=1)
+    lengths = len(uniform) + n_jumps
+    # a jump on a node or on another jump merges with it, as in merged_time_grid
+    inside = np.arange(times.shape[1] - 1) < lengths[:, None] - 1
+    for r in np.flatnonzero(np.any((np.diff(times, axis=1) <= 0.0) & inside, axis=1)):
+        count = n_jumps[r] + 1
+        path = RegimePath(
+            uniform[0], uniform[-1], chain_times[r, :count], chain_states[r, :count], n_states
+        )
+        grid, grid_regimes = merged_time_grid(path, len(uniform) - 1)
+        lengths[r] = len(grid)
+        times[r], times[r, : len(grid)] = uniform[-1], grid
+        regimes[r], regimes[r, : len(grid) - 1] = grid_regimes[-1], grid_regimes
+    return lengths, times, regimes
+
+
 def _check_horizon(market: MarketModel, t_start: float) -> None:
     if not 0.0 <= t_start < market.horizon:
         raise ValueError(f"t_start must lie in [0, horizon), got {t_start}")
@@ -246,44 +401,3 @@ def _estimate(values: NDArray[np.float64]) -> MCEstimate:
         stderr=float(values.std(ddof=1) / np.sqrt(n)),
         n_paths=n,
     )
-
-
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    if count < 1:
-        raise ValueError(f"{THREADS_ENV} must be >= 1, got {count}")
-    return count
-
-
-def _run_paths(one_path, n_paths: int, rng: RngStream) -> NDArray[np.float64]:
-    """Evaluate ``one_path`` under per-path streams, in index order.
-
-    Path ``k`` always uses stream ``rng.stream_id + k`` and writes slot
-    ``k`` of the result, so the returned array (and anything reduced from
-    it) is identical for any worker count.
-    """
-    if n_paths < 2:
-        raise ValueError("need at least two paths for a standard error")
-    values = np.empty(n_paths)
-
-    def fill(start: int, stop: int) -> None:
-        for k in range(start, stop):
-            gen = RngStream(rng.seed, rng.stream_id + k).generator()
-            values[k] = one_path(gen)
-
-    n_threads = _thread_count()
-    if n_threads == 1:
-        fill(0, n_paths)
-        return values
-    bounds = np.linspace(0, n_paths, n_threads + 1).astype(int)
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        futures = [
-            pool.submit(fill, int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])
-        ]
-        for f in futures:
-            f.result()
-    return values

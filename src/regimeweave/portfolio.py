@@ -18,7 +18,7 @@ from numpy.typing import NDArray
 
 from .hjb import IncomeLoading, MarketModel, RegimeFactorTable, solve_income_loading, solve_regime_factors
 from .markov import RngStream, simulate_path
-from .montecarlo import MCEstimate, _estimate, _run_paths, merged_time_grid
+from .montecarlo import MCEstimate, _accumulate, _estimate, _simulate_grids, merged_time_grid
 
 __all__ = [
     "CaseMismatch",
@@ -267,40 +267,40 @@ def simulate_wealth(
     gen = rng.generator() if isinstance(rng, RngStream) else rng
     path = simulate_path(market.generator, regime, t_start, market.horizon, gen)
     times, regimes = merged_time_grid(path, n_steps)
+    shocks = gen.standard_normal((2, len(times) - 1))  # stock, then income
+    wealth, income, positions = _wealth_rows(
+        market, strategy, t_start, wealth_start, income_start, times, regimes, *shocks
+    )
+    return WealthPath(
+        times=times, wealth=wealth, income=income, regimes=regimes, positions=np.array(positions)
+    )
+
+
+def _wealth_rows(
+    market, strategy, t_start, wealth_start, income_start, times, regimes, stock_shock, income_shock
+):
+    """Wealth, income and positions on grids, one path per row of the last
+    axis, as :func:`simulate_wealth` describes."""
     dt = np.diff(times)
     sqrt_dt = np.sqrt(dt)
-    stock_shock = gen.standard_normal(len(dt))
-    income_shock = gen.standard_normal(len(dt))
     rho = market.correlation
     joint = rho * stock_shock + np.sqrt(1.0 - rho**2) * income_shock
-
-    income = np.empty(len(times))
-    income[0] = income_start
-    np.cumsum(
-        market.income_drift[regimes] * dt + market.income_vol[regimes] * sqrt_dt * joint,
-        out=income[1:],
+    income = _accumulate(
+        income_start, market.income_drift[regimes] * dt + market.income_vol[regimes] * sqrt_dt * joint
     )
-    income[1:] += income_start
-
     positions = np.broadcast_to(
-        np.asarray(strategy(times[:-1], income[:-1], regimes), dtype=float), dt.shape
+        np.asarray(strategy(times[..., :-1], income[..., :-1], regimes), dtype=float), dt.shape
     )
 
     r = market.rate
     accrual = np.expm1(r * dt) / r if r != 0.0 else dt  # integral of exp(r s) over a step
     cash = (
-        positions * market.excess_return()[regimes] + income[:-1]
+        positions * market.excess_return()[regimes] + income[..., :-1]
     ) * accrual + positions * market.stock_vol[regimes] * sqrt_dt * stock_shock
-    discount = np.exp(-r * (times[1:] - t_start))
-    wealth = np.empty(len(times))
-    wealth[0] = wealth_start
-    np.cumsum(discount * cash, out=wealth[1:])
-    wealth[1:] += wealth_start
+    discount = np.exp(-r * (times[..., 1:] - t_start))
+    wealth = _accumulate(wealth_start, discount * cash)
     wealth *= np.exp(r * (times - t_start))
-
-    return WealthPath(
-        times=times, wealth=wealth, income=income, regimes=regimes, positions=np.array(positions)
-    )
+    return wealth, income, positions
 
 
 def evaluate_policy(
@@ -319,13 +319,11 @@ def evaluate_policy(
     Path ``k`` uses stream ``rng.stream_id + k``; running different
     strategies with the same ``rng`` pairs them on identical scenarios.
     """
-    gamma = market.risk_aversion
-
-    def one_path(gen: np.random.Generator) -> float:
-        path = simulate_wealth(
-            market, strategy, t_start, wealth_start, income_start, regime, n_steps, gen
+    values = np.empty(n_paths)
+    grids = _simulate_grids(market, regime, t_start, n_paths, n_steps, rng, 2)
+    for index, lengths, times, regimes, shocks in grids:
+        wealth, _, _ = _wealth_rows(
+            market, strategy, t_start, wealth_start, income_start, times, regimes, *shocks
         )
-        return float(utility(path.wealth[-1], gamma))
-
-    values = _run_paths(one_path, n_paths, rng)
+        values[index] = utility(wealth[np.arange(len(index)), lengths - 1], market.risk_aversion)
     return _estimate(values)

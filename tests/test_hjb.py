@@ -110,6 +110,23 @@ class TestMarketModel:
         with pytest.raises(ValueError, match="income_kind"):
             make_market(income_kind="lognormal")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("rate", np.nan),
+            ("rate", np.inf),
+            ("risk_aversion", np.inf),
+            ("horizon", np.inf),
+            ("stock_drift", [0.1, np.inf]),
+            ("stock_vol", [0.25, np.nan]),
+            ("income_drift", [np.nan, 0.0]),
+            ("income_vol", [0.1, np.inf]),
+        ],
+    )
+    def test_rejects_non_finite_inputs(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            make_market(**{field: value})
+
 
 class TestIncomeLoading:
     def test_terminal_value_and_sign(self):
@@ -273,6 +290,31 @@ class TestSolveRegimeFactors:
         )
         with pytest.raises(StepTooCoarse, match="increase n_steps"):
             solve_regime_factors(market, n_steps=8)
+
+    @pytest.mark.parametrize("scale", [1000.0, 1500.0])
+    def test_overflowing_coarse_run_is_too_coarse(self, scale):
+        # the reference chain sped up until the half-resolution RK4 run
+        # overflows: no finite error estimate, so no unverified table
+        rates = [
+            [-0.7, 0.5, 0.2, 0.0],
+            [0.3, -0.5, 0.0, 0.2],
+            [0.7, 0.0, -1.2, 0.5],
+            [0.0, 0.7, 0.3, -1.0],
+        ]
+        market = MarketModel(
+            rate=0.03,
+            correlation=0.35,
+            risk_aversion=1.2,
+            horizon=1.5,
+            stock_drift=[0.09, 0.04, 0.07, 0.02],
+            stock_vol=[0.22, 0.35, 0.28, 0.4],
+            income_drift=[0.02, 0.0, 0.015, -0.01],
+            income_vol=[0.12, 0.18, 0.1, 0.22],
+            generator=validate_generator(np.array(rates) * scale),
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(StepTooCoarse, match="increase n_steps"):
+                solve_regime_factors(market, n_steps=1024)
 
     def test_n_steps_validation(self):
         with pytest.raises(ValueError):

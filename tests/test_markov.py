@@ -121,6 +121,19 @@ class TestStationaryDistribution:
         with pytest.raises(Reducible):
             stationary_distribution(validate_generator(block))
 
+    @pytest.mark.parametrize("scale", [1e4, 1e6])
+    def test_fast_chain_is_not_reducible(self, scale):
+        # the residual check is relative to the rates, so time units do not matter
+        for rates in (Q3, [[-3.0, 2.0, 1.0], [0.5, -1.5, 1.0], [2.0, 2.0, -4.0]]):
+            slow = stationary_distribution(validate_generator(rates))
+            fast = stationary_distribution(validate_generator(np.array(rates) * scale))
+            assert_allclose(fast, slow, rtol=1e-10)
+
+    def test_fast_reducible_still_rejected(self):
+        block = np.kron(np.eye(2), [[-1.0, 1.0], [1.0, -1.0]]) * 1e6
+        with pytest.raises(Reducible):
+            stationary_distribution(validate_generator(block))
+
 
 class TestTransitionProbabilities:
     def test_identity_at_zero(self):

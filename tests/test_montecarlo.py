@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from regimeweave import montecarlo
 from regimeweave.hjb import (
     MarketModel,
     growth_coefficients,
     solve_income_loading,
     solve_regime_factors,
 )
-from regimeweave.markov import RngStream, simulate_path, validate_generator
+from regimeweave.markov import RegimePath, RngStream, simulate_path, validate_generator
 from regimeweave.montecarlo import (
     IncomePath,
     MCEstimate,
@@ -23,6 +24,7 @@ from regimeweave.montecarlo import (
     merged_time_grid,
     simulate_income_path,
 )
+from regimeweave.portfolio import evaluate_policy, optimal_strategy, simulate_wealth, utility
 
 Q2 = validate_generator([[-0.5, 0.5], [0.3, -0.3]])
 
@@ -185,12 +187,6 @@ class TestEstimateRegimeFactor:
         threaded = estimate_regime_factor(market, 0.0, 0, 600, RngStream(seed=24))
         assert threaded == base
 
-    def test_bad_thread_count(self, monkeypatch):
-        market = make_market()
-        monkeypatch.setenv("REGIMEWEAVE_THREADS", "zero")
-        with pytest.raises(ValueError, match="REGIMEWEAVE_THREADS"):
-            estimate_regime_factor(market, 0.0, 0, 100, RngStream(seed=25))
-
     def test_argument_validation(self):
         market = make_market()
         with pytest.raises(ValueError, match="t_start"):
@@ -291,3 +287,165 @@ class TestIncomePathType:
         assert len(income.values) == len(income.times)
         assert len(income.regimes) == len(income.times) - 1
         assert income.values[0] == 0.5
+
+
+# Stream contract: an estimator over n paths with stream ``rng`` equals, to
+# the last bit, the same estimate computed one path at a time in a plain loop
+# over the streams ``RngStream(rng.seed, rng.stream_id + k)``.
+
+CONTRACT_CHAINS = {
+    "slow": ([[-0.5, 0.5], [0.3, -0.3]], 40),
+    "absorbing": ([[-2.0, 1.0, 1.0], [0.0, 0.0, 0.0], [3.0, 0.0, -3.0]], 40),
+    # about 1700 jumps a path, past the 1024-variate block of simulate_path
+    "past_block": ([[-1000.0, 1000.0], [800.0, -800.0]], 5),
+}
+
+
+def contract_market(chain, **overrides):
+    rates, _ = CONTRACT_CHAINS[chain]
+    n = len(rates)
+    params = dict(
+        rate=0.03,
+        correlation=0.0,
+        risk_aversion=1.5,
+        horizon=2.0,
+        stock_drift=np.linspace(0.08, 0.03, n),
+        stock_vol=np.linspace(0.25, 0.4, n),
+        income_drift=np.linspace(0.02, -0.01, n),
+        income_vol=np.linspace(0.12, 0.2, n),
+        generator=validate_generator(rates),
+    )
+    params.update(overrides)
+    return MarketModel(**params)
+
+
+def loop_estimate(values):
+    values = np.asarray(values)
+    return MCEstimate(
+        value=float(values.mean()),
+        stderr=float(values.std(ddof=1) / np.sqrt(len(values))),
+        n_paths=len(values),
+    )
+
+
+def loop_regime_factor(market, t_start, regime, stream):
+    coeffs = growth_coefficients(market)
+    loading = solve_income_loading(market)
+    path = simulate_path(market.generator, regime, t_start, market.horizon, stream)
+    starts, ends, states = path.segments()
+    exponent = (
+        coeffs.constant[states] * (ends - starts)
+        + coeffs.linear[states] * loading.integral(starts, ends)
+        + coeffs.quadratic[states] * loading.square_integral(starts, ends)
+    ).sum()
+    return float(np.exp(exponent))
+
+
+def loop_value_factor(market, t_start, income_start, regime, n_steps, stream, antithetic):
+    gen = stream.generator()
+    path = simulate_path(market.generator, regime, t_start, market.horizon, gen)
+    times, regimes = merged_time_grid(path, n_steps)
+    dt = np.diff(times)
+    z = gen.standard_normal(len(dt))
+    discount = market.risk_aversion * np.exp(market.rate * (market.horizon - times))
+    regime_term = float((-growth_coefficients(market).constant[regimes] * dt).sum())
+    drift = market.income_drift[regimes] * dt
+    shock = market.income_vol[regimes] * np.sqrt(dt)
+
+    def sample(sign):
+        income = np.empty(len(times))
+        income[0] = income_start
+        np.cumsum(drift + sign * shock * z, out=income[1:])
+        income[1:] += income_start
+        return float(np.exp(-float(np.trapezoid(discount * income, times)) - regime_term))
+
+    return 0.5 * (sample(1.0) + sample(-1.0)) if antithetic else sample(1.0)
+
+
+@pytest.fixture(params=["whole_blocks", "chunks_of_3"])
+def chunking(request, monkeypatch):
+    """Default chunking, or three paths a chunk keeping two block columns
+    each, so that most paths draw their blocks a second time, and grids
+    evaluated two at a time."""
+    if request.param == "chunks_of_3":
+        monkeypatch.setattr(montecarlo, "CHUNK", 3)
+        monkeypatch.setattr(montecarlo, "GROUP", 2)
+        monkeypatch.setattr(montecarlo, "_block_head", lambda mean_jumps: 2)
+
+
+@pytest.mark.parametrize("chain", list(CONTRACT_CHAINS))
+class TestStreamContract:
+    def test_regime_factor(self, chain, chunking):
+        market = contract_market(chain)
+        n = CONTRACT_CHAINS[chain][1]
+        for regime in range(market.n_regimes):
+            expected = loop_estimate(
+                [loop_regime_factor(market, 0.3, regime, RngStream(61, 5 + k)) for k in range(n)]
+            )
+            assert estimate_regime_factor(market, 0.3, regime, n, RngStream(61, 5)) == expected
+
+    @pytest.mark.parametrize("antithetic", [True, False])
+    def test_value_factor(self, chain, chunking, antithetic):
+        market = contract_market(chain)
+        n = CONTRACT_CHAINS[chain][1]
+        for regime in range(market.n_regimes):
+            expected = loop_estimate(
+                [
+                    loop_value_factor(market, 0.4, 0.7, regime, 17, RngStream(62, k), antithetic)
+                    for k in range(n)
+                ]
+            )
+            got = estimate_value_factor(market, 0.4, 0.7, regime, n, 17, RngStream(62), antithetic)
+            assert got == expected
+
+    def test_policy(self, chain, chunking):
+        market = contract_market(chain, correlation=0.3)
+        strategy = optimal_strategy(market).scaled(0.8)
+        n = CONTRACT_CHAINS[chain][1]
+        for regime in range(market.n_regimes):
+            wealth = [
+                simulate_wealth(market, strategy, 0.2, 1.0, 0.5, regime, 13, RngStream(63, 9 + k))
+                .wealth[-1]
+                for k in range(n)
+            ]
+            expected = loop_estimate([float(utility(w, market.risk_aversion)) for w in wealth])
+            got = evaluate_policy(market, strategy, 0.2, 1.0, 0.5, regime, n, 13, RngStream(63, 9))
+            assert got == expected
+
+
+def test_past_block_chain_crosses_the_block():
+    market = contract_market("past_block")
+    path = simulate_path(market.generator, 0, 0.3, market.horizon, RngStream(61, 5))
+    assert path.n_jumps() > 1024
+
+
+def test_stream_ids_must_stay_in_range():
+    market = contract_market("slow")
+    with pytest.raises(ValueError, match="stream_id"):
+        estimate_regime_factor(market, 0.0, 0, 10, RngStream(1, 2**64 - 5))
+
+
+
+def test_batched_grids_match_merged_time_grid_with_ties():
+    # jumps on a uniform node or on each other merge with it, as in union1d
+    market = make_market()
+    jumps = [[0.3, 0.7], [0.5], [0.6, 0.6], [], [0.0001, 1.9999]]
+    width = 1 + max(len(j) for j in jumps)
+    # chain rows as _simulate_chains pads them: the horizon and state 0
+    times = np.full((len(jumps), width), market.horizon)
+    times[:, 0] = 0.0
+    states = np.zeros((len(jumps), width), dtype=np.int64)
+    for i, row in enumerate(jumps):
+        times[i, 1 : 1 + len(row)] = row
+        states[i, 1 : 1 + len(row)] = [(m + 1) % 2 for m in range(len(row))]
+    n_jumps = np.array([len(j) for j in jumps])
+    uniform = np.linspace(0.0, market.horizon, 9)
+    lengths, grids, regimes = montecarlo._padded_grids(times, states, n_jumps, uniform, 2)
+    for i, n in enumerate(n_jumps):
+        path = RegimePath(0.0, market.horizon, times[i, : n + 1], states[i, : n + 1], 2)
+        expected_grid, expected_regimes = merged_time_grid(path, 8)
+        assert lengths[i] == len(expected_grid)
+        assert np.array_equal(grids[i, : lengths[i]], expected_grid)
+        assert np.all(grids[i, lengths[i] :] == market.horizon)
+        assert np.array_equal(regimes[i, : lengths[i] - 1], expected_regimes)
+        assert np.all(regimes[i, lengths[i] - 1 :] == expected_regimes[-1])
