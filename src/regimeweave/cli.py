@@ -49,6 +49,7 @@ from .portfolio import (
     NORMAL_INCOME,
     RHO_ZERO,
     Strategy,
+    _evaluate_policies,
     build_solution,
     evaluate_policy,
     hedge_weight,
@@ -59,6 +60,10 @@ from .portfolio import (
 )
 
 HASH_LENGTH = 12
+# validate's stream ids: policy paths from 0, regime r's factor paths from
+# SPACING * (r + 1), zero-correlation paths from SPACING * MAX_REGIMES
+VALIDATE_STREAM_SPACING = 1_000_000
+VALIDATE_MAX_REGIMES = 50
 
 
 class ParseError(ValueError):
@@ -784,13 +789,13 @@ def cmd_evaluate(
     policies = [("pi-hat (optimal)", bundle.strategy)]
     for level in comparisons:
         policies.append((f"constant pi={level:g}", _constant_strategy(level)))
+    # one simulation of the scenarios pairs every policy on identical paths
+    estimates = _evaluate_policies(
+        market, [strategy for _, strategy in policies], 0.0, wealth_start, income_start, regime,
+        n, n_sim, RngStream(config.seed, 0),
+    )
     rows, scored = [], {}
-    for name, strategy in policies:
-        # the shared stream pairs every policy on identical scenarios
-        est = evaluate_policy(
-            market, strategy, 0.0, wealth_start, income_start, regime, n, n_sim,
-            RngStream(config.seed, 0),
-        )
+    for (name, _), est in zip(policies, estimates):
         rows.append([name, est.value, est.stderr, est.n_paths, predicted, est.value - predicted])
         scored[name] = {"estimate": est.value, "stderr": est.stderr}
     _write_csv(
@@ -833,6 +838,17 @@ def cmd_validate(config: ModelConfig, out_dir: Path, n_paths: int | None = None)
     market = config.market
     n_mc = n_paths if n_paths is not None else min(config.n_paths, 20000)
     n_sim = _sim_steps(config)
+    # the checks below draw from disjoint stream ranges only within these limits
+    problems = []
+    if n_mc > VALIDATE_STREAM_SPACING:
+        problems.append(f"--paths: validate samples at most {VALIDATE_STREAM_SPACING} paths, got {n_mc}")
+    if market.n_regimes >= VALIDATE_MAX_REGIMES:
+        problems.append(
+            f"market.regimes: validate supports fewer than {VALIDATE_MAX_REGIMES} regimes, "
+            f"got {market.n_regimes}"
+        )
+    if problems:
+        raise ValidationError(problems)
     checks: list[tuple[str, str, float, float, str]] = []
 
     if config.chain is None:
@@ -882,7 +898,7 @@ def cmd_validate(config: ModelConfig, out_dir: Path, n_paths: int | None = None)
     worst = 0.0
     for regime in range(market.n_regimes):
         est = estimate_regime_factor(
-            market, 0.0, regime, n_mc, RngStream(config.seed, 1_000_000 * (regime + 1))
+            market, 0.0, regime, n_mc, RngStream(config.seed, VALIDATE_STREAM_SPACING * (regime + 1))
         )
         worst = max(worst, abs(est.value - float(factors.value(0.0, regime))) / est.stderr)
     checks.append(
@@ -936,7 +952,8 @@ def cmd_validate(config: ModelConfig, out_dir: Path, n_paths: int | None = None)
         ("rho_zero_hedge", "closed-form", hedge_mass, 0.0, "hedge position with correlation forced to 0")
     )
     est0 = estimate_value_mc(
-        market_rho0, 0.0, 1.0, 0.2, 0, n_mc, n_sim, RngStream(config.seed, 50_000_000)
+        market_rho0, 0.0, 1.0, 0.2, 0, n_mc, n_sim,
+        RngStream(config.seed, VALIDATE_STREAM_SPACING * VALIDATE_MAX_REGIMES),
     )
     predicted0 = float(value_function(market_rho0, n_steps=config.n_steps)(0.0, 1.0, 0.2, 0))
     checks.append(

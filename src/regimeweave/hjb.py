@@ -11,9 +11,11 @@ exponential utility of terminal wealth the value function separates into
 
 where ``m`` is a deterministic loading on the income level (an
 :class:`IncomeLoading`) and the per-regime factors solve a linear ODE system
-coupled through the chain's rate matrix (a :class:`RegimeFactorTable`).
-This module computes both pieces and provides the PDE operator and residual
-used to verify candidate value functions that need not be separable.
+coupled through the chain's rate matrix (a :class:`RegimeFactorTable`),
+integrated with a fourth-order Magnus exponential integrator whose error is
+estimated by step doubling.  This module computes both pieces and provides
+the PDE operator and residual used to verify candidate value functions that
+need not be separable.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ SMALL_EXPONENT = 1e-2
 
 
 class StepTooCoarse(RuntimeError):
-    """Fixed-step ODE error estimate exceeded the requested tolerance."""
+    """Step-doubling error estimate of the factor ODE exceeded the requested tolerance."""
 
 
 class ConcavityViolation(ArithmeticError):
@@ -318,18 +320,22 @@ def regime_growth_rate(market: MarketModel, t):
 class RegimeFactorTable:
     """Per-regime value factors ``h_i(t)`` on a uniform grid.
 
-    Values come from a fixed-step integration of the coupled linear ODE
+    Values come from a fourth-order Magnus integration of the coupled linear
+    ODE
 
         h_i'(t) = -c_i(t) h_i(t) - sum_j rates[i, j] h_j(t),  h_i(horizon) = 1
 
-    and are interpolated with a cubic spline.  Queries are allowed up to one
-    grid spacing outside ``[0, horizon]`` so that finite-difference probes at
-    the boundary stay usable; anything further raises ``ValueError``.
+    on a uniform grid and are interpolated with a cubic spline;
+    ``error_estimate`` is the step-doubling estimate of their relative error
+    at ``t = 0``.  Queries are allowed up to one grid spacing outside
+    ``[0, horizon]`` so that finite-difference probes at the boundary stay
+    usable; anything further raises ``ValueError``.
     """
 
     times: NDArray[np.float64]
     values: NDArray[np.float64]
     spline: CubicSpline
+    error_estimate: float
 
     @property
     def n_regimes(self) -> int:
@@ -353,29 +359,22 @@ def solve_regime_factors(
 ) -> RegimeFactorTable:
     """Integrate the regime-factor ODE backward from the horizon.
 
-    Classic fourth-order Runge-Kutta with ``n_steps`` uniform steps on
-    ``[0, horizon]``.  The global error is estimated by comparing against a
-    half-resolution run (their gap is about 15 times the fine-grid error for
-    a fourth-order method); if the estimate exceeds ``rtol`` relative to the
-    solution, :class:`StepTooCoarse` is raised rather than returning a table
-    that would silently miss the requested accuracy.
+    Fourth-order Magnus integrator with two Gauss points (Iserles &
+    Norsett 1999; Blanes, Casas, Oteo & Ros 2009) and ``n_steps`` uniform
+    steps on ``[0, horizon]``: each step multiplies by the exponential of a
+    matrix built from the system at its Gauss nodes, and all of a run's step
+    exponentials are computed in one batched call.  The global error is
+    estimated by comparing against a half-resolution run (their gap is about
+    15 times the fine-grid error for a fourth-order method); if the estimate
+    exceeds ``rtol`` relative to the solution, :class:`StepTooCoarse` is
+    raised rather than returning a table that would silently miss the
+    requested accuracy.
     """
     market.require_normal_income("solve_regime_factors")
     if n_steps < 8 or n_steps % 2:
         raise ValueError("n_steps must be an even integer >= 8")
-    coeffs = growth_coefficients(market)
-    loading = solve_income_loading(market)
-    q = market.generator.rates
-    horizon = market.horizon
-
-    def rhs(s: float, h: NDArray[np.float64]) -> NDArray[np.float64]:
-        # s is time to horizon; the backward system turns into a forward one
-        c = coeffs.evaluate(loading.value(horizon - s))
-        return c * h + q @ h
-
-    start = np.ones(market.n_regimes)
-    fine = _rk4_grid(rhs, start, horizon, n_steps)
-    coarse = _rk4_grid(rhs, start, horizon, n_steps // 2)
+    fine = _magnus_grid(market, n_steps)
+    coarse = _magnus_grid(market, n_steps // 2)
     gap = np.abs(fine[-1] - coarse[-1]) / np.abs(fine[-1])
     estimate = float(gap.max()) / 15.0
     # a run that overflowed leaves a NaN estimate or NaN factors: too coarse as well
@@ -387,28 +386,59 @@ def solve_regime_factors(
     if np.any(fine <= 0):
         raise ArithmeticError("regime factors must stay positive")
 
+    horizon = market.horizon
     times = horizon - np.linspace(0.0, horizon, n_steps + 1)[::-1]
     values = fine[::-1]
     times.flags.writeable = False
     values.flags.writeable = False
-    return RegimeFactorTable(
-        times=times, values=values, spline=CubicSpline(times, values, axis=0)
-    )
+    spline = CubicSpline(times, values, axis=0)
+    return RegimeFactorTable(times=times, values=values, spline=spline, error_estimate=estimate)
 
 
-def _rk4_grid(rhs, y0: NDArray[np.float64], t_end: float, n_steps: int) -> NDArray[np.float64]:
-    dt = t_end / n_steps
-    out = np.empty((n_steps + 1, len(y0)))
-    out[0] = y0
-    y = y0
+# Gauss-Legendre nodes of [0, 1] used by the Magnus step
+GAUSS_NODES = 0.5 + np.array([-1.0, 1.0]) * np.sqrt(3.0) / 6.0
+
+
+def _magnus_grid(market: MarketModel, n_steps: int) -> NDArray[np.float64]:
+    """Factors at time to horizon ``s = k * horizon / n_steps``, ``k = 0..n_steps``.
+
+    ``dh/ds = A(s) h`` with ``A(s) = diag(c(horizon - s)) + rates``.  Step
+    ``k`` applies ``exp(Omega_k)``, ``Omega_k = dt/2 (A_1 + A_2) + sqrt(3)/12
+    dt^2 [A_2, A_1]`` with ``A_i`` at the step's two Gauss nodes; the
+    commutator reduces to ``(d_i - d_j) rates[i, j]`` with ``d = c_2 - c_1``.
+    """
+    dt = market.horizon / n_steps
+    nodes = (np.arange(n_steps)[:, None] + GAUSS_NODES) * dt
+    c = regime_growth_rate(market, market.horizon - nodes)  # (n_steps, 2, n_regimes)
+    q = market.generator.rates
+    d = c[:, 1] - c[:, 0]
+    omega = dt * q + (np.sqrt(3.0) / 12.0 * dt**2) * (d[:, :, None] - d[:, None, :]) * q
+    regimes = np.arange(market.n_regimes)
+    omega[:, regimes, regimes] += dt / 2.0 * (c[:, 0] + c[:, 1])
+    steps = _expm_stack(omega)
+    out = np.empty((n_steps + 1, market.n_regimes))
+    out[0] = 1.0
     for k in range(n_steps):
-        s = k * dt
-        k1 = rhs(s, y)
-        k2 = rhs(s + dt / 2.0, y + dt / 2.0 * k1)
-        k3 = rhs(s + dt / 2.0, y + dt / 2.0 * k2)
-        k4 = rhs(s + dt, y + dt * k3)
-        y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[k + 1] = y
+        out[k + 1] = steps[k] @ out[k]
+    return out
+
+
+def _expm_stack(a: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Matrix exponentials of a stack ``(..., n, n)`` by scaling and squaring.
+
+    One common exponent ``s`` brings every ``a / 2**s`` to a 1-norm of at
+    most 1/2, where the degree-18 Taylor polynomial is exact to rounding;
+    ``s`` squarings then undo the scaling.
+    """
+    norm = float(np.abs(a).sum(axis=-2).max(initial=0.0))
+    squarings = int(np.ceil(np.log2(2.0 * norm))) if norm > 0.5 else 0
+    scaled = a / 2.0**squarings
+    eye = np.eye(a.shape[-1])
+    out = eye + scaled / 18.0
+    for k in range(17, 0, -1):  # Horner: I + X/k (I + X/(k+1) (...))
+        out = eye + (scaled @ out) / k
+    for _ in range(squarings):
+        out = out @ out
     return out
 
 

@@ -319,11 +319,23 @@ def evaluate_policy(
     Path ``k`` uses stream ``rng.stream_id + k``; running different
     strategies with the same ``rng`` pairs them on identical scenarios.
     """
-    values = np.empty(n_paths)
+    (estimate,) = _evaluate_policies(
+        market, [strategy], t_start, wealth_start, income_start, regime, n_paths, n_steps, rng
+    )
+    return estimate
+
+
+def _evaluate_policies(
+    market, strategies, t_start, wealth_start, income_start, regime, n_paths, n_steps, rng
+) -> list[MCEstimate]:
+    """:func:`evaluate_policy` of each strategy, all on one simulation of
+    the scenarios; each estimate equals its own call's."""
+    values = np.empty((len(strategies), n_paths))
     grids = _simulate_grids(market, regime, t_start, n_paths, n_steps, rng, 2)
     for index, lengths, times, regimes, shocks in grids:
-        wealth, _, _ = _wealth_rows(
-            market, strategy, t_start, wealth_start, income_start, times, regimes, *shocks
-        )
-        values[index] = utility(wealth[np.arange(len(index)), lengths - 1], market.risk_aversion)
-    return _estimate(values)
+        for row, strategy in zip(values, strategies):
+            wealth, _, _ = _wealth_rows(
+                market, strategy, t_start, wealth_start, income_start, times, regimes, *shocks
+            )
+            row[index] = utility(wealth[np.arange(len(index)), lengths - 1], market.risk_aversion)
+    return [_estimate(row) for row in values]

@@ -14,13 +14,15 @@ from regimeweave.cli import (
     ParseError,
     ValidationError,
     cmd_compose,
+    cmd_evaluate,
     cmd_validate,
     load_config,
     main,
     parse_grid,
 )
 from regimeweave.compose import compose_independent
-from regimeweave.markov import validate_generator
+from regimeweave.markov import RngStream, validate_generator
+from regimeweave.portfolio import Strategy, evaluate_policy, optimal_strategy
 
 REPO = Path(__file__).resolve().parents[1]
 REFERENCE = str(REPO / "configs" / "reference.json")
@@ -305,6 +307,27 @@ class TestEvaluate:
         assert len(predictions) == 1
         assert all(float(v) < 0.0 for v in column(header, rows, "estimate"))
 
+    def test_rows_equal_separate_policy_evaluations(self, tmp_path):
+        # one shared simulation of the scenarios scores every policy exactly
+        # as its own evaluate_policy call on the same stream would
+        config = load_config(dump_config(tmp_path, minimal_config()))
+        report = cmd_evaluate(
+            config, tmp_path, wealth_start=0.7, income_start=0.1, regime=2,
+            comparisons=(0.5, 1.0), n_paths=300,
+        )
+        market = config.market
+        policies = {
+            "pi-hat (optimal)": optimal_strategy(market, config.case),
+            "constant pi=0.5": Strategy(lambda t, y, regime: 0.5),
+            "constant pi=1": Strategy(lambda t, y, regime: 1.0),
+        }
+        assert list(report.results["policies"]) == list(policies)
+        for name, strategy in policies.items():
+            est = evaluate_policy(
+                market, strategy, 0.0, 0.7, 0.1, 2, 300, 6, RngStream(config.seed, 0)
+            )
+            assert report.results["policies"][name] == {"estimate": est.value, "stderr": est.stderr}
+
 
 class TestValidate:
     def test_reference_config_passes(self, tmp_path):
@@ -340,3 +363,27 @@ class TestValidate:
         assert main(["validate", "--config", path, "--out", str(tmp_path)]) == 2
         assert main(["validate", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == 2
+
+
+class TestValidateStreamRanges:
+    def test_too_many_paths_rejected_before_sampling(self, tmp_path, monkeypatch):
+        import regimeweave.cli as cli
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the stream-range check")
+
+        monkeypatch.setattr(cli, "estimate_regime_factor", no_sampling)
+        config = load_config(dump_config(tmp_path, minimal_config()))
+        with pytest.raises(ValidationError, match="--paths"):
+            cmd_validate(config, tmp_path / "out", n_paths=1_000_001)
+        assert not (tmp_path / "out").exists()
+
+    def test_fifty_regimes_rejected(self, tmp_path):
+        document = minimal_config()
+        n = 50
+        document["chains"] = {"compound": (np.eye(n, k=1) + np.eye(n, k=-1) - np.diag(
+            [1.0] + [2.0] * (n - 2) + [1.0])).tolist()}
+        document["market"]["regimes"] = [document["market"]["regimes"][0]] * n
+        config = load_config(dump_config(tmp_path, document))
+        with pytest.raises(ValidationError, match="regimes"):
+            cmd_validate(config, tmp_path / "out")

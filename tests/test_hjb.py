@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -14,6 +16,7 @@ from regimeweave.hjb import (
     IncomeLoading,
     MarketModel,
     StepTooCoarse,
+    _expm_stack,
     apply_hjb_operator,
     growth_coefficients,
     hjb_residual,
@@ -56,6 +59,46 @@ def single_regime_market(**overrides):
     )
     params.update(overrides)
     return MarketModel(**params)
+
+
+def stiff_market(scale):
+    """The reference four-regime market with its chain's rates scaled up."""
+    rates = [
+        [-0.7, 0.5, 0.2, 0.0],
+        [0.3, -0.5, 0.0, 0.2],
+        [0.7, 0.0, -1.2, 0.5],
+        [0.0, 0.7, 0.3, -1.0],
+    ]
+    return MarketModel(
+        rate=0.03,
+        correlation=0.35,
+        risk_aversion=1.2,
+        horizon=1.5,
+        stock_drift=[0.09, 0.04, 0.07, 0.02],
+        stock_vol=[0.22, 0.35, 0.28, 0.4],
+        income_drift=[0.02, 0.0, 0.015, -0.01],
+        income_vol=[0.12, 0.18, 0.1, 0.22],
+        generator=validate_generator(np.array(rates) * scale),
+    )
+
+
+def radau_factors(market):
+    """Dense implicit (Radau) solution of the factor ODE in time to horizon."""
+
+    def system(s):
+        return np.diag(regime_growth_rate(market, market.horizon - s)) + market.generator.rates
+
+    sol = solve_ivp(
+        lambda s, h: system(s) @ h,
+        (0.0, market.horizon),
+        np.ones(market.n_regimes),
+        method="Radau",
+        jac=lambda s, h: system(s),
+        rtol=1e-12,
+        atol=1e-14,
+        dense_output=True,
+    )
+    return sol.sol
 
 
 def closed_form_value(market, table, loading):
@@ -292,29 +335,36 @@ class TestSolveRegimeFactors:
             solve_regime_factors(market, n_steps=8)
 
     @pytest.mark.parametrize("scale", [1000.0, 1500.0])
-    def test_overflowing_coarse_run_is_too_coarse(self, scale):
-        # the reference chain sped up until the half-resolution RK4 run
-        # overflows: no finite error estimate, so no unverified table
-        rates = [
-            [-0.7, 0.5, 0.2, 0.0],
-            [0.3, -0.5, 0.0, 0.2],
-            [0.7, 0.0, -1.2, 0.5],
-            [0.0, 0.7, 0.3, -1.0],
-        ]
-        market = MarketModel(
-            rate=0.03,
-            correlation=0.35,
-            risk_aversion=1.2,
-            horizon=1.5,
-            stock_drift=[0.09, 0.04, 0.07, 0.02],
-            stock_vol=[0.22, 0.35, 0.28, 0.4],
-            income_drift=[0.02, 0.0, 0.015, -0.01],
-            income_vol=[0.12, 0.18, 0.1, 0.22],
-            generator=validate_generator(np.array(rates) * scale),
-        )
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(StepTooCoarse, match="increase n_steps"):
-                solve_regime_factors(market, n_steps=1024)
+    def test_stiff_chain_matches_radau(self, scale):
+        # the reference chain sped up: no overflow or underflow anywhere, a
+        # checked error estimate, and factors that agree with an implicit
+        # integrator built for stiff systems
+        market = stiff_market(scale)
+        with np.errstate(all="raise"):
+            table = solve_regime_factors(market, n_steps=1024)
+        assert np.isfinite(table.error_estimate) and table.error_estimate <= 1e-9
+        sol = radau_factors(market)
+        for t in (0.0, 0.3, 0.75, 1.2, 1.5):
+            assert_allclose(table.value(t), sol(market.horizon - t), rtol=1e-8)
+
+    def test_very_stiff_chain_is_checked_or_too_coarse(self):
+        market = stiff_market(1e5)
+        with np.errstate(all="raise"):
+            try:
+                table = solve_regime_factors(market, n_steps=1024)
+            except StepTooCoarse as err:
+                estimate = float(re.search(r"error (\S+) exceeds", str(err)).group(1))
+                assert np.isfinite(estimate) and estimate > 1e-9
+                return
+        assert table.error_estimate <= 1e-9
+        sol = radau_factors(market)
+        for t in (0.0, 0.75, 1.5):
+            assert_allclose(table.value(t), sol(market.horizon - t), rtol=1e-8)
+
+    def test_error_estimate_is_kept(self):
+        table = solve_regime_factors(make_market(), rtol=1e-9)
+        assert np.isfinite(table.error_estimate)
+        assert 0.0 <= table.error_estimate <= 1e-9
 
     def test_n_steps_validation(self):
         with pytest.raises(ValueError):
@@ -334,6 +384,37 @@ class TestSolveRegimeFactors:
             table.value(2.0 + 2.0 * spacing)
         with pytest.raises(ValueError, match="outside"):
             table.value(-2.0 * spacing)
+
+
+class TestExpmStack:
+    @pytest.mark.parametrize("n", [1, 2, 4, 7])
+    def test_matches_scipy_on_generator_stacks(self, n):
+        # one stack mixes 1-norms from 1e-6 to 1e3, so its small members are
+        # squared many more times than they need
+        rng = np.random.default_rng(11 + n)
+        size = 300
+        stack = rng.uniform(0.0, 1.0, (size, n, n)) * (rng.uniform(size=(size, n, n)) < 0.7)
+        diag = np.arange(n)
+        stack[:, diag, diag] = 0.0
+        stack[:, diag, diag] = -stack.sum(axis=2)
+        norms = np.abs(stack).sum(axis=-2).max(axis=-1)
+        scale = 10.0 ** rng.uniform(-6.0, 3.0, size)
+        stack *= (scale / np.where(norms > 0, norms, 1.0))[:, None, None]
+        stack[:, diag, diag] -= rng.uniform(0.01, 1.0, (size, n)) * np.minimum(scale, 1.0)[:, None]
+        assert np.all(np.diagonal(stack, axis1=1, axis2=2) < 0)
+        got = _expm_stack(stack)
+        for a, e in zip(stack, got):
+            ref = expm(a)
+            assert np.abs(e - ref).sum(axis=0).max() <= 1e-12 * np.abs(ref).sum(axis=0).max()
+
+    def test_matches_scipy_on_general_matrices(self):
+        rng = np.random.default_rng(3)
+        stack = rng.standard_normal((200, 4, 4))
+        stack *= (10.0 ** rng.uniform(-6.0, 0.5, 200) / np.abs(stack).sum(axis=-2).max(axis=-1))[
+            :, None, None
+        ]
+        for a, e in zip(stack, _expm_stack(stack)):
+            assert_allclose(e, expm(a), rtol=1e-12, atol=1e-12 * np.abs(expm(a)).max())
 
 
 class AnalyticValue:
