@@ -34,7 +34,7 @@ from .compose import (
     compose_copula,
     compose_independent,
 )
-from .hjb import MarketModel, hjb_residual, solve_income_loading, solve_regime_factors
+from .hjb import MarketModel, StepTooCoarse, hjb_residual, solve_income_loading, solve_regime_factors
 from .markov import (
     GeneratorError,
     GeneratorMatrix,
@@ -1110,6 +1110,12 @@ def main(argv: Sequence[str] | None = None) -> int:
             report = cmd_validate(config, out_dir, n_paths=args.paths)
     except (ParseError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except StepTooCoarse as exc:
+        print(f"config error: numerics.n_steps: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"config error: market: {exc}", file=sys.stderr)
         return 2
     for name in sorted(report.outputs):
         print(f"{name}: {Path(args.out) / report.outputs[name]}")

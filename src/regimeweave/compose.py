@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.special import ndtr, ndtri, pdtr
 
 from .markov import GeneratorMatrix, TransitionMatrix, validate_generator
 
@@ -295,6 +294,8 @@ def bivariate_normal_cdf(x, y, correlation: float):
     case when ``|correlation| > 0.925``; both branches are accurate to about
     5e-16.  Accepts array arguments broadcast against each other.
     """
+    from scipy.special import ndtr
+
     rho = float(correlation)
     if not -1.0 <= rho <= 1.0:
         raise ValueError(f"correlation must lie in [-1, 1], got {rho}")
@@ -317,6 +318,8 @@ def bivariate_normal_cdf(x, y, correlation: float):
 
 def _bvn_upper(h, k, rho: float):
     """P(X > h, Y > k) for standard normals; h, k same-shape arrays."""
+    from scipy.special import ndtr
+
     if abs(rho) < 0.925:
         base = ndtr(-h) * ndtr(-k)
         if rho == 0.0:
@@ -385,6 +388,8 @@ def _bvn_upper(h, k, rho: float):
 
 def gaussian_copula(u, v, correlation: float):
     """Gaussian copula C(u, v) on the unit square."""
+    from scipy.special import ndtri
+
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if np.any((u < 0) | (u > 1)) or np.any((v < 0) | (v > 1)):
@@ -401,6 +406,8 @@ def copula_joint_pmf(counts_first, counts_second, mean_first: float, mean_second
     are the Poisson CDFs.  Marginals are exactly Poisson for any
     correlation; zero correlation reduces to the product pmf.
     """
+    from scipy.special import pdtr
+
     if mean_first <= 0 or mean_second <= 0:
         raise ValueError("Poisson means must be positive")
     y1 = np.asarray(counts_first)

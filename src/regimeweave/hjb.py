@@ -13,9 +13,10 @@ where ``m`` is a deterministic loading on the income level (an
 :class:`IncomeLoading`) and the per-regime factors solve a linear ODE system
 coupled through the chain's rate matrix (a :class:`RegimeFactorTable`),
 integrated with a fourth-order Magnus exponential integrator whose error is
-estimated by step doubling.  This module computes both pieces and provides
-the PDE operator and residual used to verify candidate value functions that
-need not be separable.
+estimated by step doubling, and interpolated between steps by cubic Hermite
+polynomials on the ODE's own slopes.  This module computes both pieces and
+provides the PDE operator and residual used to verify candidate value
+functions that need not be separable.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.interpolate import CubicSpline
 
 from .markov import GeneratorMatrix
 
@@ -325,16 +325,21 @@ class RegimeFactorTable:
 
         h_i'(t) = -c_i(t) h_i(t) - sum_j rates[i, j] h_j(t),  h_i(horizon) = 1
 
-    on a uniform grid and are interpolated with a cubic spline;
-    ``error_estimate`` is the step-doubling estimate of their relative error
-    at ``t = 0``.  Queries are allowed up to one grid spacing outside
-    ``[0, horizon]`` so that finite-difference probes at the boundary stay
-    usable; anything further raises ``ValueError``.
+    on a uniform grid.  Between nodes they are interpolated by the cubic
+    Hermite polynomial through both nodes' values and exact ODE slopes
+    (dense output, Hairer, Norsett & Wanner, *Solving ODEs I*, II.6).
+    ``coefficients[p, k]`` multiplies ``(t - times[k])**p``: row ``k`` is
+    step ``k``'s cubic, and one extra last row re-expands the last step's
+    cubic about the horizon, so every node is returned exactly.
+    ``error_estimate`` is the step-doubling estimate of the relative error at
+    ``t = 0``.  Queries are allowed up to one grid spacing outside ``[0,
+    horizon]`` so that finite-difference probes at the boundary stay usable;
+    anything further, or NaN, raises ``ValueError``.
     """
 
     times: NDArray[np.float64]
     values: NDArray[np.float64]
-    spline: CubicSpline
+    coefficients: NDArray[np.float64]
     error_estimate: float
 
     @property
@@ -343,14 +348,20 @@ class RegimeFactorTable:
 
     def value(self, t, regime: int | None = None):
         t = np.asarray(t, dtype=float)
-        slack = self.times[1] - self.times[0]
-        if np.any(t < self.times[0] - slack) or np.any(t > self.times[-1] + slack):
-            raise ValueError(
-                f"time outside the tabulated range [{self.times[0]}, {self.times[-1]}]"
-            )
-        out = self.spline(t)
-        if regime is not None:
-            out = out[..., regime]
+        times = self.times
+        slack = times[1] - times[0]
+        # written so that NaN fails the check too
+        if t.size and not (t.min() >= times[0] - slack and t.max() <= times[-1] + slack):
+            raise ValueError(f"time outside the tabulated range [{times[0]}, {times[-1]}]")
+        k = np.maximum(times.searchsorted(t, "right") - 1, 0)
+        w = t - times[k]
+        c = self.coefficients.take(k, axis=1)
+        if regime is None:
+            # a full-size offset keeps Horner's loops contiguous
+            w = np.repeat(w[..., None], c.shape[-1], axis=-1)
+        else:
+            c = c[..., regime]
+        out = ((c[3] * w + c[2]) * w + c[1]) * w + c[0]
         return out if np.ndim(out) else float(out)
 
 
@@ -368,17 +379,22 @@ def solve_regime_factors(
     15 times the fine-grid error for a fourth-order method); if the estimate
     exceeds ``rtol`` relative to the solution, :class:`StepTooCoarse` is
     raised rather than returning a table that would silently miss the
-    requested accuracy.
+    requested accuracy.  Factors that leave the float range raise
+    :class:`OverflowError`.
     """
     market.require_normal_income("solve_regime_factors")
     if n_steps < 8 or n_steps % 2:
         raise ValueError("n_steps must be an even integer >= 8")
     fine = _magnus_grid(market, n_steps)
     coarse = _magnus_grid(market, n_steps // 2)
+    if not np.all(np.isfinite(fine)):
+        raise OverflowError(
+            f"regime factors exceed the float range over horizon {market.horizon}"
+        )
     gap = np.abs(fine[-1] - coarse[-1]) / np.abs(fine[-1])
     estimate = float(gap.max()) / 15.0
-    # a run that overflowed leaves a NaN estimate or NaN factors: too coarse as well
-    if not (estimate <= rtol and np.all(np.isfinite(fine))):
+    # a coarse run that overflowed leaves a NaN estimate: too coarse as well
+    if not estimate <= rtol:
         raise StepTooCoarse(
             f"estimated relative error {estimate:.3e} exceeds rtol={rtol:.1e}; "
             f"increase n_steps above {n_steps}"
@@ -389,10 +405,31 @@ def solve_regime_factors(
     horizon = market.horizon
     times = horizon - np.linspace(0.0, horizon, n_steps + 1)[::-1]
     values = fine[::-1]
-    times.flags.writeable = False
-    values.flags.writeable = False
-    spline = CubicSpline(times, values, axis=0)
-    return RegimeFactorTable(times=times, values=values, spline=spline, error_estimate=estimate)
+    coefficients = _hermite_coefficients(market, times, values)
+    for arr in (times, values, coefficients):
+        arr.flags.writeable = False
+    return RegimeFactorTable(
+        times=times, values=values, coefficients=coefficients, error_estimate=estimate
+    )
+
+
+def _hermite_coefficients(
+    market: MarketModel, times: NDArray[np.float64], values: NDArray[np.float64]
+) -> NDArray[np.float64]:
+    """Cubic Hermite coefficients ``(4, n_steps + 1, n_regimes)`` in powers of ``t - times[k]``.
+
+    Step ``k`` matches ``values`` and the exact slopes ``h' = -(c(t) h +
+    rates h)`` at both of its nodes; the extra last row is the last step's
+    cubic re-expanded about the horizon.
+    """
+    slopes = -(regime_growth_rate(market, times) * values + values @ market.generator.rates.T)
+    dt = np.diff(times)[:, None]
+    y0, y1, m0, m1 = values[:-1], values[1:], slopes[:-1], slopes[1:]
+    secant = (y1 - y0) / dt
+    c2 = (3.0 * secant - 2.0 * m0 - m1) / dt
+    c3 = (m0 + m1 - 2.0 * secant) / dt**2
+    end = [y1[-1], m1[-1], c2[-1] + 3.0 * c3[-1] * dt[-1], c3[-1]]
+    return np.concatenate([np.stack([y0, m0, c2, c3]), np.stack(end)[:, None]], axis=1)
 
 
 # Gauss-Legendre nodes of [0, 1] used by the Magnus step

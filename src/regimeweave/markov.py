@@ -221,10 +221,10 @@ def stationary_distribution(generator: GeneratorMatrix) -> NDArray[np.float64]:
     Raises :class:`Reducible` when the left null space of the rate matrix is
     not one-dimensional or the solution is not strictly positive.
     """
-    from scipy.linalg import null_space
-
     q = generator.rates
-    ns = null_space(q.T)
+    _, s, vt = np.linalg.svd(q.T)
+    rank = int(np.sum(s > s.max(initial=0.0) * max(q.shape) * np.finfo(float).eps))
+    ns = vt[rank:].T  # orthonormal basis of the left null space of q
     if ns.shape[1] != 1:
         raise Reducible(f"left null space has dimension {ns.shape[1]}, expected 1")
     pi = ns[:, 0]

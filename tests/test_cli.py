@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import csv
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -170,6 +172,23 @@ class TestLoadConfig:
         assert load_config(first).config_hash != load_config(other).config_hash
 
 
+def test_import_and_load_config_leave_scipy_unimported():
+    # a fresh isolated interpreter: only copula composition may import scipy
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(REPO / 'src')!r})\n"
+        "import regimeweave\n"
+        "from regimeweave.cli import load_config\n"
+        f"load_config({REFERENCE!r})\n"
+        f"load_config({RHO_ZERO_CONFIG!r})\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", script], capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
+
+
 class TestParseGrid:
     def test_three_axes(self):
         axes = parse_grid("0:2:5,-1:1:3,0.5:0.5:1")
@@ -254,6 +273,30 @@ class TestSolve:
         # 2 times x 2 incomes x 4 regimes
         assert len(rows) == 16
         assert all(float(v) > 0.0 for v in column(header, rows, "estimate"))
+
+    def test_too_coarse_steps_are_config_error(self, tmp_path, capsys):
+        # strong drift over a long horizon cannot be resolved with 8 steps
+        document = json.loads(Path(REFERENCE).read_text())
+        document["market"]["T"] = 5.0
+        for regime in document["market"]["regimes"]:
+            regime["alpha"], regime["sigma"] = 0.3, 0.1
+        document["numerics"]["n_steps"] = 8
+        path = dump_config(tmp_path, document)
+        assert main(["solve", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error: numerics.n_steps" in err
+
+    def test_overflowing_factors_are_config_error(self, tmp_path, capsys):
+        # growth rates up to ~180 over a 40-year horizon: the factors overflow
+        # at any step count, so the message names the market, not n_steps
+        document = json.loads(Path(REFERENCE).read_text())
+        document["market"]["T"] = 40.0
+        path = dump_config(tmp_path, document)
+        assert main(["solve", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error: market" in err
+        assert "float range" in err
+        assert "n_steps" not in err
 
     def test_rerun_is_byte_identical(self, tmp_path):
         first, second = tmp_path / "a", tmp_path / "b"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -361,6 +362,15 @@ class TestSolveRegimeFactors:
         for t in (0.0, 0.75, 1.5):
             assert_allclose(table.value(t), sol(market.horizon - t), rtol=1e-8)
 
+    @pytest.mark.parametrize("n_steps", [8, 64, 1024])
+    def test_overflow_is_not_a_step_problem(self, n_steps):
+        # the reference market over 40 years: growth rates reach ~180, so the
+        # factors leave the float range whatever the step count
+        market = replace(stiff_market(1.0), horizon=40.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(OverflowError, match="float range"):
+                solve_regime_factors(market, n_steps=n_steps)
+
     def test_error_estimate_is_kept(self):
         table = solve_regime_factors(make_market(), rtol=1e-9)
         assert np.isfinite(table.error_estimate)
@@ -380,10 +390,50 @@ class TestSolveRegimeFactors:
         table = solve_regime_factors(make_market())
         spacing = table.times[1] - table.times[0]
         table.value(2.0 + 0.5 * spacing)  # within slack
+        for t in (-spacing, 2.0 + spacing):  # one full step either side
+            assert np.all(np.isfinite(table.value(t)))
         with pytest.raises(ValueError, match="outside"):
             table.value(2.0 + 2.0 * spacing)
         with pytest.raises(ValueError, match="outside"):
             table.value(-2.0 * spacing)
+        for t in ([0.5, 2.0 + 1.5 * spacing], np.nan, [0.5, np.nan]):
+            with pytest.raises(ValueError, match="outside"):
+                table.value(t)
+
+
+class TestHermiteTable:
+    def test_nodes_are_exact(self):
+        table = solve_regime_factors(make_market())
+        assert np.array_equal(table.value(table.times), table.values)
+        for k in (0, 1, 777, len(table.times) - 2, len(table.times) - 1):
+            assert table.value(float(table.times[k])).tolist() == table.values[k].tolist()
+            assert table.value(float(table.times[k]), 1) == table.values[k, 1]
+
+    @pytest.mark.parametrize(
+        "market, n_steps, upto",
+        [
+            (make_market(), 2048, 2.0),
+            # a 1024-step grid does not resolve the chain's transient, which
+            # decays like exp(-1000 (horizon - t)), so stop short of it
+            (stiff_market(1000.0), 1024, 1.45),
+        ],
+        ids=["make_market", "stiff_x1000"],
+    )
+    def test_between_nodes_matches_radau(self, market, n_steps, upto):
+        table = solve_regime_factors(market, n_steps=n_steps)
+        sol = radau_factors(market)
+        mid = (table.times[1:] + table.times[:-1]) / 2.0
+        t = np.concatenate([mid, np.random.default_rng(5).uniform(0.0, market.horizon, 500)])
+        t = t[t <= upto]
+        assert_allclose(table.value(t), sol(market.horizon - t).T, rtol=1e-9)
+
+    def test_past_horizon_continues_the_last_cubic(self):
+        table = solve_regime_factors(make_market())
+        spacing = table.times[1] - table.times[0]
+        t = table.times[-1] + 0.5 * spacing
+        w = t - table.times[-2]
+        c = table.coefficients[:, -2]
+        assert_allclose(table.value(t), ((c[3] * w + c[2]) * w + c[1]) * w + c[0], rtol=1e-14)
 
 
 class TestExpmStack:
@@ -424,7 +474,6 @@ class AnalyticValue:
         self.market = market
         self.table = table
         self.loading = loading
-        self.factor_slope = table.spline.derivative()
 
     def __call__(self, t, x, y, regime):
         return closed_form_value(self.market, self.table, self.loading)(t, x, y, regime)
@@ -434,8 +483,11 @@ class AnalyticValue:
         gamma = mkt.risk_aversion
         growth = np.exp(mkt.rate * (mkt.horizon - t))
         m = self.loading.value(t)
-        h = self.table.value(t, regime)
-        h_t = float(self.factor_slope(t)[regime])
+        factors = self.table.value(t)
+        h = factors[regime]
+        # the factor ODE's right-hand side: h' = -(c(t) h + rates h)
+        slopes = -(regime_growth_rate(mkt, t) * factors + mkt.generator.rates @ factors)
+        h_t = float(slopes[regime])
         core = -np.exp(-gamma * x * growth + m * y) / gamma
         v = core * h
         exponent_t = gamma * x * mkt.rate * growth + self.loading.derivative(t) * y
