@@ -49,7 +49,8 @@ print()
 
 # Direct value sampler: available in the uncorrelated case, where the
 # income integral decouples from the stock noise.  Antithetic pairing
-# is on by default.
+# is on by default, and the branch on which the chain never leaves its
+# start regime enters in closed form, so only paths that jump are sampled.
 t0, x0, y0, regime0 = 0.0, 1.0, 0.2, 0
 uncorrelated = dataclasses.replace(market, correlation=0.0)
 deterministic = float(value_function(uncorrelated)(t0, x0, y0, regime0))

@@ -60,10 +60,6 @@ from .portfolio import (
 )
 
 HASH_LENGTH = 12
-# validate's stream ids: policy paths from 0, regime r's factor paths from
-# SPACING * (r + 1), zero-correlation paths from SPACING * MAX_REGIMES
-VALIDATE_STREAM_SPACING = 1_000_000
-VALIDATE_MAX_REGIMES = 50
 
 
 class ParseError(ValueError):
@@ -626,17 +622,19 @@ def cmd_solve(
             out_dir / "regime_factors.csv",
             _comments(config, "dimensionless multiplicative value factors", "ODE"),
             ["t", *[f"h[{label}]" for label in labels]],
-            [[t, *factors.value(t)] for t in curve_t],
+            [[t, *row] for t, row in zip(curve_t, factors.value(curve_t))],
         )
         outputs["regime_factors"] = "regime_factors.csv"
         provenance["regime_factors"] = "ODE"
         value = value_function(market, factors=factors)
+        mesh = np.meshgrid(t_axis, x_axis, y_axis, indexing="ij")
+        values = np.stack([value(*mesh, k) for k in range(n_regimes)], axis=-1)
         value_rows = []
-        for t in t_axis:
-            for x in x_axis:
-                for y in y_axis:
+        for i, t in enumerate(t_axis):
+            for j, x in enumerate(x_axis):
+                for m, y in enumerate(y_axis):
                     for k in range(n_regimes):
-                        value_rows.append([t, x, y, labels[k], value(t, x, y, k)])
+                        value_rows.append([t, x, y, labels[k], values[i, j, m, k]])
         _write_csv(
             out_dir / "value_grid.csv",
             _comments(config, "expected terminal utility, dimensionless", "ODE"),
@@ -832,23 +830,19 @@ def _constant_strategy(level: float) -> Strategy:
     return Strategy(position=position, label=f"constant pi={level:g}")
 
 
+def _validate_stream_id(check: str, regime: int = 0) -> int:
+    """First key of one ``validate`` check: bits 56 and up name the check and
+    bits 32-55 the regime, so checks of fewer than 2**32 blocks each and
+    fewer than 2**24 regimes draw from disjoint keys by construction."""
+    return {"policy": 0, "factor": (1 << 56) + (regime << 32), "rho0": 2 << 56}[check]
+
+
 def cmd_validate(config: ModelConfig, out_dir: Path, n_paths: int | None = None) -> RunReport:
     """Run the cross-check battery and emit pass/fail rows with margins."""
     started = time.perf_counter()
     market = config.market
     n_mc = n_paths if n_paths is not None else min(config.n_paths, 20000)
     n_sim = _sim_steps(config)
-    # the checks below draw from disjoint stream ranges only within these limits
-    problems = []
-    if n_mc > VALIDATE_STREAM_SPACING:
-        problems.append(f"--paths: validate samples at most {VALIDATE_STREAM_SPACING} paths, got {n_mc}")
-    if market.n_regimes >= VALIDATE_MAX_REGIMES:
-        problems.append(
-            f"market.regimes: validate supports fewer than {VALIDATE_MAX_REGIMES} regimes, "
-            f"got {market.n_regimes}"
-        )
-    if problems:
-        raise ValidationError(problems)
     checks: list[tuple[str, str, float, float, str]] = []
 
     if config.chain is None:
@@ -898,7 +892,7 @@ def cmd_validate(config: ModelConfig, out_dir: Path, n_paths: int | None = None)
     worst = 0.0
     for regime in range(market.n_regimes):
         est = estimate_regime_factor(
-            market, 0.0, regime, n_mc, RngStream(config.seed, VALIDATE_STREAM_SPACING * (regime + 1))
+            market, 0.0, regime, n_mc, RngStream(config.seed, _validate_stream_id("factor", regime))
         )
         worst = max(worst, abs(est.value - float(factors.value(0.0, regime))) / est.stderr)
     checks.append(
@@ -913,7 +907,10 @@ def cmd_validate(config: ModelConfig, out_dir: Path, n_paths: int | None = None)
 
     value = value_function(market, factors=factors)
     strategy = optimal_strategy(market, config.case)
-    est = evaluate_policy(market, strategy, 0.0, 1.0, 0.0, 0, n_mc, n_sim, RngStream(config.seed, 0))
+    est = evaluate_policy(
+        market, strategy, 0.0, 1.0, 0.0, 0, n_mc, n_sim,
+        RngStream(config.seed, _validate_stream_id("policy")),
+    )
     predicted = float(value(0.0, 1.0, 0.0, 0))
     checks.append(
         (
@@ -953,7 +950,7 @@ def cmd_validate(config: ModelConfig, out_dir: Path, n_paths: int | None = None)
     )
     est0 = estimate_value_mc(
         market_rho0, 0.0, 1.0, 0.2, 0, n_mc, n_sim,
-        RngStream(config.seed, VALIDATE_STREAM_SPACING * VALIDATE_MAX_REGIMES),
+        RngStream(config.seed, _validate_stream_id("rho0")),
     )
     predicted0 = float(value_function(market_rho0, n_steps=config.n_steps)(0.0, 1.0, 0.2, 0))
     checks.append(

@@ -455,8 +455,10 @@ def _magnus_grid(market: MarketModel, n_steps: int) -> NDArray[np.float64]:
     steps = _expm_stack(omega)
     out = np.empty((n_steps + 1, market.n_regimes))
     out[0] = 1.0
-    for k in range(n_steps):
-        out[k + 1] = steps[k] @ out[k]
+    # factors that leave the float range are reported by the caller's isfinite check
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            out[k + 1] = steps[k] @ out[k]
     return out
 
 

@@ -142,9 +142,9 @@ class RngStream:
     """Counter-based random stream keyed by (seed, stream_id).
 
     Distinct stream ids under one seed give statistically independent
-    substreams (Philox keyed streams), so Monte Carlo workers can be
-    assigned ``stream_id = path index`` with results independent of the
-    worker count.
+    substreams (Philox keyed streams).  The Monte Carlo estimators draw
+    block ``b`` of their paths from ``stream_id + b``, so a caller keeps two
+    estimates independent by giving them disjoint ranges of ids.
     """
 
     seed: int
@@ -157,7 +157,9 @@ class RngStream:
                 raise ValueError(f"{name} must be a 64-bit unsigned integer, got {v}")
 
     def generator(self) -> np.random.Generator:
-        return np.random.Generator(np.random.Philox(key=[self.seed, self.stream_id]))
+        # a list key above 2**63 would pass through float64 and lose its low bits
+        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key))
 
 
 def validate_generator(rates) -> GeneratorMatrix:

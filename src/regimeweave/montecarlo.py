@@ -13,15 +13,28 @@ regime chain:
   over income paths ``Y``, sampled with per-regime-exact Gaussian steps and
   a trapezoid rule for the time integral.
 
-Path ``k`` of an estimator called with ``rng`` draws from the Philox
-stream keyed ``[rng.seed, rng.stream_id + k]`` (Salmon et al., SC'11): its
-chain's variate blocks as :func:`~regimeweave.markov.simulate_path` draws
-them, then the normals of its jump-refined grid (stock, then income shocks
-for wealth paths).  Paths run in chunks of :data:`CHUNK`; only the draws
-loop over paths, while the jump loop and the grid arithmetic run over rows
-padded past each path's end.  Per-path sums never include the padding, so
-every estimate equals the one-path-at-a-time loop bit for bit, whatever
-the chunk size.
+Stream layout (Salmon et al., SC'11): an estimator called with ``rng`` runs
+its paths in blocks of :data:`BLOCK`, and block ``b`` (paths ``b * BLOCK``
+onward) draws everything from the one Philox key
+``[rng.seed, rng.stream_id + b]``, in this order:
+
+1. ``standard_exponential((BLOCK, head))``, then ``random((BLOCK, head))``,
+   one column per jump of each row (the value factor maps the first column
+   to a first jump conditioned to land before the horizon);
+2. each time the jump loop runs past the drawn width, one more
+   ``(moving, head)`` exponential array and then one more uniform array,
+   whose rows go to the paths still moving, in path order;
+3. for grid estimators, ``standard_normal((n_sets, BLOCK, n_steps +
+   max_jumps))``, the most jumps of any row in the block; row ``r`` uses the
+   first ``n_steps + jumps`` normals of each set (stock, then income shocks
+   for wealth paths).
+
+A block always simulates all ``BLOCK`` rows and drops those past
+``n_paths``, so a path's sample does not depend on the path count.  The
+jump loop runs over the paths still moving and the grid arithmetic over
+rows padded past each path's end, :data:`GROUP` paths at a time.  Per-path
+sums never include the padding, so every estimate is bit for bit the same
+for any ``GROUP``.
 """
 
 from __future__ import annotations
@@ -45,10 +58,10 @@ __all__ = [
     "estimate_value_mc",
 ]
 
-# paths simulated together; results do not depend on it, memory grows with it
-CHUNK = 128
-# grids evaluated together; bounds the memory of the grid arithmetic
-GROUP = 32
+# paths per Philox key; part of the stream layout, so changing it changes every estimate
+BLOCK = 128
+# paths evaluated together; bounds the memory of the grid arithmetic, results do not depend on it
+GROUP = 64
 
 
 class NonZeroRho(ValueError):
@@ -133,14 +146,15 @@ def estimate_regime_factor(
 
     Each path draws only the regime chain; conditional on it the integrated
     growth rate is a sum of closed-form segment integrals, so the only error
-    is statistical.  Path ``k`` uses stream ``rng.stream_id + k``.
+    is statistical.  Block ``b`` of :data:`BLOCK` paths draws from key
+    ``[rng.seed, rng.stream_id + b]``.
     """
     _check_horizon(market, t_start)
     coeffs = growth_coefficients(market)
     loading = solve_income_loading(market)
     values = np.empty(n_paths)
     blocks = _simulate_chains(market.generator, regime, t_start, market.horizon, n_paths, rng)
-    for index, starts, states, n_jumps, _ in blocks:
+    for first, starts, states, n_jumps, _ in blocks:
         # segment m runs from column m to column m + 1; the padding adds empty segments
         ends = np.concatenate([starts[:, 1:], np.full((len(starts), 1), market.horizon)], axis=1)
         terms = (
@@ -148,7 +162,7 @@ def estimate_regime_factor(
             + coeffs.linear[states] * loading.integral(starts, ends)
             + coeffs.quadratic[states] * loading.square_integral(starts, ends)
         )
-        values[index] = np.exp(_row_sums(terms, n_jumps + 1))
+        values[first : first + len(n_jumps)] = np.exp(_row_sums(terms, n_jumps + 1))
     return _estimate(values)
 
 
@@ -166,11 +180,24 @@ def estimate_value_factor(
 
     Valid only for zero stock-income correlation, where the wealth and
     income parts of the problem decouple and the factor has a Feynman-Kac
-    form along (chain, income) paths.  The income integral uses a trapezoid
-    rule on the jump-refined grid (bias of order ``1/n_steps**2``); the
-    regime term is exact.  With ``antithetic=True`` each path evaluates the
-    mirrored income draw on the same chain path and averages the pair,
-    which counts as a single sample.
+    form along (chain, income) paths.
+
+    The estimate is conditioned on the first jump.  The chain stays in
+    ``regime`` up to the horizon with probability ``stay = exp(-exit_rate *
+    (horizon - t_start))``; the income is then Gaussian, and the factor on
+    that branch is ``exp(m(t) y)`` times the exponential of the growth rate
+    integrated along the staying path, in closed form.  Each path samples the
+    other branch, its first jump conditioned to land before the horizon, and
+    contributes ``stay * closed_form + (1 - stay) * sample``.  So no sample
+    lacks the jump branch, as a plain sample of few paths near the horizon
+    often does, leaving its standard error blind to the jump variance; and a
+    start regime that cannot be left gives the exact factor.
+
+    On the jump branch the income integral uses a trapezoid rule on the
+    jump-refined grid (bias of order ``1/n_steps**2``); the regime term is
+    exact.  With ``antithetic=True`` each path evaluates the mirrored income
+    draw on the same chain path and averages the pair, which counts as a
+    single sample.
     """
     if market.correlation != 0.0:
         raise NonZeroRho(
@@ -179,24 +206,37 @@ def estimate_value_factor(
     market.require_normal_income("estimate_value_factor")
     _check_horizon(market, t_start)
     gamma = market.risk_aversion
+    horizon = market.horizon
+    coeffs = growth_coefficients(market)
     # half squared Sharpe per regime, the sign-flipped constant growth term
-    sharpe_half = -growth_coefficients(market).constant
+    sharpe_half = -coeffs.constant
+    span = horizon - t_start
+    exit_rate = market.generator.exit_rates()[regime]
+    stay, leave = float(np.exp(-exit_rate * span)), float(-np.expm1(-exit_rate * span))
+    loading = solve_income_loading(market)
+    # at zero correlation the linear and quadratic growth terms are the
+    # income's drift and half its variance, which integrate exactly
+    stay_factor = float(np.exp(
+        loading.value(t_start) * income_start
+        + coeffs.linear[regime] * loading.integral(t_start, horizon)
+        + coeffs.quadratic[regime] * loading.square_integral(t_start, horizon)
+        + coeffs.constant[regime] * span
+    ))
+    signs = np.array([1.0, -1.0] if antithetic else [1.0])[:, None, None]
     values = np.empty(n_paths)
-    grids = _simulate_grids(market, regime, t_start, n_paths, n_steps, rng, 1)
+    grids = _simulate_grids(market, regime, t_start, n_paths, n_steps, rng, 1, first_jump_by_end=True)
     for index, lengths, times, regimes, (z,) in grids:
         dt = np.diff(times)
-        discount = gamma * np.exp(market.rate * (market.horizon - times))
+        discount = gamma * np.exp(market.rate * (horizon - times))
         regime_term = _row_sums(sharpe_half[regimes] * dt, lengths - 1)
         drift = market.income_drift[regimes] * dt
         shock = market.income_vol[regimes] * np.sqrt(dt)
-
-        def sample(sign: float) -> NDArray[np.float64]:
-            y = discount * _accumulate(income_start, drift + sign * shock * z)
-            # the trapezoid rule's terms as np.trapezoid forms them, summed path by path
-            income_term = _row_sums(dt * (y[:, 1:] + y[:, :-1]) / 2.0, lengths - 1)
-            return np.exp(-income_term - regime_term)
-
-        values[index] = 0.5 * (sample(1.0) + sample(-1.0)) if antithetic else sample(1.0)
+        y = discount * _accumulate(income_start, drift + signs * shock * z)
+        # the trapezoid rule's terms as np.trapezoid forms them, summed path by path
+        income_term = _row_sums(dt * (y[..., 1:] + y[..., :-1]) / 2.0, lengths - 1)
+        sample = np.exp(-income_term - regime_term)
+        jumping = 0.5 * (sample[0] + sample[1]) if antithetic else sample[0]
+        values[index] = stay * stay_factor + leave * jumping
     return _estimate(values)
 
 
@@ -239,123 +279,114 @@ def _accumulate(start: float, steps: NDArray[np.float64]) -> NDArray[np.float64]
 
 
 def _row_sums(rows: NDArray[np.float64], lengths: NDArray[np.int64]) -> NDArray[np.float64]:
-    """Sum of the first ``lengths[i]`` entries of each row, bit for bit the
-    ``ndarray.sum`` of that prefix alone: rows of one length are summed
-    together, never with their padding, which would regroup the pairwise sum."""
-    out = np.empty(len(lengths))
-    for n in np.unique(lengths):
+    """Sum of the first ``lengths[i]`` entries of each row ``rows[..., i, :]``,
+    bit for bit the ``ndarray.sum`` of that prefix alone: rows of one length
+    are summed together, never with their padding, which would regroup the
+    pairwise sum."""
+    out = np.empty(rows.shape[:-1])
+    for n in set(lengths.tolist()):
         same = lengths == n
-        out[same] = rows[same, :n].sum(axis=-1)
+        out[..., same] = rows[..., same, :n].sum(axis=-1)
     return out
 
 
 def _block_head(mean_jumps: float) -> int:
-    """Columns kept of each path's variate blocks: enough for all but rare
-    paths, which draw their blocks again when they run past them."""
+    """Columns of a block's first exponential and uniform arrays, and of each
+    extension: enough for all but rare paths."""
     return int(min(JUMP_BLOCK, mean_jumps + 6.0 * np.sqrt(mean_jumps) + 16.0))
 
 
 def _simulate_chains(
     generator: GeneratorMatrix, regime: int, t_start, t_end, n_paths: int, rng: RngStream,
-    keep_state: bool = False,
+    n_steps: int = 0, n_sets: int = 0, first_jump_by_end: bool = False,
 ):
-    """Chain paths, ``CHUNK`` at a time; path ``k`` is the one
-    :func:`~regimeweave.markov.simulate_path` draws from stream ``rng.stream_id + k``.
+    """Chain paths in blocks of ``BLOCK``, block ``b`` drawn from the Philox
+    key ``[rng.seed, rng.stream_id + b]`` as the module docstring lays out,
+    with ``n_sets`` sets of normals for grids of ``n_steps`` uniform steps.
+    With ``first_jump_by_end`` each row's first jump is conditioned to land
+    before ``t_end``: its exponential ``e`` maps to the waiting time
+    ``-log1p(expm1(-e) * (1 - exp(-rate * (t_end - t_start)))) / rate``.
 
-    Yields ``(index, times, states, n_jumps, resume)`` for blocks of up to
-    ``GROUP`` paths.  Row ``r`` (path ``index[r]``) holds the start time and
-    state, then one column per jump, up to column ``n_jumps[r]``, then
-    ``t_end`` and state 0.  With ``keep_state``, ``resume(k)`` returns the
-    generator as it stands after path ``k``'s chain draws.
+    Yields ``(first, times, states, n_jumps, normals)`` per block: row ``r``
+    (path ``first + r``) holds the start time and state, then one column per
+    jump, up to column ``n_jumps[r]``, then ``t_end`` and state 0;
+    ``normals[s, r]`` is its set ``s``.  The rows past ``n_paths`` that a
+    block simulates are dropped.
     """
     if n_paths < 2:
         raise ValueError("need at least two paths for a standard error")
     _check_path_span(generator, regime, t_start, t_end)
-    RngStream(rng.seed, rng.stream_id + n_paths - 1)  # every path's key must be valid
-    # resetting one Philox per path is several times cheaper than a new generator
-    bits = np.random.Philox(key=[rng.seed, rng.stream_id])
-    gen = np.random.Generator(bits)
-    fresh = bits.state
+    n_blocks = -(-n_paths // BLOCK)
+    RngStream(rng.seed, rng.stream_id + n_blocks - 1)  # every block's key must be valid
     lam, cum = _jump_table(generator)
-    moving = lam[regime] != 0.0  # an absorbing start state draws nothing
     head = _block_head(lam.max() * (t_end - t_start))
-    block_exps, block_unis = np.empty(JUMP_BLOCK), np.empty(JUMP_BLOCK)
+    leave = -np.expm1(-lam[regime] * (t_end - t_start))  # chance to leave the start by t_end
 
-    for first in range(0, n_paths, CHUNK):
-        n = min(CHUNK, n_paths - first)
-        exps, unis = np.empty((n, head)), np.empty((n, head))
-
-        def draw_blocks(i: int, count: int) -> dict | None:
-            fresh["state"]["key"][1] = rng.stream_id + first + i
-            bits.state = fresh
-            for _ in range(count):
-                gen.standard_exponential(out=block_exps)
-                gen.random(out=block_unis)
-            exps[i], unis[i] = block_exps[: exps.shape[1]], block_unis[: exps.shape[1]]
-            return bits.state if keep_state else None
-
-        def resume(k: int) -> np.random.Generator:
-            bits.state = after[k - first]
-            return gen
-
-        after = [draw_blocks(i, int(moving)) for i in range(n)]
-        alive = np.arange(n) if moving else np.empty(0, dtype=np.int64)
+    for block in range(n_blocks):
+        gen = RngStream(rng.seed, rng.stream_id + block).generator()
+        exps, unis = gen.standard_exponential((BLOCK, head)), gen.random((BLOCK, head))
+        alive = np.arange(BLOCK) if lam[regime] != 0.0 else np.empty(0, dtype=np.int64)
         t, state = np.full(len(alive), float(t_start)), np.full(len(alive), regime)
         steps = []  # (paths, arrival times, destinations) of each jump in turn
         while alive.size:
-            rate = lam[state]
-            if not rate.all():
-                keep = rate != 0.0
-                alive, t, state, rate = alive[keep], t[keep], state[keep], rate[keep]
-            column = len(steps) % JUMP_BLOCK
-            if column == exps.shape[1] or (steps and column == 0):
-                if column:  # past the kept head of the block: keep all of it
-                    exps = np.pad(exps, ((0, 0), (0, JUMP_BLOCK - column)))
-                    unis = np.pad(unis, ((0, 0), (0, JUMP_BLOCK - column)))
-                for i in alive:
-                    after[i] = draw_blocks(i, len(steps) // JUMP_BLOCK + 1)
-            t = t + exps[alive, column] / rate
+            column = len(steps) % head
+            if steps and column == 0:  # past the drawn width: extend the rows still moving
+                exps[alive] = gen.standard_exponential((len(alive), head))
+                unis[alive] = gen.random((len(alive), head))
+            if first_jump_by_end and not steps:
+                t = t - np.log1p(np.expm1(-exps[alive, column]) * leave) / lam[state]
+            else:
+                t = t + exps[alive, column] / lam[state]
             keep = t < t_end
             alive, t, state = alive[keep], t[keep], state[keep]
             rows = cum[state]
             state = (rows <= (unis[alive, column] * rows[:, -1])[:, None]).sum(axis=1)
             steps.append((alive, t, state))
-        times = np.full((n, len(steps) + 1), float(t_end))
-        states = np.zeros((n, len(steps) + 1), dtype=np.int64)
+            moving = lam[state] != 0.0
+            if not moving.all():
+                alive, t, state = alive[moving], t[moving], state[moving]
+        times = np.full((BLOCK, len(steps) + 1), float(t_end))
+        states = np.zeros((BLOCK, len(steps) + 1), dtype=np.int64)
         times[:, 0], states[:, 0] = t_start, regime
-        n_jumps = np.zeros(n, dtype=np.int64)
+        n_jumps = np.zeros(BLOCK, dtype=np.int64)
         for jump, (rows, arrival, destination) in enumerate(steps, start=1):
             times[rows, jump], states[rows, jump], n_jumps[rows] = arrival, destination, jump
-        del exps, unis, steps  # free the chunk's draws while its blocks are consumed
-        for rows in np.split(np.arange(n), range(GROUP, n, GROUP)):
-            width = n_jumps[rows].max() + 1
-            yield first + rows, times[rows, :width], states[rows, :width], n_jumps[rows], resume
+        del exps, unis, steps  # free the block's draws while its rows are consumed
+        normals = gen.standard_normal((n_sets, BLOCK, n_steps + n_jumps.max()))
+        kept = slice(min(BLOCK, n_paths - block * BLOCK))
+        width = n_jumps[kept].max() + 1
+        yield block * BLOCK, times[kept, :width], states[kept, :width], n_jumps[kept], normals[:, kept]
 
 
 def _simulate_grids(
-    market: MarketModel, regime: int, t_start, n_paths: int, n_steps: int, rng: RngStream, n_sets: int
+    market: MarketModel, regime: int, t_start, n_paths: int, n_steps: int, rng: RngStream, n_sets: int,
+    first_jump_by_end: bool = False,
 ):
-    """Chain paths on jump-refined grids, each followed by ``n_sets`` sets of
-    grid normals, as ``(index, lengths, times, regimes, normals)`` blocks of
-    up to ``GROUP`` paths: row ``r`` holds path ``index[r]``'s grid, as
+    """Chain paths on jump-refined grids with ``n_sets`` sets of grid normals,
+    as ``(index, lengths, times, regimes, normals)`` groups of up to ``GROUP``
+    paths: row ``r`` holds path ``index[r]``'s grid, as
     :func:`merged_time_grid` builds it, in its first ``lengths[r]`` entries,
     then the horizon; its step regimes and normals fill the first
-    ``lengths[r] - 1`` entries, then the last regime and zeros.
+    ``lengths[r] - 1`` entries, then the last regime and unused normals.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be positive")
     uniform = np.linspace(float(t_start), float(market.horizon), n_steps + 1)
-    blocks = _simulate_chains(market.generator, regime, t_start, market.horizon, n_paths, rng, True)
-    for index, chain_times, chain_states, n_jumps, resume in blocks:
-        lengths, times, regimes = _padded_grids(
-            chain_times, chain_states, n_jumps, uniform, market.n_regimes
-        )
-        normals = np.zeros((n_sets, len(index), times.shape[1] - 1))
-        for r, k in enumerate(index):
-            gen = resume(k)
-            for z in normals:
-                gen.standard_normal(out=z[r, : lengths[r] - 1])
-        yield index, lengths, times, regimes, normals
+    blocks = _simulate_chains(
+        market.generator, regime, t_start, market.horizon, n_paths, rng, n_steps, n_sets,
+        first_jump_by_end,
+    )
+    for first, chain_times, chain_states, all_jumps, all_normals in blocks:
+        for lo in range(0, len(all_jumps), GROUP):
+            rows = slice(lo, lo + GROUP)
+            n_jumps = all_jumps[rows]
+            width = n_jumps.max() + 1
+            lengths, times, regimes = _padded_grids(
+                chain_times[rows, :width], chain_states[rows, :width], n_jumps, uniform,
+                market.n_regimes,
+            )
+            index = first + np.arange(lo, lo + len(n_jumps))
+            yield index, lengths, times, regimes, all_normals[:, rows, : times.shape[1] - 1]
 
 
 def _padded_grids(chain_times, chain_states, n_jumps, uniform, n_states: int):
@@ -365,19 +396,24 @@ def _padded_grids(chain_times, chain_states, n_jumps, uniform, n_states: int):
     column = np.arange(width)
     real = column < n_jumps[:, None]
     jumps = chain_times[:, 1 : width + 1]  # padded with the horizon
+    nodes = np.searchsorted(uniform, jumps)
     # a jump's slot counts the uniform nodes and the jumps before it; padding goes last
-    slots = np.where(real, np.searchsorted(uniform, jumps) + column, len(uniform) + column)
+    slots = np.where(real, nodes + column, len(uniform) + column)
     is_jump = np.zeros((len(n_jumps), len(uniform) + width), dtype=bool)
     np.put_along_axis(is_jump, slots, True, axis=1)
     times = np.empty(is_jump.shape)
     times[is_jump] = jumps.ravel()
     times[~is_jump] = np.tile(uniform, len(n_jumps))
-    held = np.minimum(np.cumsum(is_jump[:, :-1], axis=1), n_jumps[:, None])  # jumps so far
-    regimes = np.take_along_axis(chain_states[:, : width + 1], held, axis=1)
+    # state m holds from jump m's slot to jump m + 1's, the last one to the row's end
+    n_cells = times.shape[1] - 1
+    edges = np.where(real, slots, n_cells)
+    cells = np.diff(edges, axis=1, prepend=0, append=n_cells)
+    regimes = np.repeat(chain_states[:, : width + 1].ravel(), cells.ravel()).reshape(-1, n_cells)
     lengths = len(uniform) + n_jumps
     # a jump on a node or on another jump merges with it, as in merged_time_grid
-    inside = np.arange(times.shape[1] - 1) < lengths[:, None] - 1
-    for r in np.flatnonzero(np.any((np.diff(times, axis=1) <= 0.0) & inside, axis=1)):
+    tied = uniform[nodes] == jumps
+    tied[:, 1:] |= jumps[:, 1:] == jumps[:, :-1]
+    for r in np.flatnonzero(np.any(tied & real, axis=1)):
         count = n_jumps[r] + 1
         path = RegimePath(
             uniform[0], uniform[-1], chain_times[r, :count], chain_states[r, :count], n_states

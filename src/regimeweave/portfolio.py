@@ -316,8 +316,9 @@ def evaluate_policy(
 ) -> MCEstimate:
     """Expected terminal utility of a strategy by path simulation.
 
-    Path ``k`` uses stream ``rng.stream_id + k``; running different
-    strategies with the same ``rng`` pairs them on identical scenarios.
+    Block ``b`` of :data:`~regimeweave.montecarlo.BLOCK` paths draws from
+    key ``[rng.seed, rng.stream_id + b]``; running different strategies with
+    the same ``rng`` pairs them on identical scenarios.
     """
     (estimate,) = _evaluate_policies(
         market, [strategy], t_start, wealth_start, income_start, regime, n_paths, n_steps, rng

@@ -6,6 +6,7 @@ import csv
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from regimeweave.cli import (
     cmd_validate,
     load_config,
     main,
+    _validate_stream_id,
     parse_grid,
 )
 from regimeweave.compose import compose_independent
@@ -292,7 +294,10 @@ class TestSolve:
         document = json.loads(Path(REFERENCE).read_text())
         document["market"]["T"] = 40.0
         path = dump_config(tmp_path, document)
-        assert main(["solve", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["solve", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         err = capsys.readouterr().err
         assert "config error: market" in err
         assert "float range" in err
@@ -408,25 +413,20 @@ class TestValidate:
                      "--out", str(tmp_path)]) == 2
 
 
-class TestValidateStreamRanges:
-    def test_too_many_paths_rejected_before_sampling(self, tmp_path, monkeypatch):
-        import regimeweave.cli as cli
-
-        def no_sampling(*args, **kwargs):
-            raise AssertionError("sampled before the stream-range check")
-
-        monkeypatch.setattr(cli, "estimate_regime_factor", no_sampling)
-        config = load_config(dump_config(tmp_path, minimal_config()))
-        with pytest.raises(ValidationError, match="--paths"):
-            cmd_validate(config, tmp_path / "out", n_paths=1_000_001)
-        assert not (tmp_path / "out").exists()
-
-    def test_fifty_regimes_rejected(self, tmp_path):
-        document = minimal_config()
-        n = 50
-        document["chains"] = {"compound": (np.eye(n, k=1) + np.eye(n, k=-1) - np.diag(
-            [1.0] + [2.0] * (n - 2) + [1.0])).tolist()}
-        document["market"]["regimes"] = [document["market"]["regimes"][0]] * n
-        config = load_config(dump_config(tmp_path, document))
-        with pytest.raises(ValidationError, match="regimes"):
-            cmd_validate(config, tmp_path / "out")
+def test_validate_key_namespaces_are_disjoint():
+    # each check's keys: its first id, then one per block of paths; the ids
+    # are affine in the regime, so the extreme regimes bound every range
+    blocks, regimes = 2**32, 2**24
+    first = {
+        "policy": _validate_stream_id("policy"),
+        "factor": _validate_stream_id("factor", 0),
+        "rho0": _validate_stream_id("rho0"),
+    }
+    for regime in (0, 1, regimes // 2, regimes - 2):
+        step = _validate_stream_id("factor", regime + 1) - _validate_stream_id("factor", regime)
+        assert step >= blocks
+    last_factor = _validate_stream_id("factor", regimes - 1) + blocks - 1
+    assert first["policy"] + blocks - 1 < first["factor"]
+    assert last_factor < first["rho0"]
+    assert first["rho0"] + blocks - 1 < 2**64
+    RngStream(1, first["rho0"] + blocks - 1)  # a valid key

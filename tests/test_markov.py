@@ -203,6 +203,13 @@ class TestSimulatePath:
         b = simulate_path(g, 0, 0.0, 50.0, RngStream(seed=7, stream_id=1))
         assert a.n_jumps() != b.n_jumps() or not np.array_equal(a.states, b.states)
 
+    @pytest.mark.parametrize("top", [2**64 - 1, 2**64 - 2, 2**63 + 1])
+    def test_top_ids_keep_their_key(self, top):
+        # every 64-bit id reaches Philox exactly, none collapses onto another
+        for stream in (RngStream(seed=1, stream_id=top), RngStream(seed=top, stream_id=1)):
+            key = stream.generator().bit_generator.state["state"]["key"]
+            assert [int(k) for k in key] == [stream.seed, stream.stream_id]
+
     def test_path_structure(self):
         g = validate_generator(Q2)
         path = simulate_path(g, 1, 0.0, 30.0, RngStream(seed=11))

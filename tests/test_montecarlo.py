@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -24,7 +26,7 @@ from regimeweave.montecarlo import (
     merged_time_grid,
     simulate_income_path,
 )
-from regimeweave.portfolio import evaluate_policy, optimal_strategy, simulate_wealth, utility
+from regimeweave.portfolio import _wealth_rows, evaluate_policy, optimal_strategy, utility
 
 Q2 = validate_generator([[-0.5, 0.5], [0.3, -0.3]])
 
@@ -61,15 +63,28 @@ def single_regime_market(**overrides):
     return MarketModel(**params)
 
 
-def closed_form_factor(market, t_start, income_start):
-    """Single-regime wealth-free factor: lognormal expectation in closed form."""
+def twin_regime_market(**overrides):
+    """Two regimes with identical parameters: the chain's jumps change nothing."""
+    params = dict(
+        stock_drift=[0.08, 0.08],
+        stock_vol=[0.25, 0.25],
+        income_drift=[0.02, 0.02],
+        income_vol=[0.12, 0.12],
+    )
+    params.update(overrides)
+    return make_market(**params)
+
+
+def closed_form_factor(market, t_start, income_start, regime=0):
+    """Wealth-free factor on a path that stays in ``regime``: lognormal
+    expectation in closed form."""
     loading = solve_income_loading(market)
     coeffs = growth_coefficients(market)
     exponent = (
         loading.value(t_start) * income_start
-        + market.income_drift[0] * loading.integral(t_start, market.horizon)
-        + coeffs.quadratic[0] * loading.square_integral(t_start, market.horizon)
-        + coeffs.constant[0] * (market.horizon - t_start)
+        + market.income_drift[regime] * loading.integral(t_start, market.horizon)
+        + coeffs.quadratic[regime] * loading.square_integral(t_start, market.horizon)
+        + coeffs.constant[regime] * (market.horizon - t_start)
     )
     return float(np.exp(exponent))
 
@@ -180,13 +195,6 @@ class TestEstimateRegimeFactor:
         c = estimate_regime_factor(market, 0.0, 0, 500, RngStream(seed=23, stream_id=7))
         assert c.value != a.value
 
-    def test_thread_count_invariance(self, monkeypatch):
-        market = make_market()
-        base = estimate_regime_factor(market, 0.0, 0, 600, RngStream(seed=24))
-        monkeypatch.setenv("REGIMEWEAVE_THREADS", "4")
-        threaded = estimate_regime_factor(market, 0.0, 0, 600, RngStream(seed=24))
-        assert threaded == base
-
     def test_argument_validation(self):
         market = make_market()
         with pytest.raises(ValueError, match="t_start"):
@@ -209,14 +217,32 @@ class TestEstimateValueFactor:
         assert est.stderr == pytest.approx(0.0, abs=1e-15)
 
     def test_gaussian_income_single_regime(self):
+        # a regime that cannot be left takes only the closed-form branch
         market = single_regime_market()
         est = estimate_value_factor(market, 0.0, 1.0, 0, 4000, 128, RngStream(seed=33))
-        target = closed_form_factor(market, 0.0, 1.0)
-        assert est.stderr < 0.01 * target
+        assert est.value == pytest.approx(closed_form_factor(market, 0.0, 1.0), rel=1e-14)
+        assert est.stderr == 0.0
+
+    @pytest.mark.parametrize("t_start", [0.0, 1.9])
+    def test_gaussian_income_on_the_jump_branch(self, t_start):
+        # every path jumps, between regimes that differ in nothing, so the
+        # sampled branch is the Gaussian income alone
+        market = twin_regime_market()
+        est = estimate_value_factor(market, t_start, 1.0, 0, 4000, 128, RngStream(seed=37))
+        target = closed_form_factor(market, t_start, 1.0)
+        assert 0.0 < est.stderr < 0.01 * target
         assert abs(est.value - target) < 4 * est.stderr
 
+    def test_first_jump_lands_before_the_horizon(self):
+        # at t 1.9 of 2 a plain sample would jump on about 3% of its paths
+        market = make_market()
+        for _, _, _, n_jumps, _ in montecarlo._simulate_chains(
+            market.generator, 1, 1.9, market.horizon, 300, RngStream(38), first_jump_by_end=True
+        ):
+            assert n_jumps.min() >= 1
+
     def test_antithetic_shrinks_stderr(self):
-        market = single_regime_market()
+        market = twin_regime_market()
         paired = estimate_value_factor(
             market, 0.0, 1.0, 0, 1500, 64, RngStream(seed=34), antithetic=True
         )
@@ -290,13 +316,16 @@ class TestIncomePathType:
 
 
 # Stream contract: an estimator over n paths with stream ``rng`` equals, to
-# the last bit, the same estimate computed one path at a time in a plain loop
-# over the streams ``RngStream(rng.seed, rng.stream_id + k)``.
+# the last bit, the same estimate computed one path at a time in plain loops
+# over paths drawn in the block layout of the montecarlo module docstring:
+# block b of BLOCK paths draws its (BLOCK, head) exponentials and uniforms,
+# then an extension for the paths still moving each time they run past the
+# drawn width, then its grid normals, all from Philox key [seed, sid + b].
 
 CONTRACT_CHAINS = {
-    "slow": ([[-0.5, 0.5], [0.3, -0.3]], 40),
+    "slow": ([[-0.5, 0.5], [0.3, -0.3]], 300),
     "absorbing": ([[-2.0, 1.0, 1.0], [0.0, 0.0, 0.0], [3.0, 0.0, -3.0]], 40),
-    # about 1700 jumps a path, past the 1024-variate block of simulate_path
+    # about 1700 jumps a path, past the largest head of 1024 columns
     "past_block": ([[-1000.0, 1000.0], [800.0, -800.0]], 5),
 }
 
@@ -319,6 +348,68 @@ def contract_market(chain, **overrides):
     return MarketModel(**params)
 
 
+def layout_paths(market, regime, t_start, n_paths, rng, n_steps=None, n_sets=0, first_jump_by_end=False):
+    """``(path, normals)`` of each of ``n_paths`` paths, drawn block by block
+    in the documented layout with a scalar loop over each path's jumps; with
+    ``first_jump_by_end`` each path's first jump is conditioned to land
+    before the horizon."""
+    rates = market.generator.rates
+    lam = (-np.diag(rates)).tolist()
+    off = rates - np.diag(np.diag(rates))
+    cum = [np.cumsum(off[i] / lam[i]).tolist() if lam[i] else None for i in range(len(lam))]
+    t_end = market.horizon
+    head = montecarlo._block_head(max(lam) * (t_end - t_start))
+    out = []
+    for b in range(-(-n_paths // montecarlo.BLOCK)):
+        gen = np.random.Generator(np.random.Philox(key=[rng.seed, rng.stream_id + b]))
+        block = range(montecarlo.BLOCK)
+        exps, unis = gen.standard_exponential((len(block), head)), gen.random((len(block), head))
+        draws = {r: (exps[r].tolist(), unis[r].tolist()) for r in block}
+        if first_jump_by_end and lam[regime]:
+            # the first waiting time, inverted from the exponential truncated at the horizon
+            leave = -np.expm1(-lam[regime] * (t_end - t_start))
+            first = t_start - np.log1p(np.expm1(-exps[:, 0].copy()) * leave) / lam[regime]
+        times, states = [[float(t_start)] for _ in block], [[regime] for _ in block]
+        moving = list(block) if lam[regime] else []
+        while moving:
+            still = []
+            for r in moving:
+                for e, u in zip(*draws[r]):
+                    state = states[r][-1]
+                    if first_jump_by_end and len(times[r]) == 1:
+                        t = float(first[r])
+                    else:
+                        t = times[r][-1] + e / lam[state]
+                    if t >= t_end:
+                        break
+                    destination = bisect.bisect_right(cum[state], u * cum[state][-1])
+                    times[r].append(t)
+                    states[r].append(destination)
+                    if not lam[destination]:
+                        break
+                else:
+                    still.append(r)
+            moving = still
+            if moving:  # one more draw for the paths still moving, in path order
+                exps = gen.standard_exponential((len(moving), head))
+                unis = gen.random((len(moving), head))
+                draws = {r: (exps[i].tolist(), unis[i].tolist()) for i, r in enumerate(moving)}
+        paths = [
+            RegimePath(t_start, t_end, np.array(times[r]), np.array(states[r]), market.n_regimes)
+            for r in block
+        ]
+        if n_sets:
+            width = n_steps + max(path.n_jumps() for path in paths)
+            normals = gen.standard_normal((n_sets, len(block), width))
+        for r, path in enumerate(paths[: n_paths - b * len(block)]):
+            if n_sets:
+                n_grid = len(merged_time_grid(path, n_steps)[0]) - 1
+                out.append((path, normals[:, r, :n_grid]))
+            else:
+                out.append((path, None))
+    return out
+
+
 def loop_estimate(values):
     values = np.asarray(values)
     return MCEstimate(
@@ -328,10 +419,9 @@ def loop_estimate(values):
     )
 
 
-def loop_regime_factor(market, t_start, regime, stream):
+def loop_regime_factor(market, path):
     coeffs = growth_coefficients(market)
     loading = solve_income_loading(market)
-    path = simulate_path(market.generator, regime, t_start, market.horizon, stream)
     starts, ends, states = path.segments()
     exponent = (
         coeffs.constant[states] * (ends - starts)
@@ -341,12 +431,9 @@ def loop_regime_factor(market, t_start, regime, stream):
     return float(np.exp(exponent))
 
 
-def loop_value_factor(market, t_start, income_start, regime, n_steps, stream, antithetic):
-    gen = stream.generator()
-    path = simulate_path(market.generator, regime, t_start, market.horizon, gen)
+def loop_value_factor(market, income_start, path, n_steps, z, antithetic):
     times, regimes = merged_time_grid(path, n_steps)
     dt = np.diff(times)
-    z = gen.standard_normal(len(dt))
     discount = market.risk_aversion * np.exp(market.rate * (market.horizon - times))
     regime_term = float((-growth_coefficients(market).constant[regimes] * dt).sum())
     drift = market.income_drift[regimes] * dt
@@ -359,71 +446,130 @@ def loop_value_factor(market, t_start, income_start, regime, n_steps, stream, an
         income[1:] += income_start
         return float(np.exp(-float(np.trapezoid(discount * income, times)) - regime_term))
 
-    return 0.5 * (sample(1.0) + sample(-1.0)) if antithetic else sample(1.0)
+    jumping = 0.5 * (sample(1.0) + sample(-1.0)) if antithetic else sample(1.0)
+    # the closed-form branch of a path that never leaves its start regime
+    regime = int(path.states[0])
+    exits = market.generator.exit_rates()[regime] * (market.horizon - path.t_start)
+    stay, leave = float(np.exp(-exits)), float(-np.expm1(-exits))
+    return stay * closed_form_factor(market, path.t_start, income_start, regime) + leave * jumping
+
+
+def loop_terminal_utility(market, strategy, t_start, wealth_start, income_start, path, n_steps, shocks):
+    times, regimes = merged_time_grid(path, n_steps)
+    wealth, _, _ = _wealth_rows(
+        market, strategy, t_start, wealth_start, income_start, times, regimes, *shocks
+    )
+    return float(utility(wealth[-1], market.risk_aversion))
 
 
 @pytest.fixture(params=["whole_blocks", "chunks_of_3"])
-def chunking(request, monkeypatch):
-    """Default chunking, or three paths a chunk keeping two block columns
-    each, so that most paths draw their blocks a second time, and grids
-    evaluated two at a time."""
+def layout(request, monkeypatch):
+    """The default layout, or blocks of three paths with two columns per
+    draw, so that blocks split and most paths need extension rounds, and
+    grids evaluated two at a time."""
     if request.param == "chunks_of_3":
-        monkeypatch.setattr(montecarlo, "CHUNK", 3)
+        monkeypatch.setattr(montecarlo, "BLOCK", 3)
         monkeypatch.setattr(montecarlo, "GROUP", 2)
         monkeypatch.setattr(montecarlo, "_block_head", lambda mean_jumps: 2)
 
 
 @pytest.mark.parametrize("chain", list(CONTRACT_CHAINS))
 class TestStreamContract:
-    def test_regime_factor(self, chain, chunking):
+    def test_regime_factor(self, chain, layout):
         market = contract_market(chain)
         n = CONTRACT_CHAINS[chain][1]
         for regime in range(market.n_regimes):
-            expected = loop_estimate(
-                [loop_regime_factor(market, 0.3, regime, RngStream(61, 5 + k)) for k in range(n)]
-            )
+            paths = layout_paths(market, regime, 0.3, n, RngStream(61, 5))
+            expected = loop_estimate([loop_regime_factor(market, path) for path, _ in paths])
             assert estimate_regime_factor(market, 0.3, regime, n, RngStream(61, 5)) == expected
 
     @pytest.mark.parametrize("antithetic", [True, False])
-    def test_value_factor(self, chain, chunking, antithetic):
+    def test_value_factor(self, chain, layout, antithetic):
         market = contract_market(chain)
         n = CONTRACT_CHAINS[chain][1]
         for regime in range(market.n_regimes):
+            paths = layout_paths(market, regime, 0.4, n, RngStream(62), 17, 1, first_jump_by_end=True)
             expected = loop_estimate(
-                [
-                    loop_value_factor(market, 0.4, 0.7, regime, 17, RngStream(62, k), antithetic)
-                    for k in range(n)
-                ]
+                [loop_value_factor(market, 0.7, path, 17, z, antithetic) for path, (z,) in paths]
             )
             got = estimate_value_factor(market, 0.4, 0.7, regime, n, 17, RngStream(62), antithetic)
             assert got == expected
 
-    def test_policy(self, chain, chunking):
+    def test_policy(self, chain, layout):
         market = contract_market(chain, correlation=0.3)
         strategy = optimal_strategy(market).scaled(0.8)
         n = CONTRACT_CHAINS[chain][1]
         for regime in range(market.n_regimes):
-            wealth = [
-                simulate_wealth(market, strategy, 0.2, 1.0, 0.5, regime, 13, RngStream(63, 9 + k))
-                .wealth[-1]
-                for k in range(n)
-            ]
-            expected = loop_estimate([float(utility(w, market.risk_aversion)) for w in wealth])
+            paths = layout_paths(market, regime, 0.2, n, RngStream(63, 9), 13, 2)
+            expected = loop_estimate(
+                [
+                    loop_terminal_utility(market, strategy, 0.2, 1.0, 0.5, path, 13, shocks)
+                    for path, shocks in paths
+                ]
+            )
             got = evaluate_policy(market, strategy, 0.2, 1.0, 0.5, regime, n, 13, RngStream(63, 9))
             assert got == expected
 
 
+@pytest.mark.parametrize("chain", ["slow", "absorbing"])
+def test_paths_are_a_prefix_of_more_paths(chain, layout):
+    # path k's grid and normals do not depend on how many paths follow it
+    market = contract_market(chain)
+    n = 2 * montecarlo.BLOCK - 2
+
+    def rows(n_paths):
+        out = []
+        for _, lengths, times, regimes, normals in montecarlo._simulate_grids(
+            market, 0, 0.1, n_paths, 11, RngStream(64, 3), 2
+        ):
+            for r, length in enumerate(lengths):
+                steps = length - 1
+                out.append((times[r, :length], regimes[r, :steps], normals[:, r, :steps]))
+        return out
+
+    fewer, more = rows(n), rows(n + 5)
+    assert len(fewer) == n and len(more) == n + 5
+    for (times_a, regimes_a, z_a), (times_b, regimes_b, z_b) in zip(fewer, more):
+        assert np.array_equal(times_a, times_b)
+        assert np.array_equal(regimes_a, regimes_b)
+        assert np.array_equal(z_a, z_b)
+
+
 def test_past_block_chain_crosses_the_block():
+    # past simulate_path's 1024-variate block, and past the largest head of a block
     market = contract_market("past_block")
     path = simulate_path(market.generator, 0, 0.3, market.horizon, RngStream(61, 5))
     assert path.n_jumps() > 1024
+    head = montecarlo._block_head(-market.generator.rates.min() * (market.horizon - 0.3))
+    blocks = montecarlo._simulate_chains(market.generator, 0, 0.3, market.horizon, 5, RngStream(61, 5))
+    ((_, _, _, n_jumps, _),) = blocks
+    assert head == 1024 and n_jumps.min() > head
+
+
+def test_group_size_invariance(monkeypatch):
+    market = make_market(correlation=0.2)
+    strategy = optimal_strategy(market)
+    market0 = make_market()
+
+    def estimates():
+        return (
+            estimate_regime_factor(market, 0.0, 0, 300, RngStream(24)),
+            estimate_value_factor(market0, 0.1, 0.4, 1, 300, 19, RngStream(25)),
+            evaluate_policy(market, strategy, 0.0, 1.0, 0.3, 1, 300, 19, RngStream(26)),
+        )
+
+    base = estimates()
+    for group in range(1, 8):
+        monkeypatch.setattr(montecarlo, "GROUP", group)
+        assert estimates() == base, group
 
 
 def test_stream_ids_must_stay_in_range():
+    # the last block's key must fit: one block of 128 paths at the top id passes
     market = contract_market("slow")
+    estimate_regime_factor(market, 0.0, 0, 128, RngStream(1, 2**64 - 1))
     with pytest.raises(ValueError, match="stream_id"):
-        estimate_regime_factor(market, 0.0, 0, 10, RngStream(1, 2**64 - 5))
-
+        estimate_regime_factor(market, 0.0, 0, 129, RngStream(1, 2**64 - 1))
 
 
 def test_batched_grids_match_merged_time_grid_with_ties():
