@@ -6,8 +6,9 @@ Reads a JSON model configuration and runs one of five subcommands:
 strategy, value grid), ``simulate`` (sample paths), ``evaluate``
 (policy scores against the value prediction), and ``validate`` (the
 cross-check battery).  All tables are CSV with 17-significant-digit
-floats and all reports are JSON with sorted keys, so a rerun with the
-same config and seed writes byte-identical files.
+floats and all reports are JSON with sorted keys and shortest round-trip
+floats, so a rerun with the same config and seed writes byte-identical
+files.
 """
 
 from __future__ import annotations
@@ -366,33 +367,9 @@ def _load_case(document, market, problems):
 # deterministic output helpers
 
 
-def _json_text(value, indent: int = 0) -> str:
-    """Render JSON with sorted keys and 17-significant-digit floats."""
-    pad, inner = "  " * indent, "  " * (indent + 1)
-    if isinstance(value, np.ndarray):
-        value = value.tolist()
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = (
-            f"{inner}{json.dumps(str(k))}: {_json_text(v, indent + 1)}"
-            for k, v in sorted(value.items())
-        )
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = (f"{inner}{_json_text(v, indent + 1)}" for v in value)
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    if value is None:
-        return "null"
-    return json.dumps(value, ensure_ascii=False)
+def _json_text(value) -> str:
+    """JSON with sorted keys and shortest round-trip floats; arrays become lists."""
+    return json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False, default=lambda v: v.tolist())
 
 
 def _cell(value) -> str:
@@ -585,6 +562,11 @@ def cmd_solve(
     t_axis = axes[0] if len(axes) > 0 else np.linspace(0.0, 0.9 * horizon, 5)
     x_axis = axes[1] if len(axes) > 1 else np.linspace(0.0, 2.0, 5)
     y_axis = axes[2] if len(axes) > 2 else np.linspace(-1.0, 1.0, 5)
+    # the sampled value factor needs time left before the horizon
+    closed = config.case == NORMAL_INCOME
+    below = t_axis <= horizon if closed else t_axis < horizon
+    if not np.all((t_axis >= 0.0) & below):
+        raise ParseError(f"grid: t values must lie in [0, {horizon:g}{']' if closed else ')'}")
     curve_t = np.linspace(0.0, horizon, 201)
 
     loading = solve_income_loading(market)
@@ -645,8 +627,6 @@ def cmd_solve(
         provenance["value_grid"] = "ODE"
         results["h_at_0"] = factors.value(0.0)
     else:
-        if np.any(t_axis >= horizon):
-            raise ParseError("grid: t values must lie below the horizon for MC value factors")
         n_mc = n_paths if n_paths is not None else config.n_paths
         n_sim = _sim_steps(config)
         gamma = market.risk_aversion
@@ -718,10 +698,10 @@ def cmd_simulate(
     labels = _state_labels(market.n_regimes, config.mapping)
 
     rows, terminal = [], []
-    for j in range(n):
-        path = simulate_wealth(
-            market, strategy, 0.0, wealth_start, income_start, regime, n_sim, RngStream(config.seed, j)
-        )
+    paths = simulate_wealth(
+        market, strategy, 0.0, wealth_start, income_start, regime, n, n_sim, RngStream(config.seed, 0)
+    )
+    for j, path in enumerate(paths):
         for k, t in enumerate(path.times):
             # regimes and positions sit on interval left endpoints; the final
             # node reuses the last interval's regime and holds no position

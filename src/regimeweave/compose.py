@@ -1,11 +1,10 @@
 """Compound chains built from two marginal regime processes.
 
 A pair of independent chains (sizes m and n) composes into a single chain on
-m*n states via the Kronecker sum of the rate matrices; discrete-time chains
-compose via the Kronecker product.  Dependence between the marginal jump
-processes is introduced through a Gaussian copula on the short-horizon jump
-indicators, with the compound rate matrix recovered by finite-difference
-extrapolation.
+m*n states via the Kronecker sum of the rate matrices.  Dependence between
+the marginal jump processes is introduced through a Gaussian copula on the
+short-horizon jump indicators, with the compound rate matrix recovered by
+finite-difference extrapolation.
 
 Compound state numbering puts the first component fastest: state ``(i, j)``
 maps to ``i + m * j``.
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .markov import GeneratorMatrix, TransitionMatrix, validate_generator
+from .markov import GeneratorMatrix, validate_generator
 
 __all__ = [
     "Unsupported",
@@ -29,7 +28,6 @@ __all__ = [
     "CompoundChainSpec",
     "kronecker_sum",
     "compose_independent",
-    "compose_discrete_product",
     "compose_copula",
     "marginalize",
     "bivariate_normal_cdf",
@@ -142,20 +140,6 @@ def compose_independent(eps: GeneratorMatrix, zeta: GeneratorMatrix) -> Compound
         generator=validate_generator(q),
         method="independent",
     )
-
-
-def compose_discrete_product(
-    eps: TransitionMatrix, zeta: TransitionMatrix
-) -> tuple[TransitionMatrix, StateMapping]:
-    """Joint one-step chain of two independent discrete-time chains.
-
-    ``probs[(i, j), (i2, j2)] = eps[i, i2] * zeta[j, j2]`` under the compound
-    numbering, which is the Kronecker product with the second chain on the
-    slow index.
-    """
-    mapping = StateMapping(eps.n_states, zeta.n_states)
-    probs = np.kron(zeta.probs, eps.probs)
-    return TransitionMatrix(probs=probs, n_states=mapping.n_compound), mapping
 
 
 def compose_copula(

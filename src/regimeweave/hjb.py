@@ -22,7 +22,6 @@ functions that need not be separable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -32,8 +31,6 @@ from .markov import GeneratorMatrix
 __all__ = [
     "StepTooCoarse",
     "ConcavityViolation",
-    "NORMAL_LEVELS",
-    "GENERAL_CALLABLE",
     "MarketModel",
     "IncomeLoading",
     "GrowthCoefficients",
@@ -45,9 +42,6 @@ __all__ = [
     "apply_hjb_operator",
     "hjb_residual",
 ]
-
-NORMAL_LEVELS = "normal-levels"
-GENERAL_CALLABLE = "general-callable"
 
 # below this, exp-based segment integrals switch to their power series
 SMALL_EXPONENT = 1e-2
@@ -78,11 +72,9 @@ class MarketModel:
         Terminal time, > 0.
     stock_drift, stock_vol : array_like
         Per-regime stock drift and volatility; volatility strictly positive.
-    income_drift, income_vol : array_like or callable
-        With ``income_kind="normal-levels"``: per-regime arithmetic drift
-        and volatility of the income level.  With "general-callable": both
-        are functions ``f(t, y, regime)`` and only the operator utilities
-        (:func:`apply_hjb_operator`, :func:`hjb_residual`) are available.
+    income_drift, income_vol : array_like
+        Per-regime arithmetic drift and volatility of the income level;
+        volatility nonnegative.
     generator : GeneratorMatrix
         Rate matrix of the regime chain; its size fixes the regime count.
     """
@@ -93,10 +85,9 @@ class MarketModel:
     horizon: float
     stock_drift: NDArray[np.float64]
     stock_vol: NDArray[np.float64]
-    income_drift: NDArray[np.float64] | Callable[[float, float, int], float]
-    income_vol: NDArray[np.float64] | Callable[[float, float, int], float]
+    income_drift: NDArray[np.float64]
+    income_vol: NDArray[np.float64]
     generator: GeneratorMatrix
-    income_kind: str = NORMAL_LEVELS
 
     def __post_init__(self) -> None:
         problems: list[str] = []
@@ -109,7 +100,7 @@ class MarketModel:
         if not -1.0 <= self.correlation <= 1.0:
             problems.append(f"correlation must lie in [-1, 1], got {self.correlation}")
         n = self.generator.n_states
-        for name in ("stock_drift", "stock_vol"):
+        for name in ("stock_drift", "stock_vol", "income_drift", "income_vol"):
             arr = _frozen_array(getattr(self, name))
             object.__setattr__(self, name, arr)
             if arr.shape != (n,):
@@ -118,21 +109,8 @@ class MarketModel:
                 problems.append(f"{name} entries must be finite")
         if np.any(self.stock_vol <= 0):
             problems.append("stock_vol entries must be strictly positive")
-        if self.income_kind == NORMAL_LEVELS:
-            for name in ("income_drift", "income_vol"):
-                arr = _frozen_array(getattr(self, name))
-                object.__setattr__(self, name, arr)
-                if arr.shape != (n,):
-                    problems.append(f"{name} must have one entry per regime ({n}), got shape {arr.shape}")
-                if not np.all(np.isfinite(arr)):
-                    problems.append(f"{name} entries must be finite")
-            if isinstance(self.income_vol, np.ndarray) and np.any(self.income_vol < 0):
-                problems.append("income_vol entries must be nonnegative")
-        elif self.income_kind == GENERAL_CALLABLE:
-            if not callable(self.income_drift) or not callable(self.income_vol):
-                problems.append("general-callable income needs callable drift and vol")
-        else:
-            problems.append(f"unknown income_kind {self.income_kind!r}")
+        if np.any(self.income_vol < 0):
+            problems.append("income_vol entries must be nonnegative")
         if problems:
             raise ValueError("; ".join(problems))
 
@@ -142,20 +120,6 @@ class MarketModel:
 
     def excess_return(self) -> NDArray[np.float64]:
         return self.stock_drift - self.rate
-
-    def income_drift_at(self, t: float, y: float, regime: int) -> float:
-        if self.income_kind == NORMAL_LEVELS:
-            return float(self.income_drift[regime])
-        return float(self.income_drift(t, y, regime))
-
-    def income_vol_at(self, t: float, y: float, regime: int) -> float:
-        if self.income_kind == NORMAL_LEVELS:
-            return float(self.income_vol[regime])
-        return float(self.income_vol(t, y, regime))
-
-    def require_normal_income(self, what: str) -> None:
-        if self.income_kind != NORMAL_LEVELS:
-            raise ValueError(f"{what} needs income_kind='normal-levels', got {self.income_kind!r}")
 
 
 def _frozen_array(values) -> NDArray[np.float64]:
@@ -298,7 +262,6 @@ class GrowthCoefficients:
 
 def growth_coefficients(market: MarketModel) -> GrowthCoefficients:
     """Constant, linear, and quadratic loadings of the factor growth rate."""
-    market.require_normal_income("growth_coefficients")
     excess = market.excess_return()
     rho = market.correlation
     return GrowthCoefficients(
@@ -382,7 +345,6 @@ def solve_regime_factors(
     requested accuracy.  Factors that leave the float range raise
     :class:`OverflowError`.
     """
-    market.require_normal_income("solve_regime_factors")
     if n_steps < 8 or n_steps % 2:
         raise ValueError("n_steps must be an even integer >= 8")
     fine = _magnus_grid(market, n_steps)
@@ -535,7 +497,7 @@ def hjb_residual(
         raise ConcavityViolation(f"V_xx = {v_xx:.3e} at (t={t}, x={x}, y={y}, regime={regime})")
     excess = float(market.excess_return()[regime])
     vol = float(market.stock_vol[regime])
-    ivol = market.income_vol_at(t, y, regime)
+    ivol = float(market.income_vol[regime])
     best = -(excess * v_x + vol * market.correlation * ivol * v_xy) / (vol**2 * v_xx)
     return _operator_from_partials(market, value_fn, t, x, y, regime, best, parts)
 
@@ -544,8 +506,8 @@ def _operator_from_partials(market, value_fn, t, x, y, regime, portfolio, parts)
     v, v_t, v_x, v_y, v_xx, v_yy, v_xy = parts
     excess = float(market.excess_return()[regime])
     vol = float(market.stock_vol[regime])
-    idrift = market.income_drift_at(t, y, regime)
-    ivol = market.income_vol_at(t, y, regime)
+    idrift = float(market.income_drift[regime])
+    ivol = float(market.income_vol[regime])
     wealth_drift = market.rate * x + portfolio * excess + y
     chain = 0.0
     for j in range(market.n_regimes):

@@ -25,7 +25,6 @@ __all__ = [
     "RngStream",
     "validate_generator",
     "embedded_chain",
-    "generator_from_embedded",
     "stationary_distribution",
     "simulate_path",
     "transition_probabilities",
@@ -209,14 +208,6 @@ def embedded_chain(generator: GeneratorMatrix) -> TransitionMatrix:
     return TransitionMatrix(probs=p, n_states=generator.n_states)
 
 
-def generator_from_embedded(embedded: TransitionMatrix, exit_rates) -> GeneratorMatrix:
-    """Rebuild the rate matrix from a jump chain and per-state exit rates."""
-    lam = np.asarray(exit_rates, dtype=float)
-    q = embedded.probs * lam[:, None]
-    np.fill_diagonal(q, -lam)
-    return validate_generator(q)
-
-
 def stationary_distribution(generator: GeneratorMatrix) -> NDArray[np.float64]:
     """Unique probability vector ``pi`` with ``pi @ Q = 0``.
 
@@ -245,7 +236,6 @@ def simulate_path(
     t_start: float,
     t_end: float,
     rng: RngStream | np.random.Generator,
-    _block: int = JUMP_BLOCK,
 ) -> RegimePath:
     """Simulate one trajectory by exponential holding times and jump draws.
 
@@ -273,8 +263,8 @@ def simulate_path(
         if k >= len(exps):
             # Draw in fixed-size blocks: one Exp(1) and one U(0,1) per jump,
             # so the stream consumption is a deterministic function of the path.
-            exps = gen.standard_exponential(_block)
-            unis = gen.random(_block)
+            exps = gen.standard_exponential(JUMP_BLOCK)
+            unis = gen.random(JUMP_BLOCK)
             k = 0
         t = t + exps[k] / rate
         if t >= t_end:

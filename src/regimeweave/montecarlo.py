@@ -50,9 +50,7 @@ from .markov import JUMP_BLOCK, GeneratorMatrix, RegimePath, RngStream, _check_p
 __all__ = [
     "NonZeroRho",
     "MCEstimate",
-    "IncomePath",
     "merged_time_grid",
-    "simulate_income_path",
     "estimate_regime_factor",
     "estimate_value_factor",
     "estimate_value_mc",
@@ -77,18 +75,6 @@ class MCEstimate:
     n_paths: int
 
 
-@dataclass(frozen=True)
-class IncomePath:
-    """Income level on a time grid refined at regime jumps.
-
-    ``regimes[k]`` is the regime in force on ``[times[k], times[k+1])``.
-    """
-
-    times: NDArray[np.float64]
-    values: NDArray[np.float64]
-    regimes: NDArray[np.int64]
-
-
 def merged_time_grid(
     path: RegimePath, n_steps: int
 ) -> tuple[NDArray[np.float64], NDArray[np.int64]]:
@@ -104,35 +90,6 @@ def merged_time_grid(
     times = np.union1d(uniform, path.times[1:])
     regimes = path.states[np.searchsorted(path.times, times[:-1], side="right") - 1]
     return times, regimes
-
-
-def simulate_income_path(
-    market: MarketModel,
-    path: RegimePath,
-    income_start: float,
-    n_steps: int,
-    rng: RngStream | np.random.Generator | None = None,
-    normals: NDArray[np.float64] | None = None,
-) -> IncomePath:
-    """Sample the income level along a given regime path.
-
-    Per-step increments are ``drift * dt + vol * sqrt(dt) * z`` with the
-    regime's coefficients, exact in distribution because the grid is split
-    at jumps.  Pass ``normals`` (one standard normal per grid step) to reuse
-    or negate draws; otherwise they come from ``rng``.
-    """
-    market.require_normal_income("simulate_income_path")
-    times, regimes = merged_time_grid(path, n_steps)
-    dt = np.diff(times)
-    if normals is None:
-        if rng is None:
-            raise ValueError("provide either rng or normals")
-        gen = rng.generator() if isinstance(rng, RngStream) else rng
-        normals = gen.standard_normal(len(dt))
-    elif len(normals) != len(dt):
-        raise ValueError(f"need {len(dt)} normals, got {len(normals)}")
-    steps = market.income_drift[regimes] * dt + market.income_vol[regimes] * np.sqrt(dt) * normals
-    return IncomePath(times=times, values=_accumulate(income_start, steps), regimes=regimes)
 
 
 def estimate_regime_factor(
@@ -203,7 +160,6 @@ def estimate_value_factor(
         raise NonZeroRho(
             f"value-factor sampling requires zero correlation, got {market.correlation}"
         )
-    market.require_normal_income("estimate_value_factor")
     _check_horizon(market, t_start)
     gamma = market.risk_aversion
     horizon = market.horizon
@@ -313,8 +269,8 @@ def _simulate_chains(
     ``normals[s, r]`` is its set ``s``.  The rows past ``n_paths`` that a
     block simulates are dropped.
     """
-    if n_paths < 2:
-        raise ValueError("need at least two paths for a standard error")
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be positive, got {n_paths}")
     _check_path_span(generator, regime, t_start, t_end)
     n_blocks = -(-n_paths // BLOCK)
     RngStream(rng.seed, rng.stream_id + n_blocks - 1)  # every block's key must be valid
@@ -432,6 +388,8 @@ def _check_horizon(market: MarketModel, t_start: float) -> None:
 
 def _estimate(values: NDArray[np.float64]) -> MCEstimate:
     n = len(values)
+    if n < 2:
+        raise ValueError("need at least two paths for a standard error")
     return MCEstimate(
         value=float(values.mean()),
         stderr=float(values.std(ddof=1) / np.sqrt(n)),

@@ -17,8 +17,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .hjb import IncomeLoading, MarketModel, RegimeFactorTable, solve_income_loading, solve_regime_factors
-from .markov import RngStream, simulate_path
-from .montecarlo import MCEstimate, _accumulate, _estimate, _simulate_grids, merged_time_grid
+from .markov import RngStream
+from .montecarlo import MCEstimate, _accumulate, _estimate, _simulate_grids
 
 __all__ = [
     "CaseMismatch",
@@ -31,7 +31,6 @@ __all__ = [
     "merton_weight",
     "hedge_weight",
     "optimal_strategy",
-    "strategy_from_value_factor",
     "value_function",
     "build_solution",
     "simulate_wealth",
@@ -120,7 +119,6 @@ def hedge_weight(market: MarketModel, t, regime):
     (rate * stock_vol * exp(rate * tau))`` with the zero-rate limit
     ``-income_vol * correlation * tau / stock_vol``.
     """
-    market.require_normal_income("hedge_weight")
     tau = market.horizon - np.asarray(t, dtype=float)
     ivol = market.income_vol[regime]
     vol = market.stock_vol[regime]
@@ -153,42 +151,6 @@ def optimal_strategy(market: MarketModel, case: str = NORMAL_INCOME) -> Strategy
             return merton_weight(market, t, regime) + hedge_weight(market, t, regime)
 
     return Strategy(position=position, label=case)
-
-
-def strategy_from_value_factor(
-    market: MarketModel, factor, relative_step: float = 1e-6
-) -> Strategy:
-    """First-order-condition position built from a wealth-free factor.
-
-    For a candidate value ``-(1/gamma) exp(-gamma x exp(rate tau)) *
-    factor(t, y, regime)`` the best position is
-
-        (excess / vol + correlation * income_vol * d log factor / dy)
-        / (gamma * vol * exp(rate * tau))
-
-    with the log-derivative taken by central differences.  Recovers the
-    closed-form strategy when given the separable factor.
-    """
-    market.require_normal_income("strategy_from_value_factor")
-
-    def position(t, income, regime):
-        t = np.asarray(t, dtype=float)
-        income = np.asarray(income, dtype=float)
-        step = relative_step * np.maximum(1.0, np.abs(income))
-        mid = factor(t, income, regime)
-        ratio = (factor(t, income + step, regime) - factor(t, income - step, regime)) / (
-            2.0 * step * mid
-        )
-        tau = market.horizon - t
-        excess = market.excess_return()[regime]
-        vol = market.stock_vol[regime]
-        ivol = market.income_vol[regime]
-        out = (excess / vol + market.correlation * ivol * ratio) / (
-            market.risk_aversion * vol * np.exp(market.rate * tau)
-        )
-        return out if np.ndim(out) else float(out)
-
-    return Strategy(position=position, label="value-factor")
 
 
 def value_function(
@@ -238,7 +200,6 @@ def _check_case(market: MarketModel, case: str) -> None:
         raise CaseMismatch(
             f"case 'rho0' requires zero correlation, market has {market.correlation}"
         )
-    market.require_normal_income(f"case {case!r}")
 
 
 def simulate_wealth(
@@ -248,10 +209,11 @@ def simulate_wealth(
     wealth_start: float,
     income_start: float,
     regime: int,
+    n_paths: int,
     n_steps: int,
-    rng: RngStream | np.random.Generator,
-) -> WealthPath:
-    """Simulate one joint (regime, income, wealth) path under a strategy.
+    rng: RngStream,
+) -> list[WealthPath]:
+    """Simulate joint (regime, income, wealth) paths under a strategy.
 
     The stock and income shocks are correlated standard normals; interest
     compounds exactly through an integrating factor, with the position,
@@ -260,20 +222,25 @@ def simulate_wealth(
         wealth[k] = exp(rate (t_k - t_0)) * (wealth_start
                     + sum of discounted step cashflows before t_k)
 
-    The draw order (chain, stock shocks, income shocks) never depends on the
-    strategy, so two strategies evaluated on the same stream see identical
-    scenarios (common random numbers).
+    Paths are drawn in the block layout of :mod:`~regimeweave.montecarlo`
+    with two sets of grid normals (stock, then income shocks): path ``k`` is
+    scenario ``k`` of :func:`evaluate_policy` with the same ``rng`` and
+    arguments, and does not depend on ``n_paths``.  The draws never depend
+    on the strategy, so two strategies simulated on the same stream see
+    identical scenarios (common random numbers).
     """
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    path = simulate_path(market.generator, regime, t_start, market.horizon, gen)
-    times, regimes = merged_time_grid(path, n_steps)
-    shocks = gen.standard_normal((2, len(times) - 1))  # stock, then income
-    wealth, income, positions = _wealth_rows(
-        market, strategy, t_start, wealth_start, income_start, times, regimes, *shocks
-    )
-    return WealthPath(
-        times=times, wealth=wealth, income=income, regimes=regimes, positions=np.array(positions)
-    )
+    paths = []
+    grids = _simulate_grids(market, regime, t_start, n_paths, n_steps, rng, 2)
+    for _, lengths, times, regimes, shocks in grids:
+        wealth, income, positions = _wealth_rows(
+            market, strategy, t_start, wealth_start, income_start, times, regimes, *shocks
+        )
+        for r, n in enumerate(lengths):
+            paths.append(WealthPath(
+                times[r, :n], wealth[r, :n], income[r, :n],
+                regimes[r, : n - 1], np.array(positions[r, : n - 1]),
+            ))
+    return paths
 
 
 def _wealth_rows(

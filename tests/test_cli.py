@@ -26,7 +26,7 @@ from regimeweave.cli import (
 )
 from regimeweave.compose import compose_independent
 from regimeweave.markov import RngStream, validate_generator
-from regimeweave.portfolio import Strategy, evaluate_policy, optimal_strategy
+from regimeweave.portfolio import Strategy, evaluate_policy, optimal_strategy, utility
 
 REPO = Path(__file__).resolve().parents[1]
 REFERENCE = str(REPO / "configs" / "reference.json")
@@ -303,6 +303,26 @@ class TestSolve:
         assert "float range" in err
         assert "n_steps" not in err
 
+    @pytest.mark.parametrize(
+        "case, grid, code",
+        [
+            ("normal_income", "--grid=0:1.9:3", 2),
+            ("normal_income", "--grid=-0.5:1:2", 2),
+            ("normal_income", "--grid=0:1.5:3", 0),
+            ("rho0", "--grid=0:1.5:2", 2),
+            ("rho0", "--grid=-0.5:1:2", 2),
+        ],
+    )
+    def test_t_axis_checked_against_horizon(self, tmp_path, capsys, case, grid, code):
+        # horizon 1.5: the ODE factors reach it, the sampled factors stop short of it
+        document = minimal_config()
+        document["case"] = case
+        document["market"]["rho"] = 0.0
+        path = dump_config(tmp_path, document)
+        assert main(["solve", "--config", path, "--out", str(tmp_path / "out"), grid]) == code
+        if code:
+            assert "config error: grid: t values must lie in [0, 1.5" in capsys.readouterr().err
+
     def test_rerun_is_byte_identical(self, tmp_path):
         first, second = tmp_path / "a", tmp_path / "b"
         main(["solve", "--config", RHO_ZERO_CONFIG, "--out", str(first)])
@@ -339,6 +359,29 @@ class TestSimulate:
     def test_regime_out_of_range_is_config_error(self, tmp_path):
         code = main(["simulate", "--config", REFERENCE, "--out", str(tmp_path), "--i0", "9"])
         assert code == 2
+
+    def test_fewer_paths_are_a_prefix(self, tmp_path):
+        for n in ("3", "8"):
+            args = ["simulate", "--config", REFERENCE, "--out", str(tmp_path / n), "--paths", n]
+            assert main(args) == 0
+        _, header, fewer = read_csv(tmp_path / "3" / "paths.csv")
+        _, _, more = read_csv(tmp_path / "8" / "paths.csv")
+        assert fewer == [row for row in more if int(row[header.index("path")]) < 3]
+
+    def test_paths_are_the_evaluated_scenarios(self, tmp_path):
+        # the optimal-policy estimate is the mean utility of the simulated paths
+        for command in ("simulate", "evaluate"):
+            args = [command, "--config", REFERENCE, "--out", str(tmp_path), "--paths", "16"]
+            assert main(args) == 0
+        _, header, rows = read_csv(tmp_path / "paths.csv")
+        terminal = {}
+        for row in rows:  # each path's rows run forward in time
+            terminal[row[header.index("path")]] = float(row[header.index("wealth")])
+        assert len(terminal) == 16
+        _, header, rows = read_csv(tmp_path / "evaluation.csv")
+        estimate = float(column(header, rows, "estimate")[0])
+        gamma = load_config(REFERENCE).market.risk_aversion
+        assert estimate == float(utility(np.array(list(terminal.values())), gamma).mean())
 
 
 class TestEvaluate:

@@ -16,7 +16,6 @@ from regimeweave.compose import (
     Unsupported,
     bivariate_normal_cdf,
     compose_copula,
-    compose_discrete_product,
     compose_independent,
     copula_joint_pmf,
     gaussian_copula,
@@ -24,7 +23,6 @@ from regimeweave.compose import (
     marginalize,
 )
 from regimeweave.markov import (
-    embedded_chain,
     transition_probabilities,
     validate_generator,
 )
@@ -149,28 +147,6 @@ class TestKroneckerSum:
         lhs = expm(kronecker_sum(a, b))
         rhs = np.kron(expm(b), expm(a))
         assert_allclose(lhs, rhs, atol=1e-12)
-
-
-class TestComposeDiscreteProduct:
-    def test_entries_factorize(self):
-        rng = np.random.default_rng(6)
-        eps = embedded_chain(random_generator(rng, 3))
-        zeta = embedded_chain(random_generator(rng, 2))
-        joint, mapping = compose_discrete_product(eps, zeta)
-        for k in range(mapping.n_compound):
-            i, j = mapping.pair(k)
-            for k2 in range(mapping.n_compound):
-                i2, j2 = mapping.pair(k2)
-                assert joint.probs[k, k2] == pytest.approx(
-                    eps.probs[i, i2] * zeta.probs[j, j2], abs=1e-15
-                )
-
-    def test_rows_stochastic(self):
-        rng = np.random.default_rng(7)
-        eps = embedded_chain(random_generator(rng, 4))
-        zeta = embedded_chain(random_generator(rng, 3))
-        joint, _ = compose_discrete_product(eps, zeta)
-        assert_allclose(joint.probs.sum(axis=1), 1.0, atol=1e-12)
 
 
 class TestBivariateNormalCdf:

@@ -13,7 +13,6 @@ from scipy.linalg import expm
 
 from regimeweave.hjb import (
     ConcavityViolation,
-    GENERAL_CALLABLE,
     IncomeLoading,
     MarketModel,
     StepTooCoarse,
@@ -129,30 +128,6 @@ class TestMarketModel:
     def test_correlation_range(self):
         with pytest.raises(ValueError, match="correlation"):
             make_market(correlation=1.2)
-
-    def test_income_dispatch_levels(self):
-        m = make_market()
-        assert m.income_drift_at(0.5, 1.0, 1) == -0.01
-        assert m.income_vol_at(0.5, 1.0, 0) == 0.12
-
-    def test_income_dispatch_callable(self):
-        m = make_market(
-            income_kind=GENERAL_CALLABLE,
-            income_drift=lambda t, y, i: 0.1 * y,
-            income_vol=lambda t, y, i: 0.2 + 0.01 * i,
-        )
-        assert m.income_drift_at(0.0, 2.0, 0) == pytest.approx(0.2)
-        assert m.income_vol_at(0.0, 2.0, 1) == pytest.approx(0.21)
-        with pytest.raises(ValueError, match="normal-levels"):
-            solve_regime_factors(m)
-
-    def test_callable_kind_requires_callables(self):
-        with pytest.raises(ValueError, match="callable"):
-            make_market(income_kind=GENERAL_CALLABLE)
-
-    def test_unknown_income_kind(self):
-        with pytest.raises(ValueError, match="income_kind"):
-            make_market(income_kind="lognormal")
 
     @pytest.mark.parametrize(
         "field, value",
@@ -566,17 +541,3 @@ class TestHjbOperator:
 
         with pytest.raises(ConcavityViolation):
             hjb_residual(market, convex, 0.9, 1.0, 0.5, 0)
-
-    def test_callable_income_matches_levels(self, solved):
-        market, table, loading = solved
-        drift = [0.02, -0.01]
-        vol = [0.12, 0.2]
-        general = make_market(
-            income_kind=GENERAL_CALLABLE,
-            income_drift=lambda t, y, i: drift[i],
-            income_vol=lambda t, y, i: vol[i],
-        )
-        value = closed_form_value(market, table, loading)
-        a = hjb_residual(market, value, 0.9, 1.0, 0.5, 1)
-        b = hjb_residual(general, value, 0.9, 1.0, 0.5, 1)
-        assert a == pytest.approx(b, abs=1e-14)

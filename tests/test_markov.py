@@ -15,7 +15,6 @@ from regimeweave.markov import (
     RngStream,
     RowSumViolation,
     embedded_chain,
-    generator_from_embedded,
     simulate_path,
     stationary_distribution,
     transition_probabilities,
@@ -91,13 +90,6 @@ class TestEmbeddedChain:
     def test_absorbing_state_rejected(self):
         with pytest.raises(AbsorbingState):
             embedded_chain(validate_generator([[0.0, 0.0], [0.3, -0.3]]))
-
-    def test_round_trip_with_exit_rates(self):
-        g = validate_generator(Q3)
-        p = embedded_chain(g)
-        g2 = generator_from_embedded(p, g.exit_rates())
-        assert_allclose(g2.rates, g.rates, atol=1e-15)
-
 
 class TestStationaryDistribution:
     def test_two_state_closed_form(self):

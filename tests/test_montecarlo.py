@@ -6,7 +6,6 @@ import bisect
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from regimeweave import montecarlo
 from regimeweave.hjb import (
@@ -17,16 +16,20 @@ from regimeweave.hjb import (
 )
 from regimeweave.markov import RegimePath, RngStream, simulate_path, validate_generator
 from regimeweave.montecarlo import (
-    IncomePath,
     MCEstimate,
     NonZeroRho,
     estimate_regime_factor,
     estimate_value_factor,
     estimate_value_mc,
     merged_time_grid,
-    simulate_income_path,
 )
-from regimeweave.portfolio import _wealth_rows, evaluate_policy, optimal_strategy, utility
+from regimeweave.portfolio import (
+    _wealth_rows,
+    evaluate_policy,
+    optimal_strategy,
+    simulate_wealth,
+    utility,
+)
 
 Q2 = validate_generator([[-0.5, 0.5], [0.3, -0.3]])
 
@@ -105,56 +108,6 @@ class TestMergedTimeGrid:
         mid = 0.5 * (times[:-1] + times[1:])
         expected = [path.state_at(m) for m in mid]
         assert list(regimes) == expected
-
-
-class TestSimulateIncomePath:
-    def test_reproducible(self):
-        market = make_market()
-        path = simulate_path(Q2, 0, 0.0, 2.0, RngStream(seed=5))
-        a = simulate_income_path(market, path, 1.0, 32, rng=RngStream(seed=6))
-        b = simulate_income_path(market, path, 1.0, 32, rng=RngStream(seed=6))
-        assert_allclose(a.values, b.values, atol=0)
-
-    def test_zero_vol_integrates_drift_exactly(self):
-        market = make_market(income_vol=[0.0, 0.0])
-        path = simulate_path(Q2, 0, 0.0, 2.0, RngStream(seed=7))
-        income = simulate_income_path(market, path, 1.0, 8, rng=RngStream(seed=8))
-        starts, ends, states = path.segments()
-        expected_end = 1.0 + float((market.income_drift[states] * (ends - starts)).sum())
-        assert income.values[-1] == pytest.approx(expected_end, abs=1e-14)
-
-    def test_antithetic_normals_mirror_around_drift(self):
-        market = make_market()
-        path = simulate_path(Q2, 0, 0.0, 2.0, RngStream(seed=11))
-        times, _ = merged_time_grid(path, 16)
-        z = RngStream(seed=12).generator().standard_normal(len(times) - 1)
-        up = simulate_income_path(market, path, 1.0, 16, normals=z)
-        down = simulate_income_path(market, path, 1.0, 16, normals=-z)
-        drift_only = simulate_income_path(market, path, 1.0, 16, normals=np.zeros_like(z))
-        assert_allclose(0.5 * (up.values + down.values), drift_only.values, atol=1e-14)
-
-    def test_terminal_moments_single_regime(self):
-        market = single_regime_market()
-        path = simulate_path(
-            validate_generator([[0.0]]), 0, 0.0, 2.0, RngStream(seed=13)
-        )
-        gen = RngStream(seed=14).generator()
-        finals = np.array(
-            [
-                simulate_income_path(market, path, 1.0, 4, rng=gen).values[-1]
-                for _ in range(4000)
-            ]
-        )
-        assert finals.mean() == pytest.approx(1.0 + 0.02 * 2.0, abs=4 * 0.12 * np.sqrt(2 / 4000))
-        assert finals.var(ddof=1) == pytest.approx(0.12**2 * 2.0, rel=0.1)
-
-    def test_requires_rng_or_normals(self):
-        market = make_market()
-        path = simulate_path(Q2, 0, 0.0, 2.0, RngStream(seed=15))
-        with pytest.raises(ValueError, match="rng or normals"):
-            simulate_income_path(market, path, 1.0, 8)
-        with pytest.raises(ValueError, match="normals"):
-            simulate_income_path(market, path, 1.0, 8, normals=np.zeros(3))
 
 
 class TestEstimateRegimeFactor:
@@ -302,17 +255,6 @@ class TestEstimateValueMc:
         est = estimate_value_mc(market, 0.0, 1.0, 1.0, 0, 64, 16, RngStream(seed=43))
         assert isinstance(est, MCEstimate)
         assert est.n_paths == 64
-
-
-class TestIncomePathType:
-    def test_fields_line_up(self):
-        market = make_market()
-        path = simulate_path(Q2, 0, 0.0, 2.0, RngStream(seed=51))
-        income = simulate_income_path(market, path, 0.5, 16, rng=RngStream(seed=52))
-        assert isinstance(income, IncomePath)
-        assert len(income.values) == len(income.times)
-        assert len(income.regimes) == len(income.times) - 1
-        assert income.values[0] == 0.5
 
 
 # Stream contract: an estimator over n paths with stream ``rng`` equals, to
@@ -509,6 +451,25 @@ class TestStreamContract:
             )
             got = evaluate_policy(market, strategy, 0.2, 1.0, 0.5, regime, n, 13, RngStream(63, 9))
             assert got == expected
+
+    def test_wealth_paths(self, chain, layout):
+        market = contract_market(chain, correlation=0.3)
+        strategy = optimal_strategy(market).scaled(0.8)
+        n = CONTRACT_CHAINS[chain][1]
+        for regime in range(market.n_regimes):
+            paths = layout_paths(market, regime, 0.2, n, RngStream(63, 9), 13, 2)
+            got = simulate_wealth(market, strategy, 0.2, 1.0, 0.5, regime, n, 13, RngStream(63, 9))
+            assert len(got) == n
+            for row, (path, shocks) in zip(got, paths):
+                times, regimes = merged_time_grid(path, 13)
+                wealth, income, positions = _wealth_rows(
+                    market, strategy, 0.2, 1.0, 0.5, times, regimes, *shocks
+                )
+                assert np.array_equal(row.times, times)
+                assert np.array_equal(row.regimes, regimes)
+                assert np.array_equal(row.wealth, wealth)
+                assert np.array_equal(row.income, income)
+                assert np.array_equal(row.positions, positions)
 
 
 @pytest.mark.parametrize("chain", ["slow", "absorbing"])

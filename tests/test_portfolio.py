@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from regimeweave.hjb import MarketModel, solve_income_loading, solve_regime_factors
+from regimeweave.hjb import MarketModel
 from regimeweave.markov import RngStream, validate_generator
 from regimeweave.montecarlo import estimate_value_mc
 from regimeweave.portfolio import (
@@ -21,7 +21,6 @@ from regimeweave.portfolio import (
     merton_weight,
     optimal_strategy,
     simulate_wealth,
-    strategy_from_value_factor,
     utility,
     value_function,
 )
@@ -130,27 +129,13 @@ class TestOptimalStrategy:
         bumped = strat.scaled(1.25)
         assert bumped(0.7, 0.0, 1) == pytest.approx(1.25 * strat(0.7, 0.0, 1), rel=1e-15)
 
-    def test_matches_first_order_condition_on_separable_factor(self):
-        market = make_market()
-        table = solve_regime_factors(market)
-        loading = solve_income_loading(market)
-
-        def factor(t, y, regime):
-            return np.exp(loading.value(t) * y) * table.value(t, regime)
-
-        from_factor = strategy_from_value_factor(market, factor)
-        closed = optimal_strategy(market, NORMAL_INCOME)
-        for t, y, regime in ((0.0, 0.5, 0), (0.9, -1.0, 1), (1.8, 2.0, 0)):
-            assert from_factor(t, y, regime) == pytest.approx(closed(t, y, regime), rel=1e-7)
-
-
 class TestSimulateWealth:
     def test_riskless_growth_exact(self):
         # no position and no income leaves pure compounding
         market = make_market(income_drift=[0.0, 0.0], income_vol=[0.0, 0.0])
         idle = Strategy(position=lambda t, y, i: 0.0 * np.asarray(t), label="idle")
-        path = simulate_wealth(market, idle, 0.0, 2.0, 0.0, 0, 64, RngStream(seed=1))
-        assert_allclose(path.wealth, 2.0 * np.exp(0.03 * path.times), rtol=1e-14)
+        for path in simulate_wealth(market, idle, 0.0, 2.0, 0.0, 0, 4, 64, RngStream(seed=1)):
+            assert_allclose(path.wealth, 2.0 * np.exp(0.03 * path.times), rtol=1e-14)
 
     def test_deterministic_income_accrual(self):
         # deterministic income integrates against the discount factor;
@@ -160,11 +145,36 @@ class TestSimulateWealth:
             income_vol=[0.0, 0.0],
         )
         idle = Strategy(position=lambda t, y, i: 0.0 * np.asarray(t), label="idle")
-        path = simulate_wealth(market, idle, 0.0, 1.0, 0.5, 0, 512, RngStream(seed=2))
+        (path,) = simulate_wealth(market, idle, 0.0, 1.0, 0.5, 0, 1, 512, RngStream(seed=2))
         oracle = 1.0 * np.exp(0.03 * 2.0) + quad(
             lambda s: np.exp(0.03 * (2.0 - s)) * (0.5 + 0.02 * s), 0.0, 2.0
         )[0]
         assert path.wealth[-1] == pytest.approx(oracle, rel=2e-4)
+
+    def test_zero_vol_income_integrates_drift_exactly(self):
+        # the grid splits at every jump, so each step accrues one regime's drift
+        market = make_market(income_vol=[0.0, 0.0])
+        for path in simulate_wealth(
+            market, optimal_strategy(market), 0.0, 1.0, 1.0, 0, 8, 8, RngStream(seed=7)
+        ):
+            steps = market.income_drift[path.regimes] * np.diff(path.times)
+            assert path.income[-1] == pytest.approx(1.0 + float(steps.sum()), abs=1e-14)
+
+    def test_single_regime_income_terminal_moments(self):
+        market = make_market(
+            correlation=0.0,
+            stock_drift=[0.08],
+            stock_vol=[0.25],
+            income_drift=[0.02],
+            income_vol=[0.12],
+            generator=validate_generator([[0.0]]),
+        )
+        paths = simulate_wealth(
+            market, optimal_strategy(market), 0.0, 1.0, 1.0, 0, 4000, 4, RngStream(seed=14)
+        )
+        finals = np.array([path.income[-1] for path in paths])
+        assert finals.mean() == pytest.approx(1.0 + 0.02 * 2.0, abs=4 * 0.12 * np.sqrt(2 / 4000))
+        assert finals.var(ddof=1) == pytest.approx(0.12**2 * 2.0, rel=0.1)
 
     def test_constant_position_moments(self):
         # zero rate and income: X_T = x0 + pi (alpha T + sigma B_T) exactly
@@ -175,14 +185,8 @@ class TestSimulateWealth:
             income_vol=[0.0, 0.0],
         )
         hold = Strategy(position=lambda t, y, i: 2.0 + 0.0 * np.asarray(t), label="hold")
-        finals = np.array(
-            [
-                simulate_wealth(
-                    market, hold, 0.0, 1.0, 0.0, 0, 16, RngStream(seed=3, stream_id=k)
-                ).wealth[-1]
-                for k in range(3000)
-            ]
-        )
+        paths = simulate_wealth(market, hold, 0.0, 1.0, 0.0, 0, 3000, 16, RngStream(seed=3))
+        finals = np.array([path.wealth[-1] for path in paths])
         expected_mean = 1.0 + 2.0 * 0.08 * 2.0
         expected_var = (2.0 * 0.25) ** 2 * 2.0
         assert finals.mean() == pytest.approx(expected_mean, abs=4 * np.sqrt(expected_var / 3000))
@@ -191,26 +195,34 @@ class TestSimulateWealth:
     def test_reproducible_and_shared_scenarios(self):
         market = make_market()
         strat = optimal_strategy(market, NORMAL_INCOME)
-        a = simulate_wealth(market, strat, 0.0, 1.0, 0.5, 0, 32, RngStream(seed=4))
-        b = simulate_wealth(market, strat, 0.0, 1.0, 0.5, 0, 32, RngStream(seed=4))
-        assert_allclose(a.wealth, b.wealth, atol=0)
-        # a different strategy on the same stream sees the same scenario
-        c = simulate_wealth(market, strat.scaled(2.0), 0.0, 1.0, 0.5, 0, 32, RngStream(seed=4))
-        assert_allclose(c.times, a.times, atol=0)
-        assert_allclose(c.income, a.income, atol=0)
-        assert_allclose(c.positions, 2.0 * a.positions, rtol=1e-15)
-        assert not np.allclose(c.wealth, a.wealth)
+        a = simulate_wealth(market, strat, 0.0, 1.0, 0.5, 0, 4, 32, RngStream(seed=4))
+        b = simulate_wealth(market, strat, 0.0, 1.0, 0.5, 0, 4, 32, RngStream(seed=4))
+        # a different strategy on the same stream sees the same scenarios
+        c = simulate_wealth(market, strat.scaled(2.0), 0.0, 1.0, 0.5, 0, 4, 32, RngStream(seed=4))
+        for pa, pb, pc in zip(a, b, c):
+            assert_allclose(pa.wealth, pb.wealth, atol=0)
+            assert_allclose(pc.times, pa.times, atol=0)
+            assert_allclose(pc.income, pa.income, atol=0)
+            assert_allclose(pc.positions, 2.0 * pa.positions, rtol=1e-15)
+            assert not np.allclose(pc.wealth, pa.wealth)
 
     def test_path_fields_consistent(self):
         market = make_market()
         strat = optimal_strategy(market, NORMAL_INCOME)
-        path = simulate_wealth(market, strat, 0.5, 1.0, 0.2, 1, 16, RngStream(seed=5))
-        assert path.times[0] == 0.5
-        assert path.times[-1] == 2.0
-        assert path.wealth[0] == 1.0
-        assert path.income[0] == 0.2
-        assert len(path.positions) == len(path.times) - 1
-        assert len(path.regimes) == len(path.times) - 1
+        paths = simulate_wealth(market, strat, 0.5, 1.0, 0.2, 1, 3, 16, RngStream(seed=5))
+        assert len(paths) == 3
+        for path in paths:
+            assert path.times[0] == 0.5
+            assert path.times[-1] == 2.0
+            assert path.wealth[0] == 1.0
+            assert path.income[0] == 0.2
+            assert len(path.wealth) == len(path.income) == len(path.times)
+            assert len(path.positions) == len(path.times) - 1
+            assert len(path.regimes) == len(path.times) - 1
+        # one path is the first of more
+        (single,) = simulate_wealth(market, strat, 0.5, 1.0, 0.2, 1, 1, 16, RngStream(seed=5))
+        for name in ("times", "wealth", "income", "regimes", "positions"):
+            assert np.array_equal(getattr(single, name), getattr(paths[0], name))
 
 
 class TestEvaluatePolicy:
