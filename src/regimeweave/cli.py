@@ -1064,8 +1064,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             if not 0 <= args.seed < 2**63:
                 raise ValidationError([f"--seed: must lie in [0, 2**63), got {args.seed}"])
             config = replace(config, seed=args.seed)
-        if args.paths is not None and args.paths < 2:
-            raise ValidationError([f"--paths: must be at least 2, got {args.paths}"])
+        # a single sample path is fine; a standard error needs two
+        floor = 1 if args.command == "simulate" else 2
+        if args.paths is not None and args.paths < floor:
+            raise ValidationError([f"--paths: must be at least {floor}, got {args.paths}"])
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "compose":

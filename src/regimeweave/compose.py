@@ -6,12 +6,17 @@ the marginal jump processes is introduced through a Gaussian copula on the
 short-horizon jump indicators, with the compound rate matrix recovered by
 finite-difference extrapolation.
 
+The copula needs the standard normal CDF and quantile; both come from the
+standard library (``math.erfc`` and ``statistics.NormalDist``), so the
+module depends on numpy alone.
+
 Compound state numbering puts the first component fastest: state ``(i, j)``
 maps to ``i + m * j``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,13 +37,13 @@ __all__ = [
     "marginalize",
     "bivariate_normal_cdf",
     "gaussian_copula",
-    "copula_joint_pmf",
 ]
 
 TWO_PI = 2.0 * np.pi
 
-# negative extrapolated rates beyond this magnitude abort composition;
-# anything smaller is roundoff and is clamped to zero
+# roundoff allowance on top of each rate's Richardson gap: negative
+# extrapolated rates beyond gap + clamp abort composition, smaller ones are
+# clamped to zero
 RATE_CLAMP = 1e-8
 
 
@@ -154,6 +159,11 @@ def compose_copula(
     probabilities divided by ``h``, and two step sizes are combined as
     ``2 r(h/2) - r(h)`` to cancel the O(h) bias from multiple jumps.
 
+    Both finite-horizon estimates are probabilities over ``h``, hence
+    nonnegative, so the extrapolation can fall below zero by at most its
+    own Richardson gap ``|r(h/2) - r(h)|``: a joint move that is rarer than
+    O(h) at negative correlation.  Such rates are clamped to zero.
+
     Only 2x2 marginals are supported: with more states the copula on hold
     indicators does not pin down which destination a joint jump selects.
 
@@ -162,32 +172,32 @@ def compose_copula(
     Unsupported
         If either marginal chain has more than two states.
     NonGenerator
-        If extrapolation leaves an off-diagonal rate below ``-1e-8``.
+        If an extrapolated off-diagonal rate is negative by more than its
+        Richardson gap plus ``RATE_CLAMP``.
     """
     if eps.n_states != 2 or zeta.n_states != 2:
         raise Unsupported(
             f"copula composition needs two-state marginals, got "
             f"{eps.n_states} and {zeta.n_states}"
         )
-    mapping = StateMapping(2, 2)
     h = copula.fd_step
-    q = 2.0 * _copula_rates(eps, zeta, copula.correlation, h / 2, mapping) - _copula_rates(
-        eps, zeta, copula.correlation, h, mapping
-    )
-
-    off = q.copy()
+    half, full = _copula_rates(eps, zeta, copula.correlation, np.array([h / 2, h]))
+    off = 2.0 * half - full
     np.fill_diagonal(off, 0.0)
-    worst = float(off.min())
-    if worst < -RATE_CLAMP:
+    gap = np.abs(half - full)
+    excess = -off - gap
+    if excess.max() > RATE_CLAMP:
+        s, t = divmod(int(np.argmax(excess)), 4)
         raise NonGenerator(
-            f"extrapolated rate {worst:.3e} is negative beyond the {RATE_CLAMP} clamp"
+            f"extrapolated rate {off[s, t]:.3e} from state {s} to {t} is negative beyond "
+            f"its Richardson gap {gap[s, t]:.3e} plus the {RATE_CLAMP} clamp"
         )
     off[off < 0] = 0.0
     np.fill_diagonal(off, -off.sum(axis=1))
     return CompoundChainSpec(
         eps=eps,
         zeta=zeta,
-        mapping=mapping,
+        mapping=StateMapping(2, 2),
         generator=validate_generator(off),
         method="copula",
         copula=copula,
@@ -195,26 +205,24 @@ def compose_copula(
 
 
 def _copula_rates(
-    eps: GeneratorMatrix,
-    zeta: GeneratorMatrix,
-    correlation: float,
-    h: float,
-    mapping: StateMapping,
+    eps: GeneratorMatrix, zeta: GeneratorMatrix, correlation: float, steps: NDArray[np.float64]
 ) -> NDArray[np.float64]:
-    """Finite-horizon rate estimates ``P_h / h`` for the copula coupling."""
-    lam_e = eps.exit_rates()
-    lam_z = zeta.exit_rates()
-    q = np.zeros((4, 4))
-    for j in range(2):
-        for i in range(2):
-            u = np.exp(-lam_e[i] * h)  # first chain holds
-            v = np.exp(-lam_z[j] * h)  # second chain holds
-            both_hold = float(gaussian_copula(u, v, correlation))
-            s = mapping.index(i, j)
-            q[s, mapping.index(1 - i, j)] = (v - both_hold) / h
-            q[s, mapping.index(i, 1 - j)] = (u - both_hold) / h
-            q[s, mapping.index(1 - i, 1 - j)] = (1.0 - u - v + both_hold) / h
-            q[s, s] = -(1.0 - both_hold) / h
+    """Finite-horizon rate estimates ``P_h / h``, one 4x4 matrix per step ``h``.
+
+    All copula values come from one ``gaussian_copula`` call.  State
+    ``s = i + 2 j`` moves the first coordinate at ``s ^ 1``, the second at
+    ``s ^ 2`` and both at ``s ^ 3``.
+    """
+    h = steps[:, None]
+    u = np.exp(-np.tile(eps.exit_rates(), 2) * h)  # first chain holds, [step, s]
+    v = np.exp(-np.repeat(zeta.exit_rates(), 2) * h)  # second chain holds
+    both_hold = gaussian_copula(u, v, correlation)
+    s = np.arange(4)
+    q = np.zeros((len(steps), 4, 4))
+    q[:, s, s ^ 1] = (v - both_hold) / h
+    q[:, s, s ^ 2] = (u - both_hold) / h
+    q[:, s, s ^ 3] = (1.0 - u - v + both_hold) / h
+    q[:, s, s] = -(1.0 - both_hold) / h
     return q
 
 
@@ -268,6 +276,45 @@ def marginalize(
 # ---------------------------------------------------------------------------
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+_SQRT1_2 = math.sqrt(0.5)
+
+
+def _ndtr_scalar(a: float) -> float:
+    # Cephes' ndtr: erf near the origin, erfc in the tails
+    x = a * _SQRT1_2
+    z = abs(x)
+    if z < _SQRT1_2:
+        return 0.5 + 0.5 * math.erf(x)
+    y = 0.5 * math.erfc(z)
+    return 1.0 - y if x > 0 else y
+
+
+_ndtr_ufunc = np.frompyfunc(_ndtr_scalar, 1, 1)
+
+
+def _ndtr(x):
+    """Standard normal CDF, elementwise."""
+    return np.asarray(_ndtr_ufunc(x), dtype=float)
+
+
+def _ndtri(p):
+    """Standard normal quantile, elementwise, with -inf at 0 and +inf at 1.
+
+    Wichura's AS241 as implemented by ``statistics.NormalDist.inv_cdf``.
+    """
+    from statistics import NormalDist
+
+    p = np.asarray(p, dtype=float)
+    if not np.all((p >= 0.0) & (p <= 1.0)):
+        raise ValueError("probabilities must lie in [0, 1]")
+    inv_cdf = NormalDist().inv_cdf
+
+    def quantile(q: float) -> float:
+        if q == 0.0:
+            return -math.inf
+        return math.inf if q == 1.0 else inv_cdf(q)
+
+    return np.asarray(np.frompyfunc(quantile, 1, 1)(p), dtype=float)
 
 
 def bivariate_normal_cdf(x, y, correlation: float):
@@ -278,8 +325,6 @@ def bivariate_normal_cdf(x, y, correlation: float):
     case when ``|correlation| > 0.925``; both branches are accurate to about
     5e-16.  Accepts array arguments broadcast against each other.
     """
-    from scipy.special import ndtr
-
     rho = float(correlation)
     if not -1.0 <= rho <= 1.0:
         raise ValueError(f"correlation must lie in [-1, 1], got {rho}")
@@ -292,8 +337,9 @@ def bivariate_normal_cdf(x, y, correlation: float):
     k = -np.clip(y, -38.0, 38.0)
     upper = _bvn_upper(h, k, rho)  # P(X > h, Y > k) = P(X <= x, Y <= y)
 
-    lo = np.maximum(0.0, ndtr(x) + ndtr(y) - 1.0)
-    hi = np.minimum(ndtr(x), ndtr(y))
+    px, py = _ndtr(x), _ndtr(y)
+    lo = np.maximum(0.0, px + py - 1.0)
+    hi = np.minimum(px, py)
     if np.any(upper < lo - 1e-10) or np.any(upper > hi + 1e-10):
         worst = float(np.max(np.maximum(lo - upper, upper - hi)))
         raise QuadratureFailure(f"probability outside admissible bounds by {worst:.3e}")
@@ -302,10 +348,8 @@ def bivariate_normal_cdf(x, y, correlation: float):
 
 def _bvn_upper(h, k, rho: float):
     """P(X > h, Y > k) for standard normals; h, k same-shape arrays."""
-    from scipy.special import ndtr
-
     if abs(rho) < 0.925:
-        base = ndtr(-h) * ndtr(-k)
+        base = _ndtr(-h) * _ndtr(-k)
         if rho == 0.0:
             return base
         # integrate the correlation derivative of the CDF from 0 to rho,
@@ -338,7 +382,7 @@ def _bvn_upper(h, k, rho: float):
         )
         mask = -hk < 100.0
         b = np.sqrt(bs)
-        tail = np.sqrt(TWO_PI) * ndtr(-b / a)
+        tail = np.sqrt(TWO_PI) * _ndtr(-b / a)
         bvn = bvn - np.where(
             mask,
             np.exp(np.where(mask, -hk / 2.0, 0.0))
@@ -361,10 +405,10 @@ def _bvn_upper(h, k, rho: float):
         bvn = bvn + half * (np.where(mask, integrand, 0.0) @ _GL_WEIGHTS)
         bvn = -bvn / TWO_PI
     if rho > 0:
-        return bvn + ndtr(-np.maximum(h, k))
+        return bvn + _ndtr(-np.maximum(h, k))
     adjust = np.where(
         k > h,
-        np.where(h < 0, ndtr(k) - ndtr(h), ndtr(-h) - ndtr(-k)),
+        np.where(h < 0, _ndtr(k) - _ndtr(h), _ndtr(-h) - _ndtr(-k)),
         0.0,
     )
     return adjust - bvn
@@ -372,44 +416,4 @@ def _bvn_upper(h, k, rho: float):
 
 def gaussian_copula(u, v, correlation: float):
     """Gaussian copula C(u, v) on the unit square."""
-    from scipy.special import ndtri
-
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if np.any((u < 0) | (u > 1)) or np.any((v < 0) | (v > 1)):
-        raise ValueError("copula arguments must lie in [0, 1]")
-    with np.errstate(divide="ignore"):  # ndtri(0) and ndtri(1) are signed infinities
-        return bivariate_normal_cdf(ndtri(u), ndtri(v), correlation)
-
-
-def copula_joint_pmf(counts_first, counts_second, mean_first: float, mean_second: float, correlation: float):
-    """Joint pmf of two Poisson counts coupled by a Gaussian copula.
-
-    The probability of the pair ``(y1, y2)`` is the copula volume of the
-    rectangle ``(F1(y1 - 1), F1(y1)] x (F2(y2 - 1), F2(y2)]`` where ``F``
-    are the Poisson CDFs.  Marginals are exactly Poisson for any
-    correlation; zero correlation reduces to the product pmf.
-    """
-    from scipy.special import pdtr
-
-    if mean_first <= 0 or mean_second <= 0:
-        raise ValueError("Poisson means must be positive")
-    y1 = np.asarray(counts_first)
-    y2 = np.asarray(counts_second)
-    if np.any(y1 < 0) or np.any(y2 < 0):
-        raise ValueError("counts must be nonnegative")
-    y1, y2 = np.broadcast_arrays(y1, y2)
-
-    f1_hi = pdtr(y1, mean_first)
-    f1_lo = np.where(y1 > 0, pdtr(np.maximum(y1 - 1, 0), mean_first), 0.0)
-    f2_hi = pdtr(y2, mean_second)
-    f2_lo = np.where(y2 > 0, pdtr(np.maximum(y2 - 1, 0), mean_second), 0.0)
-
-    pmf = (
-        gaussian_copula(f1_hi, f2_hi, correlation)
-        - gaussian_copula(f1_lo, f2_hi, correlation)
-        - gaussian_copula(f1_hi, f2_lo, correlation)
-        + gaussian_copula(f1_lo, f2_lo, correlation)
-    )
-    pmf = np.maximum(pmf, 0.0)  # rectangle volume; negatives are roundoff
-    return pmf if pmf.ndim else float(pmf)
+    return bivariate_normal_cdf(_ndtri(u), _ndtri(v), correlation)

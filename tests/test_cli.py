@@ -31,6 +31,7 @@ from regimeweave.portfolio import Strategy, evaluate_policy, optimal_strategy, u
 REPO = Path(__file__).resolve().parents[1]
 REFERENCE = str(REPO / "configs" / "reference.json")
 RHO_ZERO_CONFIG = str(REPO / "configs" / "rho_zero.json")
+COPULA_CONFIG = str(REPO / "configs" / "copula.json")
 
 
 def minimal_config() -> dict:
@@ -175,7 +176,7 @@ class TestLoadConfig:
 
 
 def test_import_and_load_config_leave_scipy_unimported():
-    # a fresh isolated interpreter: only copula composition may import scipy
+    # a fresh isolated interpreter: no config, copula ones included, needs scipy
     script = (
         "import sys\n"
         f"sys.path.insert(0, {str(REPO / 'src')!r})\n"
@@ -183,6 +184,7 @@ def test_import_and_load_config_leave_scipy_unimported():
         "from regimeweave.cli import load_config\n"
         f"load_config({REFERENCE!r})\n"
         f"load_config({RHO_ZERO_CONFIG!r})\n"
+        f"assert load_config({COPULA_CONFIG!r}).chain.method == 'copula'\n"
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
     done = subprocess.run(
@@ -360,6 +362,17 @@ class TestSimulate:
         code = main(["simulate", "--config", REFERENCE, "--out", str(tmp_path), "--i0", "9"])
         assert code == 2
 
+    def test_single_path(self, tmp_path):
+        args = ["simulate", "--config", REFERENCE, "--out", str(tmp_path), "--paths", "1"]
+        assert main(args) == 0
+        _, header, rows = read_csv(tmp_path / "paths.csv")
+        assert set(column(header, rows, "path")) == {"0"}
+
+    def test_zero_paths_is_config_error(self, tmp_path, capsys):
+        args = ["simulate", "--config", REFERENCE, "--out", str(tmp_path), "--paths", "0"]
+        assert main(args) == 2
+        assert "--paths: must be at least 1, got 0" in capsys.readouterr().err
+
     def test_fewer_paths_are_a_prefix(self, tmp_path):
         for n in ("3", "8"):
             args = ["simulate", "--config", REFERENCE, "--out", str(tmp_path / n), "--paths", n]
@@ -382,6 +395,13 @@ class TestSimulate:
         estimate = float(column(header, rows, "estimate")[0])
         gamma = load_config(REFERENCE).market.risk_aversion
         assert estimate == float(utility(np.array(list(terminal.values())), gamma).mean())
+
+
+@pytest.mark.parametrize("command", ["solve", "evaluate", "validate"])
+def test_standard_errors_need_two_paths(tmp_path, capsys, command):
+    args = [command, "--config", REFERENCE, "--out", str(tmp_path), "--paths", "1"]
+    assert main(args) == 2
+    assert "--paths: must be at least 2, got 1" in capsys.readouterr().err
 
 
 class TestEvaluate:

@@ -6,18 +6,23 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
-from scipy.special import ndtr
-from scipy.stats import multivariate_normal, poisson
+from scipy.special import ndtr, ndtri
+from scipy.stats import multivariate_normal
 
+from regimeweave import compose
 from regimeweave.compose import (
+    RATE_CLAMP,
     CompoundChainSpec,
     CopulaSpec,
+    NonGenerator,
     StateMapping,
     Unsupported,
+    _copula_rates,
+    _ndtr,
+    _ndtri,
     bivariate_normal_cdf,
     compose_copula,
     compose_independent,
-    copula_joint_pmf,
     gaussian_copula,
     kronecker_sum,
     marginalize,
@@ -30,6 +35,10 @@ from regimeweave.markov import (
 
 def two_state(rate_01: float, rate_10: float):
     return validate_generator([[-rate_01, rate_01], [rate_10, -rate_10]])
+
+
+REFERENCE_MARGINALS = ((0.5, 0.3), (0.2, 0.7))
+FAST_MARGINALS = ((30.0, 20.0), (8.0, 40.0))
 
 
 def random_generator(rng, n: int):
@@ -149,6 +158,37 @@ class TestKroneckerSum:
         assert_allclose(lhs, rhs, atol=1e-12)
 
 
+class TestNormalFunctions:
+    def test_cdf_matches_scipy(self):
+        x = np.concatenate([np.linspace(-37.5, 37.5, 20001), [-1 / np.sqrt(2), 1 / np.sqrt(2)]])
+        assert_allclose(_ndtr(x), ndtr(x), rtol=1e-13, atol=0)
+
+    def test_cdf_limits(self):
+        assert _ndtr(-np.inf) == 0.0
+        assert _ndtr(np.inf) == 1.0
+        assert _ndtr(0.0) == 0.5
+
+    def test_quantile_matches_scipy(self):
+        p = np.concatenate(
+            [
+                np.linspace(0.0, 1.0, 20001)[1:-1],
+                10.0 ** -np.linspace(1.0, 300.0, 600),
+                1.0 - 10.0 ** -np.linspace(1.0, 16.0, 300),
+            ]
+        )
+        assert_allclose(_ndtri(p), ndtri(p), rtol=2e-15, atol=0)
+
+    def test_quantile_endpoints_are_infinite(self):
+        assert _ndtri(0.0) == -np.inf
+        assert _ndtri(1.0) == np.inf
+        assert_allclose(_ndtri([0.0, 1.0]), [-np.inf, np.inf], rtol=0)
+
+    @pytest.mark.parametrize("p", [-1e-300, 1.0 + 1e-15, np.nan, [0.5, 2.0]])
+    def test_quantile_rejects_outside_unit_interval(self, p):
+        with pytest.raises(ValueError):
+            _ndtri(p)
+
+
 class TestBivariateNormalCdf:
     def test_zero_correlation_factorizes(self):
         rng = np.random.default_rng(8)
@@ -235,51 +275,6 @@ class TestGaussianCopula:
             gaussian_copula(1.2, 0.5, 0.0)
 
 
-class TestCopulaJointPmf:
-    def test_zero_correlation_is_product(self):
-        y = np.arange(12)
-        joint = copula_joint_pmf(y[:, None], y[None, :], 2.5, 4.0, 0.0)
-        product = np.outer(poisson.pmf(y, 2.5), poisson.pmf(y, 4.0))
-        assert_allclose(joint, product, atol=1e-13)
-
-    def test_marginals_exact_for_any_correlation(self):
-        y = np.arange(40)
-        for rho in (-0.8, 0.3, 0.95):
-            joint = copula_joint_pmf(y[:, None], y[None, :], 3.0, 1.5, rho)
-            assert joint.sum() == pytest.approx(1.0, abs=1e-10)
-            assert_allclose(joint.sum(axis=1), poisson.pmf(y, 3.0), atol=1e-10)
-            assert_allclose(joint.sum(axis=0), poisson.pmf(y, 1.5), atol=1e-10)
-
-    def test_comonotone_matches_min_coupling(self):
-        # at correlation 1 the pair is a monotone rearrangement: the mass on
-        # (y1, y2) is the overlap of the two CDF intervals
-        y = np.arange(15)
-        joint = copula_joint_pmf(y[:, None], y[None, :], 2.0, 3.5, 1.0)
-        f1 = poisson.cdf(y, 2.0)
-        f2 = poisson.cdf(y, 3.5)
-        f1_lo = np.concatenate([[0.0], f1[:-1]])
-        f2_lo = np.concatenate([[0.0], f2[:-1]])
-        overlap = np.maximum(
-            0.0,
-            np.minimum(f1[:, None], f2[None, :]) - np.maximum(f1_lo[:, None], f2_lo[None, :]),
-        )
-        assert_allclose(joint, overlap, atol=1e-12)
-
-    def test_correlation_sign_moves_covariance(self):
-        y = np.arange(30)
-        lam1, lam2 = 2.0, 3.0
-        for rho, sign in ((0.6, 1.0), (-0.6, -1.0)):
-            joint = copula_joint_pmf(y[:, None], y[None, :], lam1, lam2, rho)
-            ey1y2 = float((y[:, None] * y[None, :] * joint).sum())
-            assert sign * (ey1y2 - lam1 * lam2) > 0.05
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            copula_joint_pmf(1, 1, -2.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            copula_joint_pmf(-1, 1, 2.0, 1.0, 0.0)
-
-
 class TestComposeCopula:
     def test_zero_correlation_recovers_independent(self):
         eps = two_state(0.5, 0.3)
@@ -347,3 +342,79 @@ class TestComposeCopula:
         assert isinstance(spec, CompoundChainSpec)
         assert spec.eps is eps and spec.zeta is zeta
         assert spec.copula.correlation == 0.25
+
+    def test_vectorized_rates_equal_scalar_copula_loop(self):
+        # one gaussian_copula call over every state and step == one call per pair
+        rng = np.random.default_rng(13)
+        steps = np.array([5e-5, 1e-4])
+        for _ in range(40):
+            eps = two_state(*10.0 ** rng.uniform(-2, 2, size=2))
+            zeta = two_state(*10.0 ** rng.uniform(-2, 2, size=2))
+            for rho in (rng.uniform(-1, 1), -1.0, 0.0, 0.95, 1.0):
+                loop = np.zeros((2, 4, 4))
+                for t, h in enumerate(steps):
+                    for j in range(2):
+                        for i in range(2):
+                            u = np.exp(-eps.exit_rates()[i] * h)
+                            v = np.exp(-zeta.exit_rates()[j] * h)
+                            both_hold = float(gaussian_copula(u, v, rho))
+                            s = i + 2 * j
+                            loop[t, s, s ^ 1] = (v - both_hold) / h
+                            loop[t, s, s ^ 2] = (u - both_hold) / h
+                            loop[t, s, s ^ 3] = (1.0 - u - v + both_hold) / h
+                            loop[t, s, s] = -(1.0 - both_hold) / h
+                assert np.array_equal(_copula_rates(eps, zeta, rho, steps), loop)
+                expected = np.maximum(2.0 * loop[0] - loop[1], 0.0)
+                np.fill_diagonal(expected, 0.0)
+                np.fill_diagonal(expected, -expected.sum(axis=1))
+                rates = compose_copula(eps, zeta, CopulaSpec(rho, fd_step=1e-4)).generator.rates
+                assert np.array_equal(rates, expected)
+
+    @pytest.mark.parametrize(
+        "marginals, rho",
+        [
+            (REFERENCE_MARGINALS, -0.1),
+            (REFERENCE_MARGINALS, -0.3),
+            (FAST_MARGINALS, -0.1),
+            (FAST_MARGINALS, -0.3),
+            (FAST_MARGINALS, -0.6),
+        ],
+    )
+    def test_negative_correlation_within_richardson_gap(self, marginals, rho):
+        # a joint move rarer than O(h) extrapolates below zero, by less than
+        # its own Richardson gap; it is clamped instead of rejected
+        eps, zeta = (two_state(*rates) for rates in marginals)
+        h = CopulaSpec(rho).fd_step
+        half, full = _copula_rates(eps, zeta, rho, np.array([h / 2, h]))
+        extrapolated = 2.0 * half - full
+        np.fill_diagonal(extrapolated, 0.0)
+        clamped = -extrapolated.min()
+        assert clamped > RATE_CLAMP
+        assert np.all(-extrapolated <= np.abs(half - full))
+
+        spec = compose_copula(eps, zeta, CopulaSpec(rho))
+        q = spec.generator.rates
+        assert_allclose(q.sum(axis=1), 0.0, atol=1e-12 * np.abs(q).max())
+        off = q.copy()
+        np.fill_diagonal(off, 0.0)
+        assert off.min() >= 0.0
+
+        # marginals: the Richardson-extrapolated exit rates, up to the clamp
+        back = marginalize(spec.generator, spec.mapping, atol=clamped + 1e-9)
+        for chain, recovered in zip((eps, zeta), back):
+            rate = chain.exit_rates()
+            expected = 2.0 * -np.expm1(-rate * h / 2) / (h / 2) + np.expm1(-rate * h) / h
+            assert_allclose(recovered.exit_rates(), expected, rtol=0, atol=clamped + 1e-9)
+
+    def test_negative_rate_beyond_its_gap_raises(self, monkeypatch):
+        real = compose._copula_rates
+
+        def corrupted(eps, zeta, correlation, steps):
+            q = real(eps, zeta, correlation, steps)
+            q[0, 0, 3] = -1e-3  # a negative joint-jump probability at h/2
+            return q
+
+        monkeypatch.setattr(compose, "_copula_rates", corrupted)
+        eps, zeta = (two_state(*rates) for rates in REFERENCE_MARGINALS)
+        with pytest.raises(NonGenerator, match="from state 0 to 3"):
+            compose_copula(eps, zeta, CopulaSpec(0.6))
