@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -94,12 +95,9 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class RunReport:
-    """Artifact manifest for one subcommand run.
-
-    Wall-clock timings are carried for operator feedback on stderr but are
-    kept out of the persisted report file so reruns with the same config
-    and seed are byte-identical.
-    """
+    """Artifact manifest for one subcommand run, persisted as
+    ``<command>_report.json``: the inputs, each output file with its
+    provenance, and the headline results."""
 
     command: str
     config_hash: str
@@ -108,7 +106,6 @@ class RunReport:
     outputs: dict
     provenance: dict
     results: dict
-    timings: dict
 
 
 # ---------------------------------------------------------------------------
@@ -385,22 +382,51 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, comments: Sequence[str], columns: Sequence[str], rows) -> None:
-    with open(path, "w", newline="") as stream:
-        for line in comments:
-            stream.write(f"# {line}\n")
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+class _Artifacts:
+    """Writes one subcommand's files into ``out_dir`` and records each file's
+    name and provenance under its key for the run report."""
 
+    def __init__(self, command: str, config: ModelConfig, out_dir: Path):
+        self.command = command
+        self.config = config
+        self.out_dir = out_dir
+        self.outputs: dict[str, str] = {}
+        self.provenance: dict[str, str] = {}
 
-def _comments(config: ModelConfig, units: str, provenance: str) -> list[str]:
-    return [
-        f"units: {units}",
-        f"provenance: {provenance}",
-        f"config: {config.config_hash} seed: {config.seed}",
-    ]
+    def _record(self, key: str, name: str, provenance: str) -> Path:
+        self.outputs[key] = name
+        self.provenance[key] = provenance
+        return self.out_dir / name
+
+    def table(self, key, units, provenance, columns, rows, name=None) -> None:
+        """Write ``<key>.csv`` (or ``name``) under units, provenance, config and seed comments."""
+        path = self._record(key, name or f"{key}.csv", provenance)
+        with open(path, "w", newline="") as stream:
+            stream.write(f"# units: {units}\n# provenance: {provenance}\n")
+            stream.write(f"# config: {self.config.config_hash} seed: {self.config.seed}\n")
+            writer = csv.writer(stream, lineterminator="\n")
+            writer.writerow(columns)
+            for row in rows:
+                writer.writerow([_cell(v) for v in row])
+
+    def json(self, key: str, name: str, value) -> None:
+        """Write a closed-form JSON artifact."""
+        self._record(key, name, "closed-form").write_text(_json_text(value) + "\n")
+
+    def report(self, results: dict, **inputs) -> RunReport:
+        """Write ``<command>_report.json``, which lists itself, and return it."""
+        path = self._record("report", f"{self.command}_report.json", "closed-form")
+        report = RunReport(
+            command=self.command,
+            config_hash=self.config.config_hash,
+            seed=self.config.seed,
+            inputs={"config": self.config.document, **inputs},
+            outputs=self.outputs,
+            provenance=self.provenance,
+            results=results,
+        )
+        path.write_text(_json_text(vars(report)) + "\n")
+        return report
 
 
 def _state_labels(n_states: int, mapping) -> list[str]:
@@ -417,26 +443,18 @@ def _matrix_rows(labels, matrix):
     return [[labels[i], *matrix[i]] for i in range(len(labels))]
 
 
-def _persist_report(report: RunReport, out_dir: Path) -> None:
-    payload = {
-        "command": report.command,
-        "config_hash": report.config_hash,
-        "seed": report.seed,
-        "inputs": report.inputs,
-        "outputs": report.outputs,
-        "provenance": report.provenance,
-        "results": report.results,
-    }
-    (out_dir / f"{report.command}_report.json").write_text(_json_text(payload) + "\n")
-
-
 def _sim_steps(config: ModelConfig) -> int:
     dt = config.dt if config.dt is not None else config.market.horizon / 256.0
     return max(2, math.ceil(config.market.horizon / dt))
 
 
+def _check_regime(market: MarketModel, regime: int) -> None:
+    if not 0 <= regime < market.n_regimes:
+        raise ValidationError([f"i0: regime index must lie in [0, {market.n_regimes})"])
+
+
 def parse_grid(text: str) -> list[np.ndarray]:
-    """Parse ``start:stop:count`` axis specs separated by commas."""
+    """Parse at most three ``start:stop:count`` axis specs separated by commas."""
     axes = []
     for part in text.split(","):
         fields = part.split(":")
@@ -448,8 +466,24 @@ def parse_grid(text: str) -> list[np.ndarray]:
             raise ParseError(f"grid axis {part!r}: {exc}") from exc
         if count < 1:
             raise ParseError(f"grid axis {part!r}: count must be at least 1")
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise ParseError(f"--grid axis {part!r}: start and stop must be finite")
         axes.append(np.linspace(start, stop, count))
+    if len(axes) > 3:
+        raise ParseError("--grid accepts at most three axes: t, x, y")
     return axes
+
+
+def _parse_levels(text: str) -> list[float]:
+    """Parse the comma-separated constant positions of ``--compare``."""
+    try:
+        levels = [float(part) for part in text.split(",") if part.strip()]
+    except ValueError as exc:
+        raise ParseError(f"--compare: {exc}") from exc
+    for level in levels:
+        if not math.isfinite(level):
+            raise ParseError(f"--compare: positions must be finite, got {level}")
+    return levels
 
 
 # ---------------------------------------------------------------------------
@@ -458,85 +492,31 @@ def parse_grid(text: str) -> list[np.ndarray]:
 
 def cmd_compose(config: ModelConfig, out_dir: Path) -> RunReport:
     """Emit the compound generator, embedded chain, and stationary law."""
-    started = time.perf_counter()
+    out = _Artifacts("compose", config, out_dir)
     generator = config.generator
     labels = _state_labels(generator.n_states, config.mapping)
-    embedded = embedded_chain(generator)
-    stationary = stationary_distribution(generator)
     method = config.chain.method if config.chain is not None else "direct"
+    stationary = stationary_distribution(generator)
+    header = ["state", *labels]
 
-    outputs = {
-        "compound_generator_json": "compound_generator.json",
-        "compound_generator_csv": "compound_generator.csv",
-        "embedded_chain": "embedded_chain.csv",
-        "stationary_distribution": "stationary_distribution.csv",
-    }
-    provenance = {name: "closed-form" for name in outputs}
-    (out_dir / "compound_generator.json").write_text(
-        _json_text(
-            {
-                "config": config.config_hash,
-                "labels": labels,
-                "method": method,
-                "n_states": generator.n_states,
-                "provenance": "closed-form",
-                "rates": generator.rates,
-            }
-        )
-        + "\n"
-    )
-    _write_csv(
-        out_dir / "compound_generator.csv",
-        _comments(config, "off-diagonal entries are jump rates per unit time", "closed-form"),
-        ["state", *labels],
-        _matrix_rows(labels, generator.rates),
-    )
-    _write_csv(
-        out_dir / "embedded_chain.csv",
-        _comments(config, "jump-destination probabilities, dimensionless", "closed-form"),
-        ["state", *labels],
-        _matrix_rows(labels, embedded.probs),
-    )
-    _write_csv(
-        out_dir / "stationary_distribution.csv",
-        _comments(config, "long-run occupancy probabilities, dimensionless", "closed-form"),
-        ["state", "probability"],
-        [[labels[k], stationary[k]] for k in range(generator.n_states)],
-    )
-    results = {
-        "method": method,
-        "n_states": generator.n_states,
-        "stationary_distribution": stationary,
-    }
+    out.json("compound_generator_json", "compound_generator.json", {
+        "config": config.config_hash, "labels": labels, "method": method,
+        "n_states": generator.n_states, "provenance": "closed-form", "rates": generator.rates,
+    })
+    out.table("compound_generator_csv", "off-diagonal entries are jump rates per unit time",
+              "closed-form", header, _matrix_rows(labels, generator.rates),
+              name="compound_generator.csv")
+    out.table("embedded_chain", "jump-destination probabilities, dimensionless", "closed-form",
+              header, _matrix_rows(labels, embedded_chain(generator).probs))
+    out.table("stationary_distribution", "long-run occupancy probabilities, dimensionless",
+              "closed-form", ["state", "probability"], zip(labels, stationary))
+    results = {"method": method, "n_states": generator.n_states, "stationary_distribution": stationary}
     if config.chain is not None and method == "copula":
-        independent = compose_independent(config.chain.eps, config.chain.zeta)
-        diff = generator.rates - independent.generator.rates
-        _write_csv(
-            out_dir / "independent_diff.csv",
-            _comments(
-                config, "copula minus independent compound rates per unit time", "closed-form"
-            ),
-            ["state", *labels],
-            _matrix_rows(labels, diff),
-        )
-        outputs["independent_diff"] = "independent_diff.csv"
-        provenance["independent_diff"] = "closed-form"
+        diff = generator.rates - compose_independent(config.chain.eps, config.chain.zeta).generator.rates
+        out.table("independent_diff", "copula minus independent compound rates per unit time",
+                  "closed-form", header, _matrix_rows(labels, diff))
         results["max_abs_rate_diff"] = float(np.max(np.abs(diff)))
-
-    outputs["report"] = "compose_report.json"
-    provenance["report"] = "closed-form"
-    report = RunReport(
-        command="compose",
-        config_hash=config.config_hash,
-        seed=config.seed,
-        inputs={"config": config.document},
-        outputs=outputs,
-        provenance=provenance,
-        results=results,
-        timings={"total": time.perf_counter() - started},
-    )
-    _persist_report(report, out_dir)
-    return report
+    return out.report(results)
 
 
 def cmd_solve(
@@ -551,14 +531,12 @@ def cmd_solve(
     estimates the wealth-free value factor by Monte Carlo on a (t, y)
     grid instead, regime by regime.
     """
-    started = time.perf_counter()
+    out = _Artifacts("solve", config, out_dir)
     market = config.market
     horizon = market.horizon
     n_regimes = market.n_regimes
     labels = _state_labels(n_regimes, config.mapping)
     axes = grid if grid is not None else []
-    if len(axes) > 3:
-        raise ParseError("--grid accepts at most three axes: t, x, y")
     t_axis = axes[0] if len(axes) > 0 else np.linspace(0.0, 0.9 * horizon, 5)
     x_axis = axes[1] if len(axes) > 1 else np.linspace(0.0, 2.0, 5)
     y_axis = axes[2] if len(axes) > 2 else np.linspace(-1.0, 1.0, 5)
@@ -568,115 +546,51 @@ def cmd_solve(
     if not np.all((t_axis >= 0.0) & below):
         raise ParseError(f"grid: t values must lie in [0, {horizon:g}{']' if closed else ')'}")
     curve_t = np.linspace(0.0, horizon, 201)
+    utility_units = "expected terminal utility, dimensionless"
 
     loading = solve_income_loading(market)
-    outputs = {"income_loading": "income_loading.csv", "strategy": "strategy.csv"}
-    provenance = {"income_loading": "closed-form", "strategy": "closed-form"}
-    _write_csv(
-        out_dir / "income_loading.csv",
-        _comments(config, "t in time units; m is the exponent loading per unit income", "closed-form"),
-        ["t", "m"],
-        zip(curve_t, loading.value(curve_t)),
-    )
-
-    strategy_columns = ["t"]
-    for label in labels:
-        strategy_columns += [f"merton[{label}]", f"hedge[{label}]", f"total[{label}]"]
+    out.table("income_loading", "t in time units; m is the exponent loading per unit income",
+              "closed-form", ["t", "m"], zip(curve_t, loading.value(curve_t)))
     merton = np.column_stack([merton_weight(market, curve_t, k) for k in range(n_regimes)])
     hedge = np.column_stack([hedge_weight(market, curve_t, k) for k in range(n_regimes)])
-    strategy_rows = []
-    for i, t in enumerate(curve_t):
-        row = [t]
-        for k in range(n_regimes):
-            row += [merton[i, k], hedge[i, k], merton[i, k] + hedge[i, k]]
-        strategy_rows.append(row)
-    _write_csv(
-        out_dir / "strategy.csv",
-        _comments(config, "money units held in the stock", "closed-form"),
-        strategy_columns,
-        strategy_rows,
-    )
+    weights = np.stack([merton, hedge, merton + hedge], axis=-1).reshape(len(curve_t), -1)
+    columns = [f"{part}[{label}]" for label in labels for part in ("merton", "hedge", "total")]
+    out.table("strategy", "money units held in the stock", "closed-form", ["t", *columns],
+              np.column_stack([curve_t, weights]))
 
     results = {"case": config.case, "m_at_0": float(loading.value(0.0))}
-    if config.case == NORMAL_INCOME:
+    if closed:
         factors = solve_regime_factors(market, n_steps=config.n_steps)
-        _write_csv(
-            out_dir / "regime_factors.csv",
-            _comments(config, "dimensionless multiplicative value factors", "ODE"),
-            ["t", *[f"h[{label}]" for label in labels]],
-            [[t, *row] for t, row in zip(curve_t, factors.value(curve_t))],
-        )
-        outputs["regime_factors"] = "regime_factors.csv"
-        provenance["regime_factors"] = "ODE"
+        out.table("regime_factors", "dimensionless multiplicative value factors", "ODE",
+                  ["t", *[f"h[{label}]" for label in labels]],
+                  [[t, *row] for t, row in zip(curve_t, factors.value(curve_t))])
         value = value_function(market, factors=factors)
         mesh = np.meshgrid(t_axis, x_axis, y_axis, indexing="ij")
         values = np.stack([value(*mesh, k) for k in range(n_regimes)], axis=-1)
-        value_rows = []
-        for i, t in enumerate(t_axis):
-            for j, x in enumerate(x_axis):
-                for m, y in enumerate(y_axis):
-                    for k in range(n_regimes):
-                        value_rows.append([t, x, y, labels[k], values[i, j, m, k]])
-        _write_csv(
-            out_dir / "value_grid.csv",
-            _comments(config, "expected terminal utility, dimensionless", "ODE"),
-            ["t", "x", "y", "regime", "value"],
-            value_rows,
-        )
-        outputs["value_grid"] = "value_grid.csv"
-        provenance["value_grid"] = "ODE"
+        points = itertools.product(t_axis, x_axis, y_axis, labels)
+        out.table("value_grid", utility_units, "ODE", ["t", "x", "y", "regime", "value"],
+                  [[*point, v] for point, v in zip(points, values.ravel())])
         results["h_at_0"] = factors.value(0.0)
     else:
         n_mc = n_paths if n_paths is not None else config.n_paths
         n_sim = _sim_steps(config)
         gamma = market.risk_aversion
         factor_rows, value_rows = [], []
-        point = 0
-        for t in t_axis:
+        points = itertools.product(t_axis, y_axis, range(n_regimes))
+        for point, (t, y, k) in enumerate(points):
+            rng = RngStream(config.seed, point * n_mc)
+            est = estimate_value_factor(market, t, y, k, n_mc, n_sim, rng)
+            factor_rows.append([t, y, labels[k], est.value, est.stderr, est.n_paths])
             growth = math.exp(market.rate * (horizon - t))
-            for y in y_axis:
-                for k in range(n_regimes):
-                    rng = RngStream(config.seed, point * n_mc)
-                    point += 1
-                    est = estimate_value_factor(market, t, y, k, n_mc, n_sim, rng)
-                    factor_rows.append([t, y, labels[k], est.value, est.stderr, est.n_paths])
-                    for x in x_axis:
-                        scale = -math.exp(-gamma * x * growth) / gamma
-                        value_rows.append(
-                            [t, x, y, labels[k], scale * est.value, abs(scale) * est.stderr]
-                        )
-        _write_csv(
-            out_dir / "value_factor_mc.csv",
-            _comments(config, "dimensionless wealth-free value factors", "MC±stderr"),
-            ["t", "y", "regime", "estimate", "stderr", "n_paths"],
-            factor_rows,
-        )
-        outputs["value_factor_mc"] = "value_factor_mc.csv"
-        provenance["value_factor_mc"] = "MC±stderr"
-        _write_csv(
-            out_dir / "value_grid.csv",
-            _comments(config, "expected terminal utility, dimensionless", "MC±stderr"),
-            ["t", "x", "y", "regime", "value", "stderr"],
-            value_rows,
-        )
-        outputs["value_grid"] = "value_grid.csv"
-        provenance["value_grid"] = "MC±stderr"
+            for x in x_axis:
+                scale = -math.exp(-gamma * x * growth) / gamma
+                value_rows.append([t, x, y, labels[k], scale * est.value, abs(scale) * est.stderr])
+        out.table("value_factor_mc", "dimensionless wealth-free value factors", "MC±stderr",
+                  ["t", "y", "regime", "estimate", "stderr", "n_paths"], factor_rows)
+        out.table("value_grid", utility_units, "MC±stderr",
+                  ["t", "x", "y", "regime", "value", "stderr"], value_rows)
         results["n_paths"] = n_mc
-
-    outputs["report"] = "solve_report.json"
-    provenance["report"] = "closed-form"
-    report = RunReport(
-        command="solve",
-        config_hash=config.config_hash,
-        seed=config.seed,
-        inputs={"config": config.document},
-        outputs=outputs,
-        provenance=provenance,
-        results=results,
-        timings={"total": time.perf_counter() - started},
-    )
-    _persist_report(report, out_dir)
-    return report
+    return out.report(results)
 
 
 def cmd_simulate(
@@ -688,16 +602,15 @@ def cmd_simulate(
     n_paths: int | None = None,
 ) -> RunReport:
     """Emit sample (wealth, income, regime) paths under the optimal strategy."""
-    started = time.perf_counter()
+    out = _Artifacts("simulate", config, out_dir)
     market = config.market
-    if not 0 <= regime < market.n_regimes:
-        raise ValidationError([f"i0: regime index must lie in [0, {market.n_regimes})"])
+    _check_regime(market, regime)
     strategy = optimal_strategy(market, config.case)
     n = n_paths if n_paths is not None else min(config.n_paths, 16)
     n_sim = _sim_steps(config)
     labels = _state_labels(market.n_regimes, config.mapping)
 
-    rows, terminal = [], []
+    rows = []
     paths = simulate_wealth(
         market, strategy, 0.0, wealth_start, income_start, regime, n, n_sim, RngStream(config.seed, 0)
     )
@@ -708,41 +621,17 @@ def cmd_simulate(
             held = path.regimes[min(k, len(path.regimes) - 1)]
             position = path.positions[k] if k < len(path.positions) else ""
             rows.append([j, t, path.wealth[k], path.income[k], labels[held], position])
-        terminal.append(path.wealth[-1])
-    _write_csv(
-        out_dir / "paths.csv",
-        _comments(
-            config,
-            "t in time units; wealth, income, position in money units",
-            "MC sample paths (exact conditional scheme)",
-        ),
-        ["path", "t", "wealth", "income", "regime", "position"],
-        rows,
-    )
-    terminal = np.asarray(terminal)
-    report = RunReport(
-        command="simulate",
-        config_hash=config.config_hash,
-        seed=config.seed,
-        inputs={
-            "config": config.document,
-            "i0": regime,
-            "n_paths": n,
-            "x0": wealth_start,
-            "y0": income_start,
-        },
-        outputs={"paths": "paths.csv", "report": "simulate_report.json"},
-        provenance={"paths": "MC sample paths (exact conditional scheme)", "report": "closed-form"},
-        results={
-            "n_paths": n,
-            "terminal_wealth_max": float(terminal.max()),
-            "terminal_wealth_mean": float(terminal.mean()),
-            "terminal_wealth_min": float(terminal.min()),
-        },
-        timings={"total": time.perf_counter() - started},
-    )
-    _persist_report(report, out_dir)
-    return report
+    out.table("paths", "t in time units; wealth, income, position in money units",
+              "MC sample paths (exact conditional scheme)",
+              ["path", "t", "wealth", "income", "regime", "position"], rows)
+    terminal = np.array([path.wealth[-1] for path in paths])
+    results = {
+        "n_paths": n,
+        "terminal_wealth_max": float(terminal.max()),
+        "terminal_wealth_mean": float(terminal.mean()),
+        "terminal_wealth_min": float(terminal.min()),
+    }
+    return out.report(results, i0=regime, n_paths=n, x0=wealth_start, y0=income_start)
 
 
 def cmd_evaluate(
@@ -755,10 +644,9 @@ def cmd_evaluate(
     n_paths: int | None = None,
 ) -> RunReport:
     """Score the optimal strategy and constant comparisons on common paths."""
-    started = time.perf_counter()
+    out = _Artifacts("evaluate", config, out_dir)
     market = config.market
-    if not 0 <= regime < market.n_regimes:
-        raise ValidationError([f"i0: regime index must lie in [0, {market.n_regimes})"])
+    _check_regime(market, regime)
     bundle = build_solution(market, config.case, n_steps=config.n_steps)
     predicted = float(bundle.value(0.0, wealth_start, income_start, regime))
     n = n_paths if n_paths is not None else config.n_paths
@@ -776,31 +664,12 @@ def cmd_evaluate(
     for (name, _), est in zip(policies, estimates):
         rows.append([name, est.value, est.stderr, est.n_paths, predicted, est.value - predicted])
         scored[name] = {"estimate": est.value, "stderr": est.stderr}
-    _write_csv(
-        out_dir / "evaluation.csv",
-        _comments(config, "expected terminal utility, dimensionless", "MC±stderr"),
-        ["policy", "estimate", "stderr", "n_paths", "predicted_value", "gap"],
-        rows,
+    out.table("evaluation", "expected terminal utility, dimensionless", "MC±stderr",
+              ["policy", "estimate", "stderr", "n_paths", "predicted_value", "gap"], rows)
+    return out.report(
+        {"policies": scored, "predicted_value": predicted},
+        comparisons=list(comparisons), i0=regime, n_paths=n, x0=wealth_start, y0=income_start,
     )
-    report = RunReport(
-        command="evaluate",
-        config_hash=config.config_hash,
-        seed=config.seed,
-        inputs={
-            "config": config.document,
-            "comparisons": list(comparisons),
-            "i0": regime,
-            "n_paths": n,
-            "x0": wealth_start,
-            "y0": income_start,
-        },
-        outputs={"evaluation": "evaluation.csv", "report": "evaluate_report.json"},
-        provenance={"evaluation": "MC±stderr", "report": "closed-form"},
-        results={"policies": scored, "predicted_value": predicted},
-        timings={"total": time.perf_counter() - started},
-    )
-    _persist_report(report, out_dir)
-    return report
 
 
 def _constant_strategy(level: float) -> Strategy:
@@ -819,54 +688,37 @@ def _validate_stream_id(check: str, regime: int = 0) -> int:
 
 def cmd_validate(config: ModelConfig, out_dir: Path, n_paths: int | None = None) -> RunReport:
     """Run the cross-check battery and emit pass/fail rows with margins."""
-    started = time.perf_counter()
+    out = _Artifacts("validate", config, out_dir)
     market = config.market
     n_mc = n_paths if n_paths is not None else min(config.n_paths, 20000)
     n_sim = _sim_steps(config)
-    checks: list[tuple[str, str, float, float, str]] = []
+    rows, summary = [], {}
+
+    def check(name, provenance, margin, tolerance, detail):
+        status = "pass" if margin <= tolerance else "fail"
+        rows.append([name, provenance, status, margin, tolerance, detail])
+        summary[name] = {"margin": margin, "status": status, "tolerance": tolerance}
 
     if config.chain is None:
-        checks.append(
-            ("kronecker_oracle", "closed-form", 0.0, 0.0, "skipped: compound generator given directly")
-        )
-        checks.append(
-            ("simultaneous_jumps_zero", "closed-form", 0.0, 0.0, "skipped: no component chains")
-        )
-        checks.append(
-            ("marginal_preservation", "closed-form", 0.0, 0.0, "skipped: no component chains")
-        )
+        for name, reason in (
+            ("kronecker_oracle", "compound generator given directly"),
+            ("simultaneous_jumps_zero", "no component chains"),
+            ("marginal_preservation", "no component chains"),
+        ):
+            check(name, "closed-form", 0.0, 0.0, f"skipped: {reason}")
     else:
         eps, zeta = config.chain.eps, config.chain.zeta
         independent = compose_independent(eps, zeta)
         oracle = _loop_kronecker(eps.rates, zeta.rates)
         scale = max(np.max(np.abs(eps.rates)), np.max(np.abs(zeta.rates)))
-        checks.append(
-            (
-                "kronecker_oracle",
-                "closed-form",
-                float(np.max(np.abs(independent.generator.rates - oracle))),
-                1e-13 * scale,
-                "independent composition vs loop-built Kronecker sum",
-            )
-        )
-        checks.append(
-            (
-                "simultaneous_jumps_zero",
-                "closed-form",
-                _simultaneous_mass(independent),
-                0.0,
-                "rates where both components would jump at once",
-            )
-        )
-        checks.append(
-            (
-                "marginal_preservation",
-                "closed-form",
-                max(_marginal_gap(independent, t) for t in (0.1, 1.0, 5.0)),
-                1e-10,
-                "compound time-t law marginalized vs component laws at t in {0.1, 1, 5}",
-            )
-        )
+        check("kronecker_oracle", "closed-form",
+              float(np.max(np.abs(independent.generator.rates - oracle))), 1e-13 * scale,
+              "independent composition vs loop-built Kronecker sum")
+        check("simultaneous_jumps_zero", "closed-form", _simultaneous_mass(independent), 0.0,
+              "rates where both components would jump at once")
+        check("marginal_preservation", "closed-form",
+              max(_marginal_gap(independent, t) for t in (0.1, 1.0, 5.0)), 1e-10,
+              "compound time-t law marginalized vs component laws at t in {0.1, 1, 5}")
 
     factors = solve_regime_factors(market, n_steps=config.n_steps)
     worst = 0.0
@@ -875,15 +727,8 @@ def cmd_validate(config: ModelConfig, out_dir: Path, n_paths: int | None = None)
             market, 0.0, regime, n_mc, RngStream(config.seed, _validate_stream_id("factor", regime))
         )
         worst = max(worst, abs(est.value - float(factors.value(0.0, regime))) / est.stderr)
-    checks.append(
-        (
-            "h_mc_vs_ode",
-            "MC±stderr",
-            worst,
-            4.0,
-            f"regime factors at t=0, {n_mc} paths per regime, gap in stderr units",
-        )
-    )
+    check("h_mc_vs_ode", "MC±stderr", worst, 4.0,
+          f"regime factors at t=0, {n_mc} paths per regime, gap in stderr units")
 
     value = value_function(market, factors=factors)
     strategy = optimal_strategy(market, config.case)
@@ -892,32 +737,17 @@ def cmd_validate(config: ModelConfig, out_dir: Path, n_paths: int | None = None)
         RngStream(config.seed, _validate_stream_id("policy")),
     )
     predicted = float(value(0.0, 1.0, 0.0, 0))
-    checks.append(
-        (
-            "policy_vs_value",
-            "MC±stderr",
-            abs(est.value - predicted) / est.stderr,
-            4.0,
-            f"optimal-policy score vs value prediction, {n_mc} paths, gap in stderr units",
-        )
-    )
+    check("policy_vs_value", "MC±stderr", abs(est.value - predicted) / est.stderr, 4.0,
+          f"optimal-policy score vs value prediction, {n_mc} paths, gap in stderr units")
 
     ratio = 0.0
-    for t in np.linspace(0.05 * market.horizon, 0.95 * market.horizon, 3):
-        for x in (0.0, 1.0, 2.0):
-            for y in (-0.5, 0.0, 0.5):
-                for regime in range(market.n_regimes):
-                    residual = hjb_residual(market, value, t, x, y, regime)
-                    ratio = max(ratio, abs(residual) / (1.0 + abs(value(t, x, y, regime))))
-    checks.append(
-        (
-            "hjb_residual",
-            "ODE",
-            ratio,
-            1e-4,
-            "max |residual| / (1 + |V|) over a 3x3x3 grid and all regimes",
-        )
-    )
+    times = np.linspace(0.05 * market.horizon, 0.95 * market.horizon, 3)
+    grid = itertools.product(times, (0.0, 1.0, 2.0), (-0.5, 0.0, 0.5), range(market.n_regimes))
+    for t, x, y, regime in grid:
+        residual = hjb_residual(market, value, t, x, y, regime)
+        ratio = max(ratio, abs(residual) / (1.0 + abs(value(t, x, y, regime))))
+    check("hjb_residual", "ODE", ratio, 1e-4,
+          "max |residual| / (1 + |V|) over a 3x3x3 grid and all regimes")
 
     market_rho0 = replace(market, correlation=0.0)
     hedge_mass = max(
@@ -925,52 +755,21 @@ def cmd_validate(config: ModelConfig, out_dir: Path, n_paths: int | None = None)
         for t in np.linspace(0.0, market.horizon, 7)
         for regime in range(market.n_regimes)
     )
-    checks.append(
-        ("rho_zero_hedge", "closed-form", hedge_mass, 0.0, "hedge position with correlation forced to 0")
-    )
+    check("rho_zero_hedge", "closed-form", hedge_mass, 0.0,
+          "hedge position with correlation forced to 0")
     est0 = estimate_value_mc(
         market_rho0, 0.0, 1.0, 0.2, 0, n_mc, n_sim,
         RngStream(config.seed, _validate_stream_id("rho0")),
     )
     predicted0 = float(value_function(market_rho0, n_steps=config.n_steps)(0.0, 1.0, 0.2, 0))
-    checks.append(
-        (
-            "rho_zero_value",
-            "MC±stderr",
-            abs(est0.value - predicted0) / est0.stderr,
-            4.0,
-            f"sampled vs deterministic value at zero correlation, {n_mc} paths, stderr units",
-        )
-    )
+    check("rho_zero_value", "MC±stderr", abs(est0.value - predicted0) / est0.stderr, 4.0,
+          f"sampled vs deterministic value at zero correlation, {n_mc} paths, stderr units")
 
-    rows, summary, n_failed = [], {}, 0
-    for name, source, margin, tolerance, detail in checks:
-        passed = margin <= tolerance
-        n_failed += not passed
-        rows.append([name, source, "pass" if passed else "fail", margin, tolerance, detail])
-        summary[name] = {"margin": margin, "status": "pass" if passed else "fail", "tolerance": tolerance}
-    _write_csv(
-        out_dir / "validation.csv",
-        _comments(
-            config,
-            "margin and tolerance are check-specific: rates, probabilities, stderr units, residual ratios",
-            "closed-form / ODE / MC±stderr per row",
-        ),
-        ["check", "provenance", "status", "margin", "tolerance", "detail"],
-        rows,
-    )
-    report = RunReport(
-        command="validate",
-        config_hash=config.config_hash,
-        seed=config.seed,
-        inputs={"config": config.document},
-        outputs={"report": "validate_report.json", "validation": "validation.csv"},
-        provenance={"report": "closed-form", "validation": "closed-form / ODE / MC±stderr per row"},
-        results={"checks": summary, "n_checks": len(checks), "n_failed": n_failed},
-        timings={"total": time.perf_counter() - started},
-    )
-    _persist_report(report, out_dir)
-    return report
+    units = "margin and tolerance are check-specific: rates, probabilities, stderr units, residual ratios"
+    out.table("validation", units, "closed-form / ODE / MC±stderr per row",
+              ["check", "provenance", "status", "margin", "tolerance", "detail"], rows)
+    n_failed = sum(entry["status"] == "fail" for entry in summary.values())
+    return out.report({"checks": summary, "n_checks": len(rows), "n_failed": n_failed})
 
 
 def _loop_kronecker(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -1020,37 +819,41 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    def common(sub):
+    def command(name, summary, run, start_state=False):
+        sub = subparsers.add_parser(name, help=summary)
         sub.add_argument("--config", required=True, help="path to the JSON model configuration")
         sub.add_argument("--seed", type=int, default=None, help="override numerics.seed")
         sub.add_argument("--out", default="out", help="output directory, created if missing")
         sub.add_argument("--paths", type=int, default=None, help="override the Monte Carlo path count")
+        if start_state:
+            sub.add_argument("--x0", type=float, default=1.0, help="initial wealth in money units")
+            sub.add_argument("--y0", type=float, default=0.0, help="initial income level in money units")
+            sub.add_argument("--i0", type=int, default=0, help="initial compound regime index")
+        sub.set_defaults(run=run)
+        return sub
 
-    def start_state(sub):
-        sub.add_argument("--x0", type=float, default=1.0, help="initial wealth in money units")
-        sub.add_argument("--y0", type=float, default=0.0, help="initial income level in money units")
-        sub.add_argument("--i0", type=int, default=0, help="initial compound regime index")
-
-    common(subparsers.add_parser("compose", help="emit the compound chain artifacts"))
-    solve = subparsers.add_parser("solve", help="emit loading, factors, strategy, and value tables")
-    common(solve)
-    solve.add_argument(
-        "--grid",
-        default=None,
-        help="up to three comma-separated axes start:stop:count for t, x, y",
-    )
-    simulate = subparsers.add_parser("simulate", help="emit sample wealth/income/regime paths")
-    common(simulate)
-    start_state(simulate)
-    evaluate = subparsers.add_parser("evaluate", help="score policies against the value prediction")
-    common(evaluate)
-    start_state(evaluate)
-    evaluate.add_argument(
-        "--compare",
-        default="",
-        help="comma-separated constant stock positions to score against the optimum",
-    )
-    common(subparsers.add_parser("validate", help="run the cross-check battery"))
+    # each handler looks its cmd_* function up when it runs
+    command("compose", "emit the compound chain artifacts",
+            lambda config, out_dir, args: cmd_compose(config, out_dir))
+    solve = command("solve", "emit loading, factors, strategy, and value tables",
+                    lambda config, out_dir, args: cmd_solve(
+                        config, out_dir, grid=parse_grid(args.grid) if args.grid else None,
+                        n_paths=args.paths))
+    solve.add_argument("--grid", default=None,
+                       help="up to three comma-separated axes start:stop:count for t, x, y")
+    command("simulate", "emit sample wealth/income/regime paths",
+            lambda config, out_dir, args: cmd_simulate(
+                config, out_dir, args.x0, args.y0, args.i0, n_paths=args.paths),
+            start_state=True)
+    evaluate = command("evaluate", "score policies against the value prediction",
+                       lambda config, out_dir, args: cmd_evaluate(
+                           config, out_dir, args.x0, args.y0, args.i0,
+                           comparisons=_parse_levels(args.compare), n_paths=args.paths),
+                       start_state=True)
+    evaluate.add_argument("--compare", default="",
+                          help="comma-separated constant stock positions to score against the optimum")
+    command("validate", "run the cross-check battery",
+            lambda config, out_dir, args: cmd_validate(config, out_dir, n_paths=args.paths))
     return parser
 
 
@@ -1068,25 +871,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         floor = 1 if args.command == "simulate" else 2
         if args.paths is not None and args.paths < floor:
             raise ValidationError([f"--paths: must be at least {floor}, got {args.paths}"])
+        for flag in ("x0", "y0"):
+            value = getattr(args, flag, 0.0)  # compose, solve and validate take no start state
+            if not math.isfinite(value):
+                raise ValidationError([f"--{flag}: must be finite, got {value}"])
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        if args.command == "compose":
-            report = cmd_compose(config, out_dir)
-        elif args.command == "solve":
-            grid = parse_grid(args.grid) if args.grid else None
-            report = cmd_solve(config, out_dir, grid=grid, n_paths=args.paths)
-        elif args.command == "simulate":
-            report = cmd_simulate(config, out_dir, args.x0, args.y0, args.i0, n_paths=args.paths)
-        elif args.command == "evaluate":
-            try:
-                levels = [float(part) for part in args.compare.split(",") if part.strip()]
-            except ValueError as exc:
-                raise ParseError(f"--compare: {exc}") from exc
-            report = cmd_evaluate(
-                config, out_dir, args.x0, args.y0, args.i0, comparisons=levels, n_paths=args.paths
-            )
-        else:
-            report = cmd_validate(config, out_dir, n_paths=args.paths)
+        report = args.run(config, out_dir, args)
     except (ParseError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

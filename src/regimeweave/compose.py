@@ -331,6 +331,8 @@ def bivariate_normal_cdf(x, y, correlation: float):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     x, y = np.broadcast_arrays(x, y)
+    if np.isnan(x).any() or np.isnan(y).any():
+        raise ValueError("arguments must not be NaN")
     # +-38 is already conclusive for a standard normal in double precision,
     # so clipping handles infinite arguments with no separate branch
     h = -np.clip(x, -38.0, 38.0)

@@ -209,6 +209,61 @@ class TestParseGrid:
         with pytest.raises(ParseError):
             parse_grid("0:2:0")
 
+    def test_at_most_three_axes(self):
+        with pytest.raises(ParseError, match="at most three axes"):
+            parse_grid("0:1:2,0:1:2,0:1:2,0:1:2")
+
+    @pytest.mark.parametrize("text", ["0:nan:2", "0:1:2,-inf:1:2", "0:1:2,0:1:2,0:inf:3"])
+    def test_rejects_non_finite_bounds(self, text):
+        with pytest.raises(ParseError, match="--grid axis .*must be finite"):
+            parse_grid(text)
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["evaluate", "--x0", "nan"], "--x0"),
+        (["simulate", "--y0", "inf"], "--y0"),
+        (["evaluate", "--x0=-inf"], "--x0"),
+        (["evaluate", "--compare", "nan"], "--compare"),
+        (["evaluate", "--compare", "0.5,inf"], "--compare"),
+        (["solve", "--grid", "0:1:2,0:nan:2"], "--grid"),
+    ],
+)
+def test_non_finite_flags_are_config_errors(tmp_path, capsys, args, flag):
+    out = tmp_path / "out"
+    assert main([*args, "--config", REFERENCE, "--out", str(out), "--paths", "20"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and flag in err
+    assert not any(out.glob("*"))
+
+
+def test_malformed_comparison_is_config_error(tmp_path, capsys):
+    args = ["evaluate", "--config", REFERENCE, "--out", str(tmp_path), "--compare", "0.5,abc"]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("config error: --compare: ")
+
+
+@pytest.mark.parametrize("config", [REFERENCE, COPULA_CONFIG])
+def test_report_lists_every_artifact_with_its_provenance(tmp_path, config):
+    for command in ("compose", "solve", "simulate", "evaluate", "validate"):
+        out = tmp_path / command
+        extra = [] if command == "simulate" else ["--paths", "200"]
+        assert main([command, "--config", config, "--out", str(out), *extra]) == 0
+        report = json.loads((out / f"{command}_report.json").read_text())
+        outputs, provenance = report["outputs"], report["provenance"]
+        assert sorted(outputs.values()) == sorted(path.name for path in out.iterdir())
+        assert provenance.keys() == outputs.keys()
+        assert provenance["report"] == "closed-form"
+        for key, name in outputs.items():
+            if name.endswith(".csv"):
+                comments, _, _ = read_csv(out / name)
+                assert comments[1] == f"# provenance: {provenance[key]}"
+            elif key != "report":
+                assert json.loads((out / name).read_text())["provenance"] == provenance[key]
+        if command == "compose":
+            assert ("independent_diff" in outputs) == (config == COPULA_CONFIG)
+
 
 class TestCompose:
     def test_artifacts_match_composition(self, tmp_path):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -248,6 +250,16 @@ class TestBivariateNormalCdf:
     def test_rejects_bad_correlation(self):
         with pytest.raises(ValueError):
             bivariate_normal_cdf(0.0, 0.0, 1.5)
+
+    @pytest.mark.parametrize("rho", [0.5, 0.97])  # quadrature and comonotone-expansion branches
+    def test_rejects_nan_arguments(self, rho):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x, y in [(np.nan, 0.0), (0.0, np.nan), (np.array([0.1, np.nan]), 0.2)]:
+                with pytest.raises(ValueError, match="NaN"):
+                    bivariate_normal_cdf(x, y, rho)
+            # infinite arguments are clipped, not rejected
+            assert bivariate_normal_cdf(np.inf, 0.3, rho) == pytest.approx(ndtr(0.3), abs=1e-15)
 
 
 class TestGaussianCopula:
