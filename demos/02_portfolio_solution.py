@@ -60,7 +60,7 @@ print(f"{'regime':>6} {'myopic':>9} {'hedge':>9} {'total':>9}")
 for regime in range(market.n_regimes):
     myopic = float(merton_weight(market, 0.0, regime))
     hedge = float(hedge_weight(market, 0.0, regime))
-    total = float(bundle.strategy(0.0, 0.0, regime))
+    total = float(bundle.strategy(0.0, regime))
     print(f"{regime:>6} {myopic:>9.4f} {hedge:>9.4f} {total:>9.4f}")
 print()
 

@@ -4,9 +4,9 @@ Cross-checking the closed forms by simulation
 
 Every analytic piece of the solution has an independent Monte Carlo
 counterpart.  The script estimates the regime factors along simulated
-chain paths, prices the value function by simulating wealth under the
-optimal strategy, and shows that deliberately mis-scaled strategies
-score worse on the same random numbers.
+chain paths, scores the optimal strategy by its expected utility
+conditional on simulated regime paths, and shows that deliberately
+mis-scaled strategies score worse on the same paths.
 """
 
 import dataclasses
@@ -61,15 +61,16 @@ print(f"  simulated     {est.value:.6f} +- {est.stderr:.6f}"
       f"  z {(est.value - deterministic) / est.stderr:+.2f}")
 print()
 
-# With correlation the check runs through wealth simulation under the
-# optimal strategy.  Common random numbers score the optimum and two
-# mis-scaled variants on the same draws, which removes most of the
-# comparison noise.  Expected utility is negative; closer to zero is
-# better, and the utility cost of mis-scaling is second order.
+# With correlation the check scores the optimal strategy along simulated
+# regime paths: given a path, terminal wealth is Gaussian, so each path
+# contributes its expected utility in closed form.  The optimum and two
+# mis-scaled variants are paired on the same chain paths, which removes
+# most of the comparison noise.  Expected utility is negative; closer to
+# zero is better, and the utility cost of mis-scaling is second order.
 bundle = build_solution(market)
 predicted = float(bundle.value(t0, x0, y0, regime0))
 print(f"value prediction at correlation 0.4: {predicted:.6f}")
-print("expected utility under competing strategies (same draws):")
+print("expected utility under competing strategies (same chain paths):")
 scores = {}
 for label, factor in (("optimal", 1.0), ("75% of optimal", 0.75), ("125% of optimal", 1.25)):
     strategy = bundle.strategy if factor == 1.0 else bundle.strategy.scaled(factor)
@@ -82,4 +83,4 @@ gaps = ", ".join(
     for label, score in scores.items()
     if label != best
 )
-print(f"best strategy on shared draws: {best} (utility gaps {gaps})")
+print(f"best strategy on shared chain paths: {best} (utility gaps {gaps})")

@@ -650,15 +650,14 @@ def cmd_evaluate(
     bundle = build_solution(market, config.case, n_steps=config.n_steps)
     predicted = float(bundle.value(0.0, wealth_start, income_start, regime))
     n = n_paths if n_paths is not None else config.n_paths
-    n_sim = _sim_steps(config)
 
     policies = [("pi-hat (optimal)", bundle.strategy)]
     for level in comparisons:
         policies.append((f"constant pi={level:g}", _constant_strategy(level)))
-    # one simulation of the scenarios pairs every policy on identical paths
+    # one simulation of the chain paths pairs every policy on identical paths
     estimates = _evaluate_policies(
         market, [strategy for _, strategy in policies], 0.0, wealth_start, income_start, regime,
-        n, n_sim, RngStream(config.seed, 0),
+        n, RngStream(config.seed, 0),
     )
     rows, scored = [], {}
     for (name, _), est in zip(policies, estimates):
@@ -673,7 +672,7 @@ def cmd_evaluate(
 
 
 def _constant_strategy(level: float) -> Strategy:
-    def position(t, income, regime):
+    def position(t, regime):
         return level
 
     return Strategy(position=position, label=f"constant pi={level:g}")

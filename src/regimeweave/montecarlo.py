@@ -24,17 +24,19 @@ onward) draws everything from the one Philox key
 2. each time the jump loop runs past the drawn width, one more
    ``(moving, head)`` exponential array and then one more uniform array,
    whose rows go to the paths still moving, in path order;
-3. for grid estimators, ``standard_normal((n_sets, BLOCK, n_steps +
+3. only for the value factor (one set) and
+   :func:`~regimeweave.portfolio.simulate_wealth` (two sets: stock, then
+   income shocks), ``standard_normal((n_sets, BLOCK, n_steps +
    max_jumps))``, the most jumps of any row in the block; row ``r`` uses the
-   first ``n_steps + jumps`` normals of each set (stock, then income shocks
-   for wealth paths).
+   first ``n_steps + jumps`` normals of each set.  The regime factor and
+   :func:`~regimeweave.portfolio.evaluate_policy` draw chains only.
 
 A block always simulates all ``BLOCK`` rows and drops those past
 ``n_paths``, so a path's sample does not depend on the path count.  The
-jump loop runs over the paths still moving and the grid arithmetic over
-rows padded past each path's end, :data:`GROUP` paths at a time.  Per-path
-sums never include the padding, so every estimate is bit for bit the same
-for any ``GROUP``.
+jump loop runs over the paths still moving, and the grid and policy
+arithmetic over rows padded past each path's end, :data:`GROUP` paths at a
+time.  Per-path sums never include the padding, so every estimate is bit
+for bit the same for any ``GROUP``.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ __all__ = [
 
 # paths per Philox key; part of the stream layout, so changing it changes every estimate
 BLOCK = 128
-# paths evaluated together; bounds the memory of the grid arithmetic, results do not depend on it
+# paths evaluated together; bounds the memory of per-path arithmetic, results do not depend on it
 GROUP = 64
 
 
@@ -314,6 +316,17 @@ def _simulate_chains(
         yield block * BLOCK, times[kept, :width], states[kept, :width], n_jumps[kept], normals[:, kept]
 
 
+def _chain_groups(*chain_args):
+    """The blocks of :func:`_simulate_chains`, called with ``chain_args``, as
+    ``(first, times, states, n_jumps, normals)`` groups of up to ``GROUP``
+    paths, each cut to its own width."""
+    for first, times, states, all_jumps, normals in _simulate_chains(*chain_args):
+        for lo in range(0, len(all_jumps), GROUP):
+            rows = slice(lo, lo + GROUP)
+            width = all_jumps[rows].max() + 1
+            yield first + lo, times[rows, :width], states[rows, :width], all_jumps[rows], normals[:, rows]
+
+
 def _simulate_grids(
     market: MarketModel, regime: int, t_start, n_paths: int, n_steps: int, rng: RngStream, n_sets: int,
     first_jump_by_end: bool = False,
@@ -328,21 +341,16 @@ def _simulate_grids(
     if n_steps < 1:
         raise ValueError("n_steps must be positive")
     uniform = np.linspace(float(t_start), float(market.horizon), n_steps + 1)
-    blocks = _simulate_chains(
+    groups = _chain_groups(
         market.generator, regime, t_start, market.horizon, n_paths, rng, n_steps, n_sets,
         first_jump_by_end,
     )
-    for first, chain_times, chain_states, all_jumps, all_normals in blocks:
-        for lo in range(0, len(all_jumps), GROUP):
-            rows = slice(lo, lo + GROUP)
-            n_jumps = all_jumps[rows]
-            width = n_jumps.max() + 1
-            lengths, times, regimes = _padded_grids(
-                chain_times[rows, :width], chain_states[rows, :width], n_jumps, uniform,
-                market.n_regimes,
-            )
-            index = first + np.arange(lo, lo + len(n_jumps))
-            yield index, lengths, times, regimes, all_normals[:, rows, : times.shape[1] - 1]
+    for first, chain_times, chain_states, n_jumps, normals in groups:
+        lengths, times, regimes = _padded_grids(
+            chain_times, chain_states, n_jumps, uniform, market.n_regimes
+        )
+        index = first + np.arange(len(n_jumps))
+        yield index, lengths, times, regimes, normals[:, :, : times.shape[1] - 1]
 
 
 def _padded_grids(chain_times, chain_states, n_jumps, uniform, n_states: int):

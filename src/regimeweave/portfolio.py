@@ -5,7 +5,8 @@ with exponential utility the optimal position is wealth-independent and
 splits into a myopic mean-variance part and an income hedge.  Wealth paths
 use an integrating-factor scheme that compounds interest exactly within
 each step, so a zero-position, zero-income path earns the riskless rate to
-machine precision.
+machine precision.  Policies are scored conditional on the regime path,
+along which terminal wealth is Gaussian, so no wealth grid is simulated.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from numpy.typing import NDArray
 
 from .hjb import IncomeLoading, MarketModel, RegimeFactorTable, solve_income_loading, solve_regime_factors
 from .markov import RngStream
-from .montecarlo import MCEstimate, _accumulate, _estimate, _simulate_grids
+from .montecarlo import MCEstimate, _accumulate, _chain_groups, _estimate, _row_sums, _simulate_grids
 
 __all__ = [
     "CaseMismatch",
@@ -40,6 +41,10 @@ __all__ = [
 RHO_ZERO = "rho0"
 NORMAL_INCOME = "normal_income"
 
+# 3-node Gauss-Legendre rule on [0, 1] for the segment integrals of evaluate_policy
+QUAD_NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * np.sqrt(15.0) / 10.0
+QUAD_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 18.0
+
 
 class CaseMismatch(ValueError):
     """Requested solution case contradicts the market's parameters."""
@@ -49,20 +54,20 @@ class CaseMismatch(ValueError):
 class Strategy:
     """Feedback rule for the money amount held in the stock.
 
-    ``position(t, income, regime)`` must accept numpy arrays broadcast
-    against each other; wealth never enters because exponential utility
-    makes the optimum wealth-free.
+    ``position(t, regime)`` must accept numpy arrays broadcast against each
+    other; neither wealth nor income enters, because exponential utility
+    makes the optimum free of both.
     """
 
-    position: Callable[[float, float, int], float]
+    position: Callable[[float, int], float]
     label: str = ""
 
-    def __call__(self, t, income, regime):
-        return self.position(t, income, regime)
+    def __call__(self, t, regime):
+        return self.position(t, regime)
 
     def scaled(self, factor: float) -> "Strategy":
-        def scaled_position(t, income, regime):
-            return factor * self.position(t, income, regime)
+        def scaled_position(t, regime):
+            return factor * self.position(t, regime)
 
         suffix = f" x{factor:g}" if self.label else f"x{factor:g}"
         return Strategy(position=scaled_position, label=self.label + suffix)
@@ -142,12 +147,12 @@ def optimal_strategy(market: MarketModel, case: str = NORMAL_INCOME) -> Strategy
     _check_case(market, case)
     if case == RHO_ZERO:
 
-        def position(t, income, regime):
+        def position(t, regime):
             return merton_weight(market, t, regime)
 
     else:
 
-        def position(t, income, regime):
+        def position(t, regime):
             return merton_weight(market, t, regime) + hedge_weight(market, t, regime)
 
     return Strategy(position=position, label=case)
@@ -223,11 +228,11 @@ def simulate_wealth(
                     + sum of discounted step cashflows before t_k)
 
     Paths are drawn in the block layout of :mod:`~regimeweave.montecarlo`
-    with two sets of grid normals (stock, then income shocks): path ``k`` is
-    scenario ``k`` of :func:`evaluate_policy` with the same ``rng`` and
-    arguments, and does not depend on ``n_paths``.  The draws never depend
-    on the strategy, so two strategies simulated on the same stream see
-    identical scenarios (common random numbers).
+    with two sets of grid normals (stock, then income shocks): path ``k``
+    runs on chain path ``k`` of :func:`evaluate_policy` with the same ``rng``
+    and arguments, and does not depend on ``n_paths``.  The draws never
+    depend on the strategy, so two strategies simulated on the same stream
+    see identical scenarios (common random numbers).
     """
     paths = []
     grids = _simulate_grids(market, regime, t_start, n_paths, n_steps, rng, 2)
@@ -256,7 +261,7 @@ def _wealth_rows(
         income_start, market.income_drift[regimes] * dt + market.income_vol[regimes] * sqrt_dt * joint
     )
     positions = np.broadcast_to(
-        np.asarray(strategy(times[..., :-1], income[..., :-1], regimes), dtype=float), dt.shape
+        np.asarray(strategy(times[..., :-1], regimes), dtype=float), dt.shape
     )
 
     r = market.rate
@@ -281,29 +286,83 @@ def evaluate_policy(
     n_steps: int,
     rng: RngStream,
 ) -> MCEstimate:
-    """Expected terminal utility of a strategy by path simulation.
+    """Expected terminal utility of a strategy, conditional on the regime path.
 
-    Block ``b`` of :data:`~regimeweave.montecarlo.BLOCK` paths draws from
-    key ``[rng.seed, rng.stream_id + b]``; running different strategies with
-    the same ``rng`` pairs them on identical scenarios.
+    Each path draws only the regime chain.  Given it, a position that
+    depends on ``(t, regime)`` makes terminal wealth Gaussian with mean
+    ``e^{r tau} M`` and variance ``e^{2 r tau} S``, where, with ``x`` and
+    ``y`` the start wealth and income, ``D(u) = exp(-r (u - t))`` and
+    ``K(u)`` the integral of ``D`` from ``u`` to the horizon,
+
+        M = x + y K(t) + integral of [D pi (alpha - r) + K mu] du
+        S = integral of [(D pi sigma + K delta rho)^2 + K^2 delta^2 (1 - rho^2)] du
+
+    so the path contributes the exact conditional expected utility
+    ``-exp(-gamma e^{r tau} M + gamma^2 e^{2 r tau} S / 2) / gamma``
+    (conditional Monte Carlo; Glasserman 2004, section 4.5).  Both
+    integrals run over the path's segments with a 3-node Gauss-Legendre
+    rule, whose error (about 4e-11 of the value on segments 1.8 long) lies
+    far below the statistical one, and no time step enters.  Block ``b`` of
+    :data:`~regimeweave.montecarlo.BLOCK` paths draws from key
+    ``[rng.seed, rng.stream_id + b]``; running different strategies with
+    the same ``rng`` pairs them on identical chain paths.  ``n_steps`` is
+    unused and kept for callers that pass it positionally.  Raises
+    :class:`OverflowError` when the expected utility leaves the float range.
     """
     (estimate,) = _evaluate_policies(
-        market, [strategy], t_start, wealth_start, income_start, regime, n_paths, n_steps, rng
+        market, [strategy], t_start, wealth_start, income_start, regime, n_paths, rng
     )
     return estimate
 
 
 def _evaluate_policies(
-    market, strategies, t_start, wealth_start, income_start, regime, n_paths, n_steps, rng
+    market, strategies, t_start, wealth_start, income_start, regime, n_paths, rng
 ) -> list[MCEstimate]:
     """:func:`evaluate_policy` of each strategy, all on one simulation of
-    the scenarios; each estimate equals its own call's."""
+    the chain paths; each estimate equals its own call's."""
+    r, gamma, horizon = market.rate, market.risk_aversion, market.horizon
+    rho = market.correlation
+    excess, vol, drift = market.excess_return(), market.stock_vol, market.income_drift
+    hedged, unhedged = rho * market.income_vol, (1.0 - rho**2) * market.income_vol**2
+    scale = gamma * np.exp(r * (horizon - t_start))  # gamma e^{r tau}
+    start = wealth_start + income_start * _annuity(r, t_start, t_start, horizon)
     values = np.empty((len(strategies), n_paths))
-    grids = _simulate_grids(market, regime, t_start, n_paths, n_steps, rng, 2)
-    for index, lengths, times, regimes, shocks in grids:
-        for row, strategy in zip(values, strategies):
-            wealth, _, _ = _wealth_rows(
-                market, strategy, t_start, wealth_start, income_start, times, regimes, *shocks
-            )
-            row[index] = utility(wealth[np.arange(len(index)), lengths - 1], market.risk_aversion)
-    return [_estimate(row) for row in values]
+    groups = _chain_groups(market.generator, regime, t_start, horizon, n_paths, rng)
+    # an overflow leaves inf or NaN in the estimates, which raise below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first, starts, states, n_jumps, _ in groups:
+            ends = np.concatenate([starts[:, 1:], np.full((len(starts), 1), horizon)], axis=1)
+            # node k of segment m of row p sits at [k, p, m], so the per-regime
+            # coefficients, looked up at the segments' shape, broadcast over nodes
+            weights = QUAD_WEIGHTS[:, None, None] * (ends - starts)
+            nodes = starts + QUAD_NODES[:, None, None] * (ends - starts)
+            discount = np.exp(-r * (nodes - t_start))
+            annuity = _annuity(r, nodes, t_start, horizon)
+            # the strategy-free parts: expected income and its unhedgeable variance
+            income_mean = drift[states] * (weights * annuity).sum(axis=0)
+            income_var = unhedged[states] * (weights * annuity**2).sum(axis=0)
+            hedge = annuity * hedged[states]
+            terms = np.empty((2, len(strategies)) + states.shape)
+            for k, strategy in enumerate(strategies):
+                position = discount * strategy(nodes, states)
+                terms[0, k] = excess[states] * (weights * position).sum(axis=0) + income_mean
+                risk = position * vol[states] + hedge
+                terms[1, k] = (weights * risk**2).sum(axis=0) + income_var
+            mean, var = _row_sums(terms, n_jumps + 1)
+            values[:, first : first + len(n_jumps)] = -np.exp(
+                -scale * (start + mean) + scale**2 * var / 2.0
+            ) / gamma
+        estimates = [_estimate(row) for row in values]
+    if not all(np.isfinite([est.value, est.stderr]).all() for est in estimates):
+        raise OverflowError(
+            f"expected utility of the policy exceeds the float range over horizon {market.horizon}"
+        )
+    return estimates
+
+
+def _annuity(rate: float, u, t_start: float, horizon: float):
+    """``K(u)``: integral of ``exp(-rate (s - t_start))`` over ``s`` from ``u``
+    to ``horizon``, in the cancellation-safe ``expm1`` form."""
+    if rate == 0.0:
+        return horizon - u
+    return -np.exp(-rate * (u - t_start)) * np.expm1(-rate * (horizon - u)) / rate

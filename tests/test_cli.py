@@ -26,7 +26,7 @@ from regimeweave.cli import (
 )
 from regimeweave.compose import compose_independent
 from regimeweave.markov import RngStream, validate_generator
-from regimeweave.portfolio import Strategy, evaluate_policy, optimal_strategy, utility
+from regimeweave.portfolio import Strategy, evaluate_policy, optimal_strategy, simulate_wealth, utility
 
 REPO = Path(__file__).resolve().parents[1]
 REFERENCE = str(REPO / "configs" / "reference.json")
@@ -436,20 +436,22 @@ class TestSimulate:
         _, _, more = read_csv(tmp_path / "8" / "paths.csv")
         assert fewer == [row for row in more if int(row[header.index("path")]) < 3]
 
-    def test_paths_are_the_evaluated_scenarios(self, tmp_path):
-        # the optimal-policy estimate is the mean utility of the simulated paths
-        for command in ("simulate", "evaluate"):
-            args = [command, "--config", REFERENCE, "--out", str(tmp_path), "--paths", "16"]
-            assert main(args) == 0
-        _, header, rows = read_csv(tmp_path / "paths.csv")
-        terminal = {}
-        for row in rows:  # each path's rows run forward in time
-            terminal[row[header.index("path")]] = float(row[header.index("wealth")])
-        assert len(terminal) == 16
-        _, header, rows = read_csv(tmp_path / "evaluation.csv")
-        estimate = float(column(header, rows, "estimate")[0])
-        gamma = load_config(REFERENCE).market.risk_aversion
-        assert estimate == float(utility(np.array(list(terminal.values())), gamma).mean())
+    def test_fine_paths_agree_with_the_evaluation(self, tmp_path):
+        # simulate's pathwise wealth at fine steps, on the chain paths that
+        # evaluate conditions on, scores the optimal policy within sampling error
+        config = load_config(REFERENCE)
+        market = config.market
+        paths = simulate_wealth(
+            market, optimal_strategy(market, config.case), 0.0, 1.0, 0.0, 0, 2000, 512,
+            RngStream(config.seed, 0),
+        )
+        sample = utility(np.array([path.wealth[-1] for path in paths]), market.risk_aversion)
+        sample_stderr = sample.std(ddof=1) / np.sqrt(len(sample))
+        report = cmd_evaluate(config, tmp_path, n_paths=2000)
+        scored = report.results["policies"]["pi-hat (optimal)"]
+        assert scored["stderr"] < sample_stderr / 10.0
+        combined = np.hypot(sample_stderr, scored["stderr"])
+        assert abs(sample.mean() - scored["estimate"]) < 4.0 * combined
 
 
 @pytest.mark.parametrize("command", ["solve", "evaluate", "validate"])
@@ -484,8 +486,8 @@ class TestEvaluate:
         market = config.market
         policies = {
             "pi-hat (optimal)": optimal_strategy(market, config.case),
-            "constant pi=0.5": Strategy(lambda t, y, regime: 0.5),
-            "constant pi=1": Strategy(lambda t, y, regime: 1.0),
+            "constant pi=0.5": Strategy(lambda t, regime: 0.5),
+            "constant pi=1": Strategy(lambda t, regime: 1.0),
         }
         assert list(report.results["policies"]) == list(policies)
         for name, strategy in policies.items():

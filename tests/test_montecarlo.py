@@ -6,8 +6,9 @@ import bisect
 
 import numpy as np
 import pytest
+from scipy.integrate import quad_vec
 
-from regimeweave import montecarlo
+from regimeweave import montecarlo, portfolio
 from regimeweave.hjb import (
     MarketModel,
     growth_coefficients,
@@ -28,7 +29,6 @@ from regimeweave.portfolio import (
     evaluate_policy,
     optimal_strategy,
     simulate_wealth,
-    utility,
 )
 
 Q2 = validate_generator([[-0.5, 0.5], [0.3, -0.3]])
@@ -396,12 +396,35 @@ def loop_value_factor(market, income_start, path, n_steps, z, antithetic):
     return stay * closed_form_factor(market, path.t_start, income_start, regime) + leave * jumping
 
 
-def loop_terminal_utility(market, strategy, t_start, wealth_start, income_start, path, n_steps, shocks):
-    times, regimes = merged_time_grid(path, n_steps)
-    wealth, _, _ = _wealth_rows(
-        market, strategy, t_start, wealth_start, income_start, times, regimes, *shocks
-    )
-    return float(utility(wealth[-1], market.risk_aversion))
+def loop_policy_utility(market, strategy, t_start, wealth_start, income_start, path):
+    """Conditional expected utility of a strategy on one chain path, its
+    segment integrals by adaptive Gauss-Kronrod quadrature, all segments of
+    the path in one vector-valued ``quad_vec`` call."""
+    r, horizon, rho = market.rate, market.horizon, market.correlation
+    starts, ends, states = path.segments()
+    span = ends - starts
+    excess, vol = market.excess_return()[states], market.stock_vol[states]
+    drift, income_vol = market.income_drift[states], market.income_vol[states]
+
+    def discount(u):
+        return np.exp(-r * (u - t_start))
+
+    def annuity(u):  # integral of the discount from u to the horizon
+        return (discount(u) - discount(horizon)) / r
+
+    def integrands(s):
+        u = starts + s * span
+        position = strategy(u, states)
+        d, k = discount(u), annuity(u)
+        mean = d * position * excess + k * drift
+        var = (d * position * vol + k * income_vol * rho) ** 2 + (k * income_vol) ** 2 * (1 - rho**2)
+        return np.concatenate([mean * span, var * span])
+
+    integrals, _ = quad_vec(integrands, 0.0, 1.0, epsabs=0.0, epsrel=1e-14, norm="max")
+    mean = wealth_start + income_start * annuity(t_start) + integrals[: len(span)].sum()
+    var = integrals[len(span) :].sum()
+    scale = market.risk_aversion * np.exp(r * (horizon - t_start))
+    return float(-np.exp(-scale * mean + scale**2 * var / 2.0) / market.risk_aversion)
 
 
 @pytest.fixture(params=["whole_blocks", "chunks_of_3"])
@@ -442,15 +465,17 @@ class TestStreamContract:
         strategy = optimal_strategy(market).scaled(0.8)
         n = CONTRACT_CHAINS[chain][1]
         for regime in range(market.n_regimes):
-            paths = layout_paths(market, regime, 0.2, n, RngStream(63, 9), 13, 2)
+            paths = layout_paths(market, regime, 0.2, n, RngStream(63, 9))
             expected = loop_estimate(
-                [
-                    loop_terminal_utility(market, strategy, 0.2, 1.0, 0.5, path, 13, shocks)
-                    for path, shocks in paths
-                ]
+                [loop_policy_utility(market, strategy, 0.2, 1.0, 0.5, path) for path, _ in paths]
             )
             got = evaluate_policy(market, strategy, 0.2, 1.0, 0.5, regime, n, 13, RngStream(63, 9))
-            assert got == expected
+            # three Gauss-Legendre nodes a segment leave up to 4.2e-11 of the
+            # value here, on segments up to 1.8 long; one path off the layout
+            # moves the mean by orders of magnitude more
+            assert got.n_paths == n
+            assert abs(got.value - expected.value) <= 2e-10 * abs(expected.value)
+            assert abs(got.stderr - expected.stderr) <= 2e-10 * abs(expected.value)
 
     def test_wealth_paths(self, chain, layout):
         market = contract_market(chain, correlation=0.3)
@@ -494,6 +519,31 @@ def test_paths_are_a_prefix_of_more_paths(chain, layout):
         assert np.array_equal(times_a, times_b)
         assert np.array_equal(regimes_a, regimes_b)
         assert np.array_equal(z_a, z_b)
+
+
+@pytest.mark.parametrize("chain, t_start", [("slow", 0.1), ("absorbing", 0.1), ("past_block", 1.97)])
+def test_policy_values_are_a_prefix_of_more_paths(chain, t_start, layout, monkeypatch):
+    # path k's conditional utility depends neither on how many paths follow
+    # it nor on the rows it is evaluated with: the second run evaluates every
+    # row alone, unpadded, and past_block rows of about 25 jumps would regroup
+    # a sum that included the padding
+    market = contract_market(chain, correlation=0.3)
+    strategies = [optimal_strategy(market), optimal_strategy(market).scaled(0.8)]
+    n = 2 * montecarlo.BLOCK - 2
+    seen = []
+
+    def recording_estimate(values):
+        seen.append(values.copy())
+        return montecarlo._estimate(values)
+
+    monkeypatch.setattr(portfolio, "_estimate", recording_estimate)
+    portfolio._evaluate_policies(market, strategies, t_start, 1.0, 0.3, 0, n, RngStream(64, 3))
+    monkeypatch.setattr(montecarlo, "GROUP", 1)
+    portfolio._evaluate_policies(market, strategies, t_start, 1.0, 0.3, 0, n + 5, RngStream(64, 3))
+    fewer, more = seen[:2], seen[2:]
+    for values_a, values_b in zip(fewer, more):
+        assert len(values_a) == n and len(values_b) == n + 5
+        assert np.array_equal(values_a, values_b[:n])
 
 
 def test_past_block_chain_crosses_the_block():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -111,12 +113,12 @@ class TestOptimalStrategy:
         strat = optimal_strategy(market, NORMAL_INCOME)
         t, regime = 0.7, 1
         expected = merton_weight(market, t, regime) + hedge_weight(market, t, regime)
-        assert strat(t, 0.0, regime) == pytest.approx(expected, abs=1e-15)
+        assert strat(t, regime) == pytest.approx(expected, abs=1e-15)
 
     def test_rho_zero_case(self):
         market = make_market(correlation=0.0)
         strat = optimal_strategy(market, RHO_ZERO)
-        assert strat(0.7, 5.0, 0) == pytest.approx(merton_weight(market, 0.7, 0), abs=1e-15)
+        assert strat(0.7, 0) == pytest.approx(merton_weight(market, 0.7, 0), abs=1e-15)
 
     def test_case_mismatch(self):
         with pytest.raises(CaseMismatch):
@@ -127,13 +129,13 @@ class TestOptimalStrategy:
     def test_scaled_strategy(self):
         strat = optimal_strategy(make_market(), NORMAL_INCOME)
         bumped = strat.scaled(1.25)
-        assert bumped(0.7, 0.0, 1) == pytest.approx(1.25 * strat(0.7, 0.0, 1), rel=1e-15)
+        assert bumped(0.7, 1) == pytest.approx(1.25 * strat(0.7, 1), rel=1e-15)
 
 class TestSimulateWealth:
     def test_riskless_growth_exact(self):
         # no position and no income leaves pure compounding
         market = make_market(income_drift=[0.0, 0.0], income_vol=[0.0, 0.0])
-        idle = Strategy(position=lambda t, y, i: 0.0 * np.asarray(t), label="idle")
+        idle = Strategy(position=lambda t, i: 0.0 * np.asarray(t), label="idle")
         for path in simulate_wealth(market, idle, 0.0, 2.0, 0.0, 0, 4, 64, RngStream(seed=1)):
             assert_allclose(path.wealth, 2.0 * np.exp(0.03 * path.times), rtol=1e-14)
 
@@ -144,7 +146,7 @@ class TestSimulateWealth:
             generator=validate_generator([[0.0, 0.0], [0.0, 0.0]]),
             income_vol=[0.0, 0.0],
         )
-        idle = Strategy(position=lambda t, y, i: 0.0 * np.asarray(t), label="idle")
+        idle = Strategy(position=lambda t, i: 0.0 * np.asarray(t), label="idle")
         (path,) = simulate_wealth(market, idle, 0.0, 1.0, 0.5, 0, 1, 512, RngStream(seed=2))
         oracle = 1.0 * np.exp(0.03 * 2.0) + quad(
             lambda s: np.exp(0.03 * (2.0 - s)) * (0.5 + 0.02 * s), 0.0, 2.0
@@ -184,7 +186,7 @@ class TestSimulateWealth:
             income_drift=[0.0, 0.0],
             income_vol=[0.0, 0.0],
         )
-        hold = Strategy(position=lambda t, y, i: 2.0 + 0.0 * np.asarray(t), label="hold")
+        hold = Strategy(position=lambda t, i: 2.0 + 0.0 * np.asarray(t), label="hold")
         paths = simulate_wealth(market, hold, 0.0, 1.0, 0.0, 0, 3000, 16, RngStream(seed=3))
         finals = np.array([path.wealth[-1] for path in paths])
         expected_mean = 1.0 + 2.0 * 0.08 * 2.0
@@ -253,6 +255,39 @@ class TestEvaluatePolicy:
         direct = estimate_value_mc(market, 0.0, x0, y0, regime, 3000, 96, RngStream(seed=9))
         spread = np.hypot(policy.stderr, direct.stderr)
         assert abs(policy.value - direct.value) < 4 * spread
+
+
+class TestConditionalEvaluation:
+    def test_single_regime_is_exact(self):
+        # a chain that never jumps gives every path the same value
+        market = make_market(
+            stock_drift=[0.08], stock_vol=[0.25], income_drift=[0.02], income_vol=[0.12],
+            generator=validate_generator([[0.0]]),
+        )
+        bundle = build_solution(market, NORMAL_INCOME)
+        est = evaluate_policy(market, bundle.strategy, 0.3, 1.0, 0.5, 0, 64, 16, RngStream(seed=10))
+        target = bundle.value(0.3, 1.0, 0.5, 0)
+        assert abs(est.value - target) <= 1e-10 * abs(target)
+        assert est.stderr < 1e-15 * abs(target)  # zero but for the rounding of the mean
+
+    def test_idle_strategy_without_income_risk_is_deterministic(self):
+        # no position and no income shock leave S = 0, and with one income
+        # drift in both regimes the chain's jumps change nothing
+        market = make_market(income_drift=[0.02, 0.02], income_vol=[0.0, 0.0])
+        idle = Strategy(position=lambda t, i: 0.0, label="idle")
+        t, x, y = 0.4, 1.3, 0.5
+        est = evaluate_policy(market, idle, t, x, y, 0, 300, 16, RngStream(seed=11))
+        r, mu, tau = market.rate, 0.02, market.horizon - t
+        wealth = x * np.exp(r * tau) + y * np.expm1(r * tau) / r + mu * (np.expm1(r * tau) - r * tau) / r**2
+        assert est.value == pytest.approx(utility(wealth, market.risk_aversion), rel=1e-13)
+
+    def test_overflow_is_an_error(self):
+        market = make_market(risk_aversion=50.0, horizon=50.0)
+        hold = Strategy(position=lambda t, i: 2.0, label="hold")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="float range"):
+                evaluate_policy(market, hold, 0.0, 1.0, 0.0, 0, 64, 16, RngStream(seed=12))
 
 
 class TestSolutionBundleAndValue:
