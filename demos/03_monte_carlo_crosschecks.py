@@ -48,9 +48,10 @@ for regime in range(market.n_regimes):
 print()
 
 # Direct value sampler: available in the uncorrelated case, where the
-# income integral decouples from the stock noise.  Antithetic pairing
-# is on by default, and the branch on which the chain never leaves its
-# start regime enters in closed form, so only paths that jump are sampled.
+# income integral decouples from the stock noise.  Given the regime path
+# the income integral is Gaussian and integrates in closed form, so only
+# chain paths are sampled, and the branch on which the chain never leaves
+# its start regime enters in closed form too, so every sampled path jumps.
 t0, x0, y0, regime0 = 0.0, 1.0, 0.2, 0
 uncorrelated = dataclasses.replace(market, correlation=0.0)
 deterministic = float(value_function(uncorrelated)(t0, x0, y0, regime0))

@@ -573,13 +573,12 @@ def cmd_solve(
         results["h_at_0"] = factors.value(0.0)
     else:
         n_mc = n_paths if n_paths is not None else config.n_paths
-        n_sim = _sim_steps(config)
         gamma = market.risk_aversion
         factor_rows, value_rows = [], []
         points = itertools.product(t_axis, y_axis, range(n_regimes))
         for point, (t, y, k) in enumerate(points):
             rng = RngStream(config.seed, point * n_mc)
-            est = estimate_value_factor(market, t, y, k, n_mc, n_sim, rng)
+            est = estimate_value_factor(market, t, y, k, n_mc, rng)
             factor_rows.append([t, y, labels[k], est.value, est.stderr, est.n_paths])
             growth = math.exp(market.rate * (horizon - t))
             for x in x_axis:
@@ -655,10 +654,16 @@ def cmd_evaluate(
     for level in comparisons:
         policies.append((f"constant pi={level:g}", _constant_strategy(level)))
     # one simulation of the chain paths pairs every policy on identical paths
-    estimates = _evaluate_policies(
-        market, [strategy for _, strategy in policies], 0.0, wealth_start, income_start, regime,
-        n, RngStream(config.seed, 0),
-    )
+    strategies = [replace(strategy, label=name) for name, strategy in policies]
+    try:
+        estimates = _evaluate_policies(
+            market, strategies, 0.0, wealth_start, income_start, regime, n, RngStream(config.seed, 0)
+        )
+    except OverflowError as exc:
+        # the optimum is scored first, so a message naming another policy names a comparison
+        if repr(policies[0][0]) in str(exc):
+            raise
+        raise ParseError(f"--compare: {exc}") from exc
     rows, scored = [], {}
     for (name, _), est in zip(policies, estimates):
         rows.append([name, est.value, est.stderr, est.n_paths, predicted, est.value - predicted])

@@ -15,8 +15,8 @@ coupled through the chain's rate matrix (a :class:`RegimeFactorTable`),
 integrated with a fourth-order Magnus exponential integrator whose error is
 estimated by step doubling, and interpolated between steps by cubic Hermite
 polynomials on the ODE's own slopes.  This module computes both pieces and
-provides the PDE operator and residual used to verify candidate value
-functions that need not be separable.
+the residual of the dynamic-programming equation, which verifies candidate
+value functions that need not be separable.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ __all__ = [
     "growth_coefficients",
     "regime_growth_rate",
     "solve_regime_factors",
-    "apply_hjb_operator",
     "hjb_residual",
 ]
 
@@ -154,11 +153,6 @@ class IncomeLoading:
             out = -self.risk_aversion * tau
         else:
             out = -(self.risk_aversion / self.rate) * np.expm1(self.rate * tau)
-        return out if out.ndim else float(out)
-
-    def derivative(self, t):
-        tau = self.horizon - np.asarray(t, dtype=float)
-        out = self.risk_aversion * np.exp(self.rate * tau)
         return out if out.ndim else float(out)
 
     def integral(self, a, b):
@@ -444,31 +438,8 @@ def _expm_stack(a: NDArray[np.float64]) -> NDArray[np.float64]:
 
 
 # ---------------------------------------------------------------------------
-# PDE operator and residual
+# PDE residual
 # ---------------------------------------------------------------------------
-
-
-def apply_hjb_operator(
-    market: MarketModel,
-    value_fn,
-    t: float,
-    x: float,
-    y: float,
-    regime: int,
-    portfolio: float,
-    relative_step: float = 1e-5,
-) -> float:
-    """Controlled generator of the value process at one point.
-
-    Evaluates ``V_t + (rate x + portfolio * excess + y) V_x + income terms +
-    portfolio diffusion terms + chain coupling`` for the given monetary stock
-    position.  ``value_fn(t, x, y, regime)`` supplies the candidate; if it
-    also has a ``partials(t, x, y, regime)`` method returning ``(v, v_t,
-    v_x, v_y, v_xx, v_yy, v_xy)`` those are used, otherwise central finite
-    differences with the given relative step.
-    """
-    parts = _partials(value_fn, t, x, y, regime, relative_step)
-    return _operator_from_partials(market, value_fn, t, x, y, regime, portfolio, parts)
 
 
 def hjb_residual(
@@ -491,43 +462,30 @@ def hjb_residual(
     :class:`ConcavityViolation` is raised.  A correct value function makes
     the returned residual vanish up to differencing error.
     """
-    parts = _partials(value_fn, t, x, y, regime, relative_step)
-    v, v_t, v_x, v_y, v_xx, v_yy, v_xy = parts
+    v, v_t, v_x, v_y, v_xx, v_yy, v_xy = _partials(value_fn, t, x, y, regime, relative_step)
     if not v_xx < 0:
         raise ConcavityViolation(f"V_xx = {v_xx:.3e} at (t={t}, x={x}, y={y}, regime={regime})")
     excess = float(market.excess_return()[regime])
     vol = float(market.stock_vol[regime])
-    ivol = float(market.income_vol[regime])
-    best = -(excess * v_x + vol * market.correlation * ivol * v_xy) / (vol**2 * v_xx)
-    return _operator_from_partials(market, value_fn, t, x, y, regime, best, parts)
-
-
-def _operator_from_partials(market, value_fn, t, x, y, regime, portfolio, parts) -> float:
-    v, v_t, v_x, v_y, v_xx, v_yy, v_xy = parts
-    excess = float(market.excess_return()[regime])
-    vol = float(market.stock_vol[regime])
     idrift = float(market.income_drift[regime])
     ivol = float(market.income_vol[regime])
-    wealth_drift = market.rate * x + portfolio * excess + y
+    best = -(excess * v_x + vol * market.correlation * ivol * v_xy) / (vol**2 * v_xx)
     chain = 0.0
     for j in range(market.n_regimes):
         vj = v if j == regime else float(value_fn(t, x, y, j))
         chain += market.generator.rates[regime, j] * vj
     return float(
         v_t
-        + 0.5 * portfolio**2 * vol**2 * v_xx
-        + wealth_drift * v_x
+        + 0.5 * best**2 * vol**2 * v_xx
+        + (market.rate * x + best * excess + y) * v_x
         + idrift * v_y
         + 0.5 * ivol**2 * v_yy
-        + portfolio * vol * market.correlation * ivol * v_xy
+        + best * vol * market.correlation * ivol * v_xy
         + chain
     )
 
 
 def _partials(value_fn, t, x, y, regime, relative_step):
-    if hasattr(value_fn, "partials"):
-        return tuple(float(p) for p in value_fn.partials(t, x, y, regime))
-
     def f(tt: float, xx: float, yy: float) -> float:
         return float(value_fn(tt, xx, yy, regime))
 

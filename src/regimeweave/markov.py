@@ -112,13 +112,6 @@ class RegimePath:
     states: NDArray[np.int64]
     n_states: int
 
-    def state_at(self, t: float) -> int:
-        """State occupied at time ``t`` (right-continuous)."""
-        if not self.t_start <= t <= self.t_end:
-            raise ValueError(f"t={t} outside [{self.t_start}, {self.t_end}]")
-        k = np.searchsorted(self.times, t, side="right") - 1
-        return int(self.states[k])
-
     def segments(self) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.int64]]:
         """Return (start, end, state) arrays of the constant-regime segments."""
         starts = self.times

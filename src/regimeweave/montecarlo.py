@@ -10,8 +10,10 @@ regime chain:
   ``g(t, y, regime)`` equals the expectation of
   ``exp(-integral of (risk_aversion * exp(rate*(horizon-s)) * Y_s
   + half squared Sharpe of the current regime) ds)``
-  over income paths ``Y``, sampled with per-regime-exact Gaussian steps and
-  a trapezoid rule for the time integral.
+  over income paths ``Y``.  Given the regime path the income integral is
+  Gaussian (conditional Monte Carlo; Glasserman 2004, section 4.5), and its
+  expected exponential is ``exp(m(t) y)`` times the regime factor's own
+  per-path sample, so both factors sample the same chain paths.
 
 Stream layout (Salmon et al., SC'11): an estimator called with ``rng`` runs
 its paths in blocks of :data:`BLOCK`, and block ``b`` (paths ``b * BLOCK``
@@ -24,19 +26,19 @@ onward) draws everything from the one Philox key
 2. each time the jump loop runs past the drawn width, one more
    ``(moving, head)`` exponential array and then one more uniform array,
    whose rows go to the paths still moving, in path order;
-3. only for the value factor (one set) and
-   :func:`~regimeweave.portfolio.simulate_wealth` (two sets: stock, then
-   income shocks), ``standard_normal((n_sets, BLOCK, n_steps +
+3. only for :func:`~regimeweave.portfolio.simulate_wealth`, two sets
+   (stock, then income shocks) of ``standard_normal((2, BLOCK, n_steps +
    max_jumps))``, the most jumps of any row in the block; row ``r`` uses the
-   first ``n_steps + jumps`` normals of each set.  The regime factor and
-   :func:`~regimeweave.portfolio.evaluate_policy` draw chains only.
+   first ``n_steps + jumps`` normals of each set.  The regime and value
+   factors and :func:`~regimeweave.portfolio.evaluate_policy` draw chains
+   only.
 
 A block always simulates all ``BLOCK`` rows and drops those past
 ``n_paths``, so a path's sample does not depend on the path count.  The
-jump loop runs over the paths still moving, and the grid and policy
-arithmetic over rows padded past each path's end, :data:`GROUP` paths at a
-time.  Per-path sums never include the padding, so every estimate is bit
-for bit the same for any ``GROUP``.
+jump loop runs over the paths still moving, and all per-path arithmetic
+over rows padded past each path's end, :data:`GROUP` paths at a time.
+Per-path sums never include the padding, so every estimate is bit for bit
+the same for any ``GROUP``.
 """
 
 from __future__ import annotations
@@ -109,20 +111,7 @@ def estimate_regime_factor(
     ``[rng.seed, rng.stream_id + b]``.
     """
     _check_horizon(market, t_start)
-    coeffs = growth_coefficients(market)
-    loading = solve_income_loading(market)
-    values = np.empty(n_paths)
-    blocks = _simulate_chains(market.generator, regime, t_start, market.horizon, n_paths, rng)
-    for first, starts, states, n_jumps, _ in blocks:
-        # segment m runs from column m to column m + 1; the padding adds empty segments
-        ends = np.concatenate([starts[:, 1:], np.full((len(starts), 1), market.horizon)], axis=1)
-        terms = (
-            coeffs.constant[states] * (ends - starts)
-            + coeffs.linear[states] * loading.integral(starts, ends)
-            + coeffs.quadratic[states] * loading.square_integral(starts, ends)
-        )
-        values[first : first + len(n_jumps)] = np.exp(_row_sums(terms, n_jumps + 1))
-    return _estimate(values)
+    return _estimate(np.exp(_path_exponents(market, t_start, regime, n_paths, rng)))
 
 
 def estimate_value_factor(
@@ -131,71 +120,45 @@ def estimate_value_factor(
     income_start: float,
     regime: int,
     n_paths: int,
-    n_steps: int,
     rng: RngStream,
-    antithetic: bool = True,
 ) -> MCEstimate:
     """Monte Carlo estimate of the wealth-free value factor ``g``.
 
-    Valid only for zero stock-income correlation, where the wealth and
-    income parts of the problem decouple and the factor has a Feynman-Kac
-    form along (chain, income) paths.
+    Valid only for zero stock-income correlation, where the linear and
+    quadratic growth terms are the income's drift and half its variance.
+    Given the chain path the income integral is then Gaussian, and its
+    expected exponential is ``exp(m(t) y)`` times the regime factor's own
+    sample, so each path draws only the chain.
 
     The estimate is conditioned on the first jump.  The chain stays in
     ``regime`` up to the horizon with probability ``stay = exp(-exit_rate *
-    (horizon - t_start))``; the income is then Gaussian, and the factor on
-    that branch is ``exp(m(t) y)`` times the exponential of the growth rate
-    integrated along the staying path, in closed form.  Each path samples the
-    other branch, its first jump conditioned to land before the horizon, and
-    contributes ``stay * closed_form + (1 - stay) * sample``.  So no sample
-    lacks the jump branch, as a plain sample of few paths near the horizon
-    often does, leaving its standard error blind to the jump variance; and a
-    start regime that cannot be left gives the exact factor.
-
-    On the jump branch the income integral uses a trapezoid rule on the
-    jump-refined grid (bias of order ``1/n_steps**2``); the regime term is
-    exact.  With ``antithetic=True`` each path evaluates the mirrored income
-    draw on the same chain path and averages the pair, which counts as a
-    single sample.
+    (horizon - t_start))``, and the factor on that branch has a closed form.
+    Each path samples the other branch, its first jump conditioned to land
+    before the horizon, and contributes ``stay * closed_form + (1 - stay) *
+    sample``.  So no sample lacks the jump branch, as a plain sample of few
+    paths near the horizon often does, leaving its standard error blind to
+    the jump variance; and a start regime that cannot be left gives the
+    exact factor.
     """
     if market.correlation != 0.0:
         raise NonZeroRho(
             f"value-factor sampling requires zero correlation, got {market.correlation}"
         )
     _check_horizon(market, t_start)
-    gamma = market.risk_aversion
-    horizon = market.horizon
     coeffs = growth_coefficients(market)
-    # half squared Sharpe per regime, the sign-flipped constant growth term
-    sharpe_half = -coeffs.constant
-    span = horizon - t_start
+    span = market.horizon - t_start
     exit_rate = market.generator.exit_rates()[regime]
     stay, leave = float(np.exp(-exit_rate * span)), float(-np.expm1(-exit_rate * span))
     loading = solve_income_loading(market)
-    # at zero correlation the linear and quadratic growth terms are the
-    # income's drift and half its variance, which integrate exactly
+    income_term = loading.value(t_start) * income_start
     stay_factor = float(np.exp(
-        loading.value(t_start) * income_start
-        + coeffs.linear[regime] * loading.integral(t_start, horizon)
-        + coeffs.quadratic[regime] * loading.square_integral(t_start, horizon)
+        income_term
+        + coeffs.linear[regime] * loading.integral(t_start, market.horizon)
+        + coeffs.quadratic[regime] * loading.square_integral(t_start, market.horizon)
         + coeffs.constant[regime] * span
     ))
-    signs = np.array([1.0, -1.0] if antithetic else [1.0])[:, None, None]
-    values = np.empty(n_paths)
-    grids = _simulate_grids(market, regime, t_start, n_paths, n_steps, rng, 1, first_jump_by_end=True)
-    for index, lengths, times, regimes, (z,) in grids:
-        dt = np.diff(times)
-        discount = gamma * np.exp(market.rate * (horizon - times))
-        regime_term = _row_sums(sharpe_half[regimes] * dt, lengths - 1)
-        drift = market.income_drift[regimes] * dt
-        shock = market.income_vol[regimes] * np.sqrt(dt)
-        y = discount * _accumulate(income_start, drift + signs * shock * z)
-        # the trapezoid rule's terms as np.trapezoid forms them, summed path by path
-        income_term = _row_sums(dt * (y[..., 1:] + y[..., :-1]) / 2.0, lengths - 1)
-        sample = np.exp(-income_term - regime_term)
-        jumping = 0.5 * (sample[0] + sample[1]) if antithetic else sample[0]
-        values[index] = stay * stay_factor + leave * jumping
-    return _estimate(values)
+    exponents = _path_exponents(market, t_start, regime, n_paths, rng, first_jump_by_end=True)
+    return _estimate(stay * stay_factor + leave * np.exp(income_term + exponents))
 
 
 def estimate_value_mc(
@@ -207,33 +170,39 @@ def estimate_value_mc(
     n_paths: int,
     n_steps: int,
     rng: RngStream,
-    antithetic: bool = True,
 ) -> MCEstimate:
     """Monte Carlo estimate of the value function at zero correlation.
 
     Scales the sampled wealth-free factor by the deterministic wealth term
     ``-(1/gamma) exp(-gamma * wealth * exp(rate * (horizon - t)))``.
+    ``n_steps`` is unused and kept for callers that pass it positionally.
     """
-    factor = estimate_value_factor(
-        market, t_start, income_start, regime, n_paths, n_steps, rng, antithetic
-    )
+    factor = estimate_value_factor(market, t_start, income_start, regime, n_paths, rng)
     gamma = market.risk_aversion
     growth = np.exp(market.rate * (market.horizon - t_start))
     scale = -np.exp(-gamma * wealth_start * growth) / gamma
-    return MCEstimate(
-        value=scale * factor.value,
-        stderr=abs(scale) * factor.stderr,
-        n_paths=factor.n_paths,
+    return MCEstimate(scale * factor.value, abs(scale) * factor.stderr, factor.n_paths)
+
+
+def _path_exponents(market, t_start, regime, n_paths, rng, first_jump_by_end=False):
+    """The growth rate integrated along each of ``n_paths`` chain paths, a sum
+    of exact segment integrals, drawn as :func:`_simulate_chains` draws them."""
+    coeffs = growth_coefficients(market)
+    loading = solve_income_loading(market)
+    exponents = np.empty(n_paths)
+    groups = _simulate_chains(
+        market.generator, regime, t_start, market.horizon, n_paths, rng, first_jump_by_end=first_jump_by_end
     )
-
-
-def _accumulate(start: float, steps: NDArray[np.float64]) -> NDArray[np.float64]:
-    """``start``, then ``start`` plus the running sums of ``steps`` along the last axis."""
-    out = np.empty(steps.shape[:-1] + (steps.shape[-1] + 1,))
-    out[..., 0] = start
-    np.cumsum(steps, axis=-1, out=out[..., 1:])
-    out[..., 1:] += start
-    return out
+    for first, starts, states, n_jumps, _ in groups:
+        # segment m runs from column m to column m + 1; the padding adds empty segments
+        ends = np.concatenate([starts[:, 1:], np.full((len(starts), 1), market.horizon)], axis=1)
+        terms = (
+            coeffs.constant[states] * (ends - starts)
+            + coeffs.linear[states] * loading.integral(starts, ends)
+            + coeffs.quadratic[states] * loading.square_integral(starts, ends)
+        )
+        exponents[first : first + len(n_jumps)] = _row_sums(terms, n_jumps + 1)
+    return exponents
 
 
 def _row_sums(rows: NDArray[np.float64], lengths: NDArray[np.int64]) -> NDArray[np.float64]:
@@ -265,11 +234,12 @@ def _simulate_chains(
     before ``t_end``: its exponential ``e`` maps to the waiting time
     ``-log1p(expm1(-e) * (1 - exp(-rate * (t_end - t_start)))) / rate``.
 
-    Yields ``(first, times, states, n_jumps, normals)`` per block: row ``r``
-    (path ``first + r``) holds the start time and state, then one column per
-    jump, up to column ``n_jumps[r]``, then ``t_end`` and state 0;
-    ``normals[s, r]`` is its set ``s``.  The rows past ``n_paths`` that a
-    block simulates are dropped.
+    Yields ``(first, times, states, n_jumps, normals)`` per group of up to
+    ``GROUP`` paths, cut to the group's own width: row ``r`` (path ``first +
+    r``) holds the start time and state, then one column per jump, up to
+    column ``n_jumps[r]``, then ``t_end`` and state 0; ``normals[s, r]`` is
+    its set ``s``.  The rows past ``n_paths`` that a block simulates are
+    dropped.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be positive, got {n_paths}")
@@ -311,40 +281,26 @@ def _simulate_chains(
             times[rows, jump], states[rows, jump], n_jumps[rows] = arrival, destination, jump
         del exps, unis, steps  # free the block's draws while its rows are consumed
         normals = gen.standard_normal((n_sets, BLOCK, n_steps + n_jumps.max()))
-        kept = slice(min(BLOCK, n_paths - block * BLOCK))
-        width = n_jumps[kept].max() + 1
-        yield block * BLOCK, times[kept, :width], states[kept, :width], n_jumps[kept], normals[:, kept]
+        kept = min(BLOCK, n_paths - block * BLOCK)
+        for lo in range(0, kept, GROUP):
+            rows = slice(lo, min(lo + GROUP, kept))
+            width = n_jumps[rows].max() + 1
+            yield (block * BLOCK + lo, times[rows, :width], states[rows, :width], n_jumps[rows],
+                   normals[:, rows])
 
 
-def _chain_groups(*chain_args):
-    """The blocks of :func:`_simulate_chains`, called with ``chain_args``, as
-    ``(first, times, states, n_jumps, normals)`` groups of up to ``GROUP``
-    paths, each cut to its own width."""
-    for first, times, states, all_jumps, normals in _simulate_chains(*chain_args):
-        for lo in range(0, len(all_jumps), GROUP):
-            rows = slice(lo, lo + GROUP)
-            width = all_jumps[rows].max() + 1
-            yield first + lo, times[rows, :width], states[rows, :width], all_jumps[rows], normals[:, rows]
-
-
-def _simulate_grids(
-    market: MarketModel, regime: int, t_start, n_paths: int, n_steps: int, rng: RngStream, n_sets: int,
-    first_jump_by_end: bool = False,
-):
-    """Chain paths on jump-refined grids with ``n_sets`` sets of grid normals,
-    as ``(index, lengths, times, regimes, normals)`` groups of up to ``GROUP``
-    paths: row ``r`` holds path ``index[r]``'s grid, as
-    :func:`merged_time_grid` builds it, in its first ``lengths[r]`` entries,
-    then the horizon; its step regimes and normals fill the first
+def _simulate_grids(market: MarketModel, regime: int, t_start, n_paths: int, n_steps: int, rng: RngStream):
+    """Chain paths on jump-refined grids with two sets of grid normals (stock,
+    then income shocks), as ``(index, lengths, times, regimes, normals)``
+    groups of up to ``GROUP`` paths: row ``r`` holds path ``index[r]``'s
+    grid, as :func:`merged_time_grid` builds it, in its first ``lengths[r]``
+    entries, then the horizon; its step regimes and normals fill the first
     ``lengths[r] - 1`` entries, then the last regime and unused normals.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be positive")
     uniform = np.linspace(float(t_start), float(market.horizon), n_steps + 1)
-    groups = _chain_groups(
-        market.generator, regime, t_start, market.horizon, n_paths, rng, n_steps, n_sets,
-        first_jump_by_end,
-    )
+    groups = _simulate_chains(market.generator, regime, t_start, market.horizon, n_paths, rng, n_steps, 2)
     for first, chain_times, chain_states, n_jumps, normals in groups:
         lengths, times, regimes = _padded_grids(
             chain_times, chain_states, n_jumps, uniform, market.n_regimes

@@ -19,7 +19,7 @@ from numpy.typing import NDArray
 
 from .hjb import IncomeLoading, MarketModel, RegimeFactorTable, solve_income_loading, solve_regime_factors
 from .markov import RngStream
-from .montecarlo import MCEstimate, _accumulate, _chain_groups, _estimate, _row_sums, _simulate_grids
+from .montecarlo import MCEstimate, _estimate, _row_sums, _simulate_chains, _simulate_grids
 
 __all__ = [
     "CaseMismatch",
@@ -235,7 +235,7 @@ def simulate_wealth(
     see identical scenarios (common random numbers).
     """
     paths = []
-    grids = _simulate_grids(market, regime, t_start, n_paths, n_steps, rng, 2)
+    grids = _simulate_grids(market, regime, t_start, n_paths, n_steps, rng)
     for _, lengths, times, regimes, shocks in grids:
         wealth, income, positions = _wealth_rows(
             market, strategy, t_start, wealth_start, income_start, times, regimes, *shocks
@@ -273,6 +273,15 @@ def _wealth_rows(
     wealth = _accumulate(wealth_start, discount * cash)
     wealth *= np.exp(r * (times - t_start))
     return wealth, income, positions
+
+
+def _accumulate(start: float, steps: NDArray[np.float64]) -> NDArray[np.float64]:
+    """``start``, then ``start`` plus the running sums of ``steps`` along the last axis."""
+    out = np.empty(steps.shape[:-1] + (steps.shape[-1] + 1,))
+    out[..., 0] = start
+    np.cumsum(steps, axis=-1, out=out[..., 1:])
+    out[..., 1:] += start
+    return out
 
 
 def evaluate_policy(
@@ -327,7 +336,7 @@ def _evaluate_policies(
     scale = gamma * np.exp(r * (horizon - t_start))  # gamma e^{r tau}
     start = wealth_start + income_start * _annuity(r, t_start, t_start, horizon)
     values = np.empty((len(strategies), n_paths))
-    groups = _chain_groups(market.generator, regime, t_start, horizon, n_paths, rng)
+    groups = _simulate_chains(market.generator, regime, t_start, horizon, n_paths, rng)
     # an overflow leaves inf or NaN in the estimates, which raise below
     with np.errstate(over="ignore", invalid="ignore"):
         for first, starts, states, n_jumps, _ in groups:
@@ -353,10 +362,12 @@ def _evaluate_policies(
                 -scale * (start + mean) + scale**2 * var / 2.0
             ) / gamma
         estimates = [_estimate(row) for row in values]
-    if not all(np.isfinite([est.value, est.stderr]).all() for est in estimates):
-        raise OverflowError(
-            f"expected utility of the policy exceeds the float range over horizon {market.horizon}"
-        )
+    for strategy, est in zip(strategies, estimates):
+        if not np.isfinite([est.value, est.stderr]).all():
+            raise OverflowError(
+                f"expected utility of policy {strategy.label!r} exceeds the float range"
+                f" over horizon {market.horizon}"
+            )
     return estimates
 
 

@@ -7,6 +7,7 @@ import json
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -242,6 +243,34 @@ def test_malformed_comparison_is_config_error(tmp_path, capsys):
     args = ["evaluate", "--config", REFERENCE, "--out", str(tmp_path), "--compare", "0.5,abc"]
     assert main(args) == 2
     assert capsys.readouterr().err.startswith("config error: --compare: ")
+
+
+def test_overflowing_comparison_is_config_error(tmp_path, capsys):
+    # no utility survives a position of 1e200; the optimum's does
+    args = ["evaluate", "--config", REFERENCE, "--out", str(tmp_path), "--paths", "20",
+            "--compare", "0.5,1e200"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --compare: ")
+    assert "'constant pi=1e+200'" in err and "float range" in err
+
+
+def test_overflowing_optimum_is_a_market_error(tmp_path, capsys, monkeypatch):
+    import regimeweave.cli as cli
+
+    real = cli._evaluate_policies
+
+    def huge_optimum(market, strategies, *args):
+        # the optimum keeps its label at a position no utility survives
+        huge = replace(strategies[0], position=lambda t, regime: 1e200)
+        return real(market, [huge, *strategies[1:]], *args)
+
+    monkeypatch.setattr(cli, "_evaluate_policies", huge_optimum)
+    args = ["evaluate", "--config", REFERENCE, "--out", str(tmp_path), "--paths", "20",
+            "--compare", "1e200"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: market: ") and "'pi-hat (optimal)'" in err
 
 
 @pytest.mark.parametrize("config", [REFERENCE, COPULA_CONFIG])

@@ -17,7 +17,7 @@ from regimeweave.hjb import (
     MarketModel,
     StepTooCoarse,
     _expm_stack,
-    apply_hjb_operator,
+    _partials,
     growth_coefficients,
     hjb_residual,
     regime_growth_rate,
@@ -180,12 +180,6 @@ class TestIncomeLoading:
         )
         for t in (0.0, 0.3, 1.1, 1.9):
             assert m.value(t) == pytest.approx(float(sol.sol(horizon - t)[0]), abs=1e-9)
-
-    def test_derivative_matches_difference_quotient(self):
-        m = IncomeLoading(risk_aversion=1.5, rate=0.03, horizon=2.0)
-        t, dt = 0.8, 1e-6
-        fd = (m.value(t + dt) - m.value(t - dt)) / (2 * dt)
-        assert m.derivative(t) == pytest.approx(fd, rel=1e-8)
 
     @pytest.mark.parametrize("rate", [0.05, 0.0, 1e-8, -0.02])
     def test_integral_matches_quadrature(self, rate):
@@ -442,39 +436,25 @@ class TestExpmStack:
             assert_allclose(e, expm(a), rtol=1e-12, atol=1e-12 * np.abs(expm(a)).max())
 
 
-class AnalyticValue:
-    """Separable candidate exposing exact partial derivatives."""
-
-    def __init__(self, market, table, loading):
-        self.market = market
-        self.table = table
-        self.loading = loading
-
-    def __call__(self, t, x, y, regime):
-        return closed_form_value(self.market, self.table, self.loading)(t, x, y, regime)
-
-    def partials(self, t, x, y, regime):
-        mkt = self.market
-        gamma = mkt.risk_aversion
-        growth = np.exp(mkt.rate * (mkt.horizon - t))
-        m = self.loading.value(t)
-        factors = self.table.value(t)
-        h = factors[regime]
-        # the factor ODE's right-hand side: h' = -(c(t) h + rates h)
-        slopes = -(regime_growth_rate(mkt, t) * factors + mkt.generator.rates @ factors)
-        h_t = float(slopes[regime])
-        core = -np.exp(-gamma * x * growth + m * y) / gamma
-        v = core * h
-        exponent_t = gamma * x * mkt.rate * growth + self.loading.derivative(t) * y
-        return (
-            v,
-            v * exponent_t + core * h_t,
-            -gamma * growth * v,
-            m * v,
-            (gamma * growth) ** 2 * v,
-            m**2 * v,
-            -gamma * growth * m * v,
-        )
+def controlled_generator(market, value_fn, t, x, y, regime, portfolio):
+    """The dynamic-programming operator at a given stock position, from the
+    finite-difference partials that :func:`hjb_residual` takes."""
+    v, v_t, v_x, v_y, v_xx, v_yy, v_xy = _partials(value_fn, t, x, y, regime, 1e-5)
+    excess, vol = market.excess_return()[regime], market.stock_vol[regime]
+    ivol, rho = market.income_vol[regime], market.correlation
+    chain = sum(
+        market.generator.rates[regime, j] * (v if j == regime else value_fn(t, x, y, j))
+        for j in range(market.n_regimes)
+    )
+    return float(
+        v_t
+        + 0.5 * portfolio**2 * vol**2 * v_xx
+        + (market.rate * x + portfolio * excess + y) * v_x
+        + market.income_drift[regime] * v_y
+        + 0.5 * ivol**2 * v_yy
+        + portfolio * vol * rho * ivol * v_xy
+        + chain
+    )
 
 
 @pytest.fixture(scope="module")
@@ -497,27 +477,21 @@ class TestHjbOperator:
                         res = hjb_residual(market, value, t, x, y, regime)
                         assert abs(res) < 3e-5 * (1.0 + abs(v))
 
-    def test_analytic_partials_sharpen_residual(self, solved):
-        market, table, loading = solved
-        candidate = AnalyticValue(market, table, loading)
-        for t, x, y, regime in ((0.4, 1.0, 0.5, 0), (1.6, -0.5, 1.0, 1)):
-            v = candidate(t, x, y, regime)
-            res = hjb_residual(market, candidate, t, x, y, regime)
-            assert abs(res) < 1e-7 * (1.0 + abs(v))
-
     def test_optimum_dominates_perturbed_controls(self, solved):
         market, table, loading = solved
         value = closed_form_value(market, table, loading)
         t, x, y, regime = 0.9, 1.0, 0.5, 0
         at_best = hjb_residual(market, value, t, x, y, regime)
+        # recover the first-order-condition position, then move off it
+        excess = market.excess_return()[regime]
+        vol = market.stock_vol[regime]
+        growth = np.exp(market.rate * (market.horizon - t))
+        best = (excess / vol**2 + market.correlation * market.income_vol[regime]
+                * loading.value(t) / vol) / (market.risk_aversion * growth)
+        on = controlled_generator(market, value, t, x, y, regime, best)
+        assert on == pytest.approx(at_best, rel=1e-6, abs=1e-12)
         for shift in (-1.0, -0.2, 0.2, 1.0):
-            # recover the first-order-condition position, then move off it
-            excess = market.excess_return()[regime]
-            vol = market.stock_vol[regime]
-            growth = np.exp(market.rate * (market.horizon - t))
-            best = (excess / vol**2 + market.correlation * market.income_vol[regime]
-                    * loading.value(t) / vol) / (market.risk_aversion * growth)
-            off = apply_hjb_operator(market, value, t, x, y, regime, best + shift)
+            off = controlled_generator(market, value, t, x, y, regime, best + shift)
             assert off < at_best - 1e-12
 
     def test_distorted_factor_inflates_residual(self, solved):

@@ -219,8 +219,8 @@ class TestSimulatePath:
         assert ends[-1] == 10.0
         assert_allclose(starts[1:], ends[:-1], atol=0)
         mid = 0.5 * (starts + ends)
-        assert [path.state_at(t) for t in mid] == list(states)
-        assert path.state_at(0.0) == 0
+        at = np.searchsorted(path.times, np.append(mid, 0.0), side="right") - 1
+        assert list(path.states[at]) == [*states, 0]
 
     def test_occupancy_near_stationary(self):
         g = validate_generator(Q3)

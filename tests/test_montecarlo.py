@@ -106,8 +106,8 @@ class TestMergedTimeGrid:
         path = simulate_path(Q2, 1, 0.0, 2.0, RngStream(seed=9))
         times, regimes = merged_time_grid(path, 64)
         mid = 0.5 * (times[:-1] + times[1:])
-        expected = [path.state_at(m) for m in mid]
-        assert list(regimes) == expected
+        expected = path.states[np.searchsorted(path.times, mid, side="right") - 1]
+        assert list(regimes) == list(expected)
 
 
 class TestEstimateRegimeFactor:
@@ -160,31 +160,31 @@ class TestEstimateValueFactor:
     def test_rejects_nonzero_correlation(self):
         market = make_market(correlation=0.4)
         with pytest.raises(NonZeroRho):
-            estimate_value_factor(market, 0.0, 1.0, 0, 100, 16, RngStream(seed=31))
+            estimate_value_factor(market, 0.0, 1.0, 0, 100, RngStream(seed=31))
 
     def test_deterministic_income_single_regime(self):
-        # zero income vol leaves only the trapezoid quadrature error
         market = single_regime_market(income_vol=[0.0])
-        est = estimate_value_factor(market, 0.0, 1.0, 0, 4, 512, RngStream(seed=32))
-        assert est.value == pytest.approx(closed_form_factor(market, 0.0, 1.0), rel=1e-5)
-        assert est.stderr == pytest.approx(0.0, abs=1e-15)
+        est = estimate_value_factor(market, 0.0, 1.0, 0, 4, RngStream(seed=32))
+        assert est.value == pytest.approx(closed_form_factor(market, 0.0, 1.0), rel=1e-14)
+        assert est.stderr == 0.0
 
     def test_gaussian_income_single_regime(self):
         # a regime that cannot be left takes only the closed-form branch
         market = single_regime_market()
-        est = estimate_value_factor(market, 0.0, 1.0, 0, 4000, 128, RngStream(seed=33))
+        est = estimate_value_factor(market, 0.0, 1.0, 0, 4000, RngStream(seed=33))
         assert est.value == pytest.approx(closed_form_factor(market, 0.0, 1.0), rel=1e-14)
         assert est.stderr == 0.0
 
     @pytest.mark.parametrize("t_start", [0.0, 1.9])
     def test_gaussian_income_on_the_jump_branch(self, t_start):
-        # every path jumps, between regimes that differ in nothing, so the
-        # sampled branch is the Gaussian income alone
+        # every path jumps, between regimes that differ in nothing: given the
+        # chain path the Gaussian income is integrated exactly, so every
+        # path gives the closed form and only rounding varies
         market = twin_regime_market()
-        est = estimate_value_factor(market, t_start, 1.0, 0, 4000, 128, RngStream(seed=37))
+        est = estimate_value_factor(market, t_start, 1.0, 0, 4000, RngStream(seed=37))
         target = closed_form_factor(market, t_start, 1.0)
-        assert 0.0 < est.stderr < 0.01 * target
-        assert abs(est.value - target) < 4 * est.stderr
+        assert est.value == pytest.approx(target, rel=1e-13)
+        assert est.stderr <= 1e-14 * target
 
     def test_first_jump_lands_before_the_horizon(self):
         # at t 1.9 of 2 a plain sample would jump on about 3% of its paths
@@ -194,25 +194,13 @@ class TestEstimateValueFactor:
         ):
             assert n_jumps.min() >= 1
 
-    def test_antithetic_shrinks_stderr(self):
-        market = twin_regime_market()
-        paired = estimate_value_factor(
-            market, 0.0, 1.0, 0, 1500, 64, RngStream(seed=34), antithetic=True
-        )
-        plain = estimate_value_factor(
-            market, 0.0, 1.0, 0, 1500, 64, RngStream(seed=34), antithetic=False
-        )
-        assert paired.stderr < 0.5 * plain.stderr
-
     def test_matches_separable_solution_two_regimes(self):
         market = make_market()
         table = solve_regime_factors(market)
         loading = solve_income_loading(market)
         y0 = 0.8
         for regime in (0, 1):
-            est = estimate_value_factor(
-                market, 0.0, y0, regime, 3000, 96, RngStream(seed=35)
-            )
+            est = estimate_value_factor(market, 0.0, y0, regime, 3000, RngStream(seed=35))
             target = float(np.exp(loading.value(0.0) * y0) * table.value(0.0, regime))
             assert abs(est.value - target) < 4 * est.stderr
 
@@ -220,7 +208,7 @@ class TestEstimateValueFactor:
         market = make_market()
         table = solve_regime_factors(market)
         loading = solve_income_loading(market)
-        est = estimate_value_factor(market, 0.9, -0.3, 1, 3000, 96, RngStream(seed=36))
+        est = estimate_value_factor(market, 0.9, -0.3, 1, 3000, RngStream(seed=36))
         target = float(np.exp(loading.value(0.9) * -0.3) * table.value(0.9, regime=1))
         assert abs(est.value - target) < 4 * est.stderr
 
@@ -228,7 +216,7 @@ class TestEstimateValueFactor:
 class TestEstimateValueMc:
     def test_scales_value_factor(self):
         market = make_market()
-        factor = estimate_value_factor(market, 0.0, 1.0, 0, 400, 32, RngStream(seed=41))
+        factor = estimate_value_factor(market, 0.0, 1.0, 0, 400, RngStream(seed=41))
         value = estimate_value_mc(market, 0.0, 2.0, 1.0, 0, 400, 32, RngStream(seed=41))
         gamma = market.risk_aversion
         scale = -np.exp(-gamma * 2.0 * np.exp(market.rate * market.horizon)) / gamma
@@ -361,38 +349,29 @@ def loop_estimate(values):
     )
 
 
-def loop_regime_factor(market, path):
+def loop_exponent(market, path):
     coeffs = growth_coefficients(market)
     loading = solve_income_loading(market)
     starts, ends, states = path.segments()
-    exponent = (
+    return (
         coeffs.constant[states] * (ends - starts)
         + coeffs.linear[states] * loading.integral(starts, ends)
         + coeffs.quadratic[states] * loading.square_integral(starts, ends)
     ).sum()
-    return float(np.exp(exponent))
 
 
-def loop_value_factor(market, income_start, path, n_steps, z, antithetic):
-    times, regimes = merged_time_grid(path, n_steps)
-    dt = np.diff(times)
-    discount = market.risk_aversion * np.exp(market.rate * (market.horizon - times))
-    regime_term = float((-growth_coefficients(market).constant[regimes] * dt).sum())
-    drift = market.income_drift[regimes] * dt
-    shock = market.income_vol[regimes] * np.sqrt(dt)
+def loop_regime_factor(market, path):
+    return float(np.exp(loop_exponent(market, path)))
 
-    def sample(sign):
-        income = np.empty(len(times))
-        income[0] = income_start
-        np.cumsum(drift + sign * shock * z, out=income[1:])
-        income[1:] += income_start
-        return float(np.exp(-float(np.trapezoid(discount * income, times)) - regime_term))
 
-    jumping = 0.5 * (sample(1.0) + sample(-1.0)) if antithetic else sample(1.0)
-    # the closed-form branch of a path that never leaves its start regime
+def loop_value_factor(market, income_start, path):
+    """The closed form on the branch that never leaves the start regime, and
+    ``exp(m(t) y)`` times the path's regime-factor sample on the other."""
     regime = int(path.states[0])
     exits = market.generator.exit_rates()[regime] * (market.horizon - path.t_start)
     stay, leave = float(np.exp(-exits)), float(-np.expm1(-exits))
+    income_term = solve_income_loading(market).value(path.t_start) * income_start
+    jumping = float(np.exp(income_term + loop_exponent(market, path)))
     return stay * closed_form_factor(market, path.t_start, income_start, regime) + leave * jumping
 
 
@@ -448,17 +427,13 @@ class TestStreamContract:
             expected = loop_estimate([loop_regime_factor(market, path) for path, _ in paths])
             assert estimate_regime_factor(market, 0.3, regime, n, RngStream(61, 5)) == expected
 
-    @pytest.mark.parametrize("antithetic", [True, False])
-    def test_value_factor(self, chain, layout, antithetic):
+    def test_value_factor(self, chain, layout):
         market = contract_market(chain)
         n = CONTRACT_CHAINS[chain][1]
         for regime in range(market.n_regimes):
-            paths = layout_paths(market, regime, 0.4, n, RngStream(62), 17, 1, first_jump_by_end=True)
-            expected = loop_estimate(
-                [loop_value_factor(market, 0.7, path, 17, z, antithetic) for path, (z,) in paths]
-            )
-            got = estimate_value_factor(market, 0.4, 0.7, regime, n, 17, RngStream(62), antithetic)
-            assert got == expected
+            paths = layout_paths(market, regime, 0.4, n, RngStream(62), first_jump_by_end=True)
+            expected = loop_estimate([loop_value_factor(market, 0.7, path) for path, _ in paths])
+            assert estimate_value_factor(market, 0.4, 0.7, regime, n, RngStream(62)) == expected
 
     def test_policy(self, chain, layout):
         market = contract_market(chain, correlation=0.3)
@@ -506,7 +481,7 @@ def test_paths_are_a_prefix_of_more_paths(chain, layout):
     def rows(n_paths):
         out = []
         for _, lengths, times, regimes, normals in montecarlo._simulate_grids(
-            market, 0, 0.1, n_paths, 11, RngStream(64, 3), 2
+            market, 0, 0.1, n_paths, 11, RngStream(64, 3)
         ):
             for r, length in enumerate(lengths):
                 steps = length - 1
@@ -565,7 +540,7 @@ def test_group_size_invariance(monkeypatch):
     def estimates():
         return (
             estimate_regime_factor(market, 0.0, 0, 300, RngStream(24)),
-            estimate_value_factor(market0, 0.1, 0.4, 1, 300, 19, RngStream(25)),
+            estimate_value_factor(market0, 0.1, 0.4, 1, 300, RngStream(25)),
             evaluate_policy(market, strategy, 0.0, 1.0, 0.3, 1, 300, 19, RngStream(26)),
         )
 

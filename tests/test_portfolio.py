@@ -286,7 +286,7 @@ class TestConditionalEvaluation:
         hold = Strategy(position=lambda t, i: 2.0, label="hold")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(OverflowError, match="float range"):
+            with pytest.raises(OverflowError, match="policy 'hold' exceeds the float range"):
                 evaluate_policy(market, hold, 0.0, 1.0, 0.0, 0, 64, 16, RngStream(seed=12))
 
 
