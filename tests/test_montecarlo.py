@@ -427,13 +427,19 @@ class TestStreamContract:
             expected = loop_estimate([loop_regime_factor(market, path) for path, _ in paths])
             assert estimate_regime_factor(market, 0.3, regime, n, RngStream(61, 5)) == expected
 
-    def test_value_factor(self, chain, layout):
+    @pytest.mark.parametrize("with_income", [True, False])
+    def test_value_factor(self, chain, layout, with_income):
+        # a zero income start makes the income factor exp(m(t) y) exactly one
         market = contract_market(chain)
         n = CONTRACT_CHAINS[chain][1]
+        income_start = 0.7 if with_income else 0.0
         for regime in range(market.n_regimes):
             paths = layout_paths(market, regime, 0.4, n, RngStream(62), first_jump_by_end=True)
-            expected = loop_estimate([loop_value_factor(market, 0.7, path) for path, _ in paths])
-            assert estimate_value_factor(market, 0.4, 0.7, regime, n, RngStream(62)) == expected
+            expected = loop_estimate(
+                [loop_value_factor(market, income_start, path) for path, _ in paths]
+            )
+            got = estimate_value_factor(market, 0.4, income_start, regime, n, RngStream(62))
+            assert got == expected
 
     def test_policy(self, chain, layout):
         market = contract_market(chain, correlation=0.3)
