@@ -34,11 +34,17 @@ onward) draws everything from the one Philox key
    only.
 
 A block always simulates all ``BLOCK`` rows and drops those past
-``n_paths``, so a path's sample does not depend on the path count.  The
-jump loop runs over the paths still moving, and all per-path arithmetic
-over rows padded past each path's end, :data:`GROUP` paths at a time.
-Per-path sums never include the padding, so every estimate is bit for bit
-the same for any ``GROUP``.
+``n_paths``, so a path's sample does not depend on the path count.  Up to
+:data:`SWEEP` consecutive blocks step together: one jump loop runs over
+the paths of the sweep still moving, and at a drawn width each block with
+paths still moving draws its own extension, blocks in order.  Every
+per-path operation is elementwise, so a sweep draws and computes exactly
+what its blocks would one by one.  All per-path arithmetic then runs over
+rows padded past each path's end, in groups of consecutive paths of at
+most :data:`CELLS` cells (rows times the widest row, at least one row);
+a group of wealth grids stays inside one block.  Per-path sums never
+include the padding, so every estimate is bit for bit the same for any
+``SWEEP`` and ``CELLS``.
 """
 
 from __future__ import annotations
@@ -62,8 +68,10 @@ __all__ = [
 
 # paths per Philox key; part of the stream layout, so changing it changes every estimate
 BLOCK = 128
-# paths evaluated together; bounds the memory of per-path arithmetic, results do not depend on it
-GROUP = 64
+# blocks whose chains step together; bounds the memory of a call, results do not depend on it
+SWEEP = 16
+# rows times width of a group of per-path arithmetic; bounds its memory, results do not depend on it
+CELLS = 4096
 
 
 class NonZeroRho(ValueError):
@@ -234,12 +242,14 @@ def _simulate_chains(
     before ``t_end``: its exponential ``e`` maps to the waiting time
     ``-log1p(expm1(-e) * (1 - exp(-rate * (t_end - t_start)))) / rate``.
 
-    Yields ``(first, times, states, n_jumps, normals)`` per group of up to
-    ``GROUP`` paths, cut to the group's own width: row ``r`` (path ``first +
+    The blocks of a sweep of up to ``SWEEP`` step through one jump loop.
+    Yields ``(first, times, states, n_jumps, normals)`` per group of
+    consecutive paths whose rows, ``n_steps + n_jumps + 1`` wide, fit in
+    ``CELLS`` cells, cut to the group's own width: row ``r`` (path ``first +
     r``) holds the start time and state, then one column per jump, up to
     column ``n_jumps[r]``, then ``t_end`` and state 0; ``normals[s, r]`` is
-    its set ``s``.  The rows past ``n_paths`` that a block simulates are
-    dropped.
+    its set ``s``.  With normals a group stays inside one block.  The rows
+    past ``n_paths`` that a block simulates are dropped.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be positive, got {n_paths}")
@@ -247,55 +257,83 @@ def _simulate_chains(
     n_blocks = -(-n_paths // BLOCK)
     RngStream(rng.seed, rng.stream_id + n_blocks - 1)  # every block's key must be valid
     lam, cum = _jump_table(generator)
+    cum_columns = np.ascontiguousarray(cum.T)  # row j: entry j of every state, for a fast take
     head = _block_head(lam.max() * (t_end - t_start))
     leave = -np.expm1(-lam[regime] * (t_end - t_start))  # chance to leave the start by t_end
 
-    for block in range(n_blocks):
-        gen = RngStream(rng.seed, rng.stream_id + block).generator()
-        exps, unis = gen.standard_exponential((BLOCK, head)), gen.random((BLOCK, head))
-        alive = np.arange(BLOCK) if lam[regime] != 0.0 else np.empty(0, dtype=np.int64)
+    for first_block in range(0, n_blocks, SWEEP):
+        gens = [RngStream(rng.seed, rng.stream_id + b).generator()
+                for b in range(first_block, min(first_block + SWEEP, n_blocks))]
+        n_rows = len(gens) * BLOCK
+        exps, unis = np.empty((n_rows, head)), np.empty((n_rows, head))
+        for b, gen in enumerate(gens):
+            exps[b * BLOCK : (b + 1) * BLOCK] = gen.standard_exponential((BLOCK, head))
+            unis[b * BLOCK : (b + 1) * BLOCK] = gen.random((BLOCK, head))
+        alive = np.arange(n_rows) if lam[regime] != 0.0 else np.empty(0, dtype=np.int64)
         t, state = np.full(len(alive), float(t_start)), np.full(len(alive), regime)
-        steps = []  # (paths, arrival times, destinations) of each jump in turn
+        steps = []  # (rows, arrival times, destinations) of each jump in turn
         while alive.size:
             column = len(steps) % head
-            if steps and column == 0:  # past the drawn width: extend the rows still moving
-                exps[alive] = gen.standard_exponential((len(alive), head))
-                unis[alive] = gen.random((len(alive), head))
+            if steps and column == 0:  # past the drawn width: each block extends its moving rows
+                cuts = np.searchsorted(alive, np.arange(len(gens) + 1) * BLOCK)
+                for gen, lo, hi in zip(gens, cuts[:-1], cuts[1:]):
+                    if lo < hi:
+                        exps[alive[lo:hi]] = gen.standard_exponential((hi - lo, head))
+                        unis[alive[lo:hi]] = gen.random((hi - lo, head))
             if first_jump_by_end and not steps:
                 t = t - np.log1p(np.expm1(-exps[alive, column]) * leave) / lam[state]
             else:
                 t = t + exps[alive, column] / lam[state]
             keep = t < t_end
             alive, t, state = alive[keep], t[keep], state[keep]
-            rows = cum[state]
-            state = (rows <= (unis[alive, column] * rows[:, -1])[:, None]).sum(axis=1)
+            entries = cum_columns.take(state, axis=1)
+            state = (entries <= unis[alive, column] * entries[-1]).sum(axis=0)
             steps.append((alive, t, state))
             moving = lam[state] != 0.0
             if not moving.all():
                 alive, t, state = alive[moving], t[moving], state[moving]
-        times = np.full((BLOCK, len(steps) + 1), float(t_end))
-        states = np.zeros((BLOCK, len(steps) + 1), dtype=np.int64)
+        times = np.full((n_rows, len(steps) + 1), float(t_end))
+        states = np.zeros((n_rows, len(steps) + 1), dtype=np.int64)
         times[:, 0], states[:, 0] = t_start, regime
-        n_jumps = np.zeros(BLOCK, dtype=np.int64)
+        n_jumps = np.zeros(n_rows, dtype=np.int64)
         for jump, (rows, arrival, destination) in enumerate(steps, start=1):
             times[rows, jump], states[rows, jump], n_jumps[rows] = arrival, destination, jump
-        del exps, unis, steps  # free the block's draws while its rows are consumed
-        normals = gen.standard_normal((n_sets, BLOCK, n_steps + n_jumps.max()))
-        kept = min(BLOCK, n_paths - block * BLOCK)
-        for lo in range(0, kept, GROUP):
-            rows = slice(lo, min(lo + GROUP, kept))
-            width = n_jumps[rows].max() + 1
-            yield (block * BLOCK + lo, times[rows, :width], states[rows, :width], n_jumps[rows],
-                   normals[:, rows])
+        del exps, unis, steps  # free the sweep's draws while its rows are consumed
+        kept = min(n_rows, n_paths - first_block * BLOCK)
+        # a block's normals are as wide as its own widest grid, so groups with normals stay in it
+        spans = [(lo, min(lo + BLOCK, kept)) for lo in range(0, kept, BLOCK)] if n_sets else [(0, kept)]
+        for lo, hi in spans:
+            if n_sets:
+                normals = gens[lo // BLOCK].standard_normal(
+                    (n_sets, BLOCK, n_steps + n_jumps[lo : lo + BLOCK].max())
+                )
+            for rows in _cell_groups(n_steps + n_jumps[lo:hi] + 1):
+                group = slice(lo + rows.start, lo + rows.stop)
+                width = n_jumps[group].max() + 1
+                yield (first_block * BLOCK + group.start, times[group, :width], states[group, :width],
+                       n_jumps[group], normals[:, rows] if n_sets else None)
+
+
+def _cell_groups(widths: NDArray[np.int64]):
+    """Consecutive slices of rows of the given widths, each as many rows as
+    fit in ``CELLS`` cells at the widest of them, and at least one."""
+    lo = 0
+    while lo < len(widths):
+        peak = np.maximum.accumulate(widths[lo : lo + CELLS])
+        # rows times the running peak never falls, so the rows that fit are a prefix
+        hi = lo + max(1, int(np.count_nonzero(np.arange(1, len(peak) + 1) * peak <= CELLS)))
+        yield slice(lo, hi)
+        lo = hi
 
 
 def _simulate_grids(market: MarketModel, regime: int, t_start, n_paths: int, n_steps: int, rng: RngStream):
     """Chain paths on jump-refined grids with two sets of grid normals (stock,
     then income shocks), as ``(index, lengths, times, regimes, normals)``
-    groups of up to ``GROUP`` paths: row ``r`` holds path ``index[r]``'s
-    grid, as :func:`merged_time_grid` builds it, in its first ``lengths[r]``
-    entries, then the horizon; its step regimes and normals fill the first
-    ``lengths[r] - 1`` entries, then the last regime and unused normals.
+    groups cut as :func:`_simulate_chains` cuts them: row ``r`` holds path
+    ``index[r]``'s grid, as :func:`merged_time_grid` builds it, in its first
+    ``lengths[r]`` entries, then the horizon; its step regimes and normals
+    fill the first ``lengths[r] - 1`` entries, then the last regime and
+    unused normals.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be positive")

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import bisect
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad_vec
 
 from regimeweave import montecarlo, portfolio
+from regimeweave.cli import load_config
 from regimeweave.hjb import (
     MarketModel,
     growth_coefficients,
@@ -31,6 +34,7 @@ from regimeweave.portfolio import (
     simulate_wealth,
 )
 
+REPO = Path(__file__).resolve().parents[1]
 Q2 = validate_generator([[-0.5, 0.5], [0.3, -0.3]])
 
 
@@ -409,11 +413,13 @@ def loop_policy_utility(market, strategy, t_start, wealth_start, income_start, p
 @pytest.fixture(params=["whole_blocks", "chunks_of_3"])
 def layout(request, monkeypatch):
     """The default layout, or blocks of three paths with two columns per
-    draw, so that blocks split and most paths need extension rounds, and
-    grids evaluated two at a time."""
+    draw, stepped two blocks a sweep, so that blocks split, calls span many
+    sweeps and most paths need extension rounds, at the same column in
+    different blocks; groups of at most five cells hold a few rows each."""
     if request.param == "chunks_of_3":
         monkeypatch.setattr(montecarlo, "BLOCK", 3)
-        monkeypatch.setattr(montecarlo, "GROUP", 2)
+        monkeypatch.setattr(montecarlo, "SWEEP", 2)
+        monkeypatch.setattr(montecarlo, "CELLS", 5)
         monkeypatch.setattr(montecarlo, "_block_head", lambda mean_jumps: 2)
 
 
@@ -519,7 +525,7 @@ def test_policy_values_are_a_prefix_of_more_paths(chain, t_start, layout, monkey
 
     monkeypatch.setattr(portfolio, "_estimate", recording_estimate)
     portfolio._evaluate_policies(market, strategies, t_start, 1.0, 0.3, 0, n, RngStream(64, 3))
-    monkeypatch.setattr(montecarlo, "GROUP", 1)
+    monkeypatch.setattr(montecarlo, "CELLS", 1)
     portfolio._evaluate_policies(market, strategies, t_start, 1.0, 0.3, 0, n + 5, RngStream(64, 3))
     fewer, more = seen[:2], seen[2:]
     for values_a, values_b in zip(fewer, more):
@@ -533,9 +539,9 @@ def test_past_block_chain_crosses_the_block():
     path = simulate_path(market.generator, 0, 0.3, market.horizon, RngStream(61, 5))
     assert path.n_jumps() > 1024
     head = montecarlo._block_head(-market.generator.rates.min() * (market.horizon - 0.3))
-    blocks = montecarlo._simulate_chains(market.generator, 0, 0.3, market.horizon, 5, RngStream(61, 5))
-    ((_, _, _, n_jumps, _),) = blocks
-    assert head == 1024 and n_jumps.min() > head
+    groups = montecarlo._simulate_chains(market.generator, 0, 0.3, market.horizon, 5, RngStream(61, 5))
+    n_jumps = np.concatenate([n_jumps for _, _, _, n_jumps, _ in groups])
+    assert head == 1024 and len(n_jumps) == 5 and n_jumps.min() > head
 
 
 def test_group_size_invariance(monkeypatch):
@@ -551,9 +557,11 @@ def test_group_size_invariance(monkeypatch):
         )
 
     base = estimates()
-    for group in range(1, 8):
-        monkeypatch.setattr(montecarlo, "GROUP", group)
-        assert estimates() == base, group
+    for cells in (1, 7, 64, 10**6):
+        for sweep in range(1, 8):
+            monkeypatch.setattr(montecarlo, "CELLS", cells)
+            monkeypatch.setattr(montecarlo, "SWEEP", sweep)
+            assert estimates() == base, (cells, sweep)
 
 
 def test_stream_ids_must_stay_in_range():
@@ -562,6 +570,23 @@ def test_stream_ids_must_stay_in_range():
     estimate_regime_factor(market, 0.0, 0, 128, RngStream(1, 2**64 - 1))
     with pytest.raises(ValueError, match="stream_id"):
         estimate_regime_factor(market, 0.0, 0, 129, RngStream(1, 2**64 - 1))
+
+
+def test_memory_does_not_grow_with_the_path_count():
+    # a call steps at most SWEEP blocks at a time, so its peak is that of one
+    # sweep; about 54 jumps a path on the copula config's fast chain
+    market = load_config(REPO / "configs" / "copula.json").market
+
+    def peak(n_paths):
+        tracemalloc.start()
+        try:
+            estimate_regime_factor(market, 0.0, 0, n_paths, RngStream(71))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one_sweep = peak(montecarlo.SWEEP * montecarlo.BLOCK)
+    assert peak(20000) <= 1.5 * one_sweep
 
 
 def test_batched_grids_match_merged_time_grid_with_ties():
