@@ -73,11 +73,11 @@ for regime in range(market.n_regimes):
 print()
 
 # Spot-check the dynamic-programming equation: the residual should sit
-# at the level of the factor-table interpolation error.
-worst = 0.0
-for t in np.linspace(0.1, 1.4, 4):
-    for x in (0.0, 1.0):
-        for y in (-0.5, 0.5):
-            for regime in range(market.n_regimes):
-                worst = max(worst, abs(hjb_residual(market, bundle.value, t, x, y, regime)))
+# at the level of the factor-table interpolation error.  The residual
+# broadcasts over time, wealth and income, so one call covers a regime.
+mesh = np.meshgrid(np.linspace(0.1, 1.4, 4), (0.0, 1.0), (-0.5, 0.5), indexing="ij")
+worst = max(
+    float(np.abs(hjb_residual(market, bundle.value, *mesh, regime)).max())
+    for regime in range(market.n_regimes)
+)
 print(f"max |HJB residual| over the spot grid: {worst:.2e}")

@@ -62,6 +62,8 @@ from .portfolio import (
 )
 
 HASH_LENGTH = 12
+# table rows formatted at a time, so a long table's text never sits in memory whole
+TABLE_BATCH = 256
 
 
 class ParseError(ValueError):
@@ -369,17 +371,13 @@ def _json_text(value) -> str:
     return json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False, default=lambda v: v.tolist())
 
 
-def _cell(value) -> str:
-    if isinstance(value, (bool, str)):
-        return str(value)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        number = float(value)
-        if number == 0.0:  # normalize negative zero
-            number = 0.0
-        return format(number, ".17g")
-    return str(value)
+def _cells(column) -> list[str]:
+    """One column's cells: floats to 17 significant digits with negative zero
+    normalized (``+ 0.0``), anything else through ``str``."""
+    values = np.asarray(column)
+    if values.dtype.kind == "f":
+        return [format(v, ".17g") for v in (values + 0.0).tolist()]
+    return [str(v) for v in values.tolist()]
 
 
 class _Artifacts:
@@ -398,16 +396,17 @@ class _Artifacts:
         self.provenance[key] = provenance
         return self.out_dir / name
 
-    def table(self, key, units, provenance, columns, rows, name=None) -> None:
-        """Write ``<key>.csv`` (or ``name``) under units, provenance, config and seed comments."""
+    def table(self, key, units, provenance, header, columns, name=None) -> None:
+        """Write ``<key>.csv`` (or ``name``) under units, provenance, config and
+        seed comments; ``columns`` holds one sequence per ``header`` entry."""
         path = self._record(key, name or f"{key}.csv", provenance)
         with open(path, "w", newline="") as stream:
             stream.write(f"# units: {units}\n# provenance: {provenance}\n")
             stream.write(f"# config: {self.config.config_hash} seed: {self.config.seed}\n")
             writer = csv.writer(stream, lineterminator="\n")
-            writer.writerow(columns)
-            for row in rows:
-                writer.writerow([_cell(v) for v in row])
+            writer.writerow(header)
+            for lo in range(0, len(columns[0]), TABLE_BATCH):
+                writer.writerows(zip(*(_cells(column[lo : lo + TABLE_BATCH]) for column in columns)))
 
     def json(self, key: str, name: str, value) -> None:
         """Write a closed-form JSON artifact."""
@@ -437,10 +436,6 @@ def _state_labels(n_states: int, mapping) -> list[str]:
         i, j = mapping.pair(k)
         labels.append(f"{k} (eps={i},zeta={j})")
     return labels
-
-
-def _matrix_rows(labels, matrix):
-    return [[labels[i], *matrix[i]] for i in range(len(labels))]
 
 
 def _sim_steps(config: ModelConfig) -> int:
@@ -504,17 +499,17 @@ def cmd_compose(config: ModelConfig, out_dir: Path) -> RunReport:
         "n_states": generator.n_states, "provenance": "closed-form", "rates": generator.rates,
     })
     out.table("compound_generator_csv", "off-diagonal entries are jump rates per unit time",
-              "closed-form", header, _matrix_rows(labels, generator.rates),
+              "closed-form", header, [labels, *generator.rates.T],
               name="compound_generator.csv")
     out.table("embedded_chain", "jump-destination probabilities, dimensionless", "closed-form",
-              header, _matrix_rows(labels, embedded_chain(generator).probs))
+              header, [labels, *embedded_chain(generator).probs.T])
     out.table("stationary_distribution", "long-run occupancy probabilities, dimensionless",
-              "closed-form", ["state", "probability"], zip(labels, stationary))
+              "closed-form", ["state", "probability"], [labels, stationary])
     results = {"method": method, "n_states": generator.n_states, "stationary_distribution": stationary}
     if config.chain is not None and method == "copula":
         diff = generator.rates - compose_independent(config.chain.eps, config.chain.zeta).generator.rates
         out.table("independent_diff", "copula minus independent compound rates per unit time",
-                  "closed-form", header, _matrix_rows(labels, diff))
+                  "closed-form", header, [labels, *diff.T])
         results["max_abs_rate_diff"] = float(np.max(np.abs(diff)))
     return out.report(results)
 
@@ -550,26 +545,26 @@ def cmd_solve(
 
     loading = solve_income_loading(market)
     out.table("income_loading", "t in time units; m is the exponent loading per unit income",
-              "closed-form", ["t", "m"], zip(curve_t, loading.value(curve_t)))
+              "closed-form", ["t", "m"], [curve_t, loading.value(curve_t)])
     merton = np.column_stack([merton_weight(market, curve_t, k) for k in range(n_regimes)])
     hedge = np.column_stack([hedge_weight(market, curve_t, k) for k in range(n_regimes)])
     weights = np.stack([merton, hedge, merton + hedge], axis=-1).reshape(len(curve_t), -1)
     columns = [f"{part}[{label}]" for label in labels for part in ("merton", "hedge", "total")]
     out.table("strategy", "money units held in the stock", "closed-form", ["t", *columns],
-              np.column_stack([curve_t, weights]))
+              [curve_t, *weights.T])
 
     results = {"case": config.case, "m_at_0": float(loading.value(0.0))}
     if closed:
         factors = solve_regime_factors(market, n_steps=config.n_steps)
         out.table("regime_factors", "dimensionless multiplicative value factors", "ODE",
                   ["t", *[f"h[{label}]" for label in labels]],
-                  [[t, *row] for t, row in zip(curve_t, factors.value(curve_t))])
+                  [curve_t, *factors.value(curve_t).T])
         value = value_function(market, factors=factors)
         mesh = np.meshgrid(t_axis, x_axis, y_axis, indexing="ij")
         values = np.stack([value(*mesh, k) for k in range(n_regimes)], axis=-1)
-        points = itertools.product(t_axis, x_axis, y_axis, labels)
+        points = np.meshgrid(t_axis, x_axis, y_axis, np.array(labels, dtype=object), indexing="ij")
         out.table("value_grid", utility_units, "ODE", ["t", "x", "y", "regime", "value"],
-                  [[*point, v] for point, v in zip(points, values.ravel())])
+                  [*(axis.ravel() for axis in points), values.ravel()])
         results["h_at_0"] = factors.value(0.0)
     else:
         n_mc = n_paths if n_paths is not None else config.n_paths
@@ -585,9 +580,9 @@ def cmd_solve(
                 scale = -math.exp(-gamma * x * growth) / gamma
                 value_rows.append([t, x, y, labels[k], scale * est.value, abs(scale) * est.stderr])
         out.table("value_factor_mc", "dimensionless wealth-free value factors", "MC±stderr",
-                  ["t", "y", "regime", "estimate", "stderr", "n_paths"], factor_rows)
+                  ["t", "y", "regime", "estimate", "stderr", "n_paths"], list(zip(*factor_rows)))
         out.table("value_grid", utility_units, "MC±stderr",
-                  ["t", "x", "y", "regime", "value", "stderr"], value_rows)
+                  ["t", "x", "y", "regime", "value", "stderr"], list(zip(*value_rows)))
         results["n_paths"] = n_mc
     return out.report(results)
 
@@ -607,22 +602,23 @@ def cmd_simulate(
     strategy = optimal_strategy(market, config.case)
     n = n_paths if n_paths is not None else min(config.n_paths, 16)
     n_sim = _sim_steps(config)
-    labels = _state_labels(market.n_regimes, config.mapping)
+    labels = np.array(_state_labels(market.n_regimes, config.mapping), dtype=object)
 
-    rows = []
     paths = simulate_wealth(
         market, strategy, 0.0, wealth_start, income_start, regime, n, n_sim, RngStream(config.seed, 0)
     )
-    for j, path in enumerate(paths):
-        for k, t in enumerate(path.times):
-            # regimes and positions sit on interval left endpoints; the final
-            # node reuses the last interval's regime and holds no position
-            held = path.regimes[min(k, len(path.regimes) - 1)]
-            position = path.positions[k] if k < len(path.positions) else ""
-            rows.append([j, t, path.wealth[k], path.income[k], labels[held], position])
+    lengths = [len(path.times) for path in paths]
+    nodes = [np.concatenate([getattr(p, field) for p in paths]) for field in ("times", "wealth", "income")]
+    # regimes and positions sit on interval left endpoints; the final node
+    # reuses the last interval's regime and holds no position
+    held = np.concatenate([np.append(path.regimes, path.regimes[-1]) for path in paths])
+    positions = _cells(np.concatenate([np.append(path.positions, 0.0) for path in paths]))
+    for end in np.cumsum(lengths) - 1:
+        positions[end] = ""
     out.table("paths", "t in time units; wealth, income, position in money units",
               "MC sample paths (exact conditional scheme)",
-              ["path", "t", "wealth", "income", "regime", "position"], rows)
+              ["path", "t", "wealth", "income", "regime", "position"],
+              [np.repeat(np.arange(len(paths)), lengths), *nodes, labels[held], positions])
     terminal = np.array([path.wealth[-1] for path in paths])
     results = {
         "n_paths": n,
@@ -669,7 +665,7 @@ def cmd_evaluate(
         rows.append([name, est.value, est.stderr, est.n_paths, predicted, est.value - predicted])
         scored[name] = {"estimate": est.value, "stderr": est.stderr}
     out.table("evaluation", "expected terminal utility, dimensionless", "MC±stderr",
-              ["policy", "estimate", "stderr", "n_paths", "predicted_value", "gap"], rows)
+              ["policy", "estimate", "stderr", "n_paths", "predicted_value", "gap"], list(zip(*rows)))
     return out.report(
         {"policies": scored, "predicted_value": predicted},
         comparisons=list(comparisons), i0=regime, n_paths=n, x0=wealth_start, y0=income_start,
@@ -744,10 +740,10 @@ def cmd_validate(config: ModelConfig, out_dir: Path, n_paths: int | None = None)
 
     ratio = 0.0
     times = np.linspace(0.05 * market.horizon, 0.95 * market.horizon, 3)
-    grid = itertools.product(times, (0.0, 1.0, 2.0), (-0.5, 0.0, 0.5), range(market.n_regimes))
-    for t, x, y, regime in grid:
-        residual = hjb_residual(market, value, t, x, y, regime)
-        ratio = max(ratio, abs(residual) / (1.0 + abs(value(t, x, y, regime))))
+    mesh = np.meshgrid(times, (0.0, 1.0, 2.0), (-0.5, 0.0, 0.5), indexing="ij")
+    for regime in range(market.n_regimes):
+        residual = hjb_residual(market, value, *mesh, regime)
+        ratio = max(ratio, float(np.max(np.abs(residual) / (1.0 + np.abs(value(*mesh, regime))))))
     check("hjb_residual", "ODE", ratio, 1e-4,
           "max |residual| / (1 + |V|) over a 3x3x3 grid and all regimes")
 
@@ -771,7 +767,7 @@ def cmd_validate(config: ModelConfig, out_dir: Path, n_paths: int | None = None)
 
     units = "margin and tolerance are check-specific: rates, probabilities, stderr units, residual ratios"
     out.table("validation", units, "closed-form / ODE / MC±stderr per row",
-              ["check", "provenance", "status", "margin", "tolerance", "detail"], rows)
+              ["check", "provenance", "status", "margin", "tolerance", "detail"], list(zip(*rows)))
     n_failed = sum(entry["status"] == "fail" for entry in summary.values())
     return out.report({"checks": summary, "n_checks": len(rows), "n_failed": n_failed})
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.typing import NDArray
+from numpy.typing import ArrayLike, NDArray
 
 from .markov import GeneratorMatrix
 
@@ -330,8 +330,10 @@ def solve_regime_factors(
     Fourth-order Magnus integrator with two Gauss points (Iserles &
     Norsett 1999; Blanes, Casas, Oteo & Ros 2009) and ``n_steps`` uniform
     steps on ``[0, horizon]``: each step multiplies by the exponential of a
-    matrix built from the system at its Gauss nodes, and all of a run's step
-    exponentials are computed in one batched call.  The global error is
+    matrix built from the system at its Gauss nodes.  All of a run's step
+    exponentials are computed in one batched call and chained in blocks of
+    ``CHAIN_BLOCK`` steps, with batched prefix products inside a block and
+    one matrix-vector product per block between them.  The global error is
     estimated by comparing against a half-resolution run (their gap is about
     15 times the fine-grid error for a fourth-order method); if the estimate
     exceeds ``rtol`` relative to the solution, :class:`StepTooCoarse` is
@@ -390,6 +392,8 @@ def _hermite_coefficients(
 
 # Gauss-Legendre nodes of [0, 1] used by the Magnus step
 GAUSS_NODES = 0.5 + np.array([-1.0, 1.0]) * np.sqrt(3.0) / 6.0
+# steps whose exponentials are multiplied together in one batch
+CHAIN_BLOCK = 32
 
 
 def _magnus_grid(market: MarketModel, n_steps: int) -> NDArray[np.float64]:
@@ -399,23 +403,36 @@ def _magnus_grid(market: MarketModel, n_steps: int) -> NDArray[np.float64]:
     ``k`` applies ``exp(Omega_k)``, ``Omega_k = dt/2 (A_1 + A_2) + sqrt(3)/12
     dt^2 [A_2, A_1]`` with ``A_i`` at the step's two Gauss nodes; the
     commutator reduces to ``(d_i - d_j) rates[i, j]`` with ``d = c_2 - c_1``.
+
+    The step exponentials are chained in blocks of ``CHAIN_BLOCK`` steps,
+    the last padded with identities: batched matmuls form every block's
+    prefix products, one matvec per block carries the factors from block
+    start to block start, and one ``einsum`` applies each prefix product to
+    its block's start.  The step exponentials are non-negative matrices and
+    the factors positive, so a product that overflows leaves every factor it
+    produces non-finite, where the caller's check sees it.
     """
     dt = market.horizon / n_steps
     nodes = (np.arange(n_steps)[:, None] + GAUSS_NODES) * dt
     c = regime_growth_rate(market, market.horizon - nodes)  # (n_steps, 2, n_regimes)
     q = market.generator.rates
     d = c[:, 1] - c[:, 0]
-    omega = dt * q + (np.sqrt(3.0) / 12.0 * dt**2) * (d[:, :, None] - d[:, None, :]) * q
-    regimes = np.arange(market.n_regimes)
-    omega[:, regimes, regimes] += dt / 2.0 * (c[:, 0] + c[:, 1])
-    steps = _expm_stack(omega)
-    out = np.empty((n_steps + 1, market.n_regimes))
-    out[0] = 1.0
+    n = market.n_regimes
+    n_blocks = -(-n_steps // CHAIN_BLOCK)
+    omega = np.zeros((n_blocks * CHAIN_BLOCK, n, n))  # the padding steps' exponential is the identity
+    omega[:n_steps] = dt * q + (np.sqrt(3.0) / 12.0 * dt**2) * (d[:, :, None] - d[:, None, :]) * q
+    regimes = np.arange(n)
+    omega[:n_steps, regimes, regimes] += dt / 2.0 * (c[:, 0] + c[:, 1])
+    prefix = _expm_stack(omega).reshape(n_blocks, CHAIN_BLOCK, n, n).swapaxes(0, 1)
+    starts = np.ones((n_blocks, n))  # factors at each block's start, rows past 0 filled below
     # factors that leave the float range are reported by the caller's isfinite check
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps):
-            out[k + 1] = steps[k] @ out[k]
-    return out
+        for k in range(1, CHAIN_BLOCK):  # in place: prefix[k, b] becomes block b's steps k..0 multiplied
+            prefix[k] = prefix[k] @ prefix[k - 1]
+        for b in range(n_blocks - 1):
+            starts[b + 1] = prefix[-1, b] @ starts[b]
+        chained = np.einsum("kbij,bj->bki", prefix, starts).reshape(-1, n)
+    return np.concatenate([np.ones((1, n)), chained[:n_steps]])
 
 
 def _expm_stack(a: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -445,12 +462,12 @@ def _expm_stack(a: NDArray[np.float64]) -> NDArray[np.float64]:
 def hjb_residual(
     market: MarketModel,
     value_fn,
-    t: float,
-    x: float,
-    y: float,
+    t: ArrayLike,
+    x: ArrayLike,
+    y: ArrayLike,
     regime: int,
     relative_step: float = 1e-5,
-) -> float:
+) -> float | NDArray[np.float64]:
     """Residual of the dynamic-programming equation at its own best control.
 
     The first-order condition gives the candidate position
@@ -459,12 +476,19 @@ def hjb_residual(
                     / (vol^2 * V_xx)
 
     which requires ``V_xx < 0``; otherwise the supremum is unbounded and
-    :class:`ConcavityViolation` is raised.  A correct value function makes
-    the returned residual vanish up to differencing error.
+    :class:`ConcavityViolation` is raised, naming the first such point.  A
+    correct value function makes the returned residual vanish up to
+    differencing error.  ``t``, ``x`` and ``y`` broadcast against each other
+    and ``value_fn`` is called on whole arrays, for one scalar ``regime``;
+    every operation is elementwise, so each entry equals the scalar call at
+    its point, and scalar arguments return a ``float``.
     """
+    t, x, y = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (t, x, y)))
     v, v_t, v_x, v_y, v_xx, v_yy, v_xy = _partials(value_fn, t, x, y, regime, relative_step)
-    if not v_xx < 0:
-        raise ConcavityViolation(f"V_xx = {v_xx:.3e} at (t={t}, x={x}, y={y}, regime={regime})")
+    if not np.all(v_xx < 0):
+        at = np.unravel_index(np.argmin(v_xx < 0), v_xx.shape)  # the first failing point
+        point = f"(t={t[at]}, x={x[at]}, y={y[at]}, regime={regime})"
+        raise ConcavityViolation(f"V_xx = {v_xx[at]:.3e} at {point}")
     excess = float(market.excess_return()[regime])
     vol = float(market.stock_vol[regime])
     idrift = float(market.income_drift[regime])
@@ -472,9 +496,9 @@ def hjb_residual(
     best = -(excess * v_x + vol * market.correlation * ivol * v_xy) / (vol**2 * v_xx)
     chain = 0.0
     for j in range(market.n_regimes):
-        vj = v if j == regime else float(value_fn(t, x, y, j))
+        vj = v if j == regime else np.asarray(value_fn(t, x, y, j), dtype=float)
         chain += market.generator.rates[regime, j] * vj
-    return float(
+    out = (
         v_t
         + 0.5 * best**2 * vol**2 * v_xx
         + (market.rate * x + best * excess + y) * v_x
@@ -483,15 +507,16 @@ def hjb_residual(
         + best * vol * market.correlation * ivol * v_xy
         + chain
     )
+    return out if out.ndim else float(out)
 
 
 def _partials(value_fn, t, x, y, regime, relative_step):
-    def f(tt: float, xx: float, yy: float) -> float:
-        return float(value_fn(tt, xx, yy, regime))
+    def f(tt, xx, yy):
+        return np.asarray(value_fn(tt, xx, yy, regime), dtype=float)
 
-    ht = relative_step * max(1.0, abs(t))
-    hx = relative_step * max(1.0, abs(x))
-    hy = relative_step * max(1.0, abs(y))
+    ht = relative_step * np.maximum(1.0, np.abs(t))
+    hx = relative_step * np.maximum(1.0, np.abs(x))
+    hy = relative_step * np.maximum(1.0, np.abs(y))
     v = f(t, x, y)
     v_t = (f(t + ht, x, y) - f(t - ht, x, y)) / (2.0 * ht)
     f_xp, f_xm = f(t, x + hx, y), f(t, x - hx, y)

@@ -292,13 +292,21 @@ def _simulate_chains(
             moving = lam[state] != 0.0
             if not moving.all():
                 alive, t, state = alive[moving], t[moving], state[moving]
-        times = np.full((n_rows, len(steps) + 1), float(t_end))
-        states = np.zeros((n_rows, len(steps) + 1), dtype=np.int64)
+        del exps, unis  # free the sweep's draws while its rows are laid out and consumed
+        width = len(steps) + 1
+        times = np.full((n_rows, width), float(t_end))
+        states = np.zeros((n_rows, width), dtype=np.int64)
         times[:, 0], states[:, 0] = t_start, regime
         n_jumps = np.zeros(n_rows, dtype=np.int64)
-        for jump, (rows, arrival, destination) in enumerate(steps, start=1):
-            times[rows, jump], states[rows, jump], n_jumps[rows] = arrival, destination, jump
-        del exps, unis, steps  # free the sweep's draws while its rows are consumed
+        if steps:  # jump m of row r goes to flat cell r * width + m
+            cells = np.repeat(np.arange(1, width), [len(step[0]) for step in steps])
+            rows, arrivals, destinations = (np.concatenate(part) for part in zip(*steps))
+            steps.clear()
+            n_jumps = np.bincount(rows, minlength=n_rows)
+            cells += rows * width
+            np.put(times, cells, arrivals)
+            np.put(states, cells, destinations)
+            del cells, rows, arrivals, destinations
         kept = min(n_rows, n_paths - first_block * BLOCK)
         # a block's normals are as wide as its own widest grid, so groups with normals stay in it
         spans = [(lo, min(lo + BLOCK, kept)) for lo in range(0, kept, BLOCK)] if n_sets else [(0, kept)]

@@ -17,6 +17,7 @@ from numpy.testing import assert_allclose
 from regimeweave.cli import (
     ParseError,
     ValidationError,
+    _Artifacts,
     cmd_compose,
     cmd_evaluate,
     cmd_validate,
@@ -292,6 +293,27 @@ def test_report_lists_every_artifact_with_its_provenance(tmp_path, config):
                 assert json.loads((out / name).read_text())["provenance"] == provenance[key]
         if command == "compose":
             assert ("independent_diff" in outputs) == (config == COPULA_CONFIG)
+
+
+def test_table_writer_golden_text(tmp_path):
+    config = load_config(REFERENCE)
+    out = _Artifacts("solve", config, tmp_path)
+    out.table("golden", "units", "closed-form", ["label", "a", "b", "n", "flag"], [
+        ["0 (eps=0,zeta=1)", ""],
+        [-0.0, float("nan")],
+        [np.float64(np.inf), 0.1],
+        [3, np.int64(-4)],
+        [True, False],
+    ])
+    assert (tmp_path / "golden.csv").read_text() == (
+        "# units: units\n"
+        "# provenance: closed-form\n"
+        f"# config: {config.config_hash} seed: {config.seed}\n"
+        "label,a,b,n,flag\n"
+        '"0 (eps=0,zeta=1)",0,inf,3,True\n'
+        ",nan,0.10000000000000001,-4,False\n"
+    )
+    assert out.outputs == {"golden": "golden.csv"}
 
 
 class TestCompose:

@@ -17,6 +17,7 @@ from regimeweave.hjb import (
     MarketModel,
     StepTooCoarse,
     _expm_stack,
+    _magnus_grid,
     _partials,
     growth_coefficients,
     hjb_residual,
@@ -331,7 +332,7 @@ class TestSolveRegimeFactors:
         for t in (0.0, 0.75, 1.5):
             assert_allclose(table.value(t), sol(market.horizon - t), rtol=1e-8)
 
-    @pytest.mark.parametrize("n_steps", [8, 64, 1024])
+    @pytest.mark.parametrize("n_steps", [8, 64, 1024, 2050])
     def test_overflow_is_not_a_step_problem(self, n_steps):
         # the reference market over 40 years: growth rates reach ~180, so the
         # factors leave the float range whatever the step count
@@ -368,6 +369,29 @@ class TestSolveRegimeFactors:
         for t in ([0.5, 2.0 + 1.5 * spacing], np.nan, [0.5, np.nan]):
             with pytest.raises(ValueError, match="outside"):
                 table.value(t)
+
+
+class TestMagnusChaining:
+    @pytest.mark.parametrize("n_steps", [8, 10, 62, 1024, 2050])
+    @pytest.mark.parametrize("market", [make_market(), stiff_market(1.0), stiff_market(1000.0)],
+                             ids=["two_regime", "reference", "stiff"])
+    def test_blocks_match_sequential_steps(self, monkeypatch, market, n_steps):
+        captured = []
+
+        def record(a):
+            steps = _expm_stack(a)
+            captured.append(steps.copy())  # the chaining overwrites its steps
+            return steps
+
+        monkeypatch.setattr("regimeweave.hjb._expm_stack", record)
+        grid = _magnus_grid(market, n_steps)
+        (steps,) = captured
+        expected = np.empty((n_steps + 1, market.n_regimes))
+        expected[0] = 1.0
+        for k in range(n_steps):
+            expected[k + 1] = steps[k] @ expected[k]
+        assert grid.shape == expected.shape
+        assert_allclose(grid, expected, rtol=1e-14, atol=0.0)
 
 
 class TestHermiteTable:
@@ -515,3 +539,34 @@ class TestHjbOperator:
 
         with pytest.raises(ConcavityViolation):
             hjb_residual(market, convex, 0.9, 1.0, 0.5, 0)
+
+    @pytest.mark.parametrize("regime", [0, 1])
+    def test_broadcast_equals_scalar_calls(self, solved, regime):
+        market, table, loading = solved
+        value = closed_form_value(market, table, loading)
+        mesh = np.meshgrid([0.1, 0.9, 1.9], [-1.0, 0.0, 2.0], [-0.5, 0.0, 1.0], indexing="ij")
+        residual = hjb_residual(market, value, *mesh, regime)
+        assert residual.shape == (3, 3, 3)
+        for index in np.ndindex(residual.shape):
+            scalar = hjb_residual(market, value, *(float(axis[index]) for axis in mesh), regime)
+            assert type(scalar) is float
+            assert residual[index] == scalar
+
+    def test_broadcasts_mixed_shapes(self, solved):
+        market, table, loading = solved
+        value = closed_form_value(market, table, loading)
+        residual = hjb_residual(market, value, np.array([0.1, 0.9]), 1.0, np.array([[0.0], [0.5]]), 0)
+        assert residual.shape == (2, 2)
+        assert residual[1, 0] == hjb_residual(market, value, 0.1, 1.0, 0.5, 0)
+
+    def test_concavity_violation_names_first_failing_point(self, solved):
+        market, table, loading = solved
+        good = closed_form_value(market, table, loading)
+
+        def partly_convex(t, x, y, regime):
+            # convex in wealth wherever the income level is positive
+            return np.where(np.asarray(y) > 0.0, np.asarray(x, dtype=float) ** 2, good(t, x, y, regime))
+
+        mesh = np.meshgrid([0.1, 0.9], [0.0, 1.0], [-0.5, 0.5], indexing="ij")
+        with pytest.raises(ConcavityViolation, match=r"at \(t=0\.1, x=0\.0, y=0\.5, regime=1\)"):
+            hjb_residual(market, partly_convex, *mesh, 1)
