@@ -46,7 +46,7 @@ from .markov import (
     transition_probabilities,
     validate_generator,
 )
-from .montecarlo import estimate_regime_factor, estimate_value_factor
+from .montecarlo import BLOCK, estimate_regime_factor, estimate_value_factor
 from .portfolio import (
     NORMAL_INCOME,
     RHO_ZERO,
@@ -524,7 +524,8 @@ def cmd_solve(
 
     The normal-income case solves the factor ODE system; the rho0 case
     estimates the wealth-free value factor by Monte Carlo on a (t, y)
-    grid instead, regime by regime.
+    grid instead, regime by regime, each grid point on the stream ids
+    right after the previous point's.
     """
     out = _Artifacts("solve", config, out_dir)
     market = config.market
@@ -570,9 +571,10 @@ def cmd_solve(
         n_mc = n_paths if n_paths is not None else config.n_paths
         gamma = market.risk_aversion
         factor_rows, value_rows = [], []
+        blocks = -(-n_mc // BLOCK)  # point p draws from stream ids p * blocks onward, one per block
         points = itertools.product(t_axis, y_axis, range(n_regimes))
         for point, (t, y, k) in enumerate(points):
-            rng = RngStream(config.seed, point * n_mc)
+            rng = RngStream(config.seed, point * blocks)
             est = estimate_value_factor(market, t, y, k, n_mc, rng)
             factor_rows.append([t, y, labels[k], est.value, est.stderr, est.n_paths])
             growth = math.exp(market.rate * (horizon - t))

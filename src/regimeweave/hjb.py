@@ -157,40 +157,29 @@ class IncomeLoading:
 
     def integral(self, a, b):
         """Exact ``integral of m(s) ds`` over ``[a, b]`` (elementwise)."""
-        a, b, u1, delta = self._segments(a, b)
-        r = self.rate
-        if r == 0.0:
-            u2 = u1 + delta
-            out = -self.risk_aversion * (u2**2 - u1**2) / 2.0
-        else:
-            j1 = np.exp(r * u1) * _int_expm1(r, delta) + np.expm1(r * u1) * delta
-            out = -(self.risk_aversion / r) * j1
+        out = self._integrals(a, b)[0]
         return out if out.ndim else float(out)
 
     def square_integral(self, a, b):
         """Exact ``integral of m(s)**2 ds`` over ``[a, b]`` (elementwise)."""
-        a, b, u1, delta = self._segments(a, b)
-        r = self.rate
-        if r == 0.0:
-            u2 = u1 + delta
-            out = self.risk_aversion**2 * (u2**3 - u1**3) / 3.0
-        else:
-            e1 = np.expm1(r * u1)
-            j2 = (
-                np.exp(2.0 * r * u1) * _int_expm1_sq(r, delta)
-                + 2.0 * np.exp(r * u1) * e1 * _int_expm1(r, delta)
-                + e1**2 * delta
-            )
-            out = (self.risk_aversion / r) ** 2 * j2
+        out = self._integrals(a, b)[1]
         return out if out.ndim else float(out)
 
-    def _segments(self, a, b):
+    def _integrals(self, a, b):
+        """Both segment integrals as arrays, sharing their exponentials."""
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         if np.any(b < a):
             raise ValueError("segment end must not precede its start")
-        u1 = self.horizon - b  # integrate in time-to-horizon coordinates
-        return a, b, u1, b - a
+        u1, delta = self.horizon - b, b - a  # integrate in time-to-horizon coordinates
+        r, scale = self.rate, self.risk_aversion
+        if r == 0.0:
+            u2 = u1 + delta
+            return -scale * (u2**2 - u1**2) / 2.0, scale**2 * (u2**3 - u1**3) / 3.0
+        grown, e1, int_e = np.exp(r * u1), np.expm1(r * u1), _int_expm1(r, delta)
+        j1 = grown * int_e + e1 * delta
+        j2 = np.exp(2.0 * r * u1) * _int_expm1_sq(r, delta) + 2.0 * grown * e1 * int_e + e1**2 * delta
+        return -(scale / r) * j1, (scale / r) ** 2 * j2
 
 
 def _int_expm1(r: float, delta):
@@ -466,7 +455,7 @@ def hjb_residual(
     x: ArrayLike,
     y: ArrayLike,
     regime: int,
-    relative_step: float = 1e-5,
+    relative_step: float = 1e-4,
 ) -> float | NDArray[np.float64]:
     """Residual of the dynamic-programming equation at its own best control.
 
@@ -478,7 +467,11 @@ def hjb_residual(
     which requires ``V_xx < 0``; otherwise the supremum is unbounded and
     :class:`ConcavityViolation` is raised, naming the first such point.  A
     correct value function makes the returned residual vanish up to
-    differencing error.  ``t``, ``x`` and ``y`` broadcast against each other
+    differencing error: central differences at steps ``relative_step *
+    max(1, |t|)`` (likewise in ``x`` and ``y``), whose default, near
+    eps**(1/4), balances the value function's rounding, which second
+    differences amplify by ``1 / step**2``, against their ``step**2``
+    truncation error.  ``t``, ``x`` and ``y`` broadcast against each other
     and ``value_fn`` is called on whole arrays, for one scalar ``regime``;
     every operation is elementwise, so each entry equals the scalar call at
     its point, and scalar arguments return a ``float``.

@@ -33,18 +33,24 @@ onward) draws everything from the one Philox key
    factors and :func:`~regimeweave.portfolio.evaluate_policy` draw chains
    only.
 
+The first arrays are ``head = m + 3 sqrt(m) + 4`` columns wide (at most
+``JUMP_BLOCK``), ``m`` the expected jumps of the fastest state over the
+span, so that most paths need no extension and few drawn variates go
+unread.
+
 A block always simulates all ``BLOCK`` rows and drops those past
 ``n_paths``, so a path's sample does not depend on the path count.  Up to
 :data:`SWEEP` consecutive blocks step together: one jump loop runs over
 the paths of the sweep still moving, and at a drawn width each block with
 paths still moving draws its own extension, blocks in order.  Every
 per-path operation is elementwise, so a sweep draws and computes exactly
-what its blocks would one by one.  All per-path arithmetic then runs over
-rows padded past each path's end, in groups of consecutive paths of at
-most :data:`CELLS` cells (rows times the widest row, at least one row);
-a group of wealth grids stays inside one block.  Per-path sums never
-include the padding, so every estimate is bit for bit the same for any
-``SWEEP`` and ``CELLS``.
+what its blocks would one by one.  The sweep's paths are then laid out as
+one flat run of their real segments, and all per-path arithmetic runs on
+chunks of whole consecutive paths holding at most :data:`SEGMENTS`
+segments (at least one path); a chunk of wealth grids stays inside one
+block.  Each path's sum over its segments is taken alone, in the order of
+a 1-D ``ndarray.sum``, so every estimate is bit for bit the same for any
+``SWEEP`` and ``SEGMENTS``.
 """
 
 from __future__ import annotations
@@ -70,8 +76,8 @@ __all__ = [
 BLOCK = 128
 # blocks whose chains step together; bounds the memory of a call, results do not depend on it
 SWEEP = 16
-# rows times width of a group of per-path arithmetic; bounds its memory, results do not depend on it
-CELLS = 4096
+# real segments of a chunk of per-path arithmetic; bounds its memory, results do not depend on it
+SEGMENTS = 4096
 
 
 class NonZeroRho(ValueError):
@@ -159,10 +165,11 @@ def estimate_value_factor(
     stay, leave = float(np.exp(-exit_rate * span)), float(-np.expm1(-exit_rate * span))
     loading = solve_income_loading(market)
     income_term = loading.value(t_start) * income_start
+    integral, square_integral = loading._integrals(t_start, market.horizon)
     stay_factor = float(np.exp(
         income_term
-        + coeffs.linear[regime] * loading.integral(t_start, market.horizon)
-        + coeffs.quadratic[regime] * loading.square_integral(t_start, market.horizon)
+        + coeffs.linear[regime] * integral
+        + coeffs.quadratic[regime] * square_integral
         + coeffs.constant[regime] * span
     ))
     exponents = _path_exponents(market, t_start, regime, n_paths, rng, first_jump_by_end=True)
@@ -198,37 +205,39 @@ def _path_exponents(market, t_start, regime, n_paths, rng, first_jump_by_end=Fal
     coeffs = growth_coefficients(market)
     loading = solve_income_loading(market)
     exponents = np.empty(n_paths)
-    groups = _simulate_chains(
+    chunks = _simulate_chains(
         market.generator, regime, t_start, market.horizon, n_paths, rng, first_jump_by_end=first_jump_by_end
     )
-    for first, starts, states, n_jumps, _ in groups:
-        # segment m runs from column m to column m + 1; the padding adds empty segments
-        ends = np.concatenate([starts[:, 1:], np.full((len(starts), 1), market.horizon)], axis=1)
+    for first, counts, starts, ends, states, _ in chunks:
+        integral, square_integral = loading._integrals(starts, ends)
         terms = (
             coeffs.constant[states] * (ends - starts)
-            + coeffs.linear[states] * loading.integral(starts, ends)
-            + coeffs.quadratic[states] * loading.square_integral(starts, ends)
+            + coeffs.linear[states] * integral
+            + coeffs.quadratic[states] * square_integral
         )
-        exponents[first : first + len(n_jumps)] = _row_sums(terms, n_jumps + 1)
+        exponents[first : first + len(counts)] = _path_sums(counts, terms)
     return exponents
 
 
-def _row_sums(rows: NDArray[np.float64], lengths: NDArray[np.int64]) -> NDArray[np.float64]:
-    """Sum of the first ``lengths[i]`` entries of each row ``rows[..., i, :]``,
-    bit for bit the ``ndarray.sum`` of that prefix alone: rows of one length
-    are summed together, never with their padding, which would regroup the
-    pairwise sum."""
-    out = np.empty(rows.shape[:-1])
-    for n in set(lengths.tolist()):
-        same = lengths == n
-        out[..., same] = rows[..., same, :n].sum(axis=-1)
+def _path_sums(counts: NDArray[np.int64], terms: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Sum of ``terms[..., s]`` over each path's run of flat segments ``s``,
+    ``counts[p]`` of them for path ``p``, bit for bit the ``ndarray.sum`` of
+    that path's terms alone: paths of one length are gathered into a
+    C-contiguous ``(paths, length)`` array, whose rows sum in the order of a
+    1-D array (a strided view may not)."""
+    out = np.empty(terms.shape[:-1] + counts.shape)
+    offsets = np.cumsum(counts) - counts
+    for n in set(counts.tolist()):
+        same = np.flatnonzero(counts == n)
+        out[..., same] = np.take(terms, offsets[same, None] + np.arange(n), axis=-1).sum(axis=-1)
     return out
 
 
 def _block_head(mean_jumps: float) -> int:
     """Columns of a block's first exponential and uniform arrays, and of each
-    extension: enough for all but rare paths."""
-    return int(min(JUMP_BLOCK, mean_jumps + 6.0 * np.sqrt(mean_jumps) + 16.0))
+    extension: about three standard deviations past the expected jumps, so
+    that most paths need no extension and few drawn variates go unread."""
+    return int(min(JUMP_BLOCK, mean_jumps + 3.0 * np.sqrt(mean_jumps) + 4.0))
 
 
 def _simulate_chains(
@@ -242,14 +251,17 @@ def _simulate_chains(
     before ``t_end``: its exponential ``e`` maps to the waiting time
     ``-log1p(expm1(-e) * (1 - exp(-rate * (t_end - t_start)))) / rate``.
 
-    The blocks of a sweep of up to ``SWEEP`` step through one jump loop.
-    Yields ``(first, times, states, n_jumps, normals)`` per group of
-    consecutive paths whose rows, ``n_steps + n_jumps + 1`` wide, fit in
-    ``CELLS`` cells, cut to the group's own width: row ``r`` (path ``first +
-    r``) holds the start time and state, then one column per jump, up to
-    column ``n_jumps[r]``, then ``t_end`` and state 0; ``normals[s, r]`` is
-    its set ``s``.  With normals a group stays inside one block.  The rows
-    past ``n_paths`` that a block simulates are dropped.
+    The blocks of a sweep of up to ``SWEEP`` step through one jump loop, and
+    the sweep's paths are laid out as one flat run of real segments: a path
+    with ``n`` jumps owns ``n + 1`` segments, from ``t_start`` in the start
+    state, from each jump in its destination, the last one ending at
+    ``t_end``.  Yields ``(first, counts, starts, ends, states, normals)`` per
+    chunk of whole consecutive paths holding at most ``SEGMENTS`` segments
+    (at least one path): path ``first + p`` owns the next ``counts[p]``
+    segments, segment ``s`` running from ``starts[s]`` to ``ends[s]`` in
+    ``states[s]``, and ``normals[k, p]`` is its set ``k``.  With normals a
+    chunk stays inside one block.  The rows past ``n_paths`` that a block
+    simulates are dropped.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be positive, got {n_paths}")
@@ -292,52 +304,46 @@ def _simulate_chains(
             moving = lam[state] != 0.0
             if not moving.all():
                 alive, t, state = alive[moving], t[moving], state[moving]
-        del exps, unis  # free the sweep's draws while its rows are laid out and consumed
-        width = len(steps) + 1
-        times = np.full((n_rows, width), float(t_end))
-        states = np.zeros((n_rows, width), dtype=np.int64)
-        times[:, 0], states[:, 0] = t_start, regime
-        n_jumps = np.zeros(n_rows, dtype=np.int64)
-        if steps:  # jump m of row r goes to flat cell r * width + m
-            cells = np.repeat(np.arange(1, width), [len(step[0]) for step in steps])
-            rows, arrivals, destinations = (np.concatenate(part) for part in zip(*steps))
-            steps.clear()
-            n_jumps = np.bincount(rows, minlength=n_rows)
-            cells += rows * width
-            np.put(times, cells, arrivals)
-            np.put(states, cells, destinations)
-            del cells, rows, arrivals, destinations
+        del exps, unis  # free the sweep's draws while its paths are laid out and consumed
+        jump = np.repeat(np.arange(1, len(steps) + 1), [len(step[0]) for step in steps])
+        no_steps = (np.empty(0, dtype=np.int64), np.empty(0), np.empty(0, dtype=np.int64))
+        rows, arrivals, destinations = (np.concatenate(part) for part in zip(no_steps, *steps))
+        steps.clear()
+        n_jumps = np.bincount(rows, minlength=n_rows)
+        counts = n_jumps + 1
+        ends_at = np.cumsum(counts)  # one past each row's last segment
+        offsets = ends_at - counts
+        jump += offsets[rows]  # jump m of a row starts its segment m
+        starts = np.empty(ends_at[-1])
+        states = np.empty(ends_at[-1], dtype=np.int64)
+        starts[offsets], states[offsets] = t_start, regime
+        starts[jump], states[jump] = arrivals, destinations
+        del jump, rows, arrivals, destinations
+        ends = np.empty_like(starts)
+        ends[:-1] = starts[1:]
+        ends[ends_at - 1] = t_end
         kept = min(n_rows, n_paths - first_block * BLOCK)
-        # a block's normals are as wide as its own widest grid, so groups with normals stay in it
+        # a block's normals are as wide as its own widest grid, so chunks with normals stay in it
         spans = [(lo, min(lo + BLOCK, kept)) for lo in range(0, kept, BLOCK)] if n_sets else [(0, kept)]
-        for lo, hi in spans:
+        for span_start, span_stop in spans:
             if n_sets:
-                normals = gens[lo // BLOCK].standard_normal(
-                    (n_sets, BLOCK, n_steps + n_jumps[lo : lo + BLOCK].max())
+                normals = gens[span_start // BLOCK].standard_normal(
+                    (n_sets, BLOCK, n_steps + n_jumps[span_start : span_start + BLOCK].max())
                 )
-            for rows in _cell_groups(n_steps + n_jumps[lo:hi] + 1):
-                group = slice(lo + rows.start, lo + rows.stop)
-                width = n_jumps[group].max() + 1
-                yield (first_block * BLOCK + group.start, times[group, :width], states[group, :width],
-                       n_jumps[group], normals[:, rows] if n_sets else None)
-
-
-def _cell_groups(widths: NDArray[np.int64]):
-    """Consecutive slices of rows of the given widths, each as many rows as
-    fit in ``CELLS`` cells at the widest of them, and at least one."""
-    lo = 0
-    while lo < len(widths):
-        peak = np.maximum.accumulate(widths[lo : lo + CELLS])
-        # rows times the running peak never falls, so the rows that fit are a prefix
-        hi = lo + max(1, int(np.count_nonzero(np.arange(1, len(peak) + 1) * peak <= CELLS)))
-        yield slice(lo, hi)
-        lo = hi
+            lo = span_start
+            while lo < span_stop:  # as many whole paths as fit in SEGMENTS segments, at least one
+                fit = np.searchsorted(ends_at[lo:span_stop], offsets[lo] + SEGMENTS, "right")
+                hi = lo + max(1, int(fit))
+                segments = slice(offsets[lo], ends_at[hi - 1])
+                yield (first_block * BLOCK + lo, counts[lo:hi], starts[segments], ends[segments],
+                       states[segments], normals[:, lo - span_start : hi - span_start] if n_sets else None)
+                lo = hi
 
 
 def _simulate_grids(market: MarketModel, regime: int, t_start, n_paths: int, n_steps: int, rng: RngStream):
     """Chain paths on jump-refined grids with two sets of grid normals (stock,
     then income shocks), as ``(index, lengths, times, regimes, normals)``
-    groups cut as :func:`_simulate_chains` cuts them: row ``r`` holds path
+    groups, one per chunk of :func:`_simulate_chains`: row ``r`` holds path
     ``index[r]``'s grid, as :func:`merged_time_grid` builds it, in its first
     ``lengths[r]`` entries, then the horizon; its step regimes and normals
     fill the first ``lengths[r] - 1`` entries, then the last regime and
@@ -346,12 +352,15 @@ def _simulate_grids(market: MarketModel, regime: int, t_start, n_paths: int, n_s
     if n_steps < 1:
         raise ValueError("n_steps must be positive")
     uniform = np.linspace(float(t_start), float(market.horizon), n_steps + 1)
-    groups = _simulate_chains(market.generator, regime, t_start, market.horizon, n_paths, rng, n_steps, 2)
-    for first, chain_times, chain_states, n_jumps, normals in groups:
-        lengths, times, regimes = _padded_grids(
-            chain_times, chain_states, n_jumps, uniform, market.n_regimes
-        )
-        index = first + np.arange(len(n_jumps))
+    chunks = _simulate_chains(market.generator, regime, t_start, market.horizon, n_paths, rng, n_steps, 2)
+    for first, counts, starts, _, states, normals in chunks:
+        # rows of segment starts and states, padded with the horizon and state 0
+        real = np.arange(counts.max()) < counts[:, None]
+        chain_times = np.full(real.shape, float(market.horizon))
+        chain_states = np.zeros(real.shape, dtype=np.int64)
+        chain_times[real], chain_states[real] = starts, states
+        lengths, times, regimes = _padded_grids(chain_times, chain_states, counts - 1, uniform, market.n_regimes)
+        index = first + np.arange(len(counts))
         yield index, lengths, times, regimes, normals[:, :, : times.shape[1] - 1]
 
 

@@ -19,7 +19,7 @@ from numpy.typing import NDArray
 
 from .hjb import IncomeLoading, MarketModel, RegimeFactorTable, solve_income_loading, solve_regime_factors
 from .markov import RngStream
-from .montecarlo import MCEstimate, _estimate, _row_sums, _simulate_chains, _simulate_grids
+from .montecarlo import MCEstimate, _estimate, _path_sums, _simulate_chains, _simulate_grids
 
 __all__ = [
     "CaseMismatch",
@@ -336,29 +336,29 @@ def _evaluate_policies(
     scale = gamma * np.exp(r * (horizon - t_start))  # gamma e^{r tau}
     start = wealth_start + income_start * _annuity(r, t_start, t_start, horizon)
     values = np.empty((len(strategies), n_paths))
-    groups = _simulate_chains(market.generator, regime, t_start, horizon, n_paths, rng)
+    chunks = _simulate_chains(market.generator, regime, t_start, horizon, n_paths, rng)
     # an overflow leaves inf or NaN in the estimates, which raise below
     with np.errstate(over="ignore", invalid="ignore"):
-        for first, starts, states, n_jumps, _ in groups:
-            ends = np.concatenate([starts[:, 1:], np.full((len(starts), 1), horizon)], axis=1)
-            # node k of segment m of row p sits at [k, p, m], so the per-regime
+        for first, counts, starts, ends, states, _ in chunks:
+            # node k of segment s sits at [k, s], so the per-regime
             # coefficients, looked up at the segments' shape, broadcast over nodes
-            weights = QUAD_WEIGHTS[:, None, None] * (ends - starts)
-            nodes = starts + QUAD_NODES[:, None, None] * (ends - starts)
+            span = ends - starts
+            weights = QUAD_WEIGHTS[:, None] * span
+            nodes = starts + QUAD_NODES[:, None] * span
             discount = np.exp(-r * (nodes - t_start))
             annuity = _annuity(r, nodes, t_start, horizon)
             # the strategy-free parts: expected income and its unhedgeable variance
             income_mean = drift[states] * (weights * annuity).sum(axis=0)
             income_var = unhedged[states] * (weights * annuity**2).sum(axis=0)
             hedge = annuity * hedged[states]
-            terms = np.empty((2, len(strategies)) + states.shape)
+            terms = np.empty((2, len(strategies), len(states)))
             for k, strategy in enumerate(strategies):
                 position = discount * strategy(nodes, states)
                 terms[0, k] = excess[states] * (weights * position).sum(axis=0) + income_mean
                 risk = position * vol[states] + hedge
                 terms[1, k] = (weights * risk**2).sum(axis=0) + income_var
-            mean, var = _row_sums(terms, n_jumps + 1)
-            values[:, first : first + len(n_jumps)] = -np.exp(
+            mean, var = _path_sums(counts, terms)
+            values[:, first : first + len(counts)] = -np.exp(
                 -scale * (start + mean) + scale**2 * var / 2.0
             ) / gamma
         estimates = [_estimate(row) for row in values]

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from regimeweave import cli, montecarlo
 from regimeweave.cli import (
     ParseError,
     ValidationError,
@@ -28,6 +29,7 @@ from regimeweave.cli import (
 )
 from regimeweave.compose import compose_independent
 from regimeweave.markov import RngStream, validate_generator
+from regimeweave.montecarlo import estimate_value_factor
 from regimeweave.portfolio import Strategy, evaluate_policy, optimal_strategy, simulate_wealth, utility
 
 REPO = Path(__file__).resolve().parents[1]
@@ -383,6 +385,36 @@ class TestSolve:
         # 2 times x 2 incomes x 4 regimes
         assert len(rows) == 16
         assert all(float(v) > 0.0 for v in column(header, rows, "estimate"))
+
+    def test_rho0_points_take_adjacent_key_ranges(self, tmp_path, monkeypatch):
+        # 300 paths take 3 blocks of 128, so point p draws from stream ids 3p, 3p + 1 and 3p + 2
+        document = minimal_config()
+        document["market"]["rho"] = 0.0
+        document["case"] = "rho0"
+        path = dump_config(tmp_path, document)
+        seen = []
+
+        def recording(market, t, y, regime, n_paths, rng):
+            seen.append((rng.seed, rng.stream_id, -(-n_paths // montecarlo.BLOCK)))
+            return estimate_value_factor(market, t, y, regime, n_paths, rng)
+
+        monkeypatch.setattr(cli, "estimate_value_factor", recording)
+        code = main(
+            ["solve", "--config", path, "--out", str(tmp_path / "out"),
+             "--grid", "0:1:2,0:1:2,-0.5:0.5:2", "--paths", "300"]
+        )
+        assert code == 0
+        _, header, rows = read_csv(tmp_path / "out" / "value_factor_mc.csv")
+        assert len(rows) == len(seen) == 16
+        for previous, following in zip(seen, seen[1:]):
+            assert following[1] == previous[1] + previous[2]  # adjacent, hence disjoint
+        market, seed = load_config(path).market, document["numerics"]["seed"]
+        for p, row in enumerate(rows):
+            assert seen[p] == (seed, 3 * p, 3)
+            t, y = float(row[0]), float(row[1])
+            expected = estimate_value_factor(market, t, y, p % 4, 300, RngStream(seed, 3 * p))
+            assert float(column(header, [row], "estimate")[0]) == expected.value
+            assert float(column(header, [row], "stderr")[0]) == expected.stderr
 
     def test_too_coarse_steps_are_config_error(self, tmp_path, capsys):
         # strong drift over a long horizon cannot be resolved with 8 steps

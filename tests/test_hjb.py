@@ -12,6 +12,7 @@ from scipy.integrate import quad, solve_ivp
 from scipy.linalg import expm
 
 from regimeweave.hjb import (
+    SMALL_EXPONENT,
     ConcavityViolation,
     IncomeLoading,
     MarketModel,
@@ -213,6 +214,21 @@ class TestIncomeLoading:
         a = np.array([0.0, 0.5, 1.0])
         b = np.array([0.5, 1.0, 1.5])
         assert_allclose(m.integral(a, b), [m.integral(x, y) for x, y in zip(a, b)], rtol=1e-14)
+
+    @pytest.mark.parametrize("rate", [0.05, 0.0, -0.02])
+    def test_shared_integrals_equal_public_methods(self, rate):
+        # segments of 0.1 and shorter take the series branch at |rate| <= 0.05, longer ones the direct one
+        m = IncomeLoading(risk_aversion=1.5, rate=rate, horizon=2.0)
+        a = np.array([0.0, 0.3, 1.2, 1.9, 1.0, 0.5])
+        b = np.array([2.0, 1.7, 1.3, 1.9 + 1e-3, 1.0, 1.9])
+        if rate:
+            assert {True, False} == set(np.abs(rate * (b - a)) < SMALL_EXPONENT)
+        integral, square = m._integrals(a, b)
+        assert np.array_equal(integral, m.integral(a, b))
+        assert np.array_equal(square, m.square_integral(a, b))
+        for k in range(len(a)):
+            assert integral[k] == m.integral(a[k], b[k])
+            assert square[k] == m.square_integral(a[k], b[k])
 
     def test_reversed_segment_rejected(self):
         m = IncomeLoading(risk_aversion=1.5, rate=0.05, horizon=2.0)
@@ -463,7 +479,7 @@ class TestExpmStack:
 def controlled_generator(market, value_fn, t, x, y, regime, portfolio):
     """The dynamic-programming operator at a given stock position, from the
     finite-difference partials that :func:`hjb_residual` takes."""
-    v, v_t, v_x, v_y, v_xx, v_yy, v_xy = _partials(value_fn, t, x, y, regime, 1e-5)
+    v, v_t, v_x, v_y, v_xx, v_yy, v_xy = _partials(value_fn, t, x, y, regime, 1e-4)
     excess, vol = market.excess_return()[regime], market.stock_vol[regime]
     ivol, rho = market.income_vol[regime], market.correlation
     chain = sum(
@@ -530,6 +546,26 @@ class TestHjbOperator:
         res_good = abs(hjb_residual(market, good, t, x, y, 0))
         res_bad = abs(hjb_residual(market, bad, t, x, y, 0))
         assert res_bad > 5 * res_good
+
+    def test_step_sits_above_the_rounding_floor(self, solved):
+        # a table moved by 1e-14 relative rounds the value function differently,
+        # and second differences amplify that rounding by 1 / step**2
+        market, table, loading = solved
+        scale = 1.0 + 1e-14
+        moved = replace(table, values=table.values * scale, coefficients=table.coefficients * scale)
+        value, moved_value = closed_form_value(market, table, loading), closed_form_value(market, moved, loading)
+        mesh = np.meshgrid(np.linspace(0.1, 1.9, 7), [-1.0, 0.0, 2.0], [-0.5, 0.0, 1.0], indexing="ij")
+
+        def shift(**step):
+            return max(
+                np.abs(
+                    hjb_residual(market, moved_value, *mesh, k, **step)
+                    - hjb_residual(market, value, *mesh, k, **step)
+                ).max()
+                for k in range(market.n_regimes)
+            )
+
+        assert shift() < 0.05 * shift(relative_step=1e-5)
 
     def test_concavity_violation(self, solved):
         market, _, _ = solved

@@ -193,10 +193,10 @@ class TestEstimateValueFactor:
     def test_first_jump_lands_before_the_horizon(self):
         # at t 1.9 of 2 a plain sample would jump on about 3% of its paths
         market = make_market()
-        for _, _, _, n_jumps, _ in montecarlo._simulate_chains(
+        for _, counts, _, _, _, _ in montecarlo._simulate_chains(
             market.generator, 1, 1.9, market.horizon, 300, RngStream(38), first_jump_by_end=True
         ):
-            assert n_jumps.min() >= 1
+            assert counts.min() >= 2
 
     def test_matches_separable_solution_two_regimes(self):
         market = make_market()
@@ -415,16 +415,39 @@ def layout(request, monkeypatch):
     """The default layout, or blocks of three paths with two columns per
     draw, stepped two blocks a sweep, so that blocks split, calls span many
     sweeps and most paths need extension rounds, at the same column in
-    different blocks; groups of at most five cells hold a few rows each."""
+    different blocks; chunks of at most five segments hold a few paths each."""
     if request.param == "chunks_of_3":
         monkeypatch.setattr(montecarlo, "BLOCK", 3)
         monkeypatch.setattr(montecarlo, "SWEEP", 2)
-        monkeypatch.setattr(montecarlo, "CELLS", 5)
+        monkeypatch.setattr(montecarlo, "SEGMENTS", 5)
         monkeypatch.setattr(montecarlo, "_block_head", lambda mean_jumps: 2)
 
 
 @pytest.mark.parametrize("chain", list(CONTRACT_CHAINS))
 class TestStreamContract:
+    @pytest.mark.parametrize("first_jump_by_end", [False, True])
+    def test_flat_segments(self, chain, layout, first_jump_by_end):
+        # each path's run of flat segments is its chain path's segments, in path order
+        market = contract_market(chain)
+        n = CONTRACT_CHAINS[chain][1]
+        for regime in range(market.n_regimes):
+            rng = RngStream(65, 2)
+            paths = layout_paths(market, regime, 0.3, n, rng, first_jump_by_end=first_jump_by_end)
+            chunks = montecarlo._simulate_chains(
+                market.generator, regime, 0.3, market.horizon, n, rng, first_jump_by_end=first_jump_by_end
+            )
+            got = []
+            for first, counts, starts, ends, states, normals in chunks:
+                assert first == len(got) and normals is None
+                ends_at = np.cumsum(counts)
+                assert ends_at[-1] == len(starts) == len(ends) == len(states)
+                for lo, hi in zip(ends_at - counts, ends_at):
+                    got.append((starts[lo:hi], ends[lo:hi], states[lo:hi]))
+            assert len(got) == n
+            for (path, _), segments in zip(paths, got):
+                for expected, flat in zip(path.segments(), segments):
+                    assert np.array_equal(flat, expected)
+
     def test_regime_factor(self, chain, layout):
         market = contract_market(chain)
         n = CONTRACT_CHAINS[chain][1]
@@ -511,9 +534,9 @@ def test_paths_are_a_prefix_of_more_paths(chain, layout):
 @pytest.mark.parametrize("chain, t_start", [("slow", 0.1), ("absorbing", 0.1), ("past_block", 1.97)])
 def test_policy_values_are_a_prefix_of_more_paths(chain, t_start, layout, monkeypatch):
     # path k's conditional utility depends neither on how many paths follow
-    # it nor on the rows it is evaluated with: the second run evaluates every
-    # row alone, unpadded, and past_block rows of about 25 jumps would regroup
-    # a sum that included the padding
+    # it nor on the paths it is evaluated with: the second run evaluates every
+    # path alone, and past_block paths of about 25 jumps would regroup a sum
+    # taken with another path's segments
     market = contract_market(chain, correlation=0.3)
     strategies = [optimal_strategy(market), optimal_strategy(market).scaled(0.8)]
     n = 2 * montecarlo.BLOCK - 2
@@ -525,12 +548,42 @@ def test_policy_values_are_a_prefix_of_more_paths(chain, t_start, layout, monkey
 
     monkeypatch.setattr(portfolio, "_estimate", recording_estimate)
     portfolio._evaluate_policies(market, strategies, t_start, 1.0, 0.3, 0, n, RngStream(64, 3))
-    monkeypatch.setattr(montecarlo, "CELLS", 1)
+    monkeypatch.setattr(montecarlo, "SEGMENTS", 1)
     portfolio._evaluate_policies(market, strategies, t_start, 1.0, 0.3, 0, n + 5, RngStream(64, 3))
     fewer, more = seen[:2], seen[2:]
     for values_a, values_b in zip(fewer, more):
         assert len(values_a) == n and len(values_b) == n + 5
         assert np.array_equal(values_a, values_b[:n])
+
+
+def test_policy_values_sum_each_path_alone(monkeypatch):
+    # about 54 jumps a path on the copula config's fast chain: a per-path sum
+    # over more than 8 segments takes numpy's unrolled pairwise order, which a
+    # strided gather of the chunk's terms would change
+    market = load_config(REPO / "configs" / "copula.json").market
+    strategies = [optimal_strategy(market), optimal_strategy(market).scaled(0.5)]
+    seen = []
+
+    def recording_estimate(values):
+        seen.append(values.copy())
+        return montecarlo._estimate(values)
+
+    def sums_one_path_at_a_time(counts, terms):
+        ends_at = np.cumsum(counts)
+        out = np.empty(terms.shape[:-1] + counts.shape)
+        for p, (lo, hi) in enumerate(zip(ends_at - counts, ends_at)):
+            for index in np.ndindex(terms.shape[:-1]):
+                out[index + (p,)] = np.array(terms[index + (slice(lo, hi),)]).sum()
+        return out
+
+    monkeypatch.setattr(portfolio, "_estimate", recording_estimate)
+    portfolio._evaluate_policies(market, strategies, 0.0, 1.0, 0.3, 0, 300, RngStream(66))
+    monkeypatch.setattr(portfolio, "_path_sums", sums_one_path_at_a_time)
+    portfolio._evaluate_policies(market, strategies, 0.0, 1.0, 0.3, 0, 300, RngStream(66))
+    chunks = montecarlo._simulate_chains(market.generator, 0, 0.0, market.horizon, 300, RngStream(66))
+    assert np.concatenate([counts for _, counts, _, _, _, _ in chunks]).min() > 8
+    for together, alone in zip(seen[:2], seen[2:]):
+        assert np.array_equal(together, alone)
 
 
 def test_past_block_chain_crosses_the_block():
@@ -539,8 +592,8 @@ def test_past_block_chain_crosses_the_block():
     path = simulate_path(market.generator, 0, 0.3, market.horizon, RngStream(61, 5))
     assert path.n_jumps() > 1024
     head = montecarlo._block_head(-market.generator.rates.min() * (market.horizon - 0.3))
-    groups = montecarlo._simulate_chains(market.generator, 0, 0.3, market.horizon, 5, RngStream(61, 5))
-    n_jumps = np.concatenate([n_jumps for _, _, _, n_jumps, _ in groups])
+    chunks = montecarlo._simulate_chains(market.generator, 0, 0.3, market.horizon, 5, RngStream(61, 5))
+    n_jumps = np.concatenate([counts - 1 for _, counts, _, _, _, _ in chunks])
     assert head == 1024 and len(n_jumps) == 5 and n_jumps.min() > head
 
 
@@ -557,11 +610,11 @@ def test_group_size_invariance(monkeypatch):
         )
 
     base = estimates()
-    for cells in (1, 7, 64, 10**6):
+    for segments in (1, 7, 64, 10**6):
         for sweep in range(1, 8):
-            monkeypatch.setattr(montecarlo, "CELLS", cells)
+            monkeypatch.setattr(montecarlo, "SEGMENTS", segments)
             monkeypatch.setattr(montecarlo, "SWEEP", sweep)
-            assert estimates() == base, (cells, sweep)
+            assert estimates() == base, (segments, sweep)
 
 
 def test_stream_ids_must_stay_in_range():
