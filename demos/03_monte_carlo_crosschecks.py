@@ -55,7 +55,7 @@ print()
 t0, x0, y0, regime0 = 0.0, 1.0, 0.2, 0
 uncorrelated = dataclasses.replace(market, correlation=0.0)
 deterministic = float(value_function(uncorrelated)(t0, x0, y0, regime0))
-est = estimate_value_mc(uncorrelated, t0, x0, y0, regime0, 40_000, 128, RngStream(23))
+est = estimate_value_mc(uncorrelated, t0, x0, y0, regime0, 40_000, RngStream(23))
 print("zero-correlation value, deterministic versus direct sampling:")
 print(f"  deterministic {deterministic:.6f}")
 print(f"  simulated     {est.value:.6f} +- {est.stderr:.6f}"
@@ -75,7 +75,7 @@ print("expected utility under competing strategies (same chain paths):")
 scores = {}
 for label, factor in (("optimal", 1.0), ("75% of optimal", 0.75), ("125% of optimal", 1.25)):
     strategy = bundle.strategy if factor == 1.0 else bundle.strategy.scaled(factor)
-    result = evaluate_policy(market, strategy, t0, x0, y0, regime0, 40_000, 128, RngStream(31, 0))
+    result = evaluate_policy(market, strategy, t0, x0, y0, regime0, 40_000, RngStream(31, 0))
     scores[label] = result
     print(f"  {label:<16} {result.value:.6f} +- {result.stderr:.6f}")
 best = max(scores, key=lambda label: scores[label].value)

@@ -36,10 +36,11 @@ from .compose import (
     compose_copula,
     compose_independent,
 )
-from .hjb import MarketModel, StepTooCoarse, hjb_residual, solve_income_loading, solve_regime_factors
+from .hjb import PER_REGIME, MarketModel, StepTooCoarse, hjb_residual, solve_income_loading, solve_regime_factors
 from .markov import (
     GeneratorError,
     GeneratorMatrix,
+    InvalidInput,
     RngStream,
     embedded_chain,
     stationary_distribution,
@@ -70,12 +71,8 @@ class ParseError(ValueError):
     """The config file is missing, unreadable, or not JSON."""
 
 
-class ValidationError(ValueError):
-    """The config parsed but violates the schema; lists every problem."""
-
-    def __init__(self, problems: Sequence[str]):
-        self.problems = tuple(problems)
-        super().__init__("invalid configuration: " + "; ".join(self.problems))
+class ValidationError(InvalidInput):
+    """The config or a flag breaks a rule; ``problems`` pairs each config path with a message."""
 
 
 @dataclass(frozen=True)
@@ -117,9 +114,11 @@ class RunReport:
 def load_config(path: str | Path) -> ModelConfig:
     """Read and validate a JSON model configuration.
 
-    Every violation is collected before raising, so one round trip
-    surfaces all problems; field paths use dotted JSON notation, for
-    example ``market.rho`` or ``market.regimes[2].sigma``.
+    The loader checks JSON types and keys; the range rules belong to
+    :class:`MarketModel` and :class:`CopulaSpec`, whose problems it puts
+    under their config paths (dotted JSON notation, for example
+    ``market.rho`` or ``market.regimes[2].sigma``).  Every violation is
+    collected before raising, so one round trip surfaces all problems.
 
     Raises
     ------
@@ -139,13 +138,13 @@ def load_config(path: str | Path) -> ModelConfig:
     if not isinstance(document, dict):
         raise ParseError(f"config {path} must hold a JSON object at the top level")
 
-    problems: list[str] = []
+    problems: list[tuple[str, str]] = []
     chain, generator, mapping = _load_chains(document, problems)
     market = _load_market(document, generator, problems)
     n_steps, n_paths, dt, seed = _load_numerics(document, problems)
     case = _load_case(document, market, problems)
     for key in sorted(set(document) - {"chains", "market", "numerics", "case"}):
-        problems.append(f"{key}: unknown top-level section")
+        problems.append((key, "unknown top-level section"))
     if problems:
         raise ValidationError(problems)
     return ModelConfig(
@@ -163,202 +162,185 @@ def load_config(path: str | Path) -> ModelConfig:
     )
 
 
-def _number(section, key, path, problems, *, required=True, default=None):
+def _number(section, path, problems, *, required=True, default=None):
+    """The number under ``path``'s last key, or NaN where a problem is
+    reported, so that a library constructor still checks the other fields."""
+    key = path.rpartition(".")[2]
     if key not in section:
         if required:
-            problems.append(f"{path}: missing required field")
+            problems.append((path, "missing required field"))
+            return math.nan
         return default
     value = section[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        problems.append(f"{path}: expected a number, got {value!r}")
-        return None
+        problems.append((path, f"expected a number, got {value!r}"))
+        return math.nan
     if not math.isfinite(value):
-        problems.append(f"{path}: must be finite, got {value!r}")
-        return None
+        problems.append((path, f"must be finite, got {value!r}"))
+        return math.nan
     return float(value)
 
 
-def _integer(section, key, path, problems, *, default=None):
+def _integer(section, path, problems, *, default=None):
+    key = path.rpartition(".")[2]
     if key not in section:
         return default
     value = section[key]
     if isinstance(value, bool) or not isinstance(value, int):
-        problems.append(f"{path}: expected an integer, got {value!r}")
+        problems.append((path, f"expected an integer, got {value!r}"))
         return None
     return value
+
+
+def _unknown_keys(section, path, known, problems):
+    for key in sorted(set(section) - known):
+        problems.append((f"{path}.{key}", "unknown field"))
 
 
 def _load_generator(raw, path, problems):
     try:
         return validate_generator(raw)
     except (GeneratorError, TypeError, ValueError) as exc:
-        problems.append(f"{path}: {exc}")
+        problems.append((path, str(exc)))
+        return None
+
+
+# the config path of each field of the library objects the loader builds
+CONFIG_PATHS = {
+    MarketModel: {
+        "rate": "market.r", "correlation": "market.rho", "risk_aversion": "market.gamma",
+        "horizon": "market.T", "n_regimes": "market.regimes",
+        "stock_drift": "market.regimes[{}].alpha", "stock_vol": "market.regimes[{}].sigma",
+        "income_drift": "market.regimes[{}].mu", "income_vol": "market.regimes[{}].delta",
+    },
+    CopulaSpec: {"correlation": "chains.composition.correlation", "fd_step": "chains.composition.fd_step"},
+}
+
+
+def _build(cls, problems, **fields):
+    """``cls(**fields)``, or None with each of its problems added under its config
+    path, unless the loader has reported that path or its parent (passing NaN)."""
+    try:
+        return cls(**fields)
+    except InvalidInput as exc:
+        reported = {path for path, _ in problems}
+        for field, message in exc.problems:
+            name, _, index = field.partition("[")
+            path = CONFIG_PATHS[cls][name].format(index.rstrip("]"))
+            if path not in reported and path.rpartition(".")[0] not in reported:
+                problems.append((path, message))
         return None
 
 
 def _load_chains(document, problems):
     section = document.get("chains")
     if not isinstance(section, dict):
-        problems.append("chains: required section must be a JSON object")
+        problems.append(("chains", "required section must be a JSON object"))
         return None, None, None
-    for key in sorted(set(section) - {"compound", "epsilon", "zeta", "composition"}):
-        problems.append(f"chains.{key}: unknown field")
+    _unknown_keys(section, "chains", {"compound", "epsilon", "zeta", "composition"}, problems)
     has_compound = "compound" in section
     has_parts = "epsilon" in section or "zeta" in section
     if has_compound and has_parts:
-        problems.append("chains: give either compound or epsilon/zeta, not both")
+        problems.append(("chains", "give either compound or epsilon/zeta, not both"))
         return None, None, None
     if has_compound:
         if "composition" in section:
-            problems.append("chains.composition: meaningless with a direct compound generator")
+            problems.append(("chains.composition", "meaningless with a direct compound generator"))
         return None, _load_generator(section["compound"], "chains.compound", problems), None
     if "epsilon" not in section or "zeta" not in section:
-        problems.append("chains: needs either compound or both epsilon and zeta")
+        problems.append(("chains", "needs either compound or both epsilon and zeta"))
         return None, None, None
     eps = _load_generator(section["epsilon"], "chains.epsilon", problems)
     zeta = _load_generator(section["zeta"], "chains.zeta", problems)
-    method, copula = _load_composition(section.get("composition"), problems)
-    if eps is None or zeta is None or method is None:
+    compose = _load_composition(section.get("composition"), problems)
+    if eps is None or zeta is None or compose is None:
         return None, None, None
     try:
-        if method == "independent":
-            chain = compose_independent(eps, zeta)
-        else:
-            chain = compose_copula(eps, zeta, copula)
+        chain = compose(eps, zeta)
     except (Unsupported, NonGenerator, QuadratureFailure) as exc:
-        problems.append(f"chains.composition: {exc}")
+        problems.append(("chains.composition", str(exc)))
         return None, None, None
     return chain, chain.generator, chain.mapping
 
 
 def _load_composition(section, problems):
+    """The section's composition as a function of the two chains, or None."""
     if section is None:
-        return "independent", None
+        return compose_independent
     if not isinstance(section, dict):
-        problems.append("chains.composition: must be a JSON object")
-        return None, None
+        problems.append(("chains.composition", "must be a JSON object"))
+        return None
     method = section.get("method")
     if method == "independent":
-        for key in sorted(set(section) - {"method"}):
-            problems.append(f"chains.composition.{key}: unknown field")
-        return "independent", None
+        _unknown_keys(section, "chains.composition", {"method"}, problems)
+        return compose_independent
     if method == "copula":
-        for key in sorted(set(section) - {"method", "correlation", "fd_step"}):
-            problems.append(f"chains.composition.{key}: unknown field")
-        correlation = _number(section, "correlation", "chains.composition.correlation", problems)
-        fd_step = _number(
-            section, "fd_step", "chains.composition.fd_step", problems, required=False, default=1e-4
+        _unknown_keys(section, "chains.composition", {"method", "correlation", "fd_step"}, problems)
+        paths = CONFIG_PATHS[CopulaSpec]
+        copula = _build(
+            CopulaSpec, problems,
+            correlation=_number(section, paths["correlation"], problems),
+            fd_step=_number(section, paths["fd_step"], problems, required=False, default=1e-4),
         )
-        ok = correlation is not None and fd_step is not None
-        if correlation is not None and not -1.0 <= correlation <= 1.0:
-            problems.append(
-                f"chains.composition.correlation: must lie in [-1, 1], got {correlation:g}"
-            )
-            ok = False
-        if fd_step is not None and not 0.0 < fd_step <= 0.1:
-            problems.append(f"chains.composition.fd_step: must lie in (0, 0.1], got {fd_step:g}")
-            ok = False
-        if not ok:
-            return None, None
-        return "copula", CopulaSpec(correlation=correlation, fd_step=fd_step)
-    problems.append(f"chains.composition.method: expected 'independent' or 'copula', got {method!r}")
-    return None, None
+        return None if copula is None else lambda eps, zeta: compose_copula(eps, zeta, copula)
+    problems.append(("chains.composition.method", f"expected 'independent' or 'copula', got {method!r}"))
+    return None
 
 
 def _load_market(document, generator, problems):
     section = document.get("market")
     if not isinstance(section, dict):
-        problems.append("market: required section must be a JSON object")
+        problems.append(("market", "required section must be a JSON object"))
         return None
-    for key in sorted(set(section) - {"r", "rho", "gamma", "T", "regimes"}):
-        problems.append(f"market.{key}: unknown field")
-    before = len(problems)
-    rate = _number(section, "r", "market.r", problems)
-    rho = _number(section, "rho", "market.rho", problems)
-    if rho is not None and not -1.0 <= rho <= 1.0:
-        problems.append(f"market.rho: must lie in [-1, 1], got {rho:g}")
-    gamma = _number(section, "gamma", "market.gamma", problems)
-    if gamma is not None and gamma <= 0.0:
-        problems.append(f"market.gamma: must be positive, got {gamma:g}")
-    horizon = _number(section, "T", "market.T", problems)
-    if horizon is not None and horizon <= 0.0:
-        problems.append(f"market.T: must be positive, got {horizon:g}")
+    _unknown_keys(section, "market", {"r", "rho", "gamma", "T", "regimes"}, problems)
+    paths = CONFIG_PATHS[MarketModel]
+    scalars = ("rate", "correlation", "risk_aversion", "horizon")
+    fields = {name: _number(section, paths[name], problems) for name in scalars}
     regimes = section.get("regimes")
-    alpha, sigma, mu, delta = [], [], [], []
     if not isinstance(regimes, list) or not regimes:
-        problems.append("market.regimes: must be a non-empty array of regime objects")
-    else:
-        if generator is not None and len(regimes) != generator.n_states:
-            problems.append(
-                f"market.regimes: got {len(regimes)} regimes for a compound chain"
-                f" with {generator.n_states} states"
-            )
-        for k, entry in enumerate(regimes):
-            if not isinstance(entry, dict):
-                problems.append(f"market.regimes[{k}]: must be a JSON object")
-                continue
-            for key in sorted(set(entry) - {"alpha", "sigma", "mu", "delta"}):
-                problems.append(f"market.regimes[{k}].{key}: unknown field")
-            a = _number(entry, "alpha", f"market.regimes[{k}].alpha", problems)
-            s = _number(entry, "sigma", f"market.regimes[{k}].sigma", problems)
-            if s is not None and s <= 0.0:
-                problems.append(f"market.regimes[{k}].sigma: must be positive, got {s:g}")
-            m = _number(entry, "mu", f"market.regimes[{k}].mu", problems)
-            d = _number(entry, "delta", f"market.regimes[{k}].delta", problems)
-            if d is not None and d < 0.0:
-                problems.append(f"market.regimes[{k}].delta: must be nonnegative, got {d:g}")
-            alpha.append(a)
-            sigma.append(s)
-            mu.append(m)
-            delta.append(d)
-    if len(problems) > before or generator is None:
-        return None
-    try:
-        return MarketModel(
-            rate=rate,
-            correlation=rho,
-            risk_aversion=gamma,
-            horizon=horizon,
-            stock_drift=np.array(alpha),
-            stock_vol=np.array(sigma),
-            income_drift=np.array(mu),
-            income_vol=np.array(delta),
-            generator=generator,
-        )
-    except ValueError as exc:
-        problems.append(f"market: {exc}")
-        return None
+        problems.append(("market.regimes", "must be a non-empty array of regime objects"))
+        regimes = []
+    fields.update((name, []) for name in PER_REGIME)
+    for k, entry in enumerate(regimes):
+        if isinstance(entry, dict):
+            _unknown_keys(entry, f"market.regimes[{k}]", {"alpha", "sigma", "mu", "delta"}, problems)
+        else:
+            problems.append((f"market.regimes[{k}]", "must be a JSON object"))
+        for name in PER_REGIME:
+            value = _number(entry, paths[name].format(k), problems) if isinstance(entry, dict) else math.nan
+            fields[name].append(value)
+    if generator is None:  # a stand-in for a chain that failed, so the market's rules still run
+        generator = GeneratorMatrix(rates=np.zeros((len(regimes), len(regimes))), n_states=len(regimes))
+    return _build(MarketModel, problems, generator=generator, **fields)
 
 
 def _load_numerics(document, problems):
     section = document.get("numerics", {})
     if not isinstance(section, dict):
-        problems.append("numerics: must be a JSON object")
+        problems.append(("numerics", "must be a JSON object"))
         return 2048, 20000, None, 0
-    for key in sorted(set(section) - {"n_steps", "n_paths", "dt", "seed"}):
-        problems.append(f"numerics.{key}: unknown field")
-    n_steps = _integer(section, "n_steps", "numerics.n_steps", problems, default=2048)
+    _unknown_keys(section, "numerics", {"n_steps", "n_paths", "dt", "seed"}, problems)
+    n_steps = _integer(section, "numerics.n_steps", problems, default=2048)
     if n_steps is not None and (n_steps < 8 or n_steps % 2):
-        problems.append(f"numerics.n_steps: must be an even integer >= 8, got {n_steps}")
-    n_paths = _integer(section, "n_paths", "numerics.n_paths", problems, default=20000)
+        problems.append(("numerics.n_steps", f"must be an even integer >= 8, got {n_steps}"))
+    n_paths = _integer(section, "numerics.n_paths", problems, default=20000)
     if n_paths is not None and n_paths < 2:
-        problems.append(f"numerics.n_paths: must be at least 2, got {n_paths}")
-    dt = _number(section, "dt", "numerics.dt", problems, required=False)
+        problems.append(("numerics.n_paths", f"must be at least 2, got {n_paths}"))
+    dt = _number(section, "numerics.dt", problems, required=False)
     if dt is not None and dt <= 0.0:
-        problems.append(f"numerics.dt: must be positive, got {dt:g}")
-    seed = _integer(section, "seed", "numerics.seed", problems, default=0)
+        problems.append(("numerics.dt", f"must be positive, got {dt:g}"))
+    seed = _integer(section, "numerics.seed", problems, default=0)
     if seed is not None and not 0 <= seed < 2**63:
-        problems.append(f"numerics.seed: must lie in [0, 2**63), got {seed}")
+        problems.append(("numerics.seed", f"must lie in [0, 2**63), got {seed}"))
     return n_steps if n_steps else 2048, n_paths if n_paths else 20000, dt, seed if seed else 0
 
 
 def _load_case(document, market, problems):
     case = document.get("case", NORMAL_INCOME)
     if case not in (RHO_ZERO, NORMAL_INCOME):
-        problems.append(f"case: expected {RHO_ZERO!r} or {NORMAL_INCOME!r}, got {case!r}")
-        return NORMAL_INCOME
-    if case == RHO_ZERO and market is not None and market.correlation != 0.0:
-        problems.append(f"case: {RHO_ZERO!r} requires market.rho = 0, got {market.correlation:g}")
+        problems.append(("case", f"expected {RHO_ZERO!r} or {NORMAL_INCOME!r}, got {case!r}"))
+    elif case == RHO_ZERO and market is not None and market.correlation != 0.0:
+        problems.append(("case", f"{RHO_ZERO!r} requires market.rho = 0, got {market.correlation:g}"))
     return case
 
 
@@ -445,7 +427,7 @@ def _sim_steps(config: ModelConfig) -> int:
 
 def _check_regime(market: MarketModel, regime: int) -> None:
     if not 0 <= regime < market.n_regimes:
-        raise ValidationError([f"i0: regime index must lie in [0, {market.n_regimes})"])
+        raise ValidationError([("i0", f"regime index must lie in [0, {market.n_regimes})")])
 
 
 def parse_grid(text: str) -> list[np.ndarray]:
@@ -867,16 +849,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         config = load_config(args.config)
         if args.seed is not None:
             if not 0 <= args.seed < 2**63:
-                raise ValidationError([f"--seed: must lie in [0, 2**63), got {args.seed}"])
+                raise ValidationError([("--seed", f"must lie in [0, 2**63), got {args.seed}")])
             config = replace(config, seed=args.seed)
         # a single sample path is fine; a standard error needs two
         floor = 1 if args.command == "simulate" else 2
         if args.paths is not None and args.paths < floor:
-            raise ValidationError([f"--paths: must be at least {floor}, got {args.paths}"])
+            raise ValidationError([("--paths", f"must be at least {floor}, got {args.paths}")])
         for flag in ("x0", "y0"):
             value = getattr(args, flag, 0.0)  # compose, solve and validate take no start state
             if not math.isfinite(value):
-                raise ValidationError([f"--{flag}: must be finite, got {value}"])
+                raise ValidationError([(f"--{flag}", f"must be finite, got {value}")])
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         report = args.run(config, out_dir, args)

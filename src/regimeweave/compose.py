@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .markov import GeneratorMatrix, validate_generator
+from .markov import GeneratorMatrix, InvalidInput, validate_generator
 
 __all__ = [
     "Unsupported",
@@ -93,17 +93,20 @@ class CopulaSpec:
     correlation of the regime indicators themselves.  ``fd_step`` is the
     short horizon used to extrapolate compound rates; the leading
     finite-horizon error is removed by a step-halving (Richardson)
-    combination, leaving an error of order ``fd_step**2``.
+    combination, leaving an error of order ``fd_step**2``.  Raises :class:`InvalidInput`.
     """
 
     correlation: float
     fd_step: float = 1e-4
 
     def __post_init__(self) -> None:
+        problems = []
         if not -1.0 <= self.correlation <= 1.0:
-            raise ValueError(f"correlation must lie in [-1, 1], got {self.correlation}")
+            problems.append(("correlation", f"must lie in [-1, 1], got {float(self.correlation)!r}"))
         if not 0.0 < self.fd_step <= 0.1:
-            raise ValueError(f"fd_step must lie in (0, 0.1], got {self.fd_step}")
+            problems.append(("fd_step", f"must lie in (0, 0.1], got {float(self.fd_step)!r}"))
+        if problems:
+            raise InvalidInput(problems)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from .markov import GeneratorMatrix
+from .markov import GeneratorMatrix, InvalidInput
 
 __all__ = [
     "StepTooCoarse",
@@ -44,6 +44,9 @@ __all__ = [
 
 # below this, exp-based segment integrals switch to their power series
 SMALL_EXPONENT = 1e-2
+# largest step-doubling estimate of the factor solve's relative error
+FACTOR_RTOL = 1e-9
+PER_REGIME = ("stock_drift", "stock_vol", "income_drift", "income_vol")
 
 
 class StepTooCoarse(RuntimeError):
@@ -76,6 +79,9 @@ class MarketModel:
         volatility nonnegative.
     generator : GeneratorMatrix
         Rate matrix of the regime chain; its size fixes the regime count.
+
+    Raises :class:`~regimeweave.markov.InvalidInput` with every broken rule, a
+    per-regime entry by index (``stock_vol[1]``), a count mismatch once.
     """
 
     rate: float
@@ -89,29 +95,31 @@ class MarketModel:
     generator: GeneratorMatrix
 
     def __post_init__(self) -> None:
-        problems: list[str] = []
-        if not np.isfinite(self.rate):
-            problems.append(f"rate must be finite, got {self.rate}")
-        if not 0 < self.risk_aversion < np.inf:
-            problems.append(f"risk_aversion must be positive and finite, got {self.risk_aversion}")
-        if not 0 < self.horizon < np.inf:
-            problems.append(f"horizon must be positive and finite, got {self.horizon}")
-        if not -1.0 <= self.correlation <= 1.0:
-            problems.append(f"correlation must lie in [-1, 1], got {self.correlation}")
+        for name in PER_REGIME:
+            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
+        sigma, delta = self.stock_vol, self.income_vol
+        problems = []
+        for name, holds, rule in (
+            ("rate", np.isfinite(self.rate), "must be finite"),
+            ("correlation", -1.0 <= self.correlation <= 1.0, "must lie in [-1, 1]"),
+            ("risk_aversion", 0.0 < self.risk_aversion < np.inf, "must be positive and finite"),
+            ("horizon", 0.0 < self.horizon < np.inf, "must be positive and finite"),
+            ("stock_drift", np.isfinite(self.stock_drift), "must be finite"),
+            ("stock_vol", (0.0 < sigma) & (sigma < np.inf), "must be positive and finite"),
+            ("income_drift", np.isfinite(self.income_drift), "must be finite"),
+            ("income_vol", (0.0 <= delta) & (delta < np.inf), "must be nonnegative and finite"),
+        ):
+            entries = np.ravel(getattr(self, name)).tolist()
+            for k in np.flatnonzero(~np.ravel(holds)).tolist():
+                field = f"{name}[{k}]" if name in PER_REGIME else name
+                problems.append((field, f"{rule}, got {entries[k]!r}"))
         n = self.generator.n_states
-        for name in ("stock_drift", "stock_vol", "income_drift", "income_vol"):
-            arr = _frozen_array(getattr(self, name))
-            object.__setattr__(self, name, arr)
-            if arr.shape != (n,):
-                problems.append(f"{name} must have one entry per regime ({n}), got shape {arr.shape}")
-            if not np.all(np.isfinite(arr)):
-                problems.append(f"{name} entries must be finite")
-        if np.any(self.stock_vol <= 0):
-            problems.append("stock_vol entries must be strictly positive")
-        if np.any(self.income_vol < 0):
-            problems.append("income_vol entries must be nonnegative")
+        shapes = sorted({getattr(self, name).shape for name in PER_REGIME} - {(n,)})
+        if shapes:
+            rule = f"per-regime arrays need one entry per regime ({n})"
+            problems.append(("n_regimes", f"{rule}, got shape {', '.join(map(str, shapes))}"))
         if problems:
-            raise ValueError("; ".join(problems))
+            raise InvalidInput(problems)
 
     @property
     def n_regimes(self) -> int:
@@ -311,9 +319,7 @@ class RegimeFactorTable:
         return out if np.ndim(out) else float(out)
 
 
-def solve_regime_factors(
-    market: MarketModel, n_steps: int = 2048, rtol: float = 1e-9
-) -> RegimeFactorTable:
+def solve_regime_factors(market: MarketModel, n_steps: int = 2048) -> RegimeFactorTable:
     """Integrate the regime-factor ODE backward from the horizon.
 
     Fourth-order Magnus integrator with two Gauss points (Iserles &
@@ -325,7 +331,7 @@ def solve_regime_factors(
     one matrix-vector product per block between them.  The global error is
     estimated by comparing against a half-resolution run (their gap is about
     15 times the fine-grid error for a fourth-order method); if the estimate
-    exceeds ``rtol`` relative to the solution, :class:`StepTooCoarse` is
+    exceeds :data:`FACTOR_RTOL` relative to the solution, :class:`StepTooCoarse` is
     raised rather than returning a table that would silently miss the
     requested accuracy.  Factors that leave the float range raise
     :class:`OverflowError`.
@@ -341,9 +347,9 @@ def solve_regime_factors(
     gap = np.abs(fine[-1] - coarse[-1]) / np.abs(fine[-1])
     estimate = float(gap.max()) / 15.0
     # a coarse run that overflowed leaves a NaN estimate: too coarse as well
-    if not estimate <= rtol:
+    if not estimate <= FACTOR_RTOL:
         raise StepTooCoarse(
-            f"estimated relative error {estimate:.3e} exceeds rtol={rtol:.1e}; "
+            f"estimated relative error {estimate:.3e} exceeds rtol={FACTOR_RTOL:.1e}; "
             f"increase n_steps above {n_steps}"
         )
     if np.any(fine <= 0):

@@ -13,6 +13,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 __all__ = [
+    "InvalidInput",
     "GeneratorError",
     "NonSquare",
     "NegativeOffDiagonal",
@@ -35,6 +36,15 @@ ROW_SUM_TOL = 1e-9
 STATIONARY_RESIDUAL_TOL = 1e-12
 # variates per exponential and per uniform block drawn by path simulation
 JUMP_BLOCK = 1024
+
+
+class InvalidInput(ValueError):
+    """Inputs that break a type or range rule; ``problems`` holds every violation
+    as a ``(field, message)`` pair, an array entry named by index: ``stock_vol[1]``."""
+
+    def __init__(self, problems):
+        self.problems = tuple(problems)
+        super().__init__("; ".join(f"{field}: {message}" for field, message in self.problems))
 
 
 class GeneratorError(ValueError):
@@ -143,10 +153,14 @@ class RngStream:
     stream_id: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("seed", "stream_id"):
-            v = getattr(self, name)
-            if not 0 <= v < 2**64:
-                raise ValueError(f"{name} must be a 64-bit unsigned integer, got {v}")
+        # a float or bool key would be truncated into another key's stream
+        problems = [
+            (name, f"must be an integer in [0, 2**64), got {v!r}")
+            for name, v in (("seed", self.seed), ("stream_id", self.stream_id))
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not 0 <= v < 2**64
+        ]
+        if problems:
+            raise InvalidInput(problems)
 
     def generator(self) -> np.random.Generator:
         # a list key above 2**63 would pass through float64 and lose its low bits
@@ -228,20 +242,18 @@ def simulate_path(
     initial_state: int,
     t_start: float,
     t_end: float,
-    rng: RngStream | np.random.Generator,
+    rng: RngStream,
 ) -> RegimePath:
     """Simulate one trajectory by exponential holding times and jump draws.
 
     Holding time in state ``i`` is Exp(exit_rate(i)); the destination is
     drawn from the embedded-chain row.  The path is truncated at the first
     jump time >= ``t_end``.  Identical ``(generator, initial_state, horizon,
-    rng)`` reproduce the path exactly.  Passing a ``numpy.random.Generator``
-    instead of a stream lets a caller draw further variates from the same
-    stream after the path.
+    rng)`` reproduce the path exactly.
     """
     _check_path_span(generator, initial_state, t_start, t_end)
     lam, cum = _jump_table(generator)
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
+    gen = rng.generator()
     times = [t_start]
     states = [int(initial_state)]
     t = t_start

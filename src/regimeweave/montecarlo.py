@@ -183,14 +183,12 @@ def estimate_value_mc(
     income_start: float,
     regime: int,
     n_paths: int,
-    n_steps: int,
     rng: RngStream,
 ) -> MCEstimate:
     """Monte Carlo estimate of the value function at zero correlation.
 
     Scales the sampled wealth-free factor by the deterministic wealth term
     ``-(1/gamma) exp(-gamma * wealth * exp(rate * (horizon - t)))``.
-    ``n_steps`` is unused and kept for callers that pass it positionally.
     """
     factor = estimate_value_factor(market, t_start, income_start, regime, n_paths, rng)
     gamma = market.risk_aversion

@@ -18,7 +18,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .hjb import IncomeLoading, MarketModel, RegimeFactorTable, solve_income_loading, solve_regime_factors
-from .markov import RngStream
+from .markov import InvalidInput, RngStream
 from .montecarlo import MCEstimate, _estimate, _path_sums, _simulate_chains, _simulate_grids
 
 __all__ = [
@@ -101,8 +101,8 @@ class SolutionBundle:
 
 def utility(wealth, risk_aversion: float):
     """Exponential utility ``-exp(-risk_aversion * wealth) / risk_aversion``."""
-    if risk_aversion <= 0:
-        raise ValueError("risk_aversion must be positive")
+    if not 0.0 < risk_aversion < np.inf:
+        raise InvalidInput([("risk_aversion", f"must be positive and finite, got {float(risk_aversion)!r}")])
     out = -np.exp(-risk_aversion * np.asarray(wealth, dtype=float)) / risk_aversion
     return out if out.ndim else float(out)
 
@@ -292,7 +292,6 @@ def evaluate_policy(
     income_start: float,
     regime: int,
     n_paths: int,
-    n_steps: int,
     rng: RngStream,
 ) -> MCEstimate:
     """Expected terminal utility of a strategy, conditional on the regime path.
@@ -314,8 +313,7 @@ def evaluate_policy(
     far below the statistical one, and no time step enters.  Block ``b`` of
     :data:`~regimeweave.montecarlo.BLOCK` paths draws from key
     ``[rng.seed, rng.stream_id + b]``; running different strategies with
-    the same ``rng`` pairs them on identical chain paths.  ``n_steps`` is
-    unused and kept for callers that pass it positionally.  Raises
+    the same ``rng`` pairs them on identical chain paths.  Raises
     :class:`OverflowError` when the expected utility leaves the float range.
     """
     (estimate,) = _evaluate_policies(

@@ -334,14 +334,14 @@ def test_criterion_07_zero_correlation_value():
         )
         / gamma
     )
-    est1 = estimate_value_mc(market1, 0.0, x0, y0, 0, 100_000, 64, RngStream(991))
+    est1 = estimate_value_mc(market1, 0.0, x0, y0, 0, 100_000, RngStream(991))
     gap1 = abs(est1.value - closed)
     assert gap1 <= 3.0 * est1.stderr + 1e-13 * (1.0 + abs(closed))
 
     # two-regime zero-correlation model against the deterministic value
     market2 = _two_regime_market(rate=0.02, correlation=0.0)
     deterministic = float(value_function(market2)(0.0, 1.0, 0.3, 0))
-    est2 = estimate_value_mc(market2, 0.0, 1.0, 0.3, 0, 100_000, 128, RngStream(991))
+    est2 = estimate_value_mc(market2, 0.0, 1.0, 0.3, 0, 100_000, RngStream(991))
     z = abs(est2.value - deterministic) / est2.stderr
     assert z < 3.0
 
@@ -361,7 +361,7 @@ def test_criterion_08_policy_optimality():
     predicted = float(bundle.value(0.0, 1.0, 0.0, 0))
 
     optimal = evaluate_policy(
-        market, bundle.strategy, 0.0, 1.0, 0.0, 0, 100_000, 256, RngStream(991, 0)
+        market, bundle.strategy, 0.0, 1.0, 0.0, 0, 100_000, RngStream(991, 0)
     )
     z = abs(optimal.value - predicted) / optimal.stderr
     assert z < 3.0
@@ -369,7 +369,7 @@ def test_criterion_08_policy_optimality():
     edges = []
     for factor in (0.75, 1.25):
         perturbed = evaluate_policy(
-            market, bundle.strategy.scaled(factor), 0.0, 1.0, 0.0, 0, 100_000, 256,
+            market, bundle.strategy.scaled(factor), 0.0, 1.0, 0.0, 0, 100_000,
             RngStream(991, 0),
         )
         # same streams pair the policies; the combined stderr is conservative

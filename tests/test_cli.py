@@ -124,6 +124,31 @@ class TestLoadConfig:
         assert "market.gamma" in message
         assert "market.regimes[1].sigma" in message
 
+        # one round trip names every offending path once: type errors next to
+        # range errors, a failed chain next to a bad market, a bad copula
+        three_regimes = minimal_config()["market"]["regimes"][:3]
+        cases = [
+            ([("market", "rho", "a"), ("market", "gamma", -1.0), ("market", "regimes", 1, "sigma", -0.2)],
+             ["market.gamma", "market.regimes[1].sigma", "market.rho"]),
+            ([("chains", "epsilon", [[-0.5, 0.5], [0.3, 0.3]]), ("market", "T", 0.0)],
+             ["chains.epsilon", "market.T"]),
+            ([("chains", "composition", {"method": "copula", "correlation": -2.0, "fd_step": 1.0})],
+             ["chains.composition.correlation", "chains.composition.fd_step"]),
+            ([("market", "regimes", 2, "flat"), ("market", "regimes", 0, "delta", -0.1)],
+             ["market.regimes[0].delta", "market.regimes[2]"]),
+            ([("market", "regimes", three_regimes)], ["market.regimes"]),
+        ]
+        for edits, expected in cases:
+            document = minimal_config()
+            for *keys, last, value in edits:
+                target = document
+                for key in keys:
+                    target = target[key]
+                target[last] = value
+            with pytest.raises(ValidationError) as excinfo:
+                load_config(dump_config(tmp_path, document))
+            assert sorted(path for path, _ in excinfo.value.problems) == expected
+
     def test_missing_file_is_parse_error(self, tmp_path):
         with pytest.raises(ParseError):
             load_config(tmp_path / "absent.json")
@@ -575,7 +600,7 @@ class TestEvaluate:
         assert list(report.results["policies"]) == list(policies)
         for name, strategy in policies.items():
             est = evaluate_policy(
-                market, strategy, 0.0, 0.7, 0.1, 2, 300, 6, RngStream(config.seed, 0)
+                market, strategy, 0.0, 0.7, 0.1, 2, 300, RngStream(config.seed, 0)
             )
             assert report.results["policies"][name] == {"estimate": est.value, "stderr": est.stderr}
 

@@ -30,6 +30,7 @@ from regimeweave.compose import (
     marginalize,
 )
 from regimeweave.markov import (
+    InvalidInput,
     transition_probabilities,
     validate_generator,
 )
@@ -346,6 +347,9 @@ class TestComposeCopula:
             CopulaSpec(correlation=1.5)
         with pytest.raises(ValueError):
             CopulaSpec(correlation=0.0, fd_step=0.0)
+        with pytest.raises(InvalidInput) as err:
+            CopulaSpec(correlation=-2.0, fd_step=1.0)
+        assert [field for field, _ in err.value.problems] == ["correlation", "fd_step"]
 
     def test_spec_carries_parents(self):
         eps = two_state(0.5, 0.3)

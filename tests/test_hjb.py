@@ -26,7 +26,7 @@ from regimeweave.hjb import (
     solve_income_loading,
     solve_regime_factors,
 )
-from regimeweave.markov import validate_generator
+from regimeweave.markov import InvalidInput, validate_generator
 
 Q2 = validate_generator([[-0.5, 0.5], [0.3, -0.3]])
 
@@ -122,10 +122,20 @@ class TestMarketModel:
         assert "risk_aversion" in message
         assert "horizon" in message
         assert "stock_vol" in message
+        assert isinstance(err.value, InvalidInput)
+        assert [field for field, _ in err.value.problems] == ["risk_aversion", "horizon", "stock_vol[1]"]
 
     def test_regime_count_mismatch(self):
         with pytest.raises(ValueError, match="per regime"):
             make_market(stock_drift=[0.08, 0.03, 0.05])
+
+    def test_regime_count_mismatch_is_one_problem(self):
+        # three regimes on a four-state chain: one count problem, not one per array
+        q4 = validate_generator(np.roll(np.eye(4), 1, axis=1) - np.eye(4))
+        three = [0.1, 0.2, 0.3]
+        with pytest.raises(InvalidInput) as err:
+            make_market(stock_drift=three, stock_vol=three, income_drift=three, income_vol=three, generator=q4)
+        assert [field for field, _ in err.value.problems] == ["n_regimes"]
 
     def test_correlation_range(self):
         with pytest.raises(ValueError, match="correlation"):
@@ -358,7 +368,7 @@ class TestSolveRegimeFactors:
                 solve_regime_factors(market, n_steps=n_steps)
 
     def test_error_estimate_is_kept(self):
-        table = solve_regime_factors(make_market(), rtol=1e-9)
+        table = solve_regime_factors(make_market())
         assert np.isfinite(table.error_estimate)
         assert 0.0 <= table.error_estimate <= 1e-9
 

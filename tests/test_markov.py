@@ -9,6 +9,7 @@ from scipy.linalg import expm
 
 from regimeweave.markov import (
     AbsorbingState,
+    InvalidInput,
     NegativeOffDiagonal,
     NonSquare,
     Reducible,
@@ -261,6 +262,22 @@ class TestRngStream:
             RngStream(seed=-1)
         with pytest.raises(ValueError):
             RngStream(seed=0, stream_id=2**64)
+
+    def test_rejects_non_integral_keys(self):
+        # a float or bool key would be truncated onto an integer key's stream
+        for bad in (1.5, np.float64(2.7), True, np.bool_(False), "3"):
+            for kwargs, field in (({"seed": bad}, "seed"), ({"seed": 1, "stream_id": bad}, "stream_id")):
+                with pytest.raises(InvalidInput) as err:
+                    RngStream(**kwargs)
+                assert [name for name, _ in err.value.problems] == [field]
+        with pytest.raises(InvalidInput) as err:
+            RngStream(seed=1.0, stream_id=-1)
+        assert [name for name, _ in err.value.problems] == ["seed", "stream_id"]
+
+    def test_accepts_python_and_numpy_integers(self):
+        expected = RngStream(seed=7, stream_id=3).generator().random(4)
+        for seed, stream_id in ((np.int64(7), np.uint64(3)), (np.uint32(7), np.int8(3))):
+            assert np.array_equal(RngStream(seed, stream_id).generator().random(4), expected)
 
     def test_generator_reproducible(self):
         a = RngStream(seed=123, stream_id=9).generator().random(8)

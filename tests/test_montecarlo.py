@@ -221,7 +221,7 @@ class TestEstimateValueMc:
     def test_scales_value_factor(self):
         market = make_market()
         factor = estimate_value_factor(market, 0.0, 1.0, 0, 400, RngStream(seed=41))
-        value = estimate_value_mc(market, 0.0, 2.0, 1.0, 0, 400, 32, RngStream(seed=41))
+        value = estimate_value_mc(market, 0.0, 2.0, 1.0, 0, 400, RngStream(seed=41))
         gamma = market.risk_aversion
         scale = -np.exp(-gamma * 2.0 * np.exp(market.rate * market.horizon)) / gamma
         assert value.value == pytest.approx(scale * factor.value, rel=1e-15)
@@ -233,7 +233,7 @@ class TestEstimateValueMc:
         table = solve_regime_factors(market)
         loading = solve_income_loading(market)
         x0, y0, regime = 1.5, 0.8, 1
-        est = estimate_value_mc(market, 0.0, x0, y0, regime, 4000, 96, RngStream(seed=42))
+        est = estimate_value_mc(market, 0.0, x0, y0, regime, 4000, RngStream(seed=42))
         gamma = market.risk_aversion
         target = (
             -np.exp(-gamma * x0 * np.exp(market.rate * market.horizon) + loading.value(0.0) * y0)
@@ -244,7 +244,7 @@ class TestEstimateValueMc:
 
     def test_estimate_is_dataclass_with_counts(self):
         market = make_market()
-        est = estimate_value_mc(market, 0.0, 1.0, 1.0, 0, 64, 16, RngStream(seed=43))
+        est = estimate_value_mc(market, 0.0, 1.0, 1.0, 0, 64, RngStream(seed=43))
         assert isinstance(est, MCEstimate)
         assert est.n_paths == 64
 
@@ -479,7 +479,7 @@ class TestStreamContract:
             expected = loop_estimate(
                 [loop_policy_utility(market, strategy, 0.2, 1.0, 0.5, path) for path, _ in paths]
             )
-            got = evaluate_policy(market, strategy, 0.2, 1.0, 0.5, regime, n, 13, RngStream(63, 9))
+            got = evaluate_policy(market, strategy, 0.2, 1.0, 0.5, regime, n, RngStream(63, 9))
             # three Gauss-Legendre nodes a segment leave up to 4.2e-11 of the
             # value here, on segments up to 1.8 long; one path off the layout
             # moves the mean by orders of magnitude more
@@ -606,7 +606,7 @@ def test_group_size_invariance(monkeypatch):
         return (
             estimate_regime_factor(market, 0.0, 0, 300, RngStream(24)),
             estimate_value_factor(market0, 0.1, 0.4, 1, 300, RngStream(25)),
-            evaluate_policy(market, strategy, 0.0, 1.0, 0.3, 1, 300, 19, RngStream(26)),
+            evaluate_policy(market, strategy, 0.0, 1.0, 0.3, 1, 300, RngStream(26)),
         )
 
     base = estimates()

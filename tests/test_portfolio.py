@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from regimeweave.hjb import MarketModel
-from regimeweave.markov import RngStream, validate_generator
+from regimeweave.markov import InvalidInput, RngStream, validate_generator
 from regimeweave.montecarlo import estimate_value_mc
 from regimeweave.portfolio import (
     NORMAL_INCOME,
@@ -62,6 +62,12 @@ class TestUtility:
     def test_rejects_bad_aversion(self):
         with pytest.raises(ValueError):
             utility(1.0, 0.0)
+
+    @pytest.mark.parametrize("risk_aversion", [np.nan, np.inf])
+    def test_rejects_nan_and_infinite_aversion(self, risk_aversion):
+        # the market's own rule, 0 < risk_aversion < inf
+        with pytest.raises(InvalidInput, match="risk_aversion"):
+            utility(1.0, risk_aversion)
 
 
 class TestPositions:
@@ -233,7 +239,7 @@ class TestEvaluatePolicy:
         bundle = build_solution(market, NORMAL_INCOME)
         x0, y0, regime = 1.0, 0.5, 0
         est = evaluate_policy(
-            market, bundle.strategy, 0.0, x0, y0, regime, 4000, 128, RngStream(seed=6)
+            market, bundle.strategy, 0.0, x0, y0, regime, 4000, RngStream(seed=6)
         )
         target = bundle.value(0.0, x0, y0, regime)
         assert abs(est.value - target) < 4 * est.stderr
@@ -241,7 +247,7 @@ class TestEvaluatePolicy:
     def test_perturbed_policies_do_worse(self):
         market = make_market()
         strat = optimal_strategy(market, NORMAL_INCOME)
-        args = (0.0, 1.0, 0.5, 0, 2000, 64)
+        args = (0.0, 1.0, 0.5, 0, 2000)
         best = evaluate_policy(market, strat, *args, RngStream(seed=7))
         for factor in (0.5, 0.75, 1.25, 1.5):
             worse = evaluate_policy(market, strat.scaled(factor), *args, RngStream(seed=7))
@@ -251,8 +257,8 @@ class TestEvaluatePolicy:
         market = make_market(correlation=0.0)
         strat = optimal_strategy(market, RHO_ZERO)
         x0, y0, regime = 1.0, 0.5, 1
-        policy = evaluate_policy(market, strat, 0.0, x0, y0, regime, 3000, 96, RngStream(seed=8))
-        direct = estimate_value_mc(market, 0.0, x0, y0, regime, 3000, 96, RngStream(seed=9))
+        policy = evaluate_policy(market, strat, 0.0, x0, y0, regime, 3000, RngStream(seed=8))
+        direct = estimate_value_mc(market, 0.0, x0, y0, regime, 3000, RngStream(seed=9))
         spread = np.hypot(policy.stderr, direct.stderr)
         assert abs(policy.value - direct.value) < 4 * spread
 
@@ -265,7 +271,7 @@ class TestConditionalEvaluation:
             generator=validate_generator([[0.0]]),
         )
         bundle = build_solution(market, NORMAL_INCOME)
-        est = evaluate_policy(market, bundle.strategy, 0.3, 1.0, 0.5, 0, 64, 16, RngStream(seed=10))
+        est = evaluate_policy(market, bundle.strategy, 0.3, 1.0, 0.5, 0, 64, RngStream(seed=10))
         target = bundle.value(0.3, 1.0, 0.5, 0)
         assert abs(est.value - target) <= 1e-10 * abs(target)
         assert est.stderr < 1e-15 * abs(target)  # zero but for the rounding of the mean
@@ -276,7 +282,7 @@ class TestConditionalEvaluation:
         market = make_market(income_drift=[0.02, 0.02], income_vol=[0.0, 0.0])
         idle = Strategy(position=lambda t, i: 0.0, label="idle")
         t, x, y = 0.4, 1.3, 0.5
-        est = evaluate_policy(market, idle, t, x, y, 0, 300, 16, RngStream(seed=11))
+        est = evaluate_policy(market, idle, t, x, y, 0, 300, RngStream(seed=11))
         r, mu, tau = market.rate, 0.02, market.horizon - t
         wealth = x * np.exp(r * tau) + y * np.expm1(r * tau) / r + mu * (np.expm1(r * tau) - r * tau) / r**2
         assert est.value == pytest.approx(utility(wealth, market.risk_aversion), rel=1e-13)
@@ -287,7 +293,7 @@ class TestConditionalEvaluation:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(OverflowError, match="policy 'hold' exceeds the float range"):
-                evaluate_policy(market, hold, 0.0, 1.0, 0.0, 0, 64, 16, RngStream(seed=12))
+                evaluate_policy(market, hold, 0.0, 1.0, 0.0, 0, 64, RngStream(seed=12))
 
 
 class TestSolutionBundleAndValue:
