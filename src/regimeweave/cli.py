@@ -505,9 +505,11 @@ def cmd_solve(
     """Emit the income loading, regime or value factors, strategy, and value grid.
 
     The normal-income case solves the factor ODE system; the rho0 case
-    estimates the wealth-free value factor by Monte Carlo on a (t, y)
-    grid instead, regime by regime, each grid point on the stream ids
-    right after the previous point's.
+    estimates the wealth-free value factor by Monte Carlo instead.  It
+    samples each (t, regime) point once at income 0, each point on the
+    stream ids right after the previous point's, and gives every income
+    ``y`` of the grid the exact factor ``exp(m(t) y)`` times that sample,
+    so the rows of one (t, regime) share their paths and relative error.
     """
     out = _Artifacts("solve", config, out_dir)
     market = config.market
@@ -554,15 +556,22 @@ def cmd_solve(
         gamma = market.risk_aversion
         factor_rows, value_rows = [], []
         blocks = -(-n_mc // BLOCK)  # point p draws from stream ids p * blocks onward, one per block
-        points = itertools.product(t_axis, y_axis, range(n_regimes))
-        for point, (t, y, k) in enumerate(points):
-            rng = RngStream(config.seed, point * blocks)
-            est = estimate_value_factor(market, t, y, k, n_mc, rng)
-            factor_rows.append([t, y, labels[k], est.value, est.stderr, est.n_paths])
+        # g(t, y, k) is exp(m(t) y) times g(t, 0, k) on the same paths: sample each (t, k) once
+        points = itertools.product(t_axis, range(n_regimes))
+        base = [estimate_value_factor(market, t, 0.0, k, n_mc, RngStream(config.seed, p * blocks))
+                for p, (t, k) in enumerate(points)]
+        for (i, t), y in itertools.product(enumerate(t_axis), y_axis):
+            try:
+                income = math.exp(loading.value(t) * y)
+            except OverflowError:
+                raise ParseError(f"grid: exp(m(t) y) overflows at t = {t:g}, y = {y:g}") from None
             growth = math.exp(market.rate * (horizon - t))
-            for x in x_axis:
-                scale = -math.exp(-gamma * x * growth) / gamma
-                value_rows.append([t, x, y, labels[k], scale * est.value, abs(scale) * est.stderr])
+            for k, est in enumerate(base[i * n_regimes : (i + 1) * n_regimes]):
+                value, stderr = income * est.value, income * est.stderr
+                factor_rows.append([t, y, labels[k], value, stderr, est.n_paths])
+                for x in x_axis:
+                    scale = -math.exp(-gamma * x * growth) / gamma
+                    value_rows.append([t, x, y, labels[k], scale * value, abs(scale) * stderr])
         out.table("value_factor_mc", "dimensionless wealth-free value factors", "MC±stderr",
                   ["t", "y", "regime", "estimate", "stderr", "n_paths"], list(zip(*factor_rows)))
         out.table("value_grid", utility_units, "MC±stderr",
@@ -847,18 +856,21 @@ def main(argv: Sequence[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         config = load_config(args.config)
-        if args.seed is not None:
-            if not 0 <= args.seed < 2**63:
-                raise ValidationError([("--seed", f"must lie in [0, 2**63), got {args.seed}")])
-            config = replace(config, seed=args.seed)
+        problems = []  # every bad flag, reported in one error
+        if args.seed is not None and not 0 <= args.seed < 2**63:
+            problems.append(("--seed", f"must lie in [0, 2**63), got {args.seed}"))
         # a single sample path is fine; a standard error needs two
         floor = 1 if args.command == "simulate" else 2
         if args.paths is not None and args.paths < floor:
-            raise ValidationError([("--paths", f"must be at least {floor}, got {args.paths}")])
+            problems.append(("--paths", f"must be at least {floor}, got {args.paths}"))
         for flag in ("x0", "y0"):
             value = getattr(args, flag, 0.0)  # compose, solve and validate take no start state
             if not math.isfinite(value):
-                raise ValidationError([(f"--{flag}", f"must be finite, got {value}")])
+                problems.append((f"--{flag}", f"must be finite, got {value}"))
+        if problems:
+            raise ValidationError(problems)
+        if args.seed is not None:
+            config = replace(config, seed=args.seed)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         report = args.run(config, out_dir, args)

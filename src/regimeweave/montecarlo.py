@@ -125,7 +125,8 @@ def estimate_regime_factor(
     ``[rng.seed, rng.stream_id + b]``.
     """
     _check_horizon(market, t_start)
-    return _estimate(np.exp(_path_exponents(market, t_start, regime, n_paths, rng)))
+    coeffs, loading = growth_coefficients(market), solve_income_loading(market)
+    return _estimate(np.exp(_path_exponents(market, coeffs, loading, t_start, regime, n_paths, rng)))
 
 
 def estimate_value_factor(
@@ -172,7 +173,9 @@ def estimate_value_factor(
         + coeffs.quadratic[regime] * square_integral
         + coeffs.constant[regime] * span
     ))
-    exponents = _path_exponents(market, t_start, regime, n_paths, rng, first_jump_by_end=True)
+    exponents = _path_exponents(
+        market, coeffs, loading, t_start, regime, n_paths, rng, first_jump_by_end=True
+    )
     return _estimate(stay * stay_factor + leave * np.exp(income_term + exponents))
 
 
@@ -197,11 +200,11 @@ def estimate_value_mc(
     return MCEstimate(scale * factor.value, abs(scale) * factor.stderr, factor.n_paths)
 
 
-def _path_exponents(market, t_start, regime, n_paths, rng, first_jump_by_end=False):
+def _path_exponents(market, coeffs, loading, t_start, regime, n_paths, rng, first_jump_by_end=False):
     """The growth rate integrated along each of ``n_paths`` chain paths, a sum
-    of exact segment integrals, drawn as :func:`_simulate_chains` draws them."""
-    coeffs = growth_coefficients(market)
-    loading = solve_income_loading(market)
+    of exact segment integrals, drawn as :func:`_simulate_chains` draws them;
+    ``coeffs`` and ``loading`` are the market's growth coefficients and
+    income loading, which the caller builds once."""
     exponents = np.empty(n_paths)
     chunks = _simulate_chains(
         market.generator, regime, t_start, market.horizon, n_paths, rng, first_jump_by_end=first_jump_by_end

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -28,6 +29,7 @@ from regimeweave.cli import (
     parse_grid,
 )
 from regimeweave.compose import compose_independent
+from regimeweave.hjb import solve_income_loading
 from regimeweave.markov import RngStream, validate_generator
 from regimeweave.montecarlo import estimate_value_factor
 from regimeweave.portfolio import Strategy, evaluate_policy, optimal_strategy, simulate_wealth, utility
@@ -267,6 +269,18 @@ def test_non_finite_flags_are_config_errors(tmp_path, capsys, args, flag):
     assert not any(out.glob("*"))
 
 
+def test_every_bad_flag_in_one_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    args = ["evaluate", "--config", REFERENCE, "--out", str(out), "--seed", "-1", "--paths", "0", "--x0", "nan"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    for problem in ("--seed: must lie in [0, 2**63), got -1", "--paths: must be at least 2, got 0",
+                    "--x0: must be finite, got nan"):
+        assert problem in err
+    assert not any(out.glob("*"))
+
+
 def test_malformed_comparison_is_config_error(tmp_path, capsys):
     args = ["evaluate", "--config", REFERENCE, "--out", str(tmp_path), "--compare", "0.5,abc"]
     assert main(args) == 2
@@ -412,15 +426,17 @@ class TestSolve:
         assert all(float(v) > 0.0 for v in column(header, rows, "estimate"))
 
     def test_rho0_points_take_adjacent_key_ranges(self, tmp_path, monkeypatch):
-        # 300 paths take 3 blocks of 128, so point p draws from stream ids 3p, 3p + 1 and 3p + 2
+        # 300 paths take 3 blocks of 128, so (t, regime) point p draws from stream ids 3p,
+        # 3p + 1 and 3p + 2 at income 0, and each income y of the grid scales it by exp(m(t) y)
         document = minimal_config()
         document["market"]["rho"] = 0.0
         document["case"] = "rho0"
         path = dump_config(tmp_path, document)
-        seen = []
+        seen, incomes = [], []
 
         def recording(market, t, y, regime, n_paths, rng):
             seen.append((rng.seed, rng.stream_id, -(-n_paths // montecarlo.BLOCK)))
+            incomes.append(y)
             return estimate_value_factor(market, t, y, regime, n_paths, rng)
 
         monkeypatch.setattr(cli, "estimate_value_factor", recording)
@@ -430,16 +446,22 @@ class TestSolve:
         )
         assert code == 0
         _, header, rows = read_csv(tmp_path / "out" / "value_factor_mc.csv")
-        assert len(rows) == len(seen) == 16
+        assert len(seen) == 8 and len(rows) == 16
+        assert incomes == [0.0] * 8
         for previous, following in zip(seen, seen[1:]):
             assert following[1] == previous[1] + previous[2]  # adjacent, hence disjoint
         market, seed = load_config(path).market, document["numerics"]["seed"]
-        for p, row in enumerate(rows):
-            assert seen[p] == (seed, 3 * p, 3)
+        assert seen == [(seed, 3 * p, 3) for p in range(8)]
+        loading = solve_income_loading(market)
+        labels = column(header, rows[:4], "regime")
+        for row in rows:
             t, y = float(row[0]), float(row[1])
-            expected = estimate_value_factor(market, t, y, p % 4, 300, RngStream(seed, 3 * p))
-            assert float(column(header, [row], "estimate")[0]) == expected.value
-            assert float(column(header, [row], "stderr")[0]) == expected.stderr
+            regime = labels.index(row[2])
+            p = [0.0, 1.0].index(t) * 4 + regime
+            base = estimate_value_factor(market, t, 0.0, regime, 300, RngStream(seed, 3 * p))
+            income = math.exp(loading.value(t) * y)
+            assert float(column(header, [row], "estimate")[0]) == income * base.value
+            assert float(column(header, [row], "stderr")[0]) == income * base.stderr
 
     def test_too_coarse_steps_are_config_error(self, tmp_path, capsys):
         # strong drift over a long horizon cannot be resolved with 8 steps
@@ -487,6 +509,16 @@ class TestSolve:
         assert main(["solve", "--config", path, "--out", str(tmp_path / "out"), grid]) == code
         if code:
             assert "config error: grid: t values must lie in [0, 1.5" in capsys.readouterr().err
+
+    def test_overflowing_income_factor_is_config_error(self, tmp_path, capsys):
+        # m(0) is about -1.84 on this market, so y = -1000 takes exp(m(t) y) past the float range
+        document = minimal_config()
+        document["market"]["rho"] = 0.0
+        document["case"] = "rho0"
+        path = dump_config(tmp_path, document)
+        args = ["solve", "--config", path, "--out", str(tmp_path / "out"), "--grid", "0:1:2,0:1:2,-1000:0:2"]
+        assert main(args) == 2
+        assert "config error: grid: exp(m(t) y) overflows at t = 0, y = -1000" in capsys.readouterr().err
 
     def test_rerun_is_byte_identical(self, tmp_path):
         first, second = tmp_path / "a", tmp_path / "b"

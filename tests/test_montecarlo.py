@@ -508,6 +508,27 @@ class TestStreamContract:
 
 
 @pytest.mark.parametrize("chain", ["slow", "absorbing"])
+def test_value_factor_is_the_income_factor_times_its_value_at_zero_income(chain):
+    # the rho0 grid of `solve` samples each (t, regime) at income 0 and scales it by
+    # exp(m(t) y); an income-dependent term in the estimator would break that
+    market = contract_market(chain)
+    n = CONTRACT_CHAINS[chain][1]
+    loading = solve_income_loading(market)
+    for t_start in (0.0, 0.4, 1.9):
+        for regime in range(market.n_regimes):
+            base = estimate_value_factor(market, t_start, 0.0, regime, n, RngStream(63, 2))
+            for income_start in (-1.5, -0.3, 0.7, 2.0):
+                got = estimate_value_factor(market, t_start, income_start, regime, n, RngStream(63, 2))
+                income = np.exp(loading.value(t_start) * income_start)
+                assert got.value == pytest.approx(income * base.value, rel=1e-14, abs=0.0)
+                # values rounded at eps relative spread by about eps * value / sqrt(n) on
+                # their own: the whole stderr of a regime that cannot be left, and the
+                # rounding floor of a small stderr near the horizon
+                floor = 4.0 * np.finfo(float).eps * got.value / np.sqrt(n)
+                assert got.stderr == pytest.approx(income * base.stderr, rel=1e-14, abs=floor)
+
+
+@pytest.mark.parametrize("chain", ["slow", "absorbing"])
 def test_paths_are_a_prefix_of_more_paths(chain, layout):
     # path k's grid and normals do not depend on how many paths follow it
     market = contract_market(chain)
