@@ -36,7 +36,9 @@ from .compose import (
     compose_copula,
     compose_independent,
 )
-from .hjb import PER_REGIME, MarketModel, StepTooCoarse, hjb_residual, solve_income_loading, solve_regime_factors
+from .hjb import (
+    PER_REGIME, MarketModel, StepTooCoarse, _check_steps, hjb_residual, solve_income_loading, solve_regime_factors,
+)
 from .markov import (
     GeneratorError,
     GeneratorMatrix,
@@ -50,8 +52,8 @@ from .markov import (
 from .montecarlo import BLOCK, estimate_regime_factor, estimate_value_factor
 from .portfolio import (
     NORMAL_INCOME,
-    RHO_ZERO,
     Strategy,
+    _check_case,
     _evaluate_policies,
     build_solution,
     hedge_weight,
@@ -197,6 +199,15 @@ def _unknown_keys(section, path, known, problems):
         problems.append((f"{path}.{key}", "unknown field"))
 
 
+def _check(problems, path, rule, value, *args):
+    """Put each problem a library ``rule`` finds in ``value``, unless None, under ``path``."""
+    try:
+        if value is not None:
+            rule(value, *args)
+    except InvalidInput as exc:
+        problems.extend((path, message) for _, message in exc.problems)
+
+
 def _load_generator(raw, path, problems):
     try:
         return validate_generator(raw)
@@ -321,8 +332,7 @@ def _load_numerics(document, problems):
         return 2048, 20000, None, 0
     _unknown_keys(section, "numerics", {"n_steps", "n_paths", "dt", "seed"}, problems)
     n_steps = _integer(section, "numerics.n_steps", problems, default=2048)
-    if n_steps is not None and (n_steps < 8 or n_steps % 2):
-        problems.append(("numerics.n_steps", f"must be an even integer >= 8, got {n_steps}"))
+    _check(problems, "numerics.n_steps", _check_steps, n_steps)
     n_paths = _integer(section, "numerics.n_paths", problems, default=20000)
     if n_paths is not None and n_paths < 2:
         problems.append(("numerics.n_paths", f"must be at least 2, got {n_paths}"))
@@ -330,17 +340,14 @@ def _load_numerics(document, problems):
     if dt is not None and dt <= 0.0:
         problems.append(("numerics.dt", f"must be positive, got {dt:g}"))
     seed = _integer(section, "numerics.seed", problems, default=0)
-    if seed is not None and not 0 <= seed < 2**63:
-        problems.append(("numerics.seed", f"must lie in [0, 2**63), got {seed}"))
+    _check(problems, "numerics.seed", RngStream, seed)
     return n_steps if n_steps else 2048, n_paths if n_paths else 20000, dt, seed if seed else 0
 
 
 def _load_case(document, market, problems):
     case = document.get("case", NORMAL_INCOME)
-    if case not in (RHO_ZERO, NORMAL_INCOME):
-        problems.append(("case", f"expected {RHO_ZERO!r} or {NORMAL_INCOME!r}, got {case!r}"))
-    elif case == RHO_ZERO and market is not None and market.correlation != 0.0:
-        problems.append(("case", f"{RHO_ZERO!r} requires market.rho = 0, got {market.correlation:g}"))
+    # a market that broke its own rules leaves only the case's name to check
+    _check(problems, "case", _check_case, case, 0.0 if market is None else market.correlation)
     return case
 
 
@@ -423,11 +430,6 @@ def _state_labels(n_states: int, mapping) -> list[str]:
 def _sim_steps(config: ModelConfig) -> int:
     dt = config.dt if config.dt is not None else config.market.horizon / 256.0
     return max(2, math.ceil(config.market.horizon / dt))
-
-
-def _check_regime(market: MarketModel, regime: int) -> None:
-    if not 0 <= regime < market.n_regimes:
-        raise ValidationError([("i0", f"regime index must lie in [0, {market.n_regimes})")])
 
 
 def parse_grid(text: str) -> list[np.ndarray]:
@@ -546,10 +548,10 @@ def cmd_solve(
                   [curve_t, *factors.value(curve_t).T])
         value = value_function(market, factors=factors)
         mesh = np.meshgrid(t_axis, x_axis, y_axis, indexing="ij")
-        values = np.stack([value(*mesh, k) for k in range(n_regimes)], axis=-1)
+        with np.errstate(over="ignore"):  # a value past the float range is reported below
+            values = np.stack([value(*mesh, k) for k in range(n_regimes)], axis=-1)
         points = np.meshgrid(t_axis, x_axis, y_axis, np.array(labels, dtype=object), indexing="ij")
-        out.table("value_grid", utility_units, "ODE", ["t", "x", "y", "regime", "value"],
-                  [*(axis.ravel() for axis in points), values.ravel()])
+        columns = [*(axis.ravel() for axis in points), values.ravel()]
         results["h_at_0"] = factors.value(0.0)
     else:
         n_mc = n_paths if n_paths is not None else config.n_paths
@@ -570,13 +572,21 @@ def cmd_solve(
                 value, stderr = income * est.value, income * est.stderr
                 factor_rows.append([t, y, labels[k], value, stderr, est.n_paths])
                 for x in x_axis:
-                    scale = -math.exp(-gamma * x * growth) / gamma
+                    try:
+                        scale = -math.exp(-gamma * x * growth) / gamma
+                    except OverflowError:
+                        scale = -math.inf  # reported below
                     value_rows.append([t, x, y, labels[k], scale * value, abs(scale) * stderr])
         out.table("value_factor_mc", "dimensionless wealth-free value factors", "MC±stderr",
                   ["t", "y", "regime", "estimate", "stderr", "n_paths"], list(zip(*factor_rows)))
-        out.table("value_grid", utility_units, "MC±stderr",
-                  ["t", "x", "y", "regime", "value", "stderr"], list(zip(*value_rows)))
+        columns = list(zip(*value_rows))
         results["n_paths"] = n_mc
+    bad = np.flatnonzero(~np.isfinite(np.asarray(columns[4], dtype=float)))
+    if bad.size:
+        t, x, y = (column[bad[0]] for column in columns[:3])
+        raise ParseError(f"grid: the value leaves the float range at t = {t:g}, x = {x:g}, y = {y:g}")
+    out.table("value_grid", utility_units, "ODE" if closed else "MC±stderr",
+              ["t", "x", "y", "regime", "value", "stderr"][: len(columns)], columns)
     return out.report(results)
 
 
@@ -591,7 +601,6 @@ def cmd_simulate(
     """Emit sample (wealth, income, regime) paths under the optimal strategy."""
     out = _Artifacts("simulate", config, out_dir)
     market = config.market
-    _check_regime(market, regime)
     strategy = optimal_strategy(market, config.case)
     n = n_paths if n_paths is not None else min(config.n_paths, 16)
     n_sim = _sim_steps(config)
@@ -609,7 +618,7 @@ def cmd_simulate(
     for end in np.cumsum(lengths) - 1:
         positions[end] = ""
     out.table("paths", "t in time units; wealth, income, position in money units",
-              "MC sample paths (exact conditional scheme)",
+              "MC sample paths (integrating-factor steps on a jump-refined grid)",
               ["path", "t", "wealth", "income", "regime", "position"],
               [np.repeat(np.arange(len(paths)), lengths), *nodes, labels[held], positions])
     terminal = np.array([path.wealth[-1] for path in paths])
@@ -634,9 +643,7 @@ def cmd_evaluate(
     """Score the optimal strategy and constant comparisons on common paths."""
     out = _Artifacts("evaluate", config, out_dir)
     market = config.market
-    _check_regime(market, regime)
     bundle = build_solution(market, config.case, n_steps=config.n_steps)
-    predicted = float(bundle.value(0.0, wealth_start, income_start, regime))
     n = n_paths if n_paths is not None else config.n_paths
 
     policies = [("pi-hat (optimal)", bundle.strategy)]
@@ -653,6 +660,8 @@ def cmd_evaluate(
         if repr(policies[0][0]) in str(exc):
             raise
         raise ParseError(f"--compare: {exc}") from exc
+    # after the scoring, whose chain simulation rejects a regime index out of range
+    predicted = float(bundle.value(0.0, wealth_start, income_start, regime))
     rows, scored = [], {}
     for (name, _), est in zip(policies, estimates):
         rows.append([name, est.value, est.stderr, est.n_paths, predicted, est.value - predicted])
@@ -857,8 +866,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         config = load_config(args.config)
         problems = []  # every bad flag, reported in one error
-        if args.seed is not None and not 0 <= args.seed < 2**63:
-            problems.append(("--seed", f"must lie in [0, 2**63), got {args.seed}"))
+        _check(problems, "--seed", RngStream, args.seed)
         # a single sample path is fine; a standard error needs two
         floor = 1 if args.command == "simulate" else 2
         if args.paths is not None and args.paths < floor:
@@ -867,6 +875,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             value = getattr(args, flag, 0.0)  # compose, solve and validate take no start state
             if not math.isfinite(value):
                 problems.append((f"--{flag}", f"must be finite, got {value}"))
+        if not 0 <= getattr(args, "i0", 0) < config.market.n_regimes:
+            problems.append(("--i0", f"must lie in [0, {config.market.n_regimes}), got {args.i0}"))
         if problems:
             raise ValidationError(problems)
         if args.seed is not None:

@@ -319,6 +319,11 @@ class RegimeFactorTable:
         return out if np.ndim(out) else float(out)
 
 
+def _check_steps(n_steps: int) -> None:
+    if n_steps < 8 or n_steps % 2:
+        raise InvalidInput([("n_steps", f"must be an even integer >= 8, got {n_steps}")])
+
+
 def solve_regime_factors(market: MarketModel, n_steps: int = 2048) -> RegimeFactorTable:
     """Integrate the regime-factor ODE backward from the horizon.
 
@@ -336,8 +341,7 @@ def solve_regime_factors(market: MarketModel, n_steps: int = 2048) -> RegimeFact
     requested accuracy.  Factors that leave the float range raise
     :class:`OverflowError`.
     """
-    if n_steps < 8 or n_steps % 2:
-        raise ValueError("n_steps must be an even integer >= 8")
+    _check_steps(n_steps)
     fine = _magnus_grid(market, n_steps)
     coarse = _magnus_grid(market, n_steps // 2)
     if not np.all(np.isfinite(fine)):

@@ -61,12 +61,11 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .hjb import MarketModel, growth_coefficients, solve_income_loading
-from .markov import JUMP_BLOCK, GeneratorMatrix, RegimePath, RngStream, _check_path_span, _jump_table
+from .markov import JUMP_BLOCK, GeneratorMatrix, RngStream, _check_path_span, _jump_table
 
 __all__ = [
     "NonZeroRho",
     "MCEstimate",
-    "merged_time_grid",
     "estimate_regime_factor",
     "estimate_value_factor",
     "estimate_value_mc",
@@ -91,23 +90,6 @@ class MCEstimate:
     value: float
     stderr: float
     n_paths: int
-
-
-def merged_time_grid(
-    path: RegimePath, n_steps: int
-) -> tuple[NDArray[np.float64], NDArray[np.int64]]:
-    """Uniform grid over the path's span, refined with the jump times.
-
-    Splitting steps at jumps keeps per-step coefficients constant, so a
-    Gaussian Euler step is exact in distribution on every interval.
-    Returns the grid and the regime governing each interval.
-    """
-    if n_steps < 1:
-        raise ValueError("n_steps must be positive")
-    uniform = np.linspace(path.t_start, path.t_end, n_steps + 1)
-    times = np.union1d(uniform, path.times[1:])
-    regimes = path.states[np.searchsorted(path.times, times[:-1], side="right") - 1]
-    return times, regimes
 
 
 def estimate_regime_factor(
@@ -345,60 +327,38 @@ def _simulate_grids(market: MarketModel, regime: int, t_start, n_paths: int, n_s
     """Chain paths on jump-refined grids with two sets of grid normals (stock,
     then income shocks), as ``(index, lengths, times, regimes, normals)``
     groups, one per chunk of :func:`_simulate_chains`: row ``r`` holds path
-    ``index[r]``'s grid, as :func:`merged_time_grid` builds it, in its first
-    ``lengths[r]`` entries, then the horizon; its step regimes and normals
-    fill the first ``lengths[r] - 1`` entries, then the last regime and
-    unused normals.
-    """
+    ``index[r]``'s grid in its first ``lengths[r]`` entries, then the horizon;
+    its step regimes and normals fill the first ``lengths[r] - 1`` entries,
+    then the last regime and unused normals.  A grid holds the ``n_steps + 1``
+    uniform nodes and the path's jumps in time order; a jump on a node or on
+    the jump before it merges into that entry, which takes the state after it."""
     if n_steps < 1:
         raise ValueError("n_steps must be positive")
     uniform = np.linspace(float(t_start), float(market.horizon), n_steps + 1)
+    n_nodes = len(uniform)
     chunks = _simulate_chains(market.generator, regime, t_start, market.horizon, n_paths, rng, n_steps, 2)
     for first, counts, starts, _, states, normals in chunks:
-        # rows of segment starts and states, padded with the horizon and state 0
-        real = np.arange(counts.max()) < counts[:, None]
-        chain_times = np.full(real.shape, float(market.horizon))
-        chain_states = np.zeros(real.shape, dtype=np.int64)
-        chain_times[real], chain_states[real] = starts, states
-        lengths, times, regimes = _padded_grids(chain_times, chain_states, counts - 1, uniform, market.n_regimes)
-        index = first + np.arange(len(counts))
-        yield index, lengths, times, regimes, normals[:, :, : times.shape[1] - 1]
-
-
-def _padded_grids(chain_times, chain_states, n_jumps, uniform, n_states: int):
-    """Grid lengths, grids and step regimes of chain rows, padded as
-    :func:`_simulate_grids` yields them."""
-    width = int(n_jumps.max())
-    column = np.arange(width)
-    real = column < n_jumps[:, None]
-    jumps = chain_times[:, 1 : width + 1]  # padded with the horizon
-    nodes = np.searchsorted(uniform, jumps)
-    # a jump's slot counts the uniform nodes and the jumps before it; padding goes last
-    slots = np.where(real, nodes + column, len(uniform) + column)
-    is_jump = np.zeros((len(n_jumps), len(uniform) + width), dtype=bool)
-    np.put_along_axis(is_jump, slots, True, axis=1)
-    times = np.empty(is_jump.shape)
-    times[is_jump] = jumps.ravel()
-    times[~is_jump] = np.tile(uniform, len(n_jumps))
-    # state m holds from jump m's slot to jump m + 1's, the last one to the row's end
-    n_cells = times.shape[1] - 1
-    edges = np.where(real, slots, n_cells)
-    cells = np.diff(edges, axis=1, prepend=0, append=n_cells)
-    regimes = np.repeat(chain_states[:, : width + 1].ravel(), cells.ravel()).reshape(-1, n_cells)
-    lengths = len(uniform) + n_jumps
-    # a jump on a node or on another jump merges with it, as in merged_time_grid
-    tied = uniform[nodes] == jumps
-    tied[:, 1:] |= jumps[:, 1:] == jumps[:, :-1]
-    for r in np.flatnonzero(np.any(tied & real, axis=1)):
-        count = n_jumps[r] + 1
-        path = RegimePath(
-            uniform[0], uniform[-1], chain_times[r, :count], chain_states[r, :count], n_states
-        )
-        grid, grid_regimes = merged_time_grid(path, len(uniform) - 1)
-        lengths[r] = len(grid)
-        times[r], times[r, : len(grid)] = uniform[-1], grid
-        regimes[r], regimes[r, : len(grid) - 1] = grid_regimes[-1], grid_regimes
-    return lengths, times, regimes
+        n_rows, offsets = len(counts), np.cumsum(counts) - counts
+        at_jump = np.delete(np.arange(len(starts)), offsets)
+        jumps, row = starts[at_jump], np.repeat(np.arange(n_rows), counts - 1)
+        nodes = np.searchsorted(uniform, jumps, side="right")
+        tied = (uniform[nodes - 1] == jumps) | (starts[at_jump - 1] == jumps)
+        added = np.cumsum(np.bincount(at_jump[~tied], minlength=len(starts)))  # grid entries from jumps so far
+        # a jump sits after the nodes at or before it and its path's earlier entries, a tied one on the last
+        column = nodes + added[at_jump] - added[offsets][row] - 1
+        lengths = n_nodes + added[offsets + counts - 1] - added[offsets]
+        width = n_nodes + int(counts.max()) - 1
+        at_node = np.arange(width) < lengths[:, None]
+        at_node[row[~tied], column[~tied]] = False
+        times = np.full((n_rows, width), uniform[-1])
+        times[at_node] = np.tile(uniform, n_rows)
+        times[row, column] = jumps
+        # a segment's state holds from its jump's column to the next one's, the last one to the row's end
+        n_cells = width - 1
+        edges = np.empty(len(starts), dtype=np.int64)
+        edges[offsets], edges[at_jump] = np.arange(n_rows) * n_cells, row * n_cells + column
+        regimes = np.repeat(states, np.diff(edges, append=n_rows * n_cells)).reshape(n_rows, n_cells)
+        yield first + np.arange(n_rows), lengths, times, regimes, normals[:, :, :n_cells]
 
 
 def _check_horizon(market: MarketModel, t_start: float) -> None:

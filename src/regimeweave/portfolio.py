@@ -46,7 +46,7 @@ QUAD_NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * np.sqrt(15.0) / 10.0
 QUAD_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 18.0
 
 
-class CaseMismatch(ValueError):
+class CaseMismatch(InvalidInput):
     """Requested solution case contradicts the market's parameters."""
 
 
@@ -144,7 +144,7 @@ def optimal_strategy(market: MarketModel, case: str = NORMAL_INCOME) -> Strategy
     and requires ``market.correlation == 0``, where the hedge vanishes and
     only the myopic part remains.
     """
-    _check_case(market, case)
+    _check_case(case, market.correlation)
     if case == RHO_ZERO:
 
         def position(t, regime):
@@ -186,7 +186,7 @@ def value_function(
 
 def build_solution(market: MarketModel, case: str = NORMAL_INCOME, n_steps: int = 2048) -> SolutionBundle:
     """Solve the model end to end: loading, factors, strategy, and value."""
-    _check_case(market, case)
+    _check_case(case, market.correlation)
     factors = solve_regime_factors(market, n_steps=n_steps)
     return SolutionBundle(
         market=market,
@@ -198,13 +198,11 @@ def build_solution(market: MarketModel, case: str = NORMAL_INCOME, n_steps: int 
     )
 
 
-def _check_case(market: MarketModel, case: str) -> None:
+def _check_case(case: str, correlation: float) -> None:
     if case not in (RHO_ZERO, NORMAL_INCOME):
-        raise ValueError(f"unknown case {case!r}; expected {RHO_ZERO!r} or {NORMAL_INCOME!r}")
-    if case == RHO_ZERO and market.correlation != 0.0:
-        raise CaseMismatch(
-            f"case 'rho0' requires zero correlation, market has {market.correlation}"
-        )
+        raise InvalidInput([("case", f"unknown case {case!r}; expected {RHO_ZERO!r} or {NORMAL_INCOME!r}")])
+    if case == RHO_ZERO and correlation != 0.0:
+        raise CaseMismatch([("case", f"{RHO_ZERO!r} requires zero correlation, got {correlation:g}")])
 
 
 def simulate_wealth(
@@ -220,9 +218,11 @@ def simulate_wealth(
 ) -> list[WealthPath]:
     """Simulate joint (regime, income, wealth) paths under a strategy.
 
-    The stock and income shocks are correlated standard normals; interest
-    compounds exactly through an integrating factor, with the position,
-    income level, and regime frozen over each step:
+    Each path steps over ``n_steps`` uniform steps refined at its chain
+    path's jumps, with its regime, position and income level frozen over a
+    step, an error of first order in the step.  The stock and income shocks
+    are correlated standard normals; interest compounds exactly through an
+    integrating factor:
 
         wealth[k] = exp(rate (t_k - t_0)) * (wealth_start
                     + sum of discounted step cashflows before t_k)

@@ -22,6 +22,7 @@ from regimeweave.cli import (
     _Artifacts,
     cmd_compose,
     cmd_evaluate,
+    cmd_simulate,
     cmd_validate,
     load_config,
     main,
@@ -173,6 +174,24 @@ class TestLoadConfig:
         with pytest.raises(ValidationError, match="case"):
             load_config(dump_config(tmp_path, document))
 
+    def test_library_rules_named_by_config_path(self, tmp_path):
+        # the step-count, seed and case rules belong to the library; the loader names their paths
+        document = minimal_config()
+        document["numerics"].update(n_steps=7, seed=-1)
+        document["case"] = "lognormal"
+        with pytest.raises(ValidationError) as excinfo:
+            load_config(dump_config(tmp_path, document))
+        assert excinfo.value.problems == (
+            ("numerics.n_steps", "must be an even integer >= 8, got 7"),
+            ("numerics.seed", "must be an integer in [0, 2**64), got -1"),
+            ("case", "unknown case 'lognormal'; expected 'rho0' or 'normal_income'"),
+        )
+        document = minimal_config()
+        document["case"] = "rho0"
+        with pytest.raises(ValidationError) as excinfo:
+            load_config(dump_config(tmp_path, document))
+        assert excinfo.value.problems == (("case", "'rho0' requires zero correlation, got 0.35"),)
+
     def test_copula_composition_loads(self, tmp_path):
         document = minimal_config()
         document["chains"]["composition"] = {
@@ -271,14 +290,37 @@ def test_non_finite_flags_are_config_errors(tmp_path, capsys, args, flag):
 
 def test_every_bad_flag_in_one_error(tmp_path, capsys):
     out = tmp_path / "out"
-    args = ["evaluate", "--config", REFERENCE, "--out", str(out), "--seed", "-1", "--paths", "0", "--x0", "nan"]
+    args = ["evaluate", "--config", REFERENCE, "--out", str(out), "--seed", "-1", "--paths", "0", "--x0", "nan",
+            "--i0", "99"]
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
-    for problem in ("--seed: must lie in [0, 2**63), got -1", "--paths: must be at least 2, got 0",
-                    "--x0: must be finite, got nan"):
+    for problem in ("--seed: must be an integer in [0, 2**64), got -1", "--paths: must be at least 2, got 0",
+                    "--x0: must be finite, got nan", "--i0: must lie in [0, 4), got 99"):
         assert problem in err
-    assert not any(out.glob("*"))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("run", [cmd_simulate, cmd_evaluate])
+def test_bad_start_regime_from_the_library(tmp_path, run):
+    # a direct call gets the chain simulation's error, not an index into a table
+    config = load_config(REFERENCE)
+    for regime in (4, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            run(config, tmp_path, regime=regime, n_paths=4)
+
+
+def test_seed_range_is_the_stream_key_range(tmp_path, capsys):
+    # seeds up to 2**64 - 1 key a stream; the config and the flag share RngStream's rule
+    top = str(2**64 - 1)
+    assert main(["simulate", "--config", REFERENCE, "--out", str(tmp_path / "a"), "--paths", "2", "--seed", top]) == 0
+    assert main(["simulate", "--config", REFERENCE, "--out", str(tmp_path / "b"), "--seed", str(2**64)]) == 2
+    assert f"--seed: must be an integer in [0, 2**64), got {2**64}" in capsys.readouterr().err
+    document = minimal_config()
+    document["numerics"]["seed"] = 2**64
+    with pytest.raises(ValidationError) as excinfo:
+        load_config(dump_config(tmp_path, document))
+    assert excinfo.value.problems == (("numerics.seed", f"must be an integer in [0, 2**64), got {2**64}"),)
 
 
 def test_malformed_comparison_is_config_error(tmp_path, capsys):
@@ -520,6 +562,21 @@ class TestSolve:
         assert main(args) == 2
         assert "config error: grid: exp(m(t) y) overflows at t = 0, y = -1000" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["rho0", "normal_income"])
+    def test_overflowing_wealth_term_is_config_error(self, tmp_path, capsys, case):
+        # exp(-gamma x e^{r (T - t)}) leaves the float range at x = -1000
+        document = minimal_config()
+        document["market"]["rho"] = 0.0
+        document["case"] = case
+        path = dump_config(tmp_path, document)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["solve", "--config", path, "--out", str(out), "--grid", "0:1:2,-1000:0:2"]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: grid: the value leaves the float range at t = 0, x = -1000, y = -1\n"
+        assert not (out / "value_grid.csv").exists()
+
     def test_rerun_is_byte_identical(self, tmp_path):
         first, second = tmp_path / "a", tmp_path / "b"
         main(["solve", "--config", RHO_ZERO_CONFIG, "--out", str(first)])
@@ -553,9 +610,13 @@ class TestSimulate:
         assert a != b
         assert b == c
 
-    def test_regime_out_of_range_is_config_error(self, tmp_path):
-        code = main(["simulate", "--config", REFERENCE, "--out", str(tmp_path), "--i0", "9"])
-        assert code == 2
+    def test_regime_out_of_range_is_config_error(self, tmp_path, capsys):
+        # checked with the other flags, before the output directory is made
+        for i0 in ("9", "4", "-1"):
+            out = tmp_path / i0
+            assert main(["simulate", "--config", REFERENCE, "--out", str(out), "--i0", i0]) == 2
+            assert capsys.readouterr().err == f"config error: --i0: must lie in [0, 4), got {i0}\n"
+            assert not out.exists()
 
     def test_single_path(self, tmp_path):
         args = ["simulate", "--config", REFERENCE, "--out", str(tmp_path), "--paths", "1"]

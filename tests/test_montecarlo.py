@@ -25,7 +25,6 @@ from regimeweave.montecarlo import (
     estimate_regime_factor,
     estimate_value_factor,
     estimate_value_mc,
-    merged_time_grid,
 )
 from regimeweave.portfolio import (
     _wealth_rows,
@@ -96,22 +95,44 @@ def closed_form_factor(market, t_start, income_start, regime=0):
     return float(np.exp(exponent))
 
 
+def merged_time_grid(path, n_steps):
+    """The oracle of a path's jump-refined grid: the uniform grid over its span
+    united with its jumps, equal times merged, and the regime of each interval
+    the state after every jump at or before the interval's start."""
+    uniform = np.linspace(path.t_start, path.t_end, n_steps + 1)
+    times = np.union1d(uniform, path.times[1:])
+    regimes = path.states[np.searchsorted(path.times, times[:-1], side="right") - 1]
+    return times, regimes
+
+
+def grid_rows(market, regime, n_paths, n_steps, rng):
+    """``((times, regimes), (jump times, states))`` of each path of
+    ``_simulate_grids``: its grid and step regimes, and its chain path from
+    ``_simulate_chains`` on the same stream."""
+    chains = montecarlo._simulate_chains(market.generator, regime, 0.0, market.horizon, n_paths, rng, n_steps, 2)
+    paths = []
+    for _, counts, starts, _, states, _ in chains:
+        ends_at = np.cumsum(counts)
+        paths += [(starts[lo:hi], states[lo:hi]) for lo, hi in zip(ends_at - counts, ends_at)]
+    grids = []
+    for _, lengths, times, regimes, _ in montecarlo._simulate_grids(market, regime, 0.0, n_paths, n_steps, rng):
+        grids += [(times[r, :n], regimes[r, : n - 1]) for r, n in enumerate(lengths)]
+    assert len(grids) == len(paths) == n_paths
+    return list(zip(grids, paths))
+
+
 class TestMergedTimeGrid:
     def test_contains_uniform_nodes_and_jumps(self):
-        path = simulate_path(Q2, 0, 0.0, 2.0, RngStream(seed=3))
-        times, regimes = merged_time_grid(path, 16)
-        for node in np.linspace(0.0, 2.0, 17):
-            assert np.any(np.isclose(times, node, atol=0, rtol=0))
-        for jump in path.times[1:]:
-            assert jump in times
-        assert len(regimes) == len(times) - 1
+        for (times, regimes), (chain_times, _) in grid_rows(make_market(), 0, 300, 16, RngStream(seed=3)):
+            assert np.all(np.isin(np.linspace(0.0, 2.0, 17), times))
+            assert np.all(np.isin(chain_times, times))
+            assert np.all(np.diff(times) > 0)
+            assert len(regimes) == len(times) - 1
 
     def test_regimes_constant_between_jumps(self):
-        path = simulate_path(Q2, 1, 0.0, 2.0, RngStream(seed=9))
-        times, regimes = merged_time_grid(path, 64)
-        mid = 0.5 * (times[:-1] + times[1:])
-        expected = path.states[np.searchsorted(path.times, mid, side="right") - 1]
-        assert list(regimes) == list(expected)
+        for (times, regimes), (chain_times, states) in grid_rows(make_market(), 1, 300, 64, RngStream(seed=9)):
+            mid = 0.5 * (times[:-1] + times[1:])
+            assert np.array_equal(regimes, states[np.searchsorted(chain_times, mid, side="right") - 1])
 
 
 class TestEstimateRegimeFactor:
@@ -663,26 +684,64 @@ def test_memory_does_not_grow_with_the_path_count():
     assert peak(20000) <= 1.5 * one_sweep
 
 
-def test_batched_grids_match_merged_time_grid_with_ties():
-    # jumps on a uniform node or on each other merge with it, as in union1d
-    market = make_market()
-    jumps = [[0.3, 0.7], [0.5], [0.6, 0.6], [], [0.0001, 1.9999]]
-    width = 1 + max(len(j) for j in jumps)
-    # chain rows as _simulate_chains pads them: the horizon and state 0
-    times = np.full((len(jumps), width), market.horizon)
-    times[:, 0] = 0.0
-    states = np.zeros((len(jumps), width), dtype=np.int64)
-    for i, row in enumerate(jumps):
-        times[i, 1 : 1 + len(row)] = row
-        states[i, 1 : 1 + len(row)] = [(m + 1) % 2 for m in range(len(row))]
-    n_jumps = np.array([len(j) for j in jumps])
-    uniform = np.linspace(0.0, market.horizon, 9)
-    lengths, grids, regimes = montecarlo._padded_grids(times, states, n_jumps, uniform, 2)
-    for i, n in enumerate(n_jumps):
-        path = RegimePath(0.0, market.horizon, times[i, : n + 1], states[i, : n + 1], 2)
-        expected_grid, expected_regimes = merged_time_grid(path, 8)
+def check_merged_grids(monkeypatch, market, t_start, n_steps, counts, starts, states):
+    """``_simulate_grids`` on one chunk of flat chain paths, given in place of
+    ``_simulate_chains``' own, against the oracle row by row."""
+    normals = np.zeros((2, len(counts), n_steps + counts.max() - 1))
+    chunk = (0, counts, starts, None, states, normals)
+    monkeypatch.setattr(montecarlo, "_simulate_chains", lambda *args: iter([chunk]))
+    grids = montecarlo._simulate_grids(market, 0, t_start, len(counts), n_steps, RngStream(0))
+    ((index, lengths, grids, regimes, _),) = grids
+    assert np.array_equal(index, np.arange(len(counts)))
+    ends_at = np.cumsum(counts)
+    for i, (lo, hi) in enumerate(zip(ends_at - counts, ends_at)):
+        path = RegimePath(t_start, market.horizon, starts[lo:hi], states[lo:hi], market.n_regimes)
+        expected_grid, expected_regimes = merged_time_grid(path, n_steps)
         assert lengths[i] == len(expected_grid)
         assert np.array_equal(grids[i, : lengths[i]], expected_grid)
         assert np.all(grids[i, lengths[i] :] == market.horizon)
         assert np.array_equal(regimes[i, : lengths[i] - 1], expected_regimes)
         assert np.all(regimes[i, lengths[i] - 1 :] == expected_regimes[-1])
+
+
+def test_batched_grids_match_merged_time_grid_with_ties(monkeypatch):
+    # (jumps, states they land in) from state 0 on the absorbing chain, nodes
+    # every 0.25: a jump on a node, two equal jumps, equal jumps on a node, a
+    # path with no jumps, one absorbed in state 1, jumps near both ends and at
+    # the start; equal jumps land in different states, so a merge that keeps
+    # the wrong one shows
+    paths = [
+        ([0.3, 0.7], [2, 0]), ([0.5], [2]), ([0.6, 0.6], [2, 0]), ([1.25, 1.25, 1.25], [2, 0, 1]),
+        ([], []), ([0.4, 0.9], [2, 1]), ([0.0001, 1.9999], [1, 0]), ([0.25, 0.3, 0.3, 1.0], [2, 0, 2, 0]),
+        ([0.0, 0.1], [2, 0]),
+    ]
+    counts = np.array([1 + len(jumps) for jumps, _ in paths])
+    starts = np.concatenate([[0.0, *jumps] for jumps, _ in paths])
+    states = np.concatenate([[0, *landed] for _, landed in paths])
+    check_merged_grids(monkeypatch, contract_market("absorbing"), 0.0, 8, counts, starts, states)
+
+
+@pytest.mark.parametrize("chain", ["slow", "absorbing", "past_block"])
+def test_merged_grids_of_tied_chain_paths(chain, monkeypatch):
+    # real chain paths, then the same paths with jumps snapped onto nearby
+    # nodes and onto the jump before them
+    market = contract_market(chain)
+    uniform = np.linspace(0.3, market.horizon, 14)
+    rng = np.random.default_rng(5)
+    for _, counts, starts, _, states, _ in list(montecarlo._simulate_chains(
+        market.generator, 0, 0.3, market.horizon, 40, RngStream(67)
+    )):
+        check_merged_grids(monkeypatch, market, 0.3, 13, counts, starts, states)
+        jumps = np.ones(len(starts), dtype=bool)
+        jumps[np.cumsum(counts) - counts] = False
+        jumps = np.flatnonzero(jumps)
+        snapped = starts.copy()
+        # onto the node at or below, where that keeps the path in time order
+        node = uniform[np.searchsorted(uniform, starts[jumps], side="right") - 1]
+        on_node = (rng.random(len(jumps)) < 0.3) & (node >= starts[jumps - 1])
+        snapped[jumps[on_node]] = node[on_node]
+        # onto the jump before, where there is one
+        repeat = jumps[(rng.random(len(jumps)) < 0.3) & np.isin(jumps - 1, jumps)]
+        snapped[repeat] = snapped[repeat - 1]
+        assert np.any(snapped != starts)
+        check_merged_grids(monkeypatch, market, 0.3, 13, counts, snapped, states)
