@@ -37,7 +37,8 @@ from .compose import (
     compose_independent,
 )
 from .hjb import (
-    PER_REGIME, MarketModel, StepTooCoarse, _check_steps, hjb_residual, solve_income_loading, solve_regime_factors,
+    FACTOR_RTOL, PER_REGIME, MarketModel, StepTooCoarse, _check_steps, hjb_residual,
+    solve_income_loading, solve_regime_factors,
 )
 from .markov import (
     GeneratorError,
@@ -55,6 +56,7 @@ from .portfolio import (
     Strategy,
     _check_case,
     _evaluate_policies,
+    _unit_value,
     build_solution,
     hedge_weight,
     merton_weight,
@@ -420,11 +422,7 @@ class _Artifacts:
 def _state_labels(n_states: int, mapping) -> list[str]:
     if mapping is None:
         return [str(k) for k in range(n_states)]
-    labels = []
-    for k in range(n_states):
-        i, j = mapping.pair(k)
-        labels.append(f"{k} (eps={i},zeta={j})")
-    return labels
+    return ["{} (eps={},zeta={})".format(k, *mapping.pair(k)) for k in range(n_states)]
 
 
 def _sim_steps(config: ModelConfig) -> int:
@@ -470,12 +468,20 @@ def _parse_levels(text: str) -> list[float]:
 
 
 def cmd_compose(config: ModelConfig, out_dir: Path) -> RunReport:
-    """Emit the compound generator, embedded chain, and stationary law."""
+    """Emit the compound generator, embedded chain, and stationary law; a chain without
+    a unique stationary law or with an absorbing state is a config error and writes no file."""
     out = _Artifacts("compose", config, out_dir)
     generator = config.generator
     labels = _state_labels(generator.n_states, config.mapping)
     method = config.chain.method if config.chain is not None else "direct"
-    stationary = stationary_distribution(generator)
+    try:
+        stationary, embedded = stationary_distribution(generator), embedded_chain(generator)
+    except GeneratorError as exc:
+        raise ValidationError([("chains", str(exc))]) from exc
+    results = {"method": method, "n_states": generator.n_states, "stationary_distribution": stationary}
+    if method == "copula":
+        diff = generator.rates - compose_independent(config.chain.eps, config.chain.zeta).generator.rates
+        results["max_abs_rate_diff"] = float(np.max(np.abs(diff)))
     header = ["state", *labels]
 
     out.json("compound_generator_json", "compound_generator.json", {
@@ -486,15 +492,12 @@ def cmd_compose(config: ModelConfig, out_dir: Path) -> RunReport:
               "closed-form", header, [labels, *generator.rates.T],
               name="compound_generator.csv")
     out.table("embedded_chain", "jump-destination probabilities, dimensionless", "closed-form",
-              header, [labels, *embedded_chain(generator).probs.T])
+              header, [labels, *embedded.probs.T])
     out.table("stationary_distribution", "long-run occupancy probabilities, dimensionless",
               "closed-form", ["state", "probability"], [labels, stationary])
-    results = {"method": method, "n_states": generator.n_states, "stationary_distribution": stationary}
-    if config.chain is not None and method == "copula":
-        diff = generator.rates - compose_independent(config.chain.eps, config.chain.zeta).generator.rates
+    if method == "copula":
         out.table("independent_diff", "copula minus independent compound rates per unit time",
                   "closed-form", header, [labels, *diff.T])
-        results["max_abs_rate_diff"] = float(np.max(np.abs(diff)))
     return out.report(results)
 
 
@@ -506,86 +509,79 @@ def cmd_solve(
 ) -> RunReport:
     """Emit the income loading, regime or value factors, strategy, and value grid.
 
-    The normal-income case solves the factor ODE system; the rho0 case
-    estimates the wealth-free value factor by Monte Carlo instead.  It
-    samples each (t, regime) point once at income 0, each point on the
-    stream ids right after the previous point's, and gives every income
-    ``y`` of the grid the exact factor ``exp(m(t) y)`` times that sample,
-    so the rows of one (t, regime) share their paths and relative error.
+    The value is the unit value of :func:`~regimeweave.portfolio.value_function` times the
+    factor ODE's ``f_k(t)``, or for rho0 the wealth-free factor sampled once per (t, regime)
+    at income 0, each point on the stream ids after the previous one's, times the exact
+    ``exp(m(t) y)`` for each income ``y``.  All is computed before the first file is
+    written, so a config error leaves none.
     """
     out = _Artifacts("solve", config, out_dir)
-    market = config.market
-    horizon = market.horizon
-    n_regimes = market.n_regimes
-    labels = _state_labels(n_regimes, config.mapping)
-    axes = grid if grid is not None else []
-    t_axis = axes[0] if len(axes) > 0 else np.linspace(0.0, 0.9 * horizon, 5)
-    x_axis = axes[1] if len(axes) > 1 else np.linspace(0.0, 2.0, 5)
-    y_axis = axes[2] if len(axes) > 2 else np.linspace(-1.0, 1.0, 5)
+    market, horizon, n_regimes = config.market, config.market.horizon, config.market.n_regimes
+    labels = np.array(_state_labels(n_regimes, config.mapping), dtype=object)
+    axes = grid or []
+    defaults = [np.linspace(0.0, 0.9 * horizon, 5), np.linspace(0.0, 2.0, 5), np.linspace(-1.0, 1.0, 5)]
+    t_axis, x_axis, y_axis = [*axes, *defaults[len(axes):]]
     # the sampled value factor needs time left before the horizon
     closed = config.case == NORMAL_INCOME
     below = t_axis <= horizon if closed else t_axis < horizon
     if not np.all((t_axis >= 0.0) & below):
         raise ParseError(f"grid: t values must lie in [0, {horizon:g}{']' if closed else ')'}")
-    curve_t = np.linspace(0.0, horizon, 201)
-    utility_units = "expected terminal utility, dimensionless"
 
     loading = solve_income_loading(market)
-    out.table("income_loading", "t in time units; m is the exponent loading per unit income",
-              "closed-form", ["t", "m"], [curve_t, loading.value(curve_t)])
-    merton = np.column_stack([merton_weight(market, curve_t, k) for k in range(n_regimes)])
-    hedge = np.column_stack([hedge_weight(market, curve_t, k) for k in range(n_regimes)])
-    weights = np.stack([merton, hedge, merton + hedge], axis=-1).reshape(len(curve_t), -1)
-    columns = [f"{part}[{label}]" for label in labels for part in ("merton", "hedge", "total")]
-    out.table("strategy", "money units held in the stock", "closed-form", ["t", *columns],
-              [curve_t, *weights.T])
-
     results = {"case": config.case, "m_at_0": float(loading.value(0.0))}
     if closed:
         factors = solve_regime_factors(market, n_steps=config.n_steps)
-        out.table("regime_factors", "dimensionless multiplicative value factors", "ODE",
-                  ["t", *[f"h[{label}]" for label in labels]],
-                  [curve_t, *factors.value(curve_t).T])
-        value = value_function(market, factors=factors)
-        mesh = np.meshgrid(t_axis, x_axis, y_axis, indexing="ij")
-        with np.errstate(over="ignore"):  # a value past the float range is reported below
-            values = np.stack([value(*mesh, k) for k in range(n_regimes)], axis=-1)
-        points = np.meshgrid(t_axis, x_axis, y_axis, np.array(labels, dtype=object), indexing="ij")
-        columns = [*(axis.ravel() for axis in points), values.ravel()]
+        factor = factors.value(t_axis)
         results["h_at_0"] = factors.value(0.0)
     else:
         n_mc = n_paths if n_paths is not None else config.n_paths
-        gamma = market.risk_aversion
-        factor_rows, value_rows = [], []
         blocks = -(-n_mc // BLOCK)  # point p draws from stream ids p * blocks onward, one per block
-        # g(t, y, k) is exp(m(t) y) times g(t, 0, k) on the same paths: sample each (t, k) once
         points = itertools.product(t_axis, range(n_regimes))
-        base = [estimate_value_factor(market, t, 0.0, k, n_mc, RngStream(config.seed, p * blocks))
-                for p, (t, k) in enumerate(points)]
-        for (i, t), y in itertools.product(enumerate(t_axis), y_axis):
-            try:
-                income = math.exp(loading.value(t) * y)
-            except OverflowError:
-                raise ParseError(f"grid: exp(m(t) y) overflows at t = {t:g}, y = {y:g}") from None
-            growth = math.exp(market.rate * (horizon - t))
-            for k, est in enumerate(base[i * n_regimes : (i + 1) * n_regimes]):
-                value, stderr = income * est.value, income * est.stderr
-                factor_rows.append([t, y, labels[k], value, stderr, est.n_paths])
-                for x in x_axis:
-                    try:
-                        scale = -math.exp(-gamma * x * growth) / gamma
-                    except OverflowError:
-                        scale = -math.inf  # reported below
-                    value_rows.append([t, x, y, labels[k], scale * value, abs(scale) * stderr])
-        out.table("value_factor_mc", "dimensionless wealth-free value factors", "MC±stderr",
-                  ["t", "y", "regime", "estimate", "stderr", "n_paths"], list(zip(*factor_rows)))
-        columns = list(zip(*value_rows))
+        estimates = [estimate_value_factor(market, t, 0.0, k, n_mc, RngStream(config.seed, p * blocks))
+                     for p, (t, k) in enumerate(points)]
+        factor, stderr = (np.reshape([getattr(est, name) for est in estimates], (-1, n_regimes))
+                          for name in ("value", "stderr"))
+        with np.errstate(over="ignore"):  # an income factor past the float range is reported here
+            income = np.exp(np.multiply.outer(loading.value(t_axis), y_axis))
+        overflow = np.argwhere(np.isinf(income))
+        if overflow.size:
+            i, j = overflow[0]
+            raise ParseError(f"grid: exp(m(t) y) overflows at t = {t_axis[i]:g}, y = {y_axis[j]:g}")
+        # g(t, y, k) is exp(m(t) y) times g(t, 0, k) on the same paths
+        factor_columns = [
+            *(axis.ravel() for axis in np.meshgrid(t_axis, y_axis, labels, indexing="ij")),
+            *((income[:, :, None] * part[:, None, :]).ravel() for part in (factor, stderr)),
+            np.full(income.size * n_regimes, n_mc),
+        ]
         results["n_paths"] = n_mc
-    bad = np.flatnonzero(~np.isfinite(np.asarray(columns[4], dtype=float)))
+    with np.errstate(over="ignore", invalid="ignore"):  # a value past the float range is reported below
+        unit = _unit_value(market, loading, *np.ix_(t_axis, x_axis, y_axis))[..., None]
+        values = (unit * factor[:, None, None, :]).ravel()
+        stderrs = [] if closed else [(np.abs(unit) * stderr[:, None, None, :]).ravel()]
+    points = np.meshgrid(t_axis, x_axis, y_axis, labels, indexing="ij")
+    columns = [*(axis.ravel() for axis in points), values, *stderrs]
+    bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         t, x, y = (column[bad[0]] for column in columns[:3])
         raise ParseError(f"grid: the value leaves the float range at t = {t:g}, x = {x:g}, y = {y:g}")
-    out.table("value_grid", utility_units, "ODE" if closed else "MC±stderr",
+
+    curve_t = np.linspace(0.0, horizon, 201)
+    out.table("income_loading", "t in time units; m is the exponent loading per unit income",
+              "closed-form", ["t", "m"], [curve_t, loading.value(curve_t)])
+    merton, hedge = (weight(market, curve_t[:, None], np.arange(n_regimes))
+                     for weight in (merton_weight, hedge_weight))
+    weights = np.stack([merton, hedge, merton + hedge], axis=-1).reshape(len(curve_t), -1)
+    strategy_columns = [f"{part}[{label}]" for label in labels for part in ("merton", "hedge", "total")]
+    out.table("strategy", "money units held in the stock", "closed-form", ["t", *strategy_columns],
+              [curve_t, *weights.T])
+    if closed:
+        out.table("regime_factors", "dimensionless multiplicative value factors", "ODE",
+                  ["t", *[f"h[{label}]" for label in labels]],
+                  [curve_t, *factors.value(curve_t).T])
+    else:
+        out.table("value_factor_mc", "dimensionless wealth-free value factors", "MC±stderr",
+                  ["t", "y", "regime", "estimate", "stderr", "n_paths"], factor_columns)
+    out.table("value_grid", "expected terminal utility, dimensionless", "ODE" if closed else "MC±stderr",
               ["t", "x", "y", "regime", "value", "stderr"][: len(columns)], columns)
     return out.report(results)
 
@@ -648,7 +644,7 @@ def cmd_evaluate(
 
     policies = [("pi-hat (optimal)", bundle.strategy)]
     for level in comparisons:
-        policies.append((f"constant pi={level:g}", _constant_strategy(level)))
+        policies.append((f"constant pi={level:g}", Strategy(position=lambda t, regime, level=level: level)))
     # one simulation of the chain paths pairs every policy on identical paths
     strategies = [replace(strategy, label=name) for name, strategy in policies]
     try:
@@ -672,13 +668,6 @@ def cmd_evaluate(
         {"policies": scored, "predicted_value": predicted},
         comparisons=list(comparisons), i0=regime, n_paths=n, x0=wealth_start, y0=income_start,
     )
-
-
-def _constant_strategy(level: float) -> Strategy:
-    def position(t, regime):
-        return level
-
-    return Strategy(position=position, label=f"constant pi={level:g}")
 
 
 def _validate_stream_id(check: str, regime: int = 0) -> int:
@@ -724,10 +713,9 @@ def cmd_validate(config: ModelConfig, out_dir: Path, n_paths: int | None = None)
     factors = solve_regime_factors(market, n_steps=config.n_steps)
     worst = 0.0
     for regime in range(market.n_regimes):
-        est = estimate_regime_factor(
-            market, 0.0, regime, n_mc, RngStream(config.seed, _validate_stream_id("factor", regime))
-        )
-        worst = max(worst, abs(est.value - float(factors.value(0.0, regime))) / est.stderr)
+        rng = RngStream(config.seed, _validate_stream_id("factor", regime))
+        est = estimate_regime_factor(market, 0.0, regime, n_mc, rng)
+        worst = max(worst, _gap(est.value, float(factors.value(0.0, regime)), est.stderr))
     check("h_mc_vs_ode", "MC±stderr", worst, 4.0,
           f"regime factors at t=0, {n_mc} paths per regime, gap in stderr units")
 
@@ -737,7 +725,7 @@ def cmd_validate(config: ModelConfig, out_dir: Path, n_paths: int | None = None)
         market, [strategy], 0.0, 1.0, 0.0, 0, n_mc, RngStream(config.seed, _validate_stream_id("policy"))
     )
     predicted = float(value(0.0, 1.0, 0.0, 0))
-    check("policy_vs_value", "MC±stderr", abs(est.value - predicted) / est.stderr, 4.0,
+    check("policy_vs_value", "MC±stderr", _gap(est.value, predicted, est.stderr), 4.0,
           f"optimal-policy score vs value prediction, {n_mc} paths, gap in stderr units")
 
     ratio = 0.0
@@ -750,20 +738,16 @@ def cmd_validate(config: ModelConfig, out_dir: Path, n_paths: int | None = None)
           "max |residual| / (1 + |V|) over a 3x3x3 grid and all regimes")
 
     market_rho0 = replace(market, correlation=0.0)
-    hedge_mass = max(
-        abs(float(hedge_weight(market_rho0, t, regime)))
-        for t in np.linspace(0.0, market.horizon, 7)
-        for regime in range(market.n_regimes)
-    )
+    hedge = hedge_weight(market_rho0, np.linspace(0.0, market.horizon, 7)[:, None], np.arange(market.n_regimes))
+    hedge_mass = float(np.max(np.abs(hedge)))
     check("rho_zero_hedge", "closed-form", hedge_mass, 0.0,
           "hedge position with correlation forced to 0")
-    factor0 = estimate_value_factor(
-        market_rho0, 0.0, 0.2, 0, n_mc, RngStream(config.seed, _validate_stream_id("rho0"))
-    )
+    rng = RngStream(config.seed, _validate_stream_id("rho0"))
+    factor0 = estimate_value_factor(market_rho0, 0.0, 0.2, 0, n_mc, rng)
     # at wealth 1 the value is the sampled factor times the utility of the grown wealth
     scale = utility(np.exp(market.rate * market.horizon), market.risk_aversion)
     predicted0 = float(value_function(market_rho0, n_steps=config.n_steps)(0.0, 1.0, 0.2, 0))
-    gap0 = abs(scale * factor0.value - predicted0) / (abs(scale) * factor0.stderr)
+    gap0 = _gap(scale * factor0.value, predicted0, abs(scale) * factor0.stderr)
     check("rho_zero_value", "MC±stderr", gap0, 4.0,
           f"sampled vs deterministic value at zero correlation, {n_mc} paths, stderr units")
 
@@ -772,6 +756,12 @@ def cmd_validate(config: ModelConfig, out_dir: Path, n_paths: int | None = None)
               ["check", "provenance", "status", "margin", "tolerance", "detail"], list(zip(*rows)))
     n_failed = sum(entry["status"] == "fail" for entry in summary.values())
     return out.report({"checks": summary, "n_checks": len(rows), "n_failed": n_failed})
+
+
+def _gap(estimate: float, prediction: float, stderr: float) -> float:
+    """``|estimate - prediction|`` in stderr units, or in the factor solve's accepted relative
+    error where that is larger: paths from an absorbing regime are alike, with stderr 0 or noise."""
+    return abs(estimate - prediction) / max(stderr, FACTOR_RTOL * abs(prediction))
 
 
 def _loop_kronecker(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -789,15 +779,9 @@ def _loop_kronecker(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _simultaneous_mass(chain: CompoundChainSpec) -> float:
-    mapping = chain.mapping
-    worst = 0.0
-    for k in range(mapping.n_compound):
-        for k2 in range(mapping.n_compound):
-            i, j = mapping.pair(k)
-            i2, j2 = mapping.pair(k2)
-            if i != i2 and j != j2:
-                worst = max(worst, abs(float(chain.generator.rates[k, k2])))
-    return worst
+    i, j = np.array([chain.mapping.pair(k) for k in range(chain.mapping.n_compound)]).T
+    both = (i[:, None] != i) & (j[:, None] != j)  # pairs of states where both components differ
+    return float(np.max(np.abs(chain.generator.rates[both]), initial=0.0))
 
 
 def _marginal_gap(chain: CompoundChainSpec, t: float) -> float:

@@ -325,9 +325,9 @@ def _simulate_chains(
 
 def _simulate_grids(market: MarketModel, regime: int, t_start, n_paths: int, n_steps: int, rng: RngStream):
     """Chain paths on jump-refined grids with two sets of grid normals (stock,
-    then income shocks), as ``(index, lengths, times, regimes, normals)``
-    groups, one per chunk of :func:`_simulate_chains`: row ``r`` holds path
-    ``index[r]``'s grid in its first ``lengths[r]`` entries, then the horizon;
+    then income shocks), as ``(lengths, times, regimes, normals)`` groups,
+    one per chunk of :func:`_simulate_chains`, paths in order: row ``r``
+    holds its path's grid in its first ``lengths[r]`` entries, then the horizon;
     its step regimes and normals fill the first ``lengths[r] - 1`` entries,
     then the last regime and unused normals.  A grid holds the ``n_steps + 1``
     uniform nodes and the path's jumps in time order; a jump on a node or on
@@ -337,7 +337,7 @@ def _simulate_grids(market: MarketModel, regime: int, t_start, n_paths: int, n_s
     uniform = np.linspace(float(t_start), float(market.horizon), n_steps + 1)
     n_nodes = len(uniform)
     chunks = _simulate_chains(market.generator, regime, t_start, market.horizon, n_paths, rng, n_steps, 2)
-    for first, counts, starts, _, states, normals in chunks:
+    for _, counts, starts, _, states, normals in chunks:
         n_rows, offsets = len(counts), np.cumsum(counts) - counts
         at_jump = np.delete(np.arange(len(starts)), offsets)
         jumps, row = starts[at_jump], np.repeat(np.arange(n_rows), counts - 1)
@@ -358,7 +358,7 @@ def _simulate_grids(market: MarketModel, regime: int, t_start, n_paths: int, n_s
         edges = np.empty(len(starts), dtype=np.int64)
         edges[offsets], edges[at_jump] = np.arange(n_rows) * n_cells, row * n_cells + column
         regimes = np.repeat(states, np.diff(edges, append=n_rows * n_cells)).reshape(n_rows, n_cells)
-        yield first + np.arange(n_rows), lengths, times, regimes, normals[:, :, :n_cells]
+        yield lengths, times, regimes, normals[:, :, :n_cells]
 
 
 def _check_horizon(market: MarketModel, t_start: float) -> None:

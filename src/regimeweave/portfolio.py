@@ -171,17 +171,21 @@ def value_function(
     if factors is None:
         factors = solve_regime_factors(market, n_steps=n_steps)
     loading = solve_income_loading(market)
-    gamma = market.risk_aversion
 
     def value(t, wealth, income, regime):
-        growth = np.exp(market.rate * (market.horizon - np.asarray(t, dtype=float)))
-        exponent = -gamma * np.asarray(wealth, dtype=float) * growth + loading.value(t) * np.asarray(
-            income, dtype=float
-        )
-        out = -np.exp(exponent) / gamma * factors.value(t, regime)
+        out = _unit_value(market, loading, t, wealth, income) * factors.value(t, regime)
         return out if np.ndim(out) else float(out)
 
     return value
+
+
+def _unit_value(market: MarketModel, loading: IncomeLoading, t, wealth, income):
+    """``-(1/gamma) exp(-gamma wealth e^{rate (horizon - t)} + m(t) income)``: both cases' value
+    is this times a factor ``f_k(t)``, the ODE table's or the sampled income-0 one."""
+    gamma = market.risk_aversion
+    growth = np.exp(market.rate * (market.horizon - np.asarray(t, dtype=float)))
+    wealth, income = np.asarray(wealth, dtype=float), np.asarray(income, dtype=float)
+    return -np.exp(-gamma * wealth * growth + loading.value(t) * income) / gamma
 
 
 def build_solution(market: MarketModel, case: str = NORMAL_INCOME, n_steps: int = 2048) -> SolutionBundle:
@@ -203,6 +207,13 @@ def _check_case(case: str, correlation: float) -> None:
         raise InvalidInput([("case", f"unknown case {case!r}; expected {RHO_ZERO!r} or {NORMAL_INCOME!r}")])
     if case == RHO_ZERO and correlation != 0.0:
         raise CaseMismatch([("case", f"{RHO_ZERO!r} requires zero correlation, got {correlation:g}")])
+
+
+def _check_start(wealth_start: float, income_start: float) -> None:
+    problems = [(name, f"must be finite, got {value}") for name, value in
+                (("wealth_start", wealth_start), ("income_start", income_start)) if not np.isfinite(value)]
+    if problems:
+        raise InvalidInput(problems)
 
 
 def simulate_wealth(
@@ -234,9 +245,10 @@ def simulate_wealth(
     depend on the strategy, so two strategies simulated on the same stream
     see identical scenarios (common random numbers).
     """
+    _check_start(wealth_start, income_start)
     paths = []
     grids = _simulate_grids(market, regime, t_start, n_paths, n_steps, rng)
-    for _, lengths, times, regimes, shocks in grids:
+    for lengths, times, regimes, shocks in grids:
         wealth, income, positions = _wealth_rows(
             market, strategy, t_start, wealth_start, income_start, times, regimes, *shocks
         )
@@ -314,7 +326,8 @@ def evaluate_policy(
     :data:`~regimeweave.montecarlo.BLOCK` paths draws from key
     ``[rng.seed, rng.stream_id + b]``; running different strategies with
     the same ``rng`` pairs them on identical chain paths.  Raises
-    :class:`OverflowError` when the expected utility leaves the float range.
+    :class:`InvalidInput` for a non-finite start and :class:`OverflowError`
+    when the expected utility leaves the float range.
     """
     (estimate,) = _evaluate_policies(
         market, [strategy], t_start, wealth_start, income_start, regime, n_paths, rng
@@ -327,6 +340,7 @@ def _evaluate_policies(
 ) -> list[MCEstimate]:
     """:func:`evaluate_policy` of each strategy, all on one simulation of
     the chain paths; each estimate equals its own call's."""
+    _check_start(wealth_start, income_start)
     r, gamma, horizon = market.rate, market.risk_aversion, market.horizon
     rho = market.correlation
     excess, vol, drift = market.excess_return(), market.stock_vol, market.income_drift

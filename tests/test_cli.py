@@ -71,6 +71,15 @@ def dump_config(tmp_path: Path, document: dict, name: str = "config.json") -> st
     return str(path)
 
 
+def absorbing_config(tmp_path: Path) -> str:
+    """The reference market on its compound chain with regime 0 made absorbing."""
+    document = json.loads(Path(REFERENCE).read_text())
+    rates = load_config(REFERENCE).generator.rates.copy()
+    rates[0] = 0.0
+    document["chains"] = {"compound": rates.tolist()}
+    return dump_config(tmp_path, document, "absorbing.json")
+
+
 def read_csv(path: Path) -> tuple[list[str], list[str], list[list[str]]]:
     comments, rows = [], []
     with open(path, newline="") as stream:
@@ -429,6 +438,20 @@ class TestCompose:
         assert (tmp_path / "independent_diff.csv").exists()
         assert report.results["max_abs_rate_diff"] > 0.0
 
+    @pytest.mark.parametrize("chain", ["absorbing", "reducible"])
+    def test_chain_without_unique_stationary_law_is_config_error(self, tmp_path, capsys, chain):
+        if chain == "absorbing":
+            path = absorbing_config(tmp_path)
+        else:  # two closed classes, {0, 1} and {2, 3}
+            document = json.loads(Path(REFERENCE).read_text())
+            rates = [[-0.5, 0.5, 0, 0], [0.3, -0.3, 0, 0], [0, 0, -0.2, 0.2], [0, 0, 0.7, -0.7]]
+            document["chains"] = {"compound": rates}
+            path = dump_config(tmp_path, document)
+        out = tmp_path / "out"
+        assert main(["compose", "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: chains: ")
+        assert not any(out.iterdir())
+
     def test_rerun_is_byte_identical(self, tmp_path):
         first, second = tmp_path / "a", tmp_path / "b"
         main(["compose", "--config", REFERENCE, "--out", str(first)])
@@ -516,6 +539,7 @@ class TestSolve:
         assert main(["solve", "--config", path, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "config error: numerics.n_steps" in err
+        assert not any((tmp_path / "out").iterdir())
 
     def test_overflowing_factors_are_config_error(self, tmp_path, capsys):
         # growth rates up to ~180 over a 40-year horizon: the factors overflow
@@ -531,6 +555,7 @@ class TestSolve:
         assert "config error: market" in err
         assert "float range" in err
         assert "n_steps" not in err
+        assert not any((tmp_path / "out").iterdir())
 
     @pytest.mark.parametrize(
         "case, grid, code",
@@ -561,6 +586,7 @@ class TestSolve:
         args = ["solve", "--config", path, "--out", str(tmp_path / "out"), "--grid", "0:1:2,0:1:2,-1000:0:2"]
         assert main(args) == 2
         assert "config error: grid: exp(m(t) y) overflows at t = 0, y = -1000" in capsys.readouterr().err
+        assert not any((tmp_path / "out").iterdir())
 
     @pytest.mark.parametrize("case", ["rho0", "normal_income"])
     def test_overflowing_wealth_term_is_config_error(self, tmp_path, capsys, case):
@@ -575,7 +601,7 @@ class TestSolve:
             assert main(["solve", "--config", path, "--out", str(out), "--grid", "0:1:2,-1000:0:2"]) == 2
         err = capsys.readouterr().err
         assert err == "config error: grid: the value leaves the float range at t = 0, x = -1000, y = -1\n"
-        assert not (out / "value_grid.csv").exists()
+        assert not any(out.iterdir())
 
     def test_rerun_is_byte_identical(self, tmp_path):
         first, second = tmp_path / "a", tmp_path / "b"
@@ -724,6 +750,15 @@ class TestValidate:
         code = main(["validate", "--config", RHO_ZERO_CONFIG, "--out", str(tmp_path),
                      "--paths", "50"])
         assert code == 1
+
+    @pytest.mark.parametrize("paths", ["100", "2000"])
+    def test_absorbing_regime_passes(self, tmp_path, paths):
+        # every path from the absorbing regime 0 is alike, so its stderr is 0 or rounding
+        # noise: the Monte Carlo gaps are measured against the factor solve's accuracy there
+        path = absorbing_config(tmp_path)
+        assert main(["validate", "--config", path, "--out", str(tmp_path / "out"), "--paths", paths]) == 0
+        _, header, rows = read_csv(tmp_path / "out" / "validation.csv")
+        assert column(header, rows, "status") == ["pass"] * len(rows)
 
     def test_config_error_exit_code(self, tmp_path):
         document = minimal_config()

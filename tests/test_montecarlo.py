@@ -115,7 +115,7 @@ def grid_rows(market, regime, n_paths, n_steps, rng):
         ends_at = np.cumsum(counts)
         paths += [(starts[lo:hi], states[lo:hi]) for lo, hi in zip(ends_at - counts, ends_at)]
     grids = []
-    for _, lengths, times, regimes, _ in montecarlo._simulate_grids(market, regime, 0.0, n_paths, n_steps, rng):
+    for lengths, times, regimes, _ in montecarlo._simulate_grids(market, regime, 0.0, n_paths, n_steps, rng):
         grids += [(times[r, :n], regimes[r, : n - 1]) for r, n in enumerate(lengths)]
     assert len(grids) == len(paths) == n_paths
     return list(zip(grids, paths))
@@ -557,7 +557,7 @@ def test_paths_are_a_prefix_of_more_paths(chain, layout):
 
     def rows(n_paths):
         out = []
-        for _, lengths, times, regimes, normals in montecarlo._simulate_grids(
+        for lengths, times, regimes, normals in montecarlo._simulate_grids(
             market, 0, 0.1, n_paths, 11, RngStream(64, 3)
         ):
             for r, length in enumerate(lengths):
@@ -691,8 +691,7 @@ def check_merged_grids(monkeypatch, market, t_start, n_steps, counts, starts, st
     chunk = (0, counts, starts, None, states, normals)
     monkeypatch.setattr(montecarlo, "_simulate_chains", lambda *args: iter([chunk]))
     grids = montecarlo._simulate_grids(market, 0, t_start, len(counts), n_steps, RngStream(0))
-    ((index, lengths, grids, regimes, _),) = grids
-    assert np.array_equal(index, np.arange(len(counts)))
+    ((lengths, grids, regimes, _),) = grids
     ends_at = np.cumsum(counts)
     for i, (lo, hi) in enumerate(zip(ends_at - counts, ends_at)):
         path = RegimePath(t_start, market.horizon, starts[lo:hi], states[lo:hi], market.n_regimes)

@@ -296,6 +296,23 @@ class TestConditionalEvaluation:
                 evaluate_policy(market, hold, 0.0, 1.0, 0.0, 0, 64, RngStream(seed=12))
 
 
+@pytest.mark.parametrize("field, wealth_start, income_start", [
+    ("wealth_start", np.nan, 0.0), ("wealth_start", -np.inf, 0.0),
+    ("income_start", 1.0, np.inf), ("income_start", 1.0, np.nan),
+])
+def test_non_finite_start_is_invalid_input(field, wealth_start, income_start):
+    # NaN wealth used to leave the float range, infinite income to score 0 +- 0,
+    # and NaN wealth to simulate NaN paths
+    market = make_market()
+    strategy = optimal_strategy(market, NORMAL_INCOME)
+    args = (market, strategy, 0.0, wealth_start, income_start, 0, 8)
+    with pytest.raises(InvalidInput, match=f"^{field}: must be finite") as caught:
+        evaluate_policy(*args, RngStream(seed=13))
+    assert [name for name, _ in caught.value.problems] == [field]
+    with pytest.raises(InvalidInput, match=f"^{field}: must be finite"):
+        simulate_wealth(*args, 16, RngStream(seed=13))
+
+
 class TestSolutionBundleAndValue:
     def test_bundle_pieces_agree(self):
         market = make_market()
