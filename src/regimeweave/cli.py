@@ -50,7 +50,7 @@ from .markov import (
     transition_probabilities,
     validate_generator,
 )
-from .montecarlo import BLOCK, estimate_regime_factor, estimate_value_factor
+from .montecarlo import BLOCK, estimate_regime_factor, estimate_value_factor, estimate_value_mc
 from .portfolio import (
     NORMAL_INCOME,
     Strategy,
@@ -62,7 +62,6 @@ from .portfolio import (
     merton_weight,
     optimal_strategy,
     simulate_wealth,
-    utility,
     value_function,
 )
 
@@ -743,11 +742,9 @@ def cmd_validate(config: ModelConfig, out_dir: Path, n_paths: int | None = None)
     check("rho_zero_hedge", "closed-form", hedge_mass, 0.0,
           "hedge position with correlation forced to 0")
     rng = RngStream(config.seed, _validate_stream_id("rho0"))
-    factor0 = estimate_value_factor(market_rho0, 0.0, 0.2, 0, n_mc, rng)
-    # at wealth 1 the value is the sampled factor times the utility of the grown wealth
-    scale = utility(np.exp(market.rate * market.horizon), market.risk_aversion)
+    est0 = estimate_value_mc(market_rho0, 0.0, 1.0, 0.2, 0, n_mc, rng)
     predicted0 = float(value_function(market_rho0, n_steps=config.n_steps)(0.0, 1.0, 0.2, 0))
-    gap0 = _gap(scale * factor0.value, predicted0, abs(scale) * factor0.stderr)
+    gap0 = _gap(est0.value, predicted0, est0.stderr)
     check("rho_zero_value", "MC±stderr", gap0, 4.0,
           f"sampled vs deterministic value at zero correlation, {n_mc} paths, stderr units")
 

@@ -248,30 +248,22 @@ def marginalize(
     # reshape to blocks indexed [j, i, j2, i2]
     blocks = q.reshape(n, m, n, m)
 
-    rates_eps = blocks.sum(axis=2)  # [j, i, i2]: first-coordinate move, any second
-    spread = rates_eps.max(axis=0) - rates_eps.min(axis=0)
-    np.fill_diagonal(spread, 0.0)
-    if spread.max() > atol:
-        raise ValueError(
-            f"first-coordinate rates vary with the other state by {spread.max():.3e}"
-        )
-    q_eps = rates_eps.mean(axis=0)
-    np.fill_diagonal(q_eps, 0.0)
-    np.fill_diagonal(q_eps, -q_eps.sum(axis=1))
-
-    rates_zeta = blocks.sum(axis=3)  # [j, i, j2]
-    rates_zeta = np.moveaxis(rates_zeta, 1, 0)  # [i, j, j2]
-    spread = rates_zeta.max(axis=0) - rates_zeta.min(axis=0)
-    np.fill_diagonal(spread, 0.0)
-    if spread.max() > atol:
-        raise ValueError(
-            f"second-coordinate rates vary with the other state by {spread.max():.3e}"
-        )
-    q_zeta = rates_zeta.mean(axis=0)
-    np.fill_diagonal(q_zeta, 0.0)
-    np.fill_diagonal(q_zeta, -q_zeta.sum(axis=1))
-
-    return validate_generator(q_eps), validate_generator(q_zeta)
+    marginals = []
+    # summed over the other coordinate's destination, then that coordinate's state moved first:
+    # [j, i, i2] for a first-coordinate move, [i, j, j2] for a second-coordinate one
+    for name, destination, other in (("first", 2, 0), ("second", 3, 1)):
+        rates = np.moveaxis(blocks.sum(axis=destination), other, 0)
+        spread = rates.max(axis=0) - rates.min(axis=0)
+        np.fill_diagonal(spread, 0.0)
+        if spread.max() > atol:
+            raise ValueError(
+                f"{name}-coordinate rates vary with the other state by {spread.max():.3e}"
+            )
+        marginal = rates.mean(axis=0)
+        np.fill_diagonal(marginal, 0.0)
+        np.fill_diagonal(marginal, -marginal.sum(axis=1))
+        marginals.append(marginal)
+    return validate_generator(marginals[0]), validate_generator(marginals[1])
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,18 @@
 """Monte Carlo estimators for the separable pieces of the value function.
 
-Two probabilistic representations are sampled here, both driven by the
-regime chain:
-
-* the regime factor ``h_i(t)`` equals the expectation of the exponential of
-  the growth rate integrated along the regime path, which is computable
-  exactly per path because the loading integrals have closed forms;
-* with zero stock-income correlation the wealth-free factor
-  ``g(t, y, regime)`` equals the expectation of
-  ``exp(-integral of (risk_aversion * exp(rate*(horizon-s)) * Y_s
-  + half squared Sharpe of the current regime) ds)``
-  over income paths ``Y``.  Given the regime path the income integral is
-  Gaussian (conditional Monte Carlo; Glasserman 2004, section 4.5), and its
-  expected exponential is ``exp(m(t) y)`` times the regime factor's own
-  per-path sample, so both factors sample the same chain paths.
+One probabilistic representation is sampled here, driven by the regime
+chain: the regime factor ``h_i(t)`` equals the expectation of the
+exponential of the growth rate integrated along the regime path, which is
+computable exactly per path because the loading integrals have closed
+forms.  With zero stock-income correlation the wealth-free factor
+``g(t, y, regime)`` equals the expectation of
+``exp(-integral of (risk_aversion * exp(rate*(horizon-s)) * Y_s
++ half squared Sharpe of the current regime) ds)``
+over income paths ``Y``.  Given the regime path the income integral is
+Gaussian (conditional Monte Carlo; Glasserman 2004, section 4.5), and its
+expected exponential is ``exp(m(t) y)`` times the regime factor's own
+per-path sample, so the value-factor estimate is ``exp(m(t) y)`` times the
+regime factor's.
 
 Stream layout (Salmon et al., SC'11): an estimator called with ``rng`` runs
 its paths in blocks of :data:`BLOCK`, and block ``b`` (paths ``b * BLOCK``
@@ -21,7 +20,7 @@ onward) draws everything from the one Philox key
 ``[rng.seed, rng.stream_id + b]``, in this order:
 
 1. ``standard_exponential((BLOCK, head))``, then ``random((BLOCK, head))``,
-   one column per jump of each row (the value factor maps the first column
+   one column per jump of each row (the regime factor maps the first column
    to a first jump conditioned to land before the horizon);
 2. each time the jump loop runs past the drawn width, one more
    ``(moving, head)`` exponential array and then one more uniform array,
@@ -48,9 +47,9 @@ what its blocks would one by one.  The sweep's paths are then laid out as
 one flat run of their real segments, and all per-path arithmetic runs on
 chunks of whole consecutive paths holding at most :data:`SEGMENTS`
 segments (at least one path); a chunk of wealth grids stays inside one
-block.  Each path's sum over its segments is taken alone, in the order of
-a 1-D ``ndarray.sum``, so every estimate is bit for bit the same for any
-``SWEEP`` and ``SEGMENTS``.
+block.  Each path's sum over its segments is taken alone, by
+``np.add.reduceat`` over its run, so every estimate is bit for bit the same
+for any ``SWEEP`` and ``SEGMENTS``.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .hjb import MarketModel, growth_coefficients, solve_income_loading
-from .markov import JUMP_BLOCK, GeneratorMatrix, RngStream, _check_path_span, _jump_table
+from .markov import JUMP_BLOCK, GeneratorMatrix, InvalidInput, RngStream, _check_path_span, _jump_table
 
 __all__ = [
     "NonZeroRho",
@@ -105,10 +104,41 @@ def estimate_regime_factor(
     growth rate is a sum of closed-form segment integrals, so the only error
     is statistical.  Block ``b`` of :data:`BLOCK` paths draws from key
     ``[rng.seed, rng.stream_id + b]``.
+
+    The estimate is conditioned on the first jump.  The chain stays in
+    ``regime`` up to the horizon with probability ``stay = exp(-exit_rate *
+    (horizon - t_start))``, and the factor on that branch has a closed form.
+    Each path samples the other branch, its first jump conditioned to land
+    before the horizon, and contributes ``stay * closed_form + (1 - stay) *
+    sample``.  So no sample lacks the jump branch, as a plain sample of few
+    paths near the horizon often does, leaving its standard error blind to
+    the jump variance; and a start regime that cannot be left gives the
+    exact factor.
     """
     _check_horizon(market, t_start)
     coeffs, loading = growth_coefficients(market), solve_income_loading(market)
-    return _estimate(np.exp(_path_exponents(market, coeffs, loading, t_start, regime, n_paths, rng)))
+    span = market.horizon - t_start
+    exit_rate = market.generator.exit_rates()[regime]
+    stay, leave = float(np.exp(-exit_rate * span)), float(-np.expm1(-exit_rate * span))
+    integral, square_integral = loading._integrals(t_start, market.horizon)
+    stay_factor = float(np.exp(
+        coeffs.linear[regime] * integral
+        + coeffs.quadratic[regime] * square_integral
+        + coeffs.constant[regime] * span
+    ))
+    exponents = np.empty(n_paths)
+    chunks = _simulate_chains(
+        market.generator, regime, t_start, market.horizon, n_paths, rng, first_jump_by_end=True
+    )
+    for first, counts, starts, ends, states, _ in chunks:
+        integral, square_integral = loading._integrals(starts, ends)
+        terms = (
+            coeffs.constant[states] * (ends - starts)
+            + coeffs.linear[states] * integral
+            + coeffs.quadratic[states] * square_integral
+        )
+        exponents[first : first + len(counts)] = np.add.reduceat(terms, np.cumsum(counts) - counts)
+    return _estimate(stay * stay_factor + leave * np.exp(exponents))
 
 
 def estimate_value_factor(
@@ -125,40 +155,17 @@ def estimate_value_factor(
     quadratic growth terms are the income's drift and half its variance.
     Given the chain path the income integral is then Gaussian, and its
     expected exponential is ``exp(m(t) y)`` times the regime factor's own
-    sample, so each path draws only the chain.
-
-    The estimate is conditioned on the first jump.  The chain stays in
-    ``regime`` up to the horizon with probability ``stay = exp(-exit_rate *
-    (horizon - t_start))``, and the factor on that branch has a closed form.
-    Each path samples the other branch, its first jump conditioned to land
-    before the horizon, and contributes ``stay * closed_form + (1 - stay) *
-    sample``.  So no sample lacks the jump branch, as a plain sample of few
-    paths near the horizon often does, leaving its standard error blind to
-    the jump variance; and a start regime that cannot be left gives the
-    exact factor.
+    sample, so the estimate is ``exp(m(t) y)`` times
+    :func:`estimate_regime_factor`'s, value and standard error alike.
     """
     if market.correlation != 0.0:
         raise NonZeroRho(
             f"value-factor sampling requires zero correlation, got {market.correlation}"
         )
-    _check_horizon(market, t_start)
-    coeffs = growth_coefficients(market)
-    span = market.horizon - t_start
-    exit_rate = market.generator.exit_rates()[regime]
-    stay, leave = float(np.exp(-exit_rate * span)), float(-np.expm1(-exit_rate * span))
-    loading = solve_income_loading(market)
-    income_term = loading.value(t_start) * income_start
-    integral, square_integral = loading._integrals(t_start, market.horizon)
-    stay_factor = float(np.exp(
-        income_term
-        + coeffs.linear[regime] * integral
-        + coeffs.quadratic[regime] * square_integral
-        + coeffs.constant[regime] * span
-    ))
-    exponents = _path_exponents(
-        market, coeffs, loading, t_start, regime, n_paths, rng, first_jump_by_end=True
-    )
-    return _estimate(stay * stay_factor + leave * np.exp(income_term + exponents))
+    _check_start(income_start=income_start)
+    factor = estimate_regime_factor(market, t_start, regime, n_paths, rng)
+    income = float(np.exp(solve_income_loading(market).value(t_start) * income_start))
+    return MCEstimate(income * factor.value, income * factor.stderr, factor.n_paths)
 
 
 def estimate_value_mc(
@@ -175,45 +182,20 @@ def estimate_value_mc(
     Scales the sampled wealth-free factor by the deterministic wealth term
     ``-(1/gamma) exp(-gamma * wealth * exp(rate * (horizon - t)))``.
     """
+    _check_start(wealth_start=wealth_start, income_start=income_start)
     factor = estimate_value_factor(market, t_start, income_start, regime, n_paths, rng)
     gamma = market.risk_aversion
     growth = np.exp(market.rate * (market.horizon - t_start))
-    scale = -np.exp(-gamma * wealth_start * growth) / gamma
+    scale = float(-np.exp(-gamma * wealth_start * growth) / gamma)
     return MCEstimate(scale * factor.value, abs(scale) * factor.stderr, factor.n_paths)
 
 
-def _path_exponents(market, coeffs, loading, t_start, regime, n_paths, rng, first_jump_by_end=False):
-    """The growth rate integrated along each of ``n_paths`` chain paths, a sum
-    of exact segment integrals, drawn as :func:`_simulate_chains` draws them;
-    ``coeffs`` and ``loading`` are the market's growth coefficients and
-    income loading, which the caller builds once."""
-    exponents = np.empty(n_paths)
-    chunks = _simulate_chains(
-        market.generator, regime, t_start, market.horizon, n_paths, rng, first_jump_by_end=first_jump_by_end
-    )
-    for first, counts, starts, ends, states, _ in chunks:
-        integral, square_integral = loading._integrals(starts, ends)
-        terms = (
-            coeffs.constant[states] * (ends - starts)
-            + coeffs.linear[states] * integral
-            + coeffs.quadratic[states] * square_integral
-        )
-        exponents[first : first + len(counts)] = _path_sums(counts, terms)
-    return exponents
-
-
-def _path_sums(counts: NDArray[np.int64], terms: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Sum of ``terms[..., s]`` over each path's run of flat segments ``s``,
-    ``counts[p]`` of them for path ``p``, bit for bit the ``ndarray.sum`` of
-    that path's terms alone: paths of one length are gathered into a
-    C-contiguous ``(paths, length)`` array, whose rows sum in the order of a
-    1-D array (a strided view may not)."""
-    out = np.empty(terms.shape[:-1] + counts.shape)
-    offsets = np.cumsum(counts) - counts
-    for n in set(counts.tolist()):
-        same = np.flatnonzero(counts == n)
-        out[..., same] = np.take(terms, offsets[same, None] + np.arange(n), axis=-1).sum(axis=-1)
-    return out
+def _check_start(**starts: float) -> None:
+    """Raise :class:`~regimeweave.markov.InvalidInput` naming each start value that is not finite."""
+    problems = [(name, f"must be finite, got {value}") for name, value in starts.items()
+                if not np.isfinite(value)]
+    if problems:
+        raise InvalidInput(problems)
 
 
 def _block_head(mean_jumps: float) -> int:

@@ -19,7 +19,7 @@ from numpy.typing import NDArray
 
 from .hjb import IncomeLoading, MarketModel, RegimeFactorTable, solve_income_loading, solve_regime_factors
 from .markov import InvalidInput, RngStream
-from .montecarlo import MCEstimate, _estimate, _path_sums, _simulate_chains, _simulate_grids
+from .montecarlo import MCEstimate, _check_start, _estimate, _simulate_chains, _simulate_grids
 
 __all__ = [
     "CaseMismatch",
@@ -209,13 +209,6 @@ def _check_case(case: str, correlation: float) -> None:
         raise CaseMismatch([("case", f"{RHO_ZERO!r} requires zero correlation, got {correlation:g}")])
 
 
-def _check_start(wealth_start: float, income_start: float) -> None:
-    problems = [(name, f"must be finite, got {value}") for name, value in
-                (("wealth_start", wealth_start), ("income_start", income_start)) if not np.isfinite(value)]
-    if problems:
-        raise InvalidInput(problems)
-
-
 def simulate_wealth(
     market: MarketModel,
     strategy: Strategy,
@@ -245,7 +238,7 @@ def simulate_wealth(
     depend on the strategy, so two strategies simulated on the same stream
     see identical scenarios (common random numbers).
     """
-    _check_start(wealth_start, income_start)
+    _check_start(wealth_start=wealth_start, income_start=income_start)
     paths = []
     grids = _simulate_grids(market, regime, t_start, n_paths, n_steps, rng)
     for lengths, times, regimes, shocks in grids:
@@ -340,7 +333,7 @@ def _evaluate_policies(
 ) -> list[MCEstimate]:
     """:func:`evaluate_policy` of each strategy, all on one simulation of
     the chain paths; each estimate equals its own call's."""
-    _check_start(wealth_start, income_start)
+    _check_start(wealth_start=wealth_start, income_start=income_start)
     r, gamma, horizon = market.rate, market.risk_aversion, market.horizon
     rho = market.correlation
     excess, vol, drift = market.excess_return(), market.stock_vol, market.income_drift
@@ -369,7 +362,7 @@ def _evaluate_policies(
                 terms[0, k] = excess[states] * (weights * position).sum(axis=0) + income_mean
                 risk = position * vol[states] + hedge
                 terms[1, k] = (weights * risk**2).sum(axis=0) + income_var
-            mean, var = _path_sums(counts, terms)
+            mean, var = np.add.reduceat(terms, np.cumsum(counts) - counts, axis=-1)
             values[:, first : first + len(counts)] = -np.exp(
                 -scale * (start + mean) + scale**2 * var / 2.0
             ) / gamma

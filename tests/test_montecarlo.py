@@ -267,6 +267,7 @@ class TestEstimateValueMc:
         market = make_market()
         est = estimate_value_mc(market, 0.0, 1.0, 1.0, 0, 64, RngStream(seed=43))
         assert isinstance(est, MCEstimate)
+        assert type(est.value) is float and type(est.stderr) is float
         assert est.n_paths == 64
 
 
@@ -375,29 +376,27 @@ def loop_estimate(values):
 
 
 def loop_exponent(market, path):
+    """The path's integrated growth rate, its segment terms summed on their own."""
     coeffs = growth_coefficients(market)
     loading = solve_income_loading(market)
     starts, ends, states = path.segments()
-    return (
+    terms = (
         coeffs.constant[states] * (ends - starts)
         + coeffs.linear[states] * loading.integral(starts, ends)
         + coeffs.quadratic[states] * loading.square_integral(starts, ends)
-    ).sum()
+    )
+    return np.add.reduceat(terms, [0])[0]
 
 
 def loop_regime_factor(market, path):
-    return float(np.exp(loop_exponent(market, path)))
-
-
-def loop_value_factor(market, income_start, path):
     """The closed form on the branch that never leaves the start regime, and
-    ``exp(m(t) y)`` times the path's regime-factor sample on the other."""
+    the path's sample on the other, its first jump conditioned to land
+    before the horizon."""
     regime = int(path.states[0])
     exits = market.generator.exit_rates()[regime] * (market.horizon - path.t_start)
     stay, leave = float(np.exp(-exits)), float(-np.expm1(-exits))
-    income_term = solve_income_loading(market).value(path.t_start) * income_start
-    jumping = float(np.exp(income_term + loop_exponent(market, path)))
-    return stay * closed_form_factor(market, path.t_start, income_start, regime) + leave * jumping
+    jumping = float(np.exp(loop_exponent(market, path)))
+    return stay * closed_form_factor(market, path.t_start, 0.0, regime) + leave * jumping
 
 
 def loop_policy_utility(market, strategy, t_start, wealth_start, income_start, path):
@@ -473,7 +472,7 @@ class TestStreamContract:
         market = contract_market(chain)
         n = CONTRACT_CHAINS[chain][1]
         for regime in range(market.n_regimes):
-            paths = layout_paths(market, regime, 0.3, n, RngStream(61, 5))
+            paths = layout_paths(market, regime, 0.3, n, RngStream(61, 5), first_jump_by_end=True)
             expected = loop_estimate([loop_regime_factor(market, path) for path, _ in paths])
             assert estimate_regime_factor(market, 0.3, regime, n, RngStream(61, 5)) == expected
 
@@ -483,13 +482,12 @@ class TestStreamContract:
         market = contract_market(chain)
         n = CONTRACT_CHAINS[chain][1]
         income_start = 0.7 if with_income else 0.0
+        income = float(np.exp(solve_income_loading(market).value(0.4) * income_start))
         for regime in range(market.n_regimes):
             paths = layout_paths(market, regime, 0.4, n, RngStream(62), first_jump_by_end=True)
-            expected = loop_estimate(
-                [loop_value_factor(market, income_start, path) for path, _ in paths]
-            )
+            factor = loop_estimate([loop_regime_factor(market, path) for path, _ in paths])
             got = estimate_value_factor(market, 0.4, income_start, regime, n, RngStream(62))
-            assert got == expected
+            assert got == MCEstimate(income * factor.value, income * factor.stderr, n)
 
     def test_policy(self, chain, layout):
         market = contract_market(chain, correlation=0.3)
@@ -537,16 +535,11 @@ def test_value_factor_is_the_income_factor_times_its_value_at_zero_income(chain)
     loading = solve_income_loading(market)
     for t_start in (0.0, 0.4, 1.9):
         for regime in range(market.n_regimes):
-            base = estimate_value_factor(market, t_start, 0.0, regime, n, RngStream(63, 2))
-            for income_start in (-1.5, -0.3, 0.7, 2.0):
+            factor = estimate_regime_factor(market, t_start, regime, n, RngStream(63, 2))
+            for income_start in (-1.5, -0.3, 0.0, 0.7, 2.0):
                 got = estimate_value_factor(market, t_start, income_start, regime, n, RngStream(63, 2))
-                income = np.exp(loading.value(t_start) * income_start)
-                assert got.value == pytest.approx(income * base.value, rel=1e-14, abs=0.0)
-                # values rounded at eps relative spread by about eps * value / sqrt(n) on
-                # their own: the whole stderr of a regime that cannot be left, and the
-                # rounding floor of a small stderr near the horizon
-                floor = 4.0 * np.finfo(float).eps * got.value / np.sqrt(n)
-                assert got.stderr == pytest.approx(income * base.stderr, rel=1e-14, abs=floor)
+                income = float(np.exp(loading.value(t_start) * income_start))
+                assert got == MCEstimate(income * factor.value, income * factor.stderr, n)
 
 
 @pytest.mark.parametrize("chain", ["slow", "absorbing"])
@@ -599,9 +592,10 @@ def test_policy_values_are_a_prefix_of_more_paths(chain, t_start, layout, monkey
 
 
 def test_policy_values_sum_each_path_alone(monkeypatch):
-    # about 54 jumps a path on the copula config's fast chain: a per-path sum
-    # over more than 8 segments takes numpy's unrolled pairwise order, which a
-    # strided gather of the chunk's terms would change
+    # about 54 jumps a path on the copula config's fast chain: the rounding of
+    # a sum of that many terms depends on its order, which a sum running
+    # across the paths of a chunk would change; with one segment a chunk
+    # every path is summed alone
     market = load_config(REPO / "configs" / "copula.json").market
     strategies = [optimal_strategy(market), optimal_strategy(market).scaled(0.5)]
     seen = []
@@ -610,17 +604,9 @@ def test_policy_values_sum_each_path_alone(monkeypatch):
         seen.append(values.copy())
         return montecarlo._estimate(values)
 
-    def sums_one_path_at_a_time(counts, terms):
-        ends_at = np.cumsum(counts)
-        out = np.empty(terms.shape[:-1] + counts.shape)
-        for p, (lo, hi) in enumerate(zip(ends_at - counts, ends_at)):
-            for index in np.ndindex(terms.shape[:-1]):
-                out[index + (p,)] = np.array(terms[index + (slice(lo, hi),)]).sum()
-        return out
-
     monkeypatch.setattr(portfolio, "_estimate", recording_estimate)
     portfolio._evaluate_policies(market, strategies, 0.0, 1.0, 0.3, 0, 300, RngStream(66))
-    monkeypatch.setattr(portfolio, "_path_sums", sums_one_path_at_a_time)
+    monkeypatch.setattr(montecarlo, "SEGMENTS", 1)
     portfolio._evaluate_policies(market, strategies, 0.0, 1.0, 0.3, 0, 300, RngStream(66))
     chunks = montecarlo._simulate_chains(market.generator, 0, 0.0, market.horizon, 300, RngStream(66))
     assert np.concatenate([counts for _, counts, _, _, _, _ in chunks]).min() > 8

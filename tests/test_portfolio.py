@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from scipy.integrate import quad
 
 from regimeweave.hjb import MarketModel
 from regimeweave.markov import InvalidInput, RngStream, validate_generator
-from regimeweave.montecarlo import estimate_value_mc
+from regimeweave.montecarlo import estimate_value_factor, estimate_value_mc
 from regimeweave.portfolio import (
     NORMAL_INCOME,
     RHO_ZERO,
@@ -302,7 +303,8 @@ class TestConditionalEvaluation:
 ])
 def test_non_finite_start_is_invalid_input(field, wealth_start, income_start):
     # NaN wealth used to leave the float range, infinite income to score 0 +- 0,
-    # and NaN wealth to simulate NaN paths
+    # and NaN wealth to simulate NaN paths; the zero-correlation samplers
+    # returned NaN or an infinite value with a NaN stderr
     market = make_market()
     strategy = optimal_strategy(market, NORMAL_INCOME)
     args = (market, strategy, 0.0, wealth_start, income_start, 0, 8)
@@ -311,6 +313,13 @@ def test_non_finite_start_is_invalid_input(field, wealth_start, income_start):
     assert [name for name, _ in caught.value.problems] == [field]
     with pytest.raises(InvalidInput, match=f"^{field}: must be finite"):
         simulate_wealth(*args, 16, RngStream(seed=13))
+    uncorrelated = replace(market, correlation=0.0)
+    with pytest.raises(InvalidInput, match=f"^{field}: must be finite") as caught:
+        estimate_value_mc(uncorrelated, 0.0, wealth_start, income_start, 0, 8, RngStream(seed=13))
+    assert [name for name, _ in caught.value.problems] == [field]
+    if field == "income_start":
+        with pytest.raises(InvalidInput, match=f"^{field}: must be finite"):
+            estimate_value_factor(uncorrelated, 0.0, income_start, 0, 8, RngStream(seed=13))
 
 
 class TestSolutionBundleAndValue:
