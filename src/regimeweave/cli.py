@@ -604,19 +604,16 @@ def cmd_simulate(
     paths = simulate_wealth(
         market, strategy, 0.0, wealth_start, income_start, regime, n, n_sim, RngStream(config.seed, 0)
     )
-    lengths = [len(path.times) for path in paths]
-    nodes = [np.concatenate([getattr(p, field) for p in paths]) for field in ("times", "wealth", "income")]
-    # regimes and positions sit on interval left endpoints; the final node
-    # reuses the last interval's regime and holds no position
-    held = np.concatenate([np.append(path.regimes, path.regimes[-1]) for path in paths])
+    times, wealth, income, held = (
+        np.concatenate([getattr(p, name) for p in paths]) for name in ("times", "wealth", "income", "regimes")
+    )
     positions = _cells(np.concatenate([np.append(path.positions, 0.0) for path in paths]))
-    for end in np.cumsum(lengths) - 1:
-        positions[end] = ""
+    positions[n_sim :: n_sim + 1] = [""] * n  # a path's horizon node holds no position
     out.table("paths", "t in time units; wealth, income, position in money units",
-              "MC sample paths (integrating-factor steps on a jump-refined grid)",
+              "MC sample paths (exact conditional Gaussian steps at uniform nodes)",
               ["path", "t", "wealth", "income", "regime", "position"],
-              [np.repeat(np.arange(len(paths)), lengths), *nodes, labels[held], positions])
-    terminal = np.array([path.wealth[-1] for path in paths])
+              [np.repeat(np.arange(n), n_sim + 1), times, wealth, income, labels[held], positions])
+    terminal = wealth[n_sim :: n_sim + 1]
     results = {
         "n_paths": n,
         "terminal_wealth_max": float(terminal.max()),

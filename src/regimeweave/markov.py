@@ -344,4 +344,5 @@ def transition_probabilities(generator: GeneratorMatrix, t: float) -> Transition
 
     for _ in range(n_squarings):
         p = p @ p
+        p /= p.sum(axis=1, keepdims=True)  # rounding would otherwise compound over the squarings
     return TransitionMatrix(probs=p, n_states=n)

@@ -25,12 +25,12 @@ onward) draws everything from the one Philox key
 2. each time the jump loop runs past the drawn width, one more
    ``(moving, head)`` exponential array and then one more uniform array,
    whose rows go to the paths still moving, in path order;
-3. only for :func:`~regimeweave.portfolio.simulate_wealth`, two sets
-   (stock, then income shocks) of ``standard_normal((2, BLOCK, n_steps +
-   max_jumps))``, the most jumps of any row in the block; row ``r`` uses the
-   first ``n_steps + jumps`` normals of each set.  The regime and value
-   factors and :func:`~regimeweave.portfolio.evaluate_policy` draw chains
-   only.
+3. only for :func:`~regimeweave.portfolio.simulate_wealth`,
+   ``standard_normal((kept, 2, n_steps))``, path-major, for the block's
+   ``kept`` rows below ``n_paths``: a prefix of the block's full draw, so
+   path ``r`` reads its two rows of step normals wherever the block ends.
+   The regime and value factors and
+   :func:`~regimeweave.portfolio.evaluate_policy` draw chains only.
 
 The first arrays are ``head = m + 3 sqrt(m) + 4`` columns wide (at most
 ``JUMP_BLOCK``), ``m`` the expected jumps of the fastest state over the
@@ -46,10 +46,9 @@ per-path operation is elementwise, so a sweep draws and computes exactly
 what its blocks would one by one.  The sweep's paths are then laid out as
 one flat run of their real segments, and all per-path arithmetic runs on
 chunks of whole consecutive paths holding at most :data:`SEGMENTS`
-segments (at least one path); a chunk of wealth grids stays inside one
-block.  Each path's sum over its segments is taken alone, by
-``np.add.reduceat`` over its run, so every estimate is bit for bit the same
-for any ``SWEEP`` and ``SEGMENTS``.
+segments and steps (at least one path).  Each path's sum over its segments
+is taken alone, by ``np.add.reduceat`` over its run, so every estimate is
+bit for bit the same for any ``SWEEP`` and ``SEGMENTS``.
 """
 
 from __future__ import annotations
@@ -74,7 +73,7 @@ __all__ = [
 BLOCK = 128
 # blocks whose chains step together; bounds the memory of a call, results do not depend on it
 SWEEP = 16
-# real segments of a chunk of per-path arithmetic; bounds its memory, results do not depend on it
+# real segments and steps of a chunk of per-path arithmetic; bounds its memory, results do not depend on it
 SEGMENTS = 4096
 
 
@@ -180,14 +179,19 @@ def estimate_value_mc(
     """Monte Carlo estimate of the value function at zero correlation.
 
     Scales the sampled wealth-free factor by the deterministic wealth term
-    ``-(1/gamma) exp(-gamma * wealth * exp(rate * (horizon - t)))``.
+    ``-(1/gamma) exp(-gamma * wealth * exp(rate * (horizon - t)))``.  Raises
+    :class:`OverflowError` when the value leaves the float range.
     """
     _check_start(wealth_start=wealth_start, income_start=income_start)
     factor = estimate_value_factor(market, t_start, income_start, regime, n_paths, rng)
     gamma = market.risk_aversion
     growth = np.exp(market.rate * (market.horizon - t_start))
-    scale = float(-np.exp(-gamma * wealth_start * growth) / gamma)
-    return MCEstimate(scale * factor.value, abs(scale) * factor.stderr, factor.n_paths)
+    with np.errstate(over="ignore"):  # an overflow leaves inf or NaN, which raises below
+        scale = float(-np.exp(-gamma * wealth_start * growth) / gamma)
+    estimate = MCEstimate(scale * factor.value, abs(scale) * factor.stderr, factor.n_paths)
+    if not np.isfinite([estimate.value, estimate.stderr]).all():
+        raise OverflowError(f"value at wealth {wealth_start:g} exceeds the float range")
+    return estimate
 
 
 def _check_start(**starts: float) -> None:
@@ -207,11 +211,11 @@ def _block_head(mean_jumps: float) -> int:
 
 def _simulate_chains(
     generator: GeneratorMatrix, regime: int, t_start, t_end, n_paths: int, rng: RngStream,
-    n_steps: int = 0, n_sets: int = 0, first_jump_by_end: bool = False,
+    n_steps: int = 0, first_jump_by_end: bool = False,
 ):
     """Chain paths in blocks of ``BLOCK``, block ``b`` drawn from the Philox
     key ``[rng.seed, rng.stream_id + b]`` as the module docstring lays out,
-    with ``n_sets`` sets of normals for grids of ``n_steps`` uniform steps.
+    with two normals a step for ``n_steps`` uniform steps if that is positive.
     With ``first_jump_by_end`` each row's first jump is conditioned to land
     before ``t_end``: its exponential ``e`` maps to the waiting time
     ``-log1p(expm1(-e) * (1 - exp(-rate * (t_end - t_start)))) / rate``.
@@ -222,11 +226,11 @@ def _simulate_chains(
     state, from each jump in its destination, the last one ending at
     ``t_end``.  Yields ``(first, counts, starts, ends, states, normals)`` per
     chunk of whole consecutive paths holding at most ``SEGMENTS`` segments
-    (at least one path): path ``first + p`` owns the next ``counts[p]``
-    segments, segment ``s`` running from ``starts[s]`` to ``ends[s]`` in
-    ``states[s]``, and ``normals[k, p]`` is its set ``k``.  With normals a
-    chunk stays inside one block.  The rows past ``n_paths`` that a block
-    simulates are dropped.
+    and steps (at least one path): path ``first + p`` owns the next
+    ``counts[p]`` segments, segment ``s`` running from ``starts[s]`` to
+    ``ends[s]`` in ``states[s]``, and ``normals[p]`` holds its ``(2,
+    n_steps)`` normals, or is ``None`` without steps.  The rows past
+    ``n_paths`` that a block simulates are dropped.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be positive, got {n_paths}")
@@ -274,8 +278,7 @@ def _simulate_chains(
         no_steps = (np.empty(0, dtype=np.int64), np.empty(0), np.empty(0, dtype=np.int64))
         rows, arrivals, destinations = (np.concatenate(part) for part in zip(no_steps, *steps))
         steps.clear()
-        n_jumps = np.bincount(rows, minlength=n_rows)
-        counts = n_jumps + 1
+        counts = np.bincount(rows, minlength=n_rows) + 1
         ends_at = np.cumsum(counts)  # one past each row's last segment
         offsets = ends_at - counts
         jump += offsets[rows]  # jump m of a row starts its segment m
@@ -288,59 +291,18 @@ def _simulate_chains(
         ends[:-1] = starts[1:]
         ends[ends_at - 1] = t_end
         kept = min(n_rows, n_paths - first_block * BLOCK)
-        # a block's normals are as wide as its own widest grid, so chunks with normals stay in it
-        spans = [(lo, min(lo + BLOCK, kept)) for lo in range(0, kept, BLOCK)] if n_sets else [(0, kept)]
-        for span_start, span_stop in spans:
-            if n_sets:
-                normals = gens[span_start // BLOCK].standard_normal(
-                    (n_sets, BLOCK, n_steps + n_jumps[span_start : span_start + BLOCK].max())
-                )
-            lo = span_start
-            while lo < span_stop:  # as many whole paths as fit in SEGMENTS segments, at least one
-                fit = np.searchsorted(ends_at[lo:span_stop], offsets[lo] + SEGMENTS, "right")
-                hi = lo + max(1, int(fit))
-                segments = slice(offsets[lo], ends_at[hi - 1])
-                yield (first_block * BLOCK + lo, counts[lo:hi], starts[segments], ends[segments],
-                       states[segments], normals[:, lo - span_start : hi - span_start] if n_sets else None)
-                lo = hi
-
-
-def _simulate_grids(market: MarketModel, regime: int, t_start, n_paths: int, n_steps: int, rng: RngStream):
-    """Chain paths on jump-refined grids with two sets of grid normals (stock,
-    then income shocks), as ``(lengths, times, regimes, normals)`` groups,
-    one per chunk of :func:`_simulate_chains`, paths in order: row ``r``
-    holds its path's grid in its first ``lengths[r]`` entries, then the horizon;
-    its step regimes and normals fill the first ``lengths[r] - 1`` entries,
-    then the last regime and unused normals.  A grid holds the ``n_steps + 1``
-    uniform nodes and the path's jumps in time order; a jump on a node or on
-    the jump before it merges into that entry, which takes the state after it."""
-    if n_steps < 1:
-        raise ValueError("n_steps must be positive")
-    uniform = np.linspace(float(t_start), float(market.horizon), n_steps + 1)
-    n_nodes = len(uniform)
-    chunks = _simulate_chains(market.generator, regime, t_start, market.horizon, n_paths, rng, n_steps, 2)
-    for _, counts, starts, _, states, normals in chunks:
-        n_rows, offsets = len(counts), np.cumsum(counts) - counts
-        at_jump = np.delete(np.arange(len(starts)), offsets)
-        jumps, row = starts[at_jump], np.repeat(np.arange(n_rows), counts - 1)
-        nodes = np.searchsorted(uniform, jumps, side="right")
-        tied = (uniform[nodes - 1] == jumps) | (starts[at_jump - 1] == jumps)
-        added = np.cumsum(np.bincount(at_jump[~tied], minlength=len(starts)))  # grid entries from jumps so far
-        # a jump sits after the nodes at or before it and its path's earlier entries, a tied one on the last
-        column = nodes + added[at_jump] - added[offsets][row] - 1
-        lengths = n_nodes + added[offsets + counts - 1] - added[offsets]
-        width = n_nodes + int(counts.max()) - 1
-        at_node = np.arange(width) < lengths[:, None]
-        at_node[row[~tied], column[~tied]] = False
-        times = np.full((n_rows, width), uniform[-1])
-        times[at_node] = np.tile(uniform, n_rows)
-        times[row, column] = jumps
-        # a segment's state holds from its jump's column to the next one's, the last one to the row's end
-        n_cells = width - 1
-        edges = np.empty(len(starts), dtype=np.int64)
-        edges[offsets], edges[at_jump] = np.arange(n_rows) * n_cells, row * n_cells + column
-        regimes = np.repeat(states, np.diff(edges, append=n_rows * n_cells)).reshape(n_rows, n_cells)
-        yield lengths, times, regimes, normals[:, :, :n_cells]
+        normals = np.concatenate([
+            gen.standard_normal((min(BLOCK, kept - b * BLOCK), 2, n_steps)) for b, gen in enumerate(gens)
+        ]) if n_steps else None
+        work = np.cumsum(counts + n_steps)  # segments and steps through each row
+        lo = 0
+        while lo < kept:  # as many whole paths as fit in SEGMENTS segments and steps, at least one
+            fit = np.searchsorted(work[lo:kept], work[lo] - counts[lo] - n_steps + SEGMENTS, "right")
+            hi = lo + max(1, int(fit))
+            segments = slice(offsets[lo], ends_at[hi - 1])
+            yield (first_block * BLOCK + lo, counts[lo:hi], starts[segments], ends[segments],
+                   states[segments], normals[lo:hi] if n_steps else None)
+            lo = hi
 
 
 def _check_horizon(market: MarketModel, t_start: float) -> None:

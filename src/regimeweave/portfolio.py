@@ -2,11 +2,12 @@
 
 Positions are money amounts held in the stock, not fractions of wealth:
 with exponential utility the optimal position is wealth-independent and
-splits into a myopic mean-variance part and an income hedge.  Wealth paths
-use an integrating-factor scheme that compounds interest exactly within
-each step, so a zero-position, zero-income path earns the riskless rate to
-machine precision.  Policies are scored conditional on the regime path,
-along which terminal wealth is Gaussian, so no wealth grid is simulated.
+splits into a myopic mean-variance part and an income hedge.  Given the
+regime path, discounted wealth plus discounted future income is Gaussian
+with independent increments, and so is income; one set of segment
+integrals gives their moments.  Policies are scored on the terminal
+moments in closed form, and wealth paths are sampled exactly from the
+moments at uniform nodes, so no time step enters either.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from numpy.typing import NDArray
 
 from .hjb import IncomeLoading, MarketModel, RegimeFactorTable, solve_income_loading, solve_regime_factors
 from .markov import InvalidInput, RngStream
-from .montecarlo import MCEstimate, _check_start, _estimate, _simulate_chains, _simulate_grids
+from .montecarlo import MCEstimate, _check_start, _estimate, _simulate_chains
 
 __all__ = [
     "CaseMismatch",
@@ -41,7 +42,7 @@ __all__ = [
 RHO_ZERO = "rho0"
 NORMAL_INCOME = "normal_income"
 
-# 3-node Gauss-Legendre rule on [0, 1] for the segment integrals of evaluate_policy
+# 3-node Gauss-Legendre rule on [0, 1] for the segment integrals
 QUAD_NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * np.sqrt(15.0) / 10.0
 QUAD_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 18.0
 
@@ -75,10 +76,9 @@ class Strategy:
 
 @dataclass(frozen=True)
 class WealthPath:
-    """Joint wealth/income trajectory on a jump-refined grid.
-
-    ``regimes`` and ``positions`` apply on ``[times[k], times[k+1])``.
-    """
+    """Joint wealth/income trajectory at uniform nodes: ``regimes[k]`` is the
+    regime at ``times[k]``, after any jump there, and ``positions[k]`` the
+    position taken there, one for each node before the horizon."""
 
     times: NDArray[np.float64]
     wealth: NDArray[np.float64]
@@ -222,71 +222,69 @@ def simulate_wealth(
 ) -> list[WealthPath]:
     """Simulate joint (regime, income, wealth) paths under a strategy.
 
-    Each path steps over ``n_steps`` uniform steps refined at its chain
-    path's jumps, with its regime, position and income level frozen over a
-    step, an error of first order in the step.  The stock and income shocks
-    are correlated standard normals; interest compounds exactly through an
-    integrating factor:
-
-        wealth[k] = exp(rate (t_k - t_0)) * (wealth_start
-                    + sum of discounted step cashflows before t_k)
-
-    Paths are drawn in the block layout of :mod:`~regimeweave.montecarlo`
-    with two sets of grid normals (stock, then income shocks): path ``k``
-    runs on chain path ``k`` of :func:`evaluate_policy` with the same ``rng``
-    and arguments, and does not depend on ``n_paths``.  The draws never
-    depend on the strategy, so two strategies simulated on the same stream
-    see identical scenarios (common random numbers).
+    Given the chain path, ``Z = D X + K Y`` and income ``Y`` (``D``, ``K``
+    as in :func:`evaluate_policy`) are Gaussian with independent
+    increments, so each of ``n_steps`` uniform steps draws income from its
+    law, then ``Z`` given income, exactly (Glasserman 2004, section 3.3),
+    and wealth is ``X = (Z - K Y) / D``; the only error is the quadrature's.
+    Path ``k`` runs on chain path ``k`` of :func:`evaluate_policy` with the
+    same ``rng`` and arguments, reads two normals a step in the layout of
+    :mod:`~regimeweave.montecarlo`, and does not depend on ``n_paths``.  No
+    draw depends on the strategy, so strategies simulated on the same
+    stream share their scenarios (common random numbers).
     """
     _check_start(wealth_start=wealth_start, income_start=income_start)
+    if n_steps < 1:
+        raise ValueError("n_steps must be positive")
+    r, horizon, rho = market.rate, market.horizon, market.correlation
+    times = np.linspace(float(t_start), float(horizon), n_steps + 1)
+    times.flags.writeable = False  # shared by every path
+    discount, annuity = np.exp(-r * (times - t_start)), _annuity(r, times, t_start, horizon)
+    drift, variance = market.income_drift, market.income_vol**2
     paths = []
-    grids = _simulate_grids(market, regime, t_start, n_paths, n_steps, rng)
-    for lengths, times, regimes, shocks in grids:
-        wealth, income, positions = _wealth_rows(
-            market, strategy, t_start, wealth_start, income_start, times, regimes, *shocks
+    for _, counts, starts, ends, states, normals in _simulate_chains(
+        market.generator, regime, t_start, horizon, n_paths, rng, n_steps
+    ):
+        n_rows, n_segments, offsets = len(counts), len(starts), np.cumsum(counts) - counts
+        row, jump = np.repeat(np.arange(n_rows), counts), np.delete(np.arange(n_segments), offsets)
+        # a node lies in its path's segment after every jump at or before it
+        passed = np.zeros((n_rows, n_steps + 1), dtype=np.int64)
+        np.add.at(passed, (row[jump], np.searchsorted(times, starts[jump])), 1)
+        passed = passed.cumsum(axis=1)  # a path's jumps at or before each node
+        held = offsets[:, None] + passed
+        # the whole segments, then each node's segment from its start up to the node
+        lo, hi = np.append(starts, starts[held]), np.append(ends, np.broadcast_to(times, held.shape))
+        k, span = np.append(states, states[held]), hi - lo
+        annuity_int, square_int, ((position_int, risk_int),) = _segment_integrals(
+            market, [strategy], t_start, lo, hi, k
         )
-        for r, n in enumerate(lengths):
-            paths.append(WealthPath(
-                times[r, :n], wealth[r, :n], income[r, :n],
-                regimes[r, : n - 1], np.array(positions[r, : n - 1]),
-            ))
+        # mean of Z and of Y, variance of Z and of Y, and their covariance
+        moments = np.stack([
+            market.excess_return()[k] * position_int + drift[k] * annuity_int,
+            drift[k] * span,
+            risk_int + (1.0 - rho**2) * variance[k] * square_int,
+            variance[k] * span,
+            rho * (market.income_vol * market.stock_vol)[k] * position_int + variance[k] * annuity_int,
+        ])
+        # running sums of each path's whole segments: column i sums those before its segment i
+        before = np.zeros((len(moments), n_rows, counts.max() + 1))
+        before[:, row, np.arange(n_segments) - offsets[row] + 1] = moments[:, :n_segments]
+        at_nodes = np.cumsum(before, axis=-1)[:, np.arange(n_rows)[:, None], passed]
+        at_nodes += moments[:, n_segments:].reshape(-1, n_rows, n_steps + 1)
+        var_z, var_y, cov = np.diff(at_nodes[2:], axis=-1)
+        # each step draws income, then Z given income
+        root_y = np.sqrt(var_y)
+        beta = np.divide(cov, root_y, out=np.zeros_like(cov), where=root_y > 0.0)
+        shock_z = beta * normals[:, 1] + np.sqrt(np.maximum(var_z - beta**2, 0.0)) * normals[:, 0]
+        z, income = wealth_start + income_start * annuity[0] + at_nodes[0], income_start + at_nodes[1]
+        z[:, 1:] += np.cumsum(shock_z, axis=1)
+        income[:, 1:] += np.cumsum(root_y * normals[:, 1], axis=1)
+        wealth = (z - income * annuity) / discount
+        wealth[:, 0], income[:, 0] = wealth_start, income_start
+        regimes = states[held]
+        positions = np.array(np.broadcast_to(strategy(times[:-1], regimes[:, :-1]), var_y.shape), dtype=float)
+        paths += [WealthPath(times, *rows) for rows in zip(wealth, income, regimes, positions)]
     return paths
-
-
-def _wealth_rows(
-    market, strategy, t_start, wealth_start, income_start, times, regimes, stock_shock, income_shock
-):
-    """Wealth, income and positions on grids, one path per row of the last
-    axis, as :func:`simulate_wealth` describes."""
-    dt = np.diff(times)
-    sqrt_dt = np.sqrt(dt)
-    rho = market.correlation
-    joint = rho * stock_shock + np.sqrt(1.0 - rho**2) * income_shock
-    income = _accumulate(
-        income_start, market.income_drift[regimes] * dt + market.income_vol[regimes] * sqrt_dt * joint
-    )
-    positions = np.broadcast_to(
-        np.asarray(strategy(times[..., :-1], regimes), dtype=float), dt.shape
-    )
-
-    r = market.rate
-    accrual = np.expm1(r * dt) / r if r != 0.0 else dt  # integral of exp(r s) over a step
-    cash = (
-        positions * market.excess_return()[regimes] + income[..., :-1]
-    ) * accrual + positions * market.stock_vol[regimes] * sqrt_dt * stock_shock
-    discount = np.exp(-r * (times[..., 1:] - t_start))
-    wealth = _accumulate(wealth_start, discount * cash)
-    wealth *= np.exp(r * (times - t_start))
-    return wealth, income, positions
-
-
-def _accumulate(start: float, steps: NDArray[np.float64]) -> NDArray[np.float64]:
-    """``start``, then ``start`` plus the running sums of ``steps`` along the last axis."""
-    out = np.empty(steps.shape[:-1] + (steps.shape[-1] + 1,))
-    out[..., 0] = start
-    np.cumsum(steps, axis=-1, out=out[..., 1:])
-    out[..., 1:] += start
-    return out
 
 
 def evaluate_policy(
@@ -335,9 +333,7 @@ def _evaluate_policies(
     the chain paths; each estimate equals its own call's."""
     _check_start(wealth_start=wealth_start, income_start=income_start)
     r, gamma, horizon = market.rate, market.risk_aversion, market.horizon
-    rho = market.correlation
-    excess, vol, drift = market.excess_return(), market.stock_vol, market.income_drift
-    hedged, unhedged = rho * market.income_vol, (1.0 - rho**2) * market.income_vol**2
+    unhedged = (1.0 - market.correlation**2) * market.income_vol**2  # income variance the stock cannot hedge
     scale = gamma * np.exp(r * (horizon - t_start))  # gamma e^{r tau}
     start = wealth_start + income_start * _annuity(r, t_start, t_start, horizon)
     values = np.empty((len(strategies), n_paths))
@@ -345,23 +341,13 @@ def _evaluate_policies(
     # an overflow leaves inf or NaN in the estimates, which raise below
     with np.errstate(over="ignore", invalid="ignore"):
         for first, counts, starts, ends, states, _ in chunks:
-            # node k of segment s sits at [k, s], so the per-regime
-            # coefficients, looked up at the segments' shape, broadcast over nodes
-            span = ends - starts
-            weights = QUAD_WEIGHTS[:, None] * span
-            nodes = starts + QUAD_NODES[:, None] * span
-            discount = np.exp(-r * (nodes - t_start))
-            annuity = _annuity(r, nodes, t_start, horizon)
-            # the strategy-free parts: expected income and its unhedgeable variance
-            income_mean = drift[states] * (weights * annuity).sum(axis=0)
-            income_var = unhedged[states] * (weights * annuity**2).sum(axis=0)
-            hedge = annuity * hedged[states]
-            terms = np.empty((2, len(strategies), len(states)))
-            for k, strategy in enumerate(strategies):
-                position = discount * strategy(nodes, states)
-                terms[0, k] = excess[states] * (weights * position).sum(axis=0) + income_mean
-                risk = position * vol[states] + hedge
-                terms[1, k] = (weights * risk**2).sum(axis=0) + income_var
+            annuity_int, square_int, integrals = _segment_integrals(
+                market, strategies, t_start, starts, ends, states
+            )
+            terms = np.stack([
+                market.excess_return()[states] * integrals[:, 0] + market.income_drift[states] * annuity_int,
+                integrals[:, 1] + unhedged[states] * square_int,
+            ])
             mean, var = np.add.reduceat(terms, np.cumsum(counts) - counts, axis=-1)
             values[:, first : first + len(counts)] = -np.exp(
                 -scale * (start + mean) + scale**2 * var / 2.0
@@ -374,6 +360,29 @@ def _evaluate_policies(
                 f" over horizon {market.horizon}"
             )
     return estimates
+
+
+def _segment_integrals(market, strategies, t_start, starts, ends, states):
+    """``(int K, int K^2, per_strategy)`` over each segment, from ``starts`` to
+    ``ends`` in ``states``, by the 3-node Gauss-Legendre rule (``D``, ``K`` as
+    in :func:`evaluate_policy`); ``per_strategy[k]`` holds strategy ``k``'s
+    ``int D pi`` and ``int (D pi sigma + K rho delta)^2``."""
+    r, horizon = market.rate, market.horizon
+    # node k of segment s sits at [k, s], so the per-regime
+    # coefficients, looked up at the segments' shape, broadcast over nodes
+    span = ends - starts
+    weights = QUAD_WEIGHTS[:, None] * span
+    nodes = starts + QUAD_NODES[:, None] * span
+    discount = np.exp(-r * (nodes - t_start))
+    annuity = _annuity(r, nodes, t_start, horizon)
+    hedge = annuity * (market.correlation * market.income_vol)[states]
+    per_strategy = np.empty((len(strategies), 2, len(states)))
+    for k, strategy in enumerate(strategies):
+        position = discount * strategy(nodes, states)
+        per_strategy[k, 0] = (weights * position).sum(axis=0)
+        risk = position * market.stock_vol[states] + hedge
+        per_strategy[k, 1] = (weights * risk**2).sum(axis=0)
+    return (weights * annuity).sum(axis=0), (weights * annuity**2).sum(axis=0), per_strategy
 
 
 def _annuity(rate: float, u, t_start: float, horizon: float):

@@ -624,6 +624,28 @@ class TestSimulate:
         assert all(float(row[header.index("wealth")]) == 2.5 for row in starts)
         assert all(float(row[header.index("income")]) == 0.4 for row in starts)
 
+    def test_rows_are_the_library_paths_at_their_nodes(self, tmp_path):
+        # one row a node per path, in the library's regimes and positions;
+        # the horizon node holds no position
+        config = load_config(REFERENCE)
+        market = config.market
+        assert main(["simulate", "--config", REFERENCE, "--out", str(tmp_path), "--paths", "3"]) == 0
+        _, header, rows = read_csv(tmp_path / "paths.csv")
+        n_steps = len(rows) // 3 - 1
+        paths = simulate_wealth(
+            market, optimal_strategy(market, config.case), 0.0, 1.0, 0.0, 0, 3, n_steps,
+            RngStream(config.seed, 0),
+        )
+        for p, path in enumerate(paths):
+            mine = [row for row in rows if row[header.index("path")] == str(p)]
+            for name in ("t", "wealth", "income"):
+                field = getattr(path, "times" if name == "t" else name)
+                assert [float(cell) for cell in column(header, mine, name)] == field.tolist()
+            assert [cell.split()[0] for cell in column(header, mine, "regime")] == [str(k) for k in path.regimes]
+            positions = column(header, mine, "position")
+            assert [float(cell) for cell in positions[:-1]] == path.positions.tolist()
+            assert positions[-1] == ""
+
     def test_seed_override_changes_draws(self, tmp_path):
         main(["simulate", "--config", REFERENCE, "--out", str(tmp_path / "a"), "--paths", "2"])
         main(["simulate", "--config", REFERENCE, "--out", str(tmp_path / "b"), "--paths", "2",

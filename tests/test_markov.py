@@ -158,6 +158,20 @@ class TestTransitionProbabilities:
                     transition_probabilities(g, t).probs, expm(q * t), atol=1e-12
                 )
 
+    def test_fast_chains_stay_stochastic(self):
+        # tens of squarings compound the rounding of the row sums past the
+        # 1e-12 that TransitionMatrix checks, unless each squaring renormalizes
+        fast = np.array([[-1e6, 1e6], [2e6, -2e6]])
+        p = transition_probabilities(validate_generator(fast), 5.0).probs
+        # exp(-3e6 t) leaves the stationary law in every row
+        assert_allclose(p, [[2 / 3, 1 / 3], [2 / 3, 1 / 3]], rtol=0, atol=1e-15)
+        dense = np.random.default_rng(8).uniform(0.5e4, 1.5e4, size=(4, 4))
+        np.fill_diagonal(dense, 0.0)
+        np.fill_diagonal(dense, -dense.sum(axis=1))
+        p = transition_probabilities(validate_generator(dense), 5.0).probs
+        assert_allclose(p.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+        assert_allclose(p, expm(dense * 5.0), rtol=0, atol=1e-11)
+
     def test_rows_stochastic_and_nonnegative(self):
         g = validate_generator(Q3)
         p = transition_probabilities(g, 12.0).probs

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import bisect
+import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 from scipy.integrate import quad_vec
 
 from regimeweave import montecarlo, portfolio
@@ -27,7 +30,6 @@ from regimeweave.montecarlo import (
     estimate_value_mc,
 )
 from regimeweave.portfolio import (
-    _wealth_rows,
     evaluate_policy,
     optimal_strategy,
     simulate_wealth,
@@ -93,46 +95,6 @@ def closed_form_factor(market, t_start, income_start, regime=0):
         + coeffs.constant[regime] * (market.horizon - t_start)
     )
     return float(np.exp(exponent))
-
-
-def merged_time_grid(path, n_steps):
-    """The oracle of a path's jump-refined grid: the uniform grid over its span
-    united with its jumps, equal times merged, and the regime of each interval
-    the state after every jump at or before the interval's start."""
-    uniform = np.linspace(path.t_start, path.t_end, n_steps + 1)
-    times = np.union1d(uniform, path.times[1:])
-    regimes = path.states[np.searchsorted(path.times, times[:-1], side="right") - 1]
-    return times, regimes
-
-
-def grid_rows(market, regime, n_paths, n_steps, rng):
-    """``((times, regimes), (jump times, states))`` of each path of
-    ``_simulate_grids``: its grid and step regimes, and its chain path from
-    ``_simulate_chains`` on the same stream."""
-    chains = montecarlo._simulate_chains(market.generator, regime, 0.0, market.horizon, n_paths, rng, n_steps, 2)
-    paths = []
-    for _, counts, starts, _, states, _ in chains:
-        ends_at = np.cumsum(counts)
-        paths += [(starts[lo:hi], states[lo:hi]) for lo, hi in zip(ends_at - counts, ends_at)]
-    grids = []
-    for lengths, times, regimes, _ in montecarlo._simulate_grids(market, regime, 0.0, n_paths, n_steps, rng):
-        grids += [(times[r, :n], regimes[r, : n - 1]) for r, n in enumerate(lengths)]
-    assert len(grids) == len(paths) == n_paths
-    return list(zip(grids, paths))
-
-
-class TestMergedTimeGrid:
-    def test_contains_uniform_nodes_and_jumps(self):
-        for (times, regimes), (chain_times, _) in grid_rows(make_market(), 0, 300, 16, RngStream(seed=3)):
-            assert np.all(np.isin(np.linspace(0.0, 2.0, 17), times))
-            assert np.all(np.isin(chain_times, times))
-            assert np.all(np.diff(times) > 0)
-            assert len(regimes) == len(times) - 1
-
-    def test_regimes_constant_between_jumps(self):
-        for (times, regimes), (chain_times, states) in grid_rows(make_market(), 1, 300, 64, RngStream(seed=9)):
-            mid = 0.5 * (times[:-1] + times[1:])
-            assert np.array_equal(regimes, states[np.searchsorted(chain_times, mid, side="right") - 1])
 
 
 class TestEstimateRegimeFactor:
@@ -263,6 +225,14 @@ class TestEstimateValueMc:
         )
         assert abs(est.value - target) < 4 * est.stderr
 
+    def test_overflow_raises(self):
+        # exp(gamma * 1e4 * growth) leaves the float range: no inf estimate, no warning
+        market = load_config(REPO / "configs" / "rho_zero.json").market
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="float range"):
+                estimate_value_mc(market, 0.0, -1e4, 0.0, 0, 100, RngStream(seed=44))
+
     def test_estimate_is_dataclass_with_counts(self):
         market = make_market()
         est = estimate_value_mc(market, 0.0, 1.0, 1.0, 0, 64, RngStream(seed=43))
@@ -304,10 +274,11 @@ def contract_market(chain, **overrides):
     return MarketModel(**params)
 
 
-def layout_paths(market, regime, t_start, n_paths, rng, n_steps=None, n_sets=0, first_jump_by_end=False):
+def layout_paths(market, regime, t_start, n_paths, rng, n_steps=0, first_jump_by_end=False):
     """``(path, normals)`` of each of ``n_paths`` paths, drawn block by block
-    in the documented layout with a scalar loop over each path's jumps; with
-    ``first_jump_by_end`` each path's first jump is conditioned to land
+    in the documented layout with a scalar loop over each path's jumps, and
+    with ``n_steps`` each path's ``(2, n_steps)`` normals, else ``None``;
+    with ``first_jump_by_end`` each path's first jump is conditioned to land
     before the horizon."""
     rates = market.generator.rates
     lam = (-np.diag(rates)).tolist()
@@ -354,15 +325,10 @@ def layout_paths(market, regime, t_start, n_paths, rng, n_steps=None, n_sets=0, 
             RegimePath(t_start, t_end, np.array(times[r]), np.array(states[r]), market.n_regimes)
             for r in block
         ]
-        if n_sets:
-            width = n_steps + max(path.n_jumps() for path in paths)
-            normals = gen.standard_normal((n_sets, len(block), width))
-        for r, path in enumerate(paths[: n_paths - b * len(block)]):
-            if n_sets:
-                n_grid = len(merged_time_grid(path, n_steps)[0]) - 1
-                out.append((path, normals[:, r, :n_grid]))
-            else:
-                out.append((path, None))
+        kept = paths[: n_paths - b * len(block)]
+        # the kept paths' normals, path-major, after the block's chain draws
+        normals = gen.standard_normal((len(kept), 2, n_steps)) if n_steps else [None] * len(kept)
+        out += zip(kept, normals)
     return out
 
 
@@ -428,6 +394,82 @@ def loop_policy_utility(market, strategy, t_start, wealth_start, income_start, p
     var = integrals[len(span) :].sum()
     scale = market.risk_aversion * np.exp(r * (horizon - t_start))
     return float(-np.exp(-scale * mean + scale**2 * var / 2.0) / market.risk_aversion)
+
+
+GL8_NODES, GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)  # on [-1, 1]
+
+
+def oracle_moments(market, strategy, t_start, starts, ends, states):
+    """Mean and variance of the increments of ``Z = D X + K Y`` and of income
+    ``Y``, and their covariance, over each piece ``[starts, ends)`` spent in
+    ``states``, as rows ``(mean Z, var Z, cov, mean Y, var Y)``: the
+    integrands by 8-node Gauss-Legendre quadrature, income's in closed form."""
+    r, horizon, rho = market.rate, market.horizon, market.correlation
+    half = (ends - starts) / 2.0
+    u = starts + half * (1.0 + GL8_NODES[:, None])
+    excess, vol = market.excess_return()[states], market.stock_vol[states]
+    drift, income_vol = market.income_drift[states], market.income_vol[states]
+    discount = np.exp(-r * (u - t_start))
+    annuity = (discount - np.exp(-r * (horizon - t_start))) / r
+    stock = discount * strategy(u, states) * vol + annuity * income_vol * rho
+    free = annuity * income_vol * np.sqrt(1.0 - rho**2)
+    integrands = [
+        discount * strategy(u, states) * excess + annuity * drift,
+        stock**2 + free**2,
+        stock * income_vol * rho + free * income_vol * np.sqrt(1.0 - rho**2),
+    ]
+    quadratures = [(GL8_WEIGHTS[:, None] * half * f).sum(axis=0) for f in integrands]
+    return np.array([*quadratures, drift * 2 * half, income_vol**2 * 2 * half])
+
+
+def loop_income_path(market, t_start, income_start, path, normals):
+    """Income at the uniform nodes of one chain path given its normals: the
+    closed-form moments at each node, the path's whole segments before the
+    node summed in order plus its segment up to the node, and a step's
+    normal scaled by the root of the variance it adds."""
+    times = np.linspace(t_start, market.horizon, normals.shape[1] + 1).tolist()
+    starts, ends, states = (part.tolist() for part in path.segments())
+
+    def at_node(coefficients, u):
+        total = 0.0
+        for s, (a, b, k) in enumerate(zip(starts, ends, states)):
+            if s + 1 < len(starts) and b <= u:
+                total += coefficients[k] * (b - a)
+            else:
+                return total + coefficients[k] * (u - a)
+
+    drift = market.income_drift.tolist()
+    variance = [delta * delta for delta in market.income_vol.tolist()]
+    income, noise = [income_start], 0.0
+    for j in range(1, len(times)):
+        step_var = at_node(variance, times[j]) - at_node(variance, times[j - 1])
+        noise += math.sqrt(step_var) * float(normals[1, j - 1])
+        income.append(income_start + at_node(drift, times[j]) + noise)
+    return np.array(income)
+
+
+def loop_wealth_path(market, strategy, t_start, wealth_start, income_start, path, normals):
+    """Wealth at the uniform nodes of one chain path given its normals, by
+    exact conditional Gaussian steps from per-step moments: each step's
+    pieces between jumps integrated on their own."""
+    r, horizon = market.rate, market.horizon
+    times = np.linspace(t_start, horizon, normals.shape[1] + 1)
+    starts, ends, states = path.segments()
+    discount = np.exp(-r * (times - t_start))
+    annuity = (discount - np.exp(-r * (horizon - t_start))) / r
+    z, y = wealth_start + income_start * annuity[0], income_start
+    wealth = [wealth_start]
+    for j in range(1, len(times)):
+        lo, hi = np.maximum(starts, times[j - 1]), np.minimum(ends, times[j])
+        inside = lo < hi
+        mean_z, var_z, cov, mean_y, var_y = oracle_moments(
+            market, strategy, t_start, lo[inside], hi[inside], states[inside]
+        ).sum(axis=1)
+        beta = cov / np.sqrt(var_y)
+        y += mean_y + np.sqrt(var_y) * normals[1, j - 1]
+        z += mean_z + beta * normals[1, j - 1] + np.sqrt(max(var_z - beta**2, 0.0)) * normals[0, j - 1]
+        wealth.append((z - annuity[j] * y) / discount[j])
+    return np.array(wealth)
 
 
 @pytest.fixture(params=["whole_blocks", "chunks_of_3"])
@@ -510,20 +552,25 @@ class TestStreamContract:
         market = contract_market(chain, correlation=0.3)
         strategy = optimal_strategy(market).scaled(0.8)
         n = CONTRACT_CHAINS[chain][1]
+        times = np.linspace(0.2, market.horizon, 14)
         for regime in range(market.n_regimes):
-            paths = layout_paths(market, regime, 0.2, n, RngStream(63, 9), 13, 2)
+            paths = layout_paths(market, regime, 0.2, n, RngStream(63, 9), 13)
             got = simulate_wealth(market, strategy, 0.2, 1.0, 0.5, regime, n, 13, RngStream(63, 9))
             assert len(got) == n
-            for row, (path, shocks) in zip(got, paths):
-                times, regimes = merged_time_grid(path, 13)
-                wealth, income, positions = _wealth_rows(
-                    market, strategy, 0.2, 1.0, 0.5, times, regimes, *shocks
-                )
+            for row, (path, normals) in zip(got, paths):
+                # the regime at a node is the state after every jump at or before it
+                regimes = path.states[np.searchsorted(path.times, times, side="right") - 1]
                 assert np.array_equal(row.times, times)
                 assert np.array_equal(row.regimes, regimes)
-                assert np.array_equal(row.wealth, wealth)
-                assert np.array_equal(row.income, income)
-                assert np.array_equal(row.positions, positions)
+                assert np.array_equal(row.positions, strategy(times[:-1], regimes[:-1]))
+                assert np.array_equal(row.income, loop_income_path(market, 0.2, 0.5, path, normals))
+                # the engine's 3-node rule leaves up to 4e-11 on a variance
+                # integral over a segment 1.8 long, and a step's variance is the
+                # difference of two such, so a step whose variance given income
+                # is small moves wealth by up to 1e-8 here; a step read with
+                # another normal moves it by orders of magnitude more
+                wealth = loop_wealth_path(market, strategy, 0.2, 1.0, 0.5, path, normals)
+                assert_allclose(row.wealth, wealth, rtol=0, atol=5e-8)
 
 
 @pytest.mark.parametrize("chain", ["slow", "absorbing"])
@@ -542,28 +589,52 @@ def test_value_factor_is_the_income_factor_times_its_value_at_zero_income(chain)
                 assert got == MCEstimate(income * factor.value, income * factor.stderr, n)
 
 
+def wealth_path_bytes(paths):
+    return b"".join(
+        getattr(path, name).tobytes()
+        for path in paths for name in ("times", "wealth", "income", "regimes", "positions")
+    )
+
+
 @pytest.mark.parametrize("chain", ["slow", "absorbing"])
-def test_paths_are_a_prefix_of_more_paths(chain, layout):
-    # path k's grid and normals do not depend on how many paths follow it
-    market = contract_market(chain)
+def test_paths_are_a_prefix_of_more_paths(chain, layout, monkeypatch):
+    # path k's wealth path depends neither on how many paths follow it nor on
+    # the paths it is computed with: the second run computes every path alone
+    market = contract_market(chain, correlation=0.3)
+    strategy = optimal_strategy(market)
     n = 2 * montecarlo.BLOCK - 2
-
-    def rows(n_paths):
-        out = []
-        for lengths, times, regimes, normals in montecarlo._simulate_grids(
-            market, 0, 0.1, n_paths, 11, RngStream(64, 3)
-        ):
-            for r, length in enumerate(lengths):
-                steps = length - 1
-                out.append((times[r, :length], regimes[r, :steps], normals[:, r, :steps]))
-        return out
-
-    fewer, more = rows(n), rows(n + 5)
+    fewer = simulate_wealth(market, strategy, 0.1, 1.0, 0.3, 0, n, 11, RngStream(64, 3))
+    monkeypatch.setattr(montecarlo, "SEGMENTS", 1)
+    more = simulate_wealth(market, strategy, 0.1, 1.0, 0.3, 0, n + 5, 11, RngStream(64, 3))
     assert len(fewer) == n and len(more) == n + 5
-    for (times_a, regimes_a, z_a), (times_b, regimes_b, z_b) in zip(fewer, more):
-        assert np.array_equal(times_a, times_b)
-        assert np.array_equal(regimes_a, regimes_b)
-        assert np.array_equal(z_a, z_b)
+    for a, b in zip(fewer, more):
+        assert wealth_path_bytes([a]) == wealth_path_bytes([b])
+
+
+@pytest.mark.parametrize("n_steps", [4, 8])
+def test_terminal_wealth_has_its_conditional_law(n_steps):
+    # given the chain path terminal wealth is Gaussian with the moments that
+    # evaluate_policy integrates, so exact steps at any step count leave
+    # standardized residuals of mean 0 and variance 1; holding position and
+    # income over a step left a variance of 0.80 at 4 steps and 0.88 at 8
+    config = load_config(REPO / "configs" / "reference.json")
+    market, n = config.market, 20000
+    strategy = optimal_strategy(market, config.case)
+    rng = RngStream(5)
+    paths = simulate_wealth(market, strategy, 0.0, 1.0, 0.0, 0, n, n_steps, rng)
+    growth = np.exp(market.rate * market.horizon)
+    residuals = []
+    for _, counts, starts, ends, states, _ in montecarlo._simulate_chains(
+        market.generator, 0, 0.0, market.horizon, n, rng
+    ):
+        moments = oracle_moments(market, strategy, 0.0, starts, ends, states)
+        mean, var = np.add.reduceat(moments[:2], np.cumsum(counts) - counts, axis=1)
+        terminal = np.array([path.wealth[-1] for path in paths[len(residuals) :][: len(counts)]])
+        residuals.extend((terminal / growth - 1.0 - mean) / np.sqrt(var))
+    residuals = np.array(residuals)
+    assert len(residuals) == n
+    assert abs(residuals.mean()) < 4.0 / np.sqrt(n)
+    assert abs(residuals.var(ddof=1) - 1.0) < 4.0 * np.sqrt(2.0 / (n - 1))
 
 
 @pytest.mark.parametrize("chain, t_start", [("slow", 0.1), ("absorbing", 0.1), ("past_block", 1.97)])
@@ -635,6 +706,7 @@ def test_group_size_invariance(monkeypatch):
             estimate_regime_factor(market, 0.0, 0, 300, RngStream(24)),
             estimate_value_factor(market0, 0.1, 0.4, 1, 300, RngStream(25)),
             evaluate_policy(market, strategy, 0.0, 1.0, 0.3, 1, 300, RngStream(26)),
+            wealth_path_bytes(simulate_wealth(market, strategy, 0.0, 1.0, 0.3, 1, 300, 9, RngStream(27))),
         )
 
     base = estimates()
@@ -668,65 +740,3 @@ def test_memory_does_not_grow_with_the_path_count():
 
     one_sweep = peak(montecarlo.SWEEP * montecarlo.BLOCK)
     assert peak(20000) <= 1.5 * one_sweep
-
-
-def check_merged_grids(monkeypatch, market, t_start, n_steps, counts, starts, states):
-    """``_simulate_grids`` on one chunk of flat chain paths, given in place of
-    ``_simulate_chains``' own, against the oracle row by row."""
-    normals = np.zeros((2, len(counts), n_steps + counts.max() - 1))
-    chunk = (0, counts, starts, None, states, normals)
-    monkeypatch.setattr(montecarlo, "_simulate_chains", lambda *args: iter([chunk]))
-    grids = montecarlo._simulate_grids(market, 0, t_start, len(counts), n_steps, RngStream(0))
-    ((lengths, grids, regimes, _),) = grids
-    ends_at = np.cumsum(counts)
-    for i, (lo, hi) in enumerate(zip(ends_at - counts, ends_at)):
-        path = RegimePath(t_start, market.horizon, starts[lo:hi], states[lo:hi], market.n_regimes)
-        expected_grid, expected_regimes = merged_time_grid(path, n_steps)
-        assert lengths[i] == len(expected_grid)
-        assert np.array_equal(grids[i, : lengths[i]], expected_grid)
-        assert np.all(grids[i, lengths[i] :] == market.horizon)
-        assert np.array_equal(regimes[i, : lengths[i] - 1], expected_regimes)
-        assert np.all(regimes[i, lengths[i] - 1 :] == expected_regimes[-1])
-
-
-def test_batched_grids_match_merged_time_grid_with_ties(monkeypatch):
-    # (jumps, states they land in) from state 0 on the absorbing chain, nodes
-    # every 0.25: a jump on a node, two equal jumps, equal jumps on a node, a
-    # path with no jumps, one absorbed in state 1, jumps near both ends and at
-    # the start; equal jumps land in different states, so a merge that keeps
-    # the wrong one shows
-    paths = [
-        ([0.3, 0.7], [2, 0]), ([0.5], [2]), ([0.6, 0.6], [2, 0]), ([1.25, 1.25, 1.25], [2, 0, 1]),
-        ([], []), ([0.4, 0.9], [2, 1]), ([0.0001, 1.9999], [1, 0]), ([0.25, 0.3, 0.3, 1.0], [2, 0, 2, 0]),
-        ([0.0, 0.1], [2, 0]),
-    ]
-    counts = np.array([1 + len(jumps) for jumps, _ in paths])
-    starts = np.concatenate([[0.0, *jumps] for jumps, _ in paths])
-    states = np.concatenate([[0, *landed] for _, landed in paths])
-    check_merged_grids(monkeypatch, contract_market("absorbing"), 0.0, 8, counts, starts, states)
-
-
-@pytest.mark.parametrize("chain", ["slow", "absorbing", "past_block"])
-def test_merged_grids_of_tied_chain_paths(chain, monkeypatch):
-    # real chain paths, then the same paths with jumps snapped onto nearby
-    # nodes and onto the jump before them
-    market = contract_market(chain)
-    uniform = np.linspace(0.3, market.horizon, 14)
-    rng = np.random.default_rng(5)
-    for _, counts, starts, _, states, _ in list(montecarlo._simulate_chains(
-        market.generator, 0, 0.3, market.horizon, 40, RngStream(67)
-    )):
-        check_merged_grids(monkeypatch, market, 0.3, 13, counts, starts, states)
-        jumps = np.ones(len(starts), dtype=bool)
-        jumps[np.cumsum(counts) - counts] = False
-        jumps = np.flatnonzero(jumps)
-        snapped = starts.copy()
-        # onto the node at or below, where that keeps the path in time order
-        node = uniform[np.searchsorted(uniform, starts[jumps], side="right") - 1]
-        on_node = (rng.random(len(jumps)) < 0.3) & (node >= starts[jumps - 1])
-        snapped[jumps[on_node]] = node[on_node]
-        # onto the jump before, where there is one
-        repeat = jumps[(rng.random(len(jumps)) < 0.3) & np.isin(jumps - 1, jumps)]
-        snapped[repeat] = snapped[repeat - 1]
-        assert np.any(snapped != starts)
-        check_merged_grids(monkeypatch, market, 0.3, 13, counts, snapped, states)

@@ -12,7 +12,7 @@ from scipy.integrate import quad
 
 from regimeweave.hjb import MarketModel
 from regimeweave.markov import InvalidInput, RngStream, validate_generator
-from regimeweave.montecarlo import estimate_value_factor, estimate_value_mc
+from regimeweave.montecarlo import _simulate_chains, estimate_value_factor, estimate_value_mc
 from regimeweave.portfolio import (
     NORMAL_INCOME,
     RHO_ZERO,
@@ -147,27 +147,30 @@ class TestSimulateWealth:
             assert_allclose(path.wealth, 2.0 * np.exp(0.03 * path.times), rtol=1e-14)
 
     def test_deterministic_income_accrual(self):
-        # deterministic income integrates against the discount factor;
-        # freezing income over each step leaves an O(1/n_steps) gap
+        # deterministic income integrates against the discount factor exactly,
+        # up to the quadrature's rounding, at any step count
         market = make_market(
             generator=validate_generator([[0.0, 0.0], [0.0, 0.0]]),
             income_vol=[0.0, 0.0],
         )
         idle = Strategy(position=lambda t, i: 0.0 * np.asarray(t), label="idle")
-        (path,) = simulate_wealth(market, idle, 0.0, 1.0, 0.5, 0, 1, 512, RngStream(seed=2))
         oracle = 1.0 * np.exp(0.03 * 2.0) + quad(
-            lambda s: np.exp(0.03 * (2.0 - s)) * (0.5 + 0.02 * s), 0.0, 2.0
+            lambda s: np.exp(0.03 * (2.0 - s)) * (0.5 + 0.02 * s), 0.0, 2.0, epsabs=0.0, epsrel=1e-13
         )[0]
-        assert path.wealth[-1] == pytest.approx(oracle, rel=2e-4)
+        for n_steps in (1, 8, 512):
+            (path,) = simulate_wealth(market, idle, 0.0, 1.0, 0.5, 0, 1, n_steps, RngStream(seed=2))
+            assert path.wealth[-1] == pytest.approx(oracle, rel=1e-12), n_steps
 
     def test_zero_vol_income_integrates_drift_exactly(self):
-        # the grid splits at every jump, so each step accrues one regime's drift
+        # each of the chain path's segments accrues its own regime's drift
         market = make_market(income_vol=[0.0, 0.0])
-        for path in simulate_wealth(
-            market, optimal_strategy(market), 0.0, 1.0, 1.0, 0, 8, 8, RngStream(seed=7)
-        ):
-            steps = market.income_drift[path.regimes] * np.diff(path.times)
-            assert path.income[-1] == pytest.approx(1.0 + float(steps.sum()), abs=1e-14)
+        paths = simulate_wealth(market, optimal_strategy(market), 0.0, 1.0, 1.0, 0, 8, 8, RngStream(seed=7))
+        chains = _simulate_chains(market.generator, 0, 0.0, market.horizon, 8, RngStream(seed=7))
+        ((_, counts, starts, ends, states, _),) = chains
+        accrued = np.add.reduceat(market.income_drift[states] * (ends - starts), np.cumsum(counts) - counts)
+        assert counts.max() > 1
+        for path, drift in zip(paths, accrued):
+            assert path.income[-1] == pytest.approx(1.0 + drift, abs=1e-14)
 
     def test_single_regime_income_terminal_moments(self):
         market = make_market(
@@ -215,19 +218,23 @@ class TestSimulateWealth:
             assert_allclose(pc.positions, 2.0 * pa.positions, rtol=1e-15)
             assert not np.allclose(pc.wealth, pa.wealth)
 
+    def test_needs_a_step(self):
+        market = make_market()
+        with pytest.raises(ValueError, match="n_steps must be positive"):
+            simulate_wealth(market, optimal_strategy(market), 0.0, 1.0, 0.0, 0, 4, 0, RngStream(seed=6))
+
     def test_path_fields_consistent(self):
         market = make_market()
         strat = optimal_strategy(market, NORMAL_INCOME)
         paths = simulate_wealth(market, strat, 0.5, 1.0, 0.2, 1, 3, 16, RngStream(seed=5))
         assert len(paths) == 3
         for path in paths:
-            assert path.times[0] == 0.5
-            assert path.times[-1] == 2.0
+            assert np.array_equal(path.times, np.linspace(0.5, 2.0, 17))
             assert path.wealth[0] == 1.0
             assert path.income[0] == 0.2
-            assert len(path.wealth) == len(path.income) == len(path.times)
+            assert path.regimes[0] == 1
+            assert len(path.wealth) == len(path.income) == len(path.regimes) == len(path.times)
             assert len(path.positions) == len(path.times) - 1
-            assert len(path.regimes) == len(path.times) - 1
         # one path is the first of more
         (single,) = simulate_wealth(market, strat, 0.5, 1.0, 0.2, 1, 1, 16, RngStream(seed=5))
         for name in ("times", "wealth", "income", "regimes", "positions"):
