@@ -64,7 +64,8 @@ print()
 
 # With correlation the check scores the optimal strategy along simulated
 # regime paths: given a path, terminal wealth is Gaussian, so each path
-# contributes its expected utility in closed form.  The optimum and two
+# contributes its expected utility in closed form, and as above the branch
+# that never leaves the start regime enters in closed form.  The optimum and two
 # mis-scaled variants are paired on the same chain paths, which removes
 # most of the comparison noise.  Expected utility is negative; closer to
 # zero is better, and the utility cost of mis-scaling is second order.

@@ -652,7 +652,7 @@ def cmd_evaluate(
         if repr(policies[0][0]) in str(exc):
             raise
         raise ParseError(f"--compare: {exc}") from exc
-    # after the scoring, whose chain simulation rejects a regime index out of range
+    # after the scoring, which rejects a regime index out of range
     predicted = float(bundle.value(0.0, wealth_start, income_start, regime))
     rows, scored = [], {}
     for (name, _), est in zip(policies, estimates):

@@ -20,8 +20,10 @@ onward) draws everything from the one Philox key
 ``[rng.seed, rng.stream_id + b]``, in this order:
 
 1. ``standard_exponential((BLOCK, head))``, then ``random((BLOCK, head))``,
-   one column per jump of each row (the regime factor maps the first column
-   to a first jump conditioned to land before the horizon);
+   one column per jump of each row (the regime factor and
+   :func:`~regimeweave.portfolio.evaluate_policy` map the first column to a
+   first jump conditioned to land before the horizon;
+   :func:`~regimeweave.portfolio.simulate_wealth` does not);
 2. each time the jump loop runs past the drawn width, one more
    ``(moving, head)`` exponential array and then one more uniform array,
    whose rows go to the paths still moving, in path order;
@@ -30,7 +32,9 @@ onward) draws everything from the one Philox key
    ``kept`` rows below ``n_paths``: a prefix of the block's full draw, so
    path ``r`` reads its two rows of step normals wherever the block ends.
    The regime and value factors and
-   :func:`~regimeweave.portfolio.evaluate_policy` draw chains only.
+   :func:`~regimeweave.portfolio.evaluate_policy` draw chains only, and
+   weigh them against the branch that never leaves the start regime, in
+   closed form.
 
 The first arrays are ``head = m + 3 sqrt(m) + 4`` columns wide (at most
 ``JUMP_BLOCK``), ``m`` the expected jumps of the fastest state over the
@@ -115,10 +119,9 @@ def estimate_regime_factor(
     exact factor.
     """
     _check_horizon(market, t_start)
+    stay, leave = _first_jump_split(market.generator, regime, t_start, market.horizon)
     coeffs, loading = growth_coefficients(market), solve_income_loading(market)
     span = market.horizon - t_start
-    exit_rate = market.generator.exit_rates()[regime]
-    stay, leave = float(np.exp(-exit_rate * span)), float(-np.expm1(-exit_rate * span))
     integral, square_integral = loading._integrals(t_start, market.horizon)
     stay_factor = float(np.exp(
         coeffs.linear[regime] * integral
@@ -137,7 +140,7 @@ def estimate_regime_factor(
             + coeffs.quadratic[states] * square_integral
         )
         exponents[first : first + len(counts)] = np.add.reduceat(terms, np.cumsum(counts) - counts)
-    return _estimate(stay * stay_factor + leave * np.exp(exponents))
+    return _estimate(_mix_branches(stay, stay_factor, leave, np.exp(exponents)))
 
 
 def estimate_value_factor(
@@ -202,6 +205,23 @@ def _check_start(**starts: float) -> None:
         raise InvalidInput(problems)
 
 
+def _first_jump_split(generator: GeneratorMatrix, regime: int, t_start, t_end) -> tuple[float, float]:
+    """``(stay, leave)``: the chances that the chain, in ``regime`` at
+    ``t_start``, stays there through ``t_end`` and that it leaves before.
+    Raises :class:`ValueError` for a regime out of range or an empty span,
+    before anything is looked up by the regime."""
+    _check_path_span(generator, regime, t_start, t_end)
+    exits = generator.exit_rates()[regime] * (t_end - t_start)
+    return float(np.exp(-exits)), float(-np.expm1(-exits))
+
+
+def _mix_branches(stay: float, stay_value, leave: float, jump_values: NDArray[np.float64]):
+    """``stay * stay_value + leave * jump_values`` per path, where a branch of
+    weight 0 adds 0 even if its value is not finite."""
+    stayed = stay * stay_value if stay else 0.0
+    return stayed + (leave * jump_values if leave else np.zeros_like(jump_values))
+
+
 def _block_head(mean_jumps: float) -> int:
     """Columns of a block's first exponential and uniform arrays, and of each
     extension: about three standard deviations past the expected jumps, so
@@ -234,13 +254,12 @@ def _simulate_chains(
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be positive, got {n_paths}")
-    _check_path_span(generator, regime, t_start, t_end)
+    _, leave = _first_jump_split(generator, regime, t_start, t_end)
     n_blocks = -(-n_paths // BLOCK)
     RngStream(rng.seed, rng.stream_id + n_blocks - 1)  # every block's key must be valid
     lam, cum = _jump_table(generator)
     cum_columns = np.ascontiguousarray(cum.T)  # row j: entry j of every state, for a fast take
     head = _block_head(lam.max() * (t_end - t_start))
-    leave = -np.expm1(-lam[regime] * (t_end - t_start))  # chance to leave the start by t_end
 
     for first_block in range(0, n_blocks, SWEEP):
         gens = [RngStream(rng.seed, rng.stream_id + b).generator()

@@ -20,7 +20,9 @@ from numpy.typing import NDArray
 
 from .hjb import IncomeLoading, MarketModel, RegimeFactorTable, solve_income_loading, solve_regime_factors
 from .markov import InvalidInput, RngStream
-from .montecarlo import MCEstimate, _check_start, _estimate, _simulate_chains
+from .montecarlo import (
+    MCEstimate, _check_start, _estimate, _first_jump_split, _mix_branches, _simulate_chains,
+)
 
 __all__ = [
     "CaseMismatch",
@@ -227,9 +229,11 @@ def simulate_wealth(
     increments, so each of ``n_steps`` uniform steps draws income from its
     law, then ``Z`` given income, exactly (Glasserman 2004, section 3.3),
     and wealth is ``X = (Z - K Y) / D``; the only error is the quadrature's.
-    Path ``k`` runs on chain path ``k`` of :func:`evaluate_policy` with the
-    same ``rng`` and arguments, reads two normals a step in the layout of
-    :mod:`~regimeweave.montecarlo`, and does not depend on ``n_paths``.  No
+    Its chain paths are plain samples, not conditioned on the first jump as
+    :func:`evaluate_policy`'s are, so path ``k`` does not run on chain path
+    ``k`` of :func:`evaluate_policy`.  It reads two normals a step in the
+    layout of :mod:`~regimeweave.montecarlo`, and does not depend on
+    ``n_paths``.  No
     draw depends on the strategy, so strategies simulated on the same
     stream share their scenarios (common random numbers).
     """
@@ -313,12 +317,21 @@ def evaluate_policy(
     (conditional Monte Carlo; Glasserman 2004, section 4.5).  Both
     integrals run over the path's segments with a 3-node Gauss-Legendre
     rule, whose error (about 4e-11 of the value on segments 1.8 long) lies
-    far below the statistical one, and no time step enters.  Block ``b`` of
+    far below the statistical one, and no time step enters.
+
+    The estimate is conditioned on the first jump, as
+    :func:`~regimeweave.montecarlo.estimate_regime_factor`'s is: the chain
+    stays in ``regime`` up to the horizon with probability ``stay =
+    exp(-exit_rate * (horizon - t_start))``, and each path contributes
+    ``stay`` times the utility on that one-segment path plus ``1 - stay``
+    times its own, its first jump conditioned to land before the horizon.
+    A start regime that cannot be left scores exactly.  Block ``b`` of
     :data:`~regimeweave.montecarlo.BLOCK` paths draws from key
     ``[rng.seed, rng.stream_id + b]``; running different strategies with
     the same ``rng`` pairs them on identical chain paths.  Raises
-    :class:`InvalidInput` for a non-finite start and :class:`OverflowError`
-    when the expected utility leaves the float range.
+    :class:`InvalidInput` for a non-finite start, :class:`ValueError` for a
+    start regime out of range, and :class:`OverflowError` when the expected
+    utility leaves the float range.
     """
     (estimate,) = _evaluate_policies(
         market, [strategy], t_start, wealth_start, income_start, regime, n_paths, rng
@@ -333,26 +346,36 @@ def _evaluate_policies(
     the chain paths; each estimate equals its own call's."""
     _check_start(wealth_start=wealth_start, income_start=income_start)
     r, gamma, horizon = market.rate, market.risk_aversion, market.horizon
+    stay, leave = _first_jump_split(market.generator, regime, t_start, horizon)
     unhedged = (1.0 - market.correlation**2) * market.income_vol**2  # income variance the stock cannot hedge
     scale = gamma * np.exp(r * (horizon - t_start))  # gamma e^{r tau}
     start = wealth_start + income_start * _annuity(r, t_start, t_start, horizon)
+
+    def utilities(counts, starts, ends, states):
+        """Each strategy's conditional expected utility on each path of a chunk."""
+        annuity_int, square_int, integrals = _segment_integrals(
+            market, strategies, t_start, starts, ends, states
+        )
+        terms = np.stack([
+            market.excess_return()[states] * integrals[:, 0] + market.income_drift[states] * annuity_int,
+            integrals[:, 1] + unhedged[states] * square_int,
+        ])
+        mean, var = np.add.reduceat(terms, np.cumsum(counts) - counts, axis=-1)
+        return -np.exp(-scale * (start + mean) + scale**2 * var / 2.0) / gamma
+
     values = np.empty((len(strategies), n_paths))
-    chunks = _simulate_chains(market.generator, regime, t_start, horizon, n_paths, rng)
+    chunks = _simulate_chains(
+        market.generator, regime, t_start, horizon, n_paths, rng, first_jump_by_end=True
+    )
     # an overflow leaves inf or NaN in the estimates, which raise below
     with np.errstate(over="ignore", invalid="ignore"):
+        # the one-segment path that never leaves the start regime
+        stayed = utilities(
+            np.ones(1, dtype=np.int64), np.array([t_start]), np.array([horizon]), np.array([regime])
+        )
         for first, counts, starts, ends, states, _ in chunks:
-            annuity_int, square_int, integrals = _segment_integrals(
-                market, strategies, t_start, starts, ends, states
-            )
-            terms = np.stack([
-                market.excess_return()[states] * integrals[:, 0] + market.income_drift[states] * annuity_int,
-                integrals[:, 1] + unhedged[states] * square_int,
-            ])
-            mean, var = np.add.reduceat(terms, np.cumsum(counts) - counts, axis=-1)
-            values[:, first : first + len(counts)] = -np.exp(
-                -scale * (start + mean) + scale**2 * var / 2.0
-            ) / gamma
-        estimates = [_estimate(row) for row in values]
+            values[:, first : first + len(counts)] = utilities(counts, starts, ends, states)
+        estimates = [_estimate(row) for row in _mix_branches(stay, stayed, leave, values)]
     for strategy, est in zip(strategies, estimates):
         if not np.isfinite([est.value, est.stderr]).all():
             raise OverflowError(

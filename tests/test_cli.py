@@ -686,8 +686,10 @@ class TestSimulate:
         assert fewer == [row for row in more if int(row[header.index("path")]) < 3]
 
     def test_fine_paths_agree_with_the_evaluation(self, tmp_path):
-        # simulate's pathwise wealth at fine steps, on the chain paths that
-        # evaluate conditions on, scores the optimal policy within sampling error
+        # simulate's pathwise wealth at fine steps scores the optimal policy
+        # within sampling error of evaluate; evaluate reads the same variates
+        # but conditions each first jump to land before the horizon, so its
+        # chain paths are not simulate's
         config = load_config(REFERENCE)
         market = config.market
         paths = simulate_wealth(

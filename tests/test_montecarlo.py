@@ -536,10 +536,15 @@ class TestStreamContract:
         strategy = optimal_strategy(market).scaled(0.8)
         n = CONTRACT_CHAINS[chain][1]
         for regime in range(market.n_regimes):
-            paths = layout_paths(market, regime, 0.2, n, RngStream(63, 9))
-            expected = loop_estimate(
-                [loop_policy_utility(market, strategy, 0.2, 1.0, 0.5, path) for path, _ in paths]
-            )
+            paths = layout_paths(market, regime, 0.2, n, RngStream(63, 9), first_jump_by_end=True)
+            stay_path = RegimePath(0.2, market.horizon, np.array([0.2]), np.array([regime]), market.n_regimes)
+            stayed = loop_policy_utility(market, strategy, 0.2, 1.0, 0.5, stay_path)
+            exits = market.generator.exit_rates()[regime] * (market.horizon - 0.2)
+            stay, leave = float(np.exp(-exits)), float(-np.expm1(-exits))
+            expected = loop_estimate([
+                stay * stayed + leave * loop_policy_utility(market, strategy, 0.2, 1.0, 0.5, path)
+                for path, _ in paths
+            ])
             got = evaluate_policy(market, strategy, 0.2, 1.0, 0.5, regime, n, RngStream(63, 9))
             # three Gauss-Legendre nodes a segment leave up to 4.2e-11 of the
             # value here, on segments up to 1.8 long; one path off the layout
@@ -683,6 +688,42 @@ def test_policy_values_sum_each_path_alone(monkeypatch):
     assert np.concatenate([counts for _, counts, _, _, _, _ in chunks]).min() > 8
     for together, alone in zip(seen[:2], seen[2:]):
         assert np.array_equal(together, alone)
+
+
+def test_first_jump_conditioning_cuts_the_policy_variance():
+    # about 35% of reference's paths never leave the start regime; scoring
+    # that branch in closed form leaves only the jump branch's variance
+    config = load_config(REPO / "configs" / "reference.json")
+    market, n, rng = config.market, 2000, RngStream(config.seed, 0)
+    strategy = optimal_strategy(market, config.case)
+    conditioned = evaluate_policy(market, strategy, 0.0, 1.0, 0.0, 0, n, rng)
+    scale = market.risk_aversion * np.exp(market.rate * market.horizon)
+    values = []
+    for _, counts, starts, ends, states, _ in montecarlo._simulate_chains(
+        market.generator, 0, 0.0, market.horizon, n, rng
+    ):
+        moments = oracle_moments(market, strategy, 0.0, starts, ends, states)
+        mean, var = np.add.reduceat(moments[:2], np.cumsum(counts) - counts, axis=1)
+        values.extend(-np.exp(-scale * (1.0 + mean) + scale**2 * var / 2.0) / market.risk_aversion)
+    plain = loop_estimate(values)
+    assert conditioned.stderr <= 0.7 * plain.stderr
+    assert abs(conditioned.value - plain.value) <= 4.0 * np.hypot(conditioned.stderr, plain.stderr)
+
+
+@pytest.mark.parametrize("regime", [2, -1])  # n_regimes of the two-regime market, and -1
+def test_start_regime_out_of_range_is_a_value_error(regime):
+    # not an IndexError from a lookup by the regime before the chain is simulated
+    market = make_market()
+    strategy = optimal_strategy(market)
+    calls = [
+        lambda: estimate_regime_factor(market, 0.0, regime, 4, RngStream(1)),
+        lambda: estimate_value_factor(market, 0.0, 0.5, regime, 4, RngStream(1)),
+        lambda: estimate_value_mc(market, 0.0, 1.0, 0.5, regime, 4, RngStream(1)),
+        lambda: evaluate_policy(market, strategy, 0.0, 1.0, 0.5, regime, 4, RngStream(1)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"initial_state {regime} out of range"):
+            call()
 
 
 def test_past_block_chain_crosses_the_block():

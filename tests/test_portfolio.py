@@ -284,6 +284,36 @@ class TestConditionalEvaluation:
         assert abs(est.value - target) <= 1e-10 * abs(target)
         assert est.stderr < 1e-15 * abs(target)  # zero but for the rounding of the mean
 
+    def test_absorbing_start_is_exact(self):
+        # regime 1 cannot be left: every path takes the branch that stays,
+        # scored as a chain that has regime 1 alone scores it
+        market = make_market(correlation=0.3, generator=validate_generator([[-0.5, 0.5], [0.0, 0.0]]))
+        alone = make_market(
+            correlation=0.3, stock_drift=[0.03], stock_vol=[0.4], income_drift=[-0.01], income_vol=[0.2],
+            generator=validate_generator([[0.0]]),
+        )
+        bundle = build_solution(alone, NORMAL_INCOME)
+        est = evaluate_policy(market, optimal_strategy(market), 0.3, 1.0, 0.5, 1, 300, RngStream(seed=14))
+        assert est == evaluate_policy(alone, bundle.strategy, 0.3, 1.0, 0.5, 0, 300, RngStream(seed=14))
+        target = bundle.value(0.3, 1.0, 0.5, 0)
+        assert abs(est.value - target) <= 1e-10 * abs(target)
+        assert est.stderr == 0.0
+
+    def test_a_branch_of_weight_zero_adds_nothing(self):
+        # regime 0 is left at rate 1000 for good: staying there to the horizon
+        # has probability exp(-2000), which is 0, and a utility beyond the
+        # float range; the paths that leave score finitely
+        market = make_market(generator=validate_generator([[-1000.0, 1000.0], [0.0, 0.0]]))
+        bold = Strategy(position=lambda t, i: np.where(i == 0, 100.0, 0.0), label="bold")
+        stuck = replace(market, generator=validate_generator([[0.0, 0.0], [0.0, 0.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = evaluate_policy(market, bold, 0.0, 1.0, 0.0, 0, 64, RngStream(seed=15))
+            # where staying is certain, its utility is the estimate, and it raises
+            with pytest.raises(OverflowError, match="policy 'bold' exceeds the float range"):
+                evaluate_policy(stuck, bold, 0.0, 1.0, 0.0, 0, 64, RngStream(seed=15))
+        assert np.isfinite([est.value, est.stderr]).all() and est.stderr > 0.0
+
     def test_idle_strategy_without_income_risk_is_deterministic(self):
         # no position and no income shock leave S = 0, and with one income
         # drift in both regimes the chain's jumps change nothing
