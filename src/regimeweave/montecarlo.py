@@ -33,8 +33,8 @@ onward) draws everything from the one Philox key
    path ``r`` reads its two rows of step normals wherever the block ends.
    The regime and value factors and
    :func:`~regimeweave.portfolio.evaluate_policy` draw chains only, and
-   weigh them against the branch that never leaves the start regime, in
-   closed form.
+   weigh them against the branch that never leaves the start regime,
+   valued by their own per-segment code (:func:`_first_jump_estimates`).
 
 The first arrays are ``head = m + 3 sqrt(m) + 4`` columns wide (at most
 ``JUMP_BLOCK``), ``m`` the expected jumps of the fastest state over the
@@ -108,39 +108,28 @@ def estimate_regime_factor(
     is statistical.  Block ``b`` of :data:`BLOCK` paths draws from key
     ``[rng.seed, rng.stream_id + b]``.
 
-    The estimate is conditioned on the first jump.  The chain stays in
-    ``regime`` up to the horizon with probability ``stay = exp(-exit_rate *
-    (horizon - t_start))``, and the factor on that branch has a closed form.
-    Each path samples the other branch, its first jump conditioned to land
-    before the horizon, and contributes ``stay * closed_form + (1 - stay) *
-    sample``.  So no sample lacks the jump branch, as a plain sample of few
-    paths near the horizon often does, leaving its standard error blind to
-    the jump variance; and a start regime that cannot be left gives the
-    exact factor.
+    The estimate is conditioned on the first jump by
+    :func:`_first_jump_estimates`, the branch that never leaves ``regime``
+    valued by the same segment sum on its one segment.  So no sample lacks
+    the jump branch, as a plain sample of few paths near the horizon often
+    does, leaving its standard error blind to the jump variance; and a start
+    regime that cannot be left gives the exact factor.  Raises
+    :class:`ValueError` for a start time outside ``[0, horizon)`` or a regime
+    out of range, and :class:`OverflowError` past the float range.
     """
-    _check_horizon(market, t_start)
-    stay, leave = _first_jump_split(market.generator, regime, t_start, market.horizon)
     coeffs, loading = growth_coefficients(market), solve_income_loading(market)
-    span = market.horizon - t_start
-    integral, square_integral = loading._integrals(t_start, market.horizon)
-    stay_factor = float(np.exp(
-        coeffs.linear[regime] * integral
-        + coeffs.quadratic[regime] * square_integral
-        + coeffs.constant[regime] * span
-    ))
-    exponents = np.empty(n_paths)
-    chunks = _simulate_chains(
-        market.generator, regime, t_start, market.horizon, n_paths, rng, first_jump_by_end=True
-    )
-    for first, counts, starts, ends, states, _ in chunks:
+
+    def factors(counts, starts, ends, states):
         integral, square_integral = loading._integrals(starts, ends)
         terms = (
             coeffs.constant[states] * (ends - starts)
             + coeffs.linear[states] * integral
             + coeffs.quadratic[states] * square_integral
         )
-        exponents[first : first + len(counts)] = np.add.reduceat(terms, np.cumsum(counts) - counts)
-    return _estimate(_mix_branches(stay, stay_factor, leave, np.exp(exponents)))
+        return np.exp(np.add.reduceat(terms, np.cumsum(counts) - counts))[None]
+
+    message = f"regime factors exceed the float range over horizon {market.horizon}"
+    return _first_jump_estimates(market, regime, t_start, n_paths, rng, factors, [message])[0]
 
 
 def estimate_value_factor(
@@ -159,6 +148,7 @@ def estimate_value_factor(
     expected exponential is ``exp(m(t) y)`` times the regime factor's own
     sample, so the estimate is ``exp(m(t) y)`` times
     :func:`estimate_regime_factor`'s, value and standard error alike.
+    Raises :class:`OverflowError` when the estimate leaves the float range.
     """
     if market.correlation != 0.0:
         raise NonZeroRho(
@@ -166,8 +156,10 @@ def estimate_value_factor(
         )
     _check_start(income_start=income_start)
     factor = estimate_regime_factor(market, t_start, regime, n_paths, rng)
-    income = float(np.exp(solve_income_loading(market).value(t_start) * income_start))
-    return MCEstimate(income * factor.value, income * factor.stderr, factor.n_paths)
+    with np.errstate(over="ignore"):  # an overflow leaves inf or NaN, which raises below
+        income = float(np.exp(solve_income_loading(market).value(t_start) * income_start))
+    return _finite(MCEstimate(income * factor.value, income * factor.stderr, factor.n_paths),
+                   f"value factor at income {income_start:g} exceeds the float range")
 
 
 def estimate_value_mc(
@@ -191,10 +183,8 @@ def estimate_value_mc(
     growth = np.exp(market.rate * (market.horizon - t_start))
     with np.errstate(over="ignore"):  # an overflow leaves inf or NaN, which raises below
         scale = float(-np.exp(-gamma * wealth_start * growth) / gamma)
-    estimate = MCEstimate(scale * factor.value, abs(scale) * factor.stderr, factor.n_paths)
-    if not np.isfinite([estimate.value, estimate.stderr]).all():
-        raise OverflowError(f"value at wealth {wealth_start:g} exceeds the float range")
-    return estimate
+    return _finite(MCEstimate(scale * factor.value, abs(scale) * factor.stderr, factor.n_paths),
+                   f"value at wealth {wealth_start:g} exceeds the float range")
 
 
 def _check_start(**starts: float) -> None:
@@ -205,21 +195,37 @@ def _check_start(**starts: float) -> None:
         raise InvalidInput(problems)
 
 
-def _first_jump_split(generator: GeneratorMatrix, regime: int, t_start, t_end) -> tuple[float, float]:
+def _first_jump_split(generator: GeneratorMatrix, regime: int, t_start, horizon) -> tuple[float, float]:
     """``(stay, leave)``: the chances that the chain, in ``regime`` at
-    ``t_start``, stays there through ``t_end`` and that it leaves before.
-    Raises :class:`ValueError` for a regime out of range or an empty span,
-    before anything is looked up by the regime."""
-    _check_path_span(generator, regime, t_start, t_end)
-    exits = generator.exit_rates()[regime] * (t_end - t_start)
+    ``t_start``, stays there through ``horizon`` and that it leaves before.
+    Raises :class:`ValueError` for a start time outside ``[0, horizon)`` or a
+    regime out of range, before anything is looked up by the regime."""
+    if not 0.0 <= t_start < horizon:
+        raise ValueError(f"t_start must lie in [0, horizon), got {t_start}")
+    _check_path_span(generator, regime, t_start, horizon)
+    exits = generator.exit_rates()[regime] * (horizon - t_start)
     return float(np.exp(-exits)), float(-np.expm1(-exits))
 
 
-def _mix_branches(stay: float, stay_value, leave: float, jump_values: NDArray[np.float64]):
-    """``stay * stay_value + leave * jump_values`` per path, where a branch of
-    weight 0 adds 0 even if its value is not finite."""
-    stayed = stay * stay_value if stay else 0.0
-    return stayed + (leave * jump_values if leave else np.zeros_like(jump_values))
+def _first_jump_estimates(market, regime, t_start, n_paths, rng, path_values, overflow) -> list[MCEstimate]:
+    """One estimate per row of ``path_values(counts, starts, ends, states)``, the
+    ``(rows, paths)`` values of a chunk's paths laid out as :func:`_simulate_chains`
+    yields them, conditioned on the first jump.  With ``stay = exp(-exit_rate *
+    (horizon - t_start))`` each path contributes ``stay`` times ``path_values`` on the
+    one segment ``[t_start, horizon]`` in ``regime`` plus ``1 - stay`` times its own,
+    its first jump conditioned to land before the horizon; a branch of weight 0 adds 0
+    even where its value is not finite.  Raises :class:`OverflowError` with
+    ``overflow[row]`` for the first row past the float range, and warns of nothing."""
+    horizon = market.horizon
+    stay, leave = _first_jump_split(market.generator, regime, t_start, horizon)
+    chunks = _simulate_chains(market.generator, regime, t_start, horizon, n_paths, rng, first_jump_by_end=True)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves inf or NaN, which raises below
+        stayed = path_values(np.array([1]), np.array([t_start]), np.array([horizon]), np.array([regime]))
+        values = np.empty((len(stayed), n_paths))
+        for first, counts, starts, ends, states, _ in chunks:
+            values[:, first : first + len(counts)] = path_values(counts, starts, ends, states)
+        mixed = (stay * stayed if stay else 0.0) + (leave * values if leave else np.zeros_like(values))
+        return [_finite(_estimate(row), message) for row, message in zip(mixed, overflow)]
 
 
 def _block_head(mean_jumps: float) -> int:
@@ -324,9 +330,11 @@ def _simulate_chains(
             lo = hi
 
 
-def _check_horizon(market: MarketModel, t_start: float) -> None:
-    if not 0.0 <= t_start < market.horizon:
-        raise ValueError(f"t_start must lie in [0, horizon), got {t_start}")
+def _finite(estimate: MCEstimate, message: str) -> MCEstimate:
+    """``estimate``, or :class:`OverflowError` with ``message`` if it left the float range."""
+    if not np.isfinite([estimate.value, estimate.stderr]).all():
+        raise OverflowError(message)
+    return estimate
 
 
 def _estimate(values: NDArray[np.float64]) -> MCEstimate:

@@ -20,9 +20,7 @@ from numpy.typing import NDArray
 
 from .hjb import IncomeLoading, MarketModel, RegimeFactorTable, solve_income_loading, solve_regime_factors
 from .markov import InvalidInput, RngStream
-from .montecarlo import (
-    MCEstimate, _check_start, _estimate, _first_jump_split, _mix_branches, _simulate_chains,
-)
+from .montecarlo import MCEstimate, _check_start, _first_jump_estimates, _simulate_chains
 
 __all__ = [
     "CaseMismatch",
@@ -141,21 +139,15 @@ def hedge_weight(market: MarketModel, t, regime):
 def optimal_strategy(market: MarketModel, case: str = NORMAL_INCOME) -> Strategy:
     """Optimal feedback position for the requested solution case.
 
-    ``"normal_income"`` covers correlated arithmetic income and returns the
-    myopic plus hedge position; ``"rho0"`` is the uncorrelated special case
-    and requires ``market.correlation == 0``, where the hedge vanishes and
-    only the myopic part remains.
+    Both cases hold the myopic plus hedge position.  ``"normal_income"``
+    covers correlated arithmetic income; ``"rho0"`` is the uncorrelated
+    special case and requires ``market.correlation == 0``, where the hedge
+    is zero and only the myopic part remains.
     """
     _check_case(case, market.correlation)
-    if case == RHO_ZERO:
 
-        def position(t, regime):
-            return merton_weight(market, t, regime)
-
-    else:
-
-        def position(t, regime):
-            return merton_weight(market, t, regime) + hedge_weight(market, t, regime)
+    def position(t, regime):
+        return merton_weight(market, t, regime) + hedge_weight(market, t, regime)
 
     return Strategy(position=position, label=case)
 
@@ -235,7 +227,8 @@ def simulate_wealth(
     layout of :mod:`~regimeweave.montecarlo`, and does not depend on
     ``n_paths``.  No
     draw depends on the strategy, so strategies simulated on the same
-    stream share their scenarios (common random numbers).
+    stream share their scenarios (common random numbers).  Raises
+    :class:`ValueError` for a start time outside ``[0, horizon)``.
     """
     _check_start(wealth_start=wealth_start, income_start=income_start)
     if n_steps < 1:
@@ -319,19 +312,20 @@ def evaluate_policy(
     rule, whose error (about 4e-11 of the value on segments 1.8 long) lies
     far below the statistical one, and no time step enters.
 
-    The estimate is conditioned on the first jump, as
-    :func:`~regimeweave.montecarlo.estimate_regime_factor`'s is: the chain
+    The estimate is conditioned on the first jump by the estimator that
+    :func:`~regimeweave.montecarlo.estimate_regime_factor` uses: the chain
     stays in ``regime`` up to the horizon with probability ``stay =
     exp(-exit_rate * (horizon - t_start))``, and each path contributes
-    ``stay`` times the utility on that one-segment path plus ``1 - stay``
-    times its own, its first jump conditioned to land before the horizon.
-    A start regime that cannot be left scores exactly.  Block ``b`` of
+    ``stay`` times the utility on that one-segment path, from the same
+    segment integrals, plus ``1 - stay`` times its own, its first jump
+    conditioned to land before the horizon.  A start regime that cannot be
+    left scores exactly.  Block ``b`` of
     :data:`~regimeweave.montecarlo.BLOCK` paths draws from key
     ``[rng.seed, rng.stream_id + b]``; running different strategies with
     the same ``rng`` pairs them on identical chain paths.  Raises
     :class:`InvalidInput` for a non-finite start, :class:`ValueError` for a
-    start regime out of range, and :class:`OverflowError` when the expected
-    utility leaves the float range.
+    start time outside ``[0, horizon)`` or a start regime out of range, and
+    :class:`OverflowError` when the expected utility leaves the float range.
     """
     (estimate,) = _evaluate_policies(
         market, [strategy], t_start, wealth_start, income_start, regime, n_paths, rng
@@ -346,7 +340,6 @@ def _evaluate_policies(
     the chain paths; each estimate equals its own call's."""
     _check_start(wealth_start=wealth_start, income_start=income_start)
     r, gamma, horizon = market.rate, market.risk_aversion, market.horizon
-    stay, leave = _first_jump_split(market.generator, regime, t_start, horizon)
     unhedged = (1.0 - market.correlation**2) * market.income_vol**2  # income variance the stock cannot hedge
     scale = gamma * np.exp(r * (horizon - t_start))  # gamma e^{r tau}
     start = wealth_start + income_start * _annuity(r, t_start, t_start, horizon)
@@ -363,26 +356,10 @@ def _evaluate_policies(
         mean, var = np.add.reduceat(terms, np.cumsum(counts) - counts, axis=-1)
         return -np.exp(-scale * (start + mean) + scale**2 * var / 2.0) / gamma
 
-    values = np.empty((len(strategies), n_paths))
-    chunks = _simulate_chains(
-        market.generator, regime, t_start, horizon, n_paths, rng, first_jump_by_end=True
-    )
-    # an overflow leaves inf or NaN in the estimates, which raise below
-    with np.errstate(over="ignore", invalid="ignore"):
-        # the one-segment path that never leaves the start regime
-        stayed = utilities(
-            np.ones(1, dtype=np.int64), np.array([t_start]), np.array([horizon]), np.array([regime])
-        )
-        for first, counts, starts, ends, states, _ in chunks:
-            values[:, first : first + len(counts)] = utilities(counts, starts, ends, states)
-        estimates = [_estimate(row) for row in _mix_branches(stay, stayed, leave, values)]
-    for strategy, est in zip(strategies, estimates):
-        if not np.isfinite([est.value, est.stderr]).all():
-            raise OverflowError(
-                f"expected utility of policy {strategy.label!r} exceeds the float range"
-                f" over horizon {market.horizon}"
-            )
-    return estimates
+    return _first_jump_estimates(market, regime, t_start, n_paths, rng, utilities, [
+        f"expected utility of policy {strategy.label!r} exceeds the float range over horizon {horizon}"
+        for strategy in strategies
+    ])
 
 
 def _segment_integrals(market, strategies, t_start, starts, ends, states):

@@ -603,6 +603,24 @@ class TestSolve:
         assert err == "config error: grid: the value leaves the float range at t = 0, x = -1000, y = -1\n"
         assert not any(out.iterdir())
 
+    @pytest.mark.parametrize("case", ["rho0", "normal_income"])
+    def test_overflowing_factors_are_a_market_error_in_both_cases(self, tmp_path, capsys, case):
+        # income volatility 100 takes every regime factor past the float range, sampled
+        # or by the ODE; the sampled ones used to warn three times, come back inf and be
+        # blamed on the grid
+        document = json.loads(Path(RHO_ZERO_CONFIG).read_text())
+        for regime in document["market"]["regimes"]:
+            regime["delta"] = 100.0
+        document["case"] = case
+        path = dump_config(tmp_path, document)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["solve", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: market: regime factors exceed the float range over horizon 2.0\n"
+        assert not any(out.iterdir())
+
     def test_rerun_is_byte_identical(self, tmp_path):
         first, second = tmp_path / "a", tmp_path / "b"
         main(["solve", "--config", RHO_ZERO_CONFIG, "--out", str(first)])

@@ -651,13 +651,13 @@ def test_policy_values_are_a_prefix_of_more_paths(chain, t_start, layout, monkey
     market = contract_market(chain, correlation=0.3)
     strategies = [optimal_strategy(market), optimal_strategy(market).scaled(0.8)]
     n = 2 * montecarlo.BLOCK - 2
-    seen = []
+    seen, estimate = [], montecarlo._estimate
 
     def recording_estimate(values):
         seen.append(values.copy())
-        return montecarlo._estimate(values)
+        return estimate(values)
 
-    monkeypatch.setattr(portfolio, "_estimate", recording_estimate)
+    monkeypatch.setattr(montecarlo, "_estimate", recording_estimate)
     portfolio._evaluate_policies(market, strategies, t_start, 1.0, 0.3, 0, n, RngStream(64, 3))
     monkeypatch.setattr(montecarlo, "SEGMENTS", 1)
     portfolio._evaluate_policies(market, strategies, t_start, 1.0, 0.3, 0, n + 5, RngStream(64, 3))
@@ -674,13 +674,13 @@ def test_policy_values_sum_each_path_alone(monkeypatch):
     # every path is summed alone
     market = load_config(REPO / "configs" / "copula.json").market
     strategies = [optimal_strategy(market), optimal_strategy(market).scaled(0.5)]
-    seen = []
+    seen, estimate = [], montecarlo._estimate
 
     def recording_estimate(values):
         seen.append(values.copy())
-        return montecarlo._estimate(values)
+        return estimate(values)
 
-    monkeypatch.setattr(portfolio, "_estimate", recording_estimate)
+    monkeypatch.setattr(montecarlo, "_estimate", recording_estimate)
     portfolio._evaluate_policies(market, strategies, 0.0, 1.0, 0.3, 0, 300, RngStream(66))
     monkeypatch.setattr(montecarlo, "SEGMENTS", 1)
     portfolio._evaluate_policies(market, strategies, 0.0, 1.0, 0.3, 0, 300, RngStream(66))
@@ -724,6 +724,56 @@ def test_start_regime_out_of_range_is_a_value_error(regime):
     for call in calls:
         with pytest.raises(ValueError, match=f"initial_state {regime} out of range"):
             call()
+
+
+@pytest.mark.parametrize("t_start", [-1.0, 2.0, 3.0, np.nan])  # the market's horizon is 2
+def test_start_time_out_of_range_is_a_value_error(t_start):
+    # one rule for every chain consumer: policy scoring and wealth paths used to
+    # accept a negative start, and a start at or past the horizon was blamed on t_end
+    market = make_market()
+    strategy = optimal_strategy(market)
+    calls = [
+        lambda: estimate_regime_factor(market, t_start, 0, 4, RngStream(1)),
+        lambda: estimate_value_factor(market, t_start, 0.5, 0, 4, RngStream(1)),
+        lambda: estimate_value_mc(market, t_start, 1.0, 0.5, 0, 4, RngStream(1)),
+        lambda: evaluate_policy(market, strategy, t_start, 1.0, 0.5, 0, 4, RngStream(1)),
+        lambda: simulate_wealth(market, strategy, t_start, 1.0, 0.5, 0, 4, 3, RngStream(1)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=rf"t_start must lie in \[0, horizon\), got {t_start}"):
+            call()
+
+
+def test_float_range_is_an_overflow_error_without_warnings():
+    # an income variance of 10^4 takes every regime factor past the float range, as
+    # the factor ODE finds; the sampled factors used to come back inf with a NaN
+    # stderr after three RuntimeWarnings
+    market = make_market(income_vol=[100.0, 100.0])
+    strategy = optimal_strategy(market)
+    factors = r"^regime factors exceed the float range over horizon 2\.0$"
+    calls = [
+        (lambda: solve_regime_factors(market), factors),
+        (lambda: estimate_regime_factor(market, 0.0, 0, 64, RngStream(1)), factors),
+        (lambda: estimate_value_factor(market, 0.0, 0.5, 0, 64, RngStream(1)), factors),
+        (lambda: estimate_value_mc(market, 0.0, 1.0, 0.5, 0, 64, RngStream(1)), factors),
+        (lambda: evaluate_policy(market, strategy, 0.0, 1.0, 0.5, 0, 64, RngStream(1)),
+         "policy 'normal_income' exceeds the float range over horizon 2.0"),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call, message in calls:
+            with pytest.raises(OverflowError, match=message):
+                call()
+
+
+def test_value_factor_income_scale_past_the_float_range_is_an_overflow_error():
+    # m(0) is about -3.09 here, so exp(m(0) y) overflows at y = -300 on a healthy
+    # market; the estimate used to be inf with an inf stderr
+    market = make_market()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="value factor at income -300 exceeds the float range"):
+            estimate_value_factor(market, 0.0, -300.0, 0, 64, RngStream(1))
 
 
 def test_past_block_chain_crosses_the_block():
