@@ -216,6 +216,8 @@ def _first_jump_estimates(market, regime, t_start, n_paths, rng, path_values, ov
     its first jump conditioned to land before the horizon; a branch of weight 0 adds 0
     even where its value is not finite.  Raises :class:`OverflowError` with
     ``overflow[row]`` for the first row past the float range, and warns of nothing."""
+    if n_paths < 2:
+        raise ValueError("need at least two paths for a standard error")
     horizon = market.horizon
     stay, leave = _first_jump_split(market.generator, regime, t_start, horizon)
     chunks = _simulate_chains(market.generator, regime, t_start, horizon, n_paths, rng, first_jump_by_end=True)
@@ -339,8 +341,6 @@ def _finite(estimate: MCEstimate, message: str) -> MCEstimate:
 
 def _estimate(values: NDArray[np.float64]) -> MCEstimate:
     n = len(values)
-    if n < 2:
-        raise ValueError("need at least two paths for a standard error")
     return MCEstimate(
         value=float(values.mean()),
         stderr=float(values.std(ddof=1) / np.sqrt(n)),

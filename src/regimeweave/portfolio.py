@@ -4,10 +4,10 @@ Positions are money amounts held in the stock, not fractions of wealth:
 with exponential utility the optimal position is wealth-independent and
 splits into a myopic mean-variance part and an income hedge.  Given the
 regime path, discounted wealth plus discounted future income is Gaussian
-with independent increments, and so is income; one set of segment
-integrals gives their moments.  Policies are scored on the terminal
-moments in closed form, and wealth paths are sampled exactly from the
-moments at uniform nodes, so no time step enters either.
+with independent increments, and so is income; one segment-integral rule
+gives their moments.  Policies are scored on the terminal moments in
+closed form, and wealth paths are sampled exactly from each uniform
+step's moments, so no time step enters either.
 """
 
 from __future__ import annotations
@@ -220,12 +220,14 @@ def simulate_wealth(
     as in :func:`evaluate_policy`) are Gaussian with independent
     increments, so each of ``n_steps`` uniform steps draws income from its
     law, then ``Z`` given income, exactly (Glasserman 2004, section 3.3),
-    and wealth is ``X = (Z - K Y) / D``; the only error is the quadrature's.
-    Its chain paths are plain samples, not conditioned on the first jump as
-    :func:`evaluate_policy`'s are, so path ``k`` does not run on chain path
-    ``k`` of :func:`evaluate_policy`.  It reads two normals a step in the
-    layout of :mod:`~regimeweave.montecarlo`, and does not depend on
-    ``n_paths``.  No
+    and wealth is ``X = (Z - K Y) / D``.  A step's moments sum the 3-node
+    rule of :func:`evaluate_policy` over the step's own pieces, cut at the
+    path's jumps (a jump on a node ends the step before it), so the only
+    error is the rule's on each piece.  Its chain paths are plain samples,
+    not conditioned on the first jump as :func:`evaluate_policy`'s are, so
+    path ``k`` does not run on chain path ``k`` of :func:`evaluate_policy`.
+    It reads two normals a step in the layout of
+    :mod:`~regimeweave.montecarlo`, and does not depend on ``n_paths``.  No
     draw depends on the strategy, so strategies simulated on the same
     stream share their scenarios (common random numbers).  Raises
     :class:`ValueError` for a start time outside ``[0, horizon)``.
@@ -239,23 +241,26 @@ def simulate_wealth(
     discount, annuity = np.exp(-r * (times - t_start)), _annuity(r, times, t_start, horizon)
     drift, variance = market.income_drift, market.income_vol**2
     paths = []
-    for _, counts, starts, ends, states, normals in _simulate_chains(
+    for _, counts, starts, _, states, normals in _simulate_chains(
         market.generator, regime, t_start, horizon, n_paths, rng, n_steps
     ):
-        n_rows, n_segments, offsets = len(counts), len(starts), np.cumsum(counts) - counts
-        row, jump = np.repeat(np.arange(n_rows), counts), np.delete(np.arange(n_segments), offsets)
-        # a node lies in its path's segment after every jump at or before it
-        passed = np.zeros((n_rows, n_steps + 1), dtype=np.int64)
-        np.add.at(passed, (row[jump], np.searchsorted(times, starts[jump])), 1)
-        passed = passed.cumsum(axis=1)  # a path's jumps at or before each node
-        held = offsets[:, None] + passed
-        # the whole segments, then each node's segment from its start up to the node
-        lo, hi = np.append(starts, starts[held]), np.append(ends, np.broadcast_to(times, held.shape))
-        k, span = np.append(states, states[held]), hi - lo
+        # a row's pieces: one from each node, the horizon's empty, and one from each jump
+        n_rows, sizes = len(counts), counts + n_steps
+        jump = np.delete(np.arange(len(starts)), np.cumsum(counts) - counts)  # the segments jumps open
+        # the jump opening segment s of row r follows s - r - 1 jumps, the (n_steps + 1) r nodes of
+        # earlier rows and the nodes of its row before it, so a jump on a node comes before the node
+        at_jump = jump - 1 + n_steps * np.repeat(np.arange(n_rows), counts - 1)
+        at_jump += np.searchsorted(times, starts[jump])
+        is_jump = np.bincount(at_jump, minlength=sizes.sum()).astype(bool)
+        at_node = np.flatnonzero(~is_jump)
+        lo = np.empty(len(is_jump))
+        lo[at_jump], lo[at_node] = starts[jump], np.tile(times, n_rows)
+        hi = np.maximum(np.append(lo[1:], horizon), lo)  # the row's next piece's start; the horizon's is empty
+        k, span = states[np.repeat(np.arange(n_rows), sizes) + np.cumsum(is_jump)], hi - lo
         annuity_int, square_int, ((position_int, risk_int),) = _segment_integrals(
             market, [strategy], t_start, lo, hi, k
         )
-        # mean of Z and of Y, variance of Z and of Y, and their covariance
+        # mean of Z and of Y, variance of Z and of Y, and their covariance, summed over each step's pieces
         moments = np.stack([
             market.excess_return()[k] * position_int + drift[k] * annuity_int,
             drift[k] * span,
@@ -263,22 +268,17 @@ def simulate_wealth(
             variance[k] * span,
             rho * (market.income_vol * market.stock_vol)[k] * position_int + variance[k] * annuity_int,
         ])
-        # running sums of each path's whole segments: column i sums those before its segment i
-        before = np.zeros((len(moments), n_rows, counts.max() + 1))
-        before[:, row, np.arange(n_segments) - offsets[row] + 1] = moments[:, :n_segments]
-        at_nodes = np.cumsum(before, axis=-1)[:, np.arange(n_rows)[:, None], passed]
-        at_nodes += moments[:, n_segments:].reshape(-1, n_rows, n_steps + 1)
-        var_z, var_y, cov = np.diff(at_nodes[2:], axis=-1)
+        steps = np.add.reduceat(moments, at_node, axis=-1).reshape(len(moments), n_rows, n_steps + 1)
+        mean_z, mean_y, var_z, var_y, cov = steps[..., :-1]  # the horizon's empty piece dropped
         # each step draws income, then Z given income
         root_y = np.sqrt(var_y)
         beta = np.divide(cov, root_y, out=np.zeros_like(cov), where=root_y > 0.0)
         shock_z = beta * normals[:, 1] + np.sqrt(np.maximum(var_z - beta**2, 0.0)) * normals[:, 0]
-        z, income = wealth_start + income_start * annuity[0] + at_nodes[0], income_start + at_nodes[1]
-        z[:, 1:] += np.cumsum(shock_z, axis=1)
-        income[:, 1:] += np.cumsum(root_y * normals[:, 1], axis=1)
+        z = np.cumsum(np.insert(mean_z + shock_z, 0, wealth_start + income_start * annuity[0], axis=1), axis=1)
+        income = np.cumsum(np.insert(mean_y + root_y * normals[:, 1], 0, income_start, axis=1), axis=1)
         wealth = (z - income * annuity) / discount
-        wealth[:, 0], income[:, 0] = wealth_start, income_start
-        regimes = states[held]
+        wealth[:, 0] = wealth_start
+        regimes = k[at_node].reshape(n_rows, n_steps + 1)
         positions = np.array(np.broadcast_to(strategy(times[:-1], regimes[:, :-1]), var_y.shape), dtype=float)
         paths += [WealthPath(times, *rows) for rows in zip(wealth, income, regimes, positions)]
     return paths

@@ -423,28 +423,20 @@ def oracle_moments(market, strategy, t_start, starts, ends, states):
 
 
 def loop_income_path(market, t_start, income_start, path, normals):
-    """Income at the uniform nodes of one chain path given its normals: the
-    closed-form moments at each node, the path's whole segments before the
-    node summed in order plus its segment up to the node, and a step's
-    normal scaled by the root of the variance it adds."""
-    times = np.linspace(t_start, market.horizon, normals.shape[1] + 1).tolist()
-    starts, ends, states = (part.tolist() for part in path.segments())
-
-    def at_node(coefficients, u):
-        total = 0.0
-        for s, (a, b, k) in enumerate(zip(starts, ends, states)):
-            if s + 1 < len(starts) and b <= u:
-                total += coefficients[k] * (b - a)
-            else:
-                return total + coefficients[k] * (u - a)
-
-    drift = market.income_drift.tolist()
-    variance = [delta * delta for delta in market.income_vol.tolist()]
-    income, noise = [income_start], 0.0
+    """Income at the uniform nodes of one chain path given its normals: each
+    step adds the closed-form drift and variance of its pieces between jumps,
+    summed in ``np.add.reduceat``'s order (the first piece plus the sum of the
+    rest), and its normal scaled by the root of that variance."""
+    times = np.linspace(t_start, market.horizon, normals.shape[1] + 1)
+    starts, ends, states = path.segments()
+    drift, variance = market.income_drift[states], market.income_vol[states] ** 2
+    income = [income_start]
     for j in range(1, len(times)):
-        step_var = at_node(variance, times[j]) - at_node(variance, times[j - 1])
-        noise += math.sqrt(step_var) * float(normals[1, j - 1])
-        income.append(income_start + at_node(drift, times[j]) + noise)
+        lo, hi = np.maximum(starts, times[j - 1]), np.minimum(ends, times[j])
+        inside = lo < hi
+        span = (hi - lo)[inside]
+        mean, var = (pieces[0] + pieces[1:].sum() for pieces in (drift[inside] * span, variance[inside] * span))
+        income.append(income[-1] + (mean + math.sqrt(var) * float(normals[1, j - 1])))
     return np.array(income)
 
 
@@ -569,13 +561,47 @@ class TestStreamContract:
                 assert np.array_equal(row.regimes, regimes)
                 assert np.array_equal(row.positions, strategy(times[:-1], regimes[:-1]))
                 assert np.array_equal(row.income, loop_income_path(market, 0.2, 0.5, path, normals))
-                # the engine's 3-node rule leaves up to 4e-11 on a variance
-                # integral over a segment 1.8 long, and a step's variance is the
-                # difference of two such, so a step whose variance given income
-                # is small moves wealth by up to 1e-8 here; a step read with
-                # another normal moves it by orders of magnitude more
                 wealth = loop_wealth_path(market, strategy, 0.2, 1.0, 0.5, path, normals)
-                assert_allclose(row.wealth, wealth, rtol=0, atol=5e-8)
+                assert_allclose(row.wealth, wealth, rtol=0, atol=1e-12)
+
+
+def test_wealth_steps_on_a_jump_at_a_node_and_many_jumps_a_step(monkeypatch):
+    # path 0 jumps exactly at node 2, which leaves an empty piece ending step 1,
+    # and twice inside step 4; path 1 jumps once inside step 1
+    market = contract_market("slow", correlation=0.3)
+    strategy = optimal_strategy(market).scaled(0.8)
+    times = np.linspace(0.2, market.horizon, 7)
+    inside = times[4] + np.array([0.1, 0.6]) * (times[5] - times[4])
+    paths = [
+        RegimePath(0.2, market.horizon, np.array([0.2, times[2], *inside]), np.array([0, 1, 0, 1]), 2),
+        RegimePath(0.2, market.horizon, np.array([0.2, (times[1] + times[2]) / 2.0]), np.array([0, 1]), 2),
+    ]
+    normals = np.random.default_rng(3).standard_normal((2, 2, 6))
+    segments = [np.concatenate(part) for part in zip(*(path.segments() for path in paths))]
+    chunk = (0, np.array([4, 2]), *segments, normals)
+    monkeypatch.setattr(portfolio, "_simulate_chains", lambda *args: iter([chunk]))
+    pieces = []
+
+    def recording_integrals(market, strategies, t_start, starts, ends, states):
+        integrals = segment_integrals(market, strategies, t_start, starts, ends, states)
+        pieces.append((starts, ends, integrals))
+        return integrals
+
+    segment_integrals = portfolio._segment_integrals
+    monkeypatch.setattr(portfolio, "_segment_integrals", recording_integrals)
+    got = simulate_wealth(market, strategy, 0.2, 1.0, 0.5, 0, 2, 6, RngStream(1))
+    # the regime at node 2 is the one after the jump there
+    assert np.array_equal(got[0].regimes, [0, 0, 1, 1, 1, 1, 1])
+    assert np.array_equal(got[1].regimes, [0, 0, 1, 1, 1, 1, 1])
+    # the empty piece before node 2 integrates to exactly zero, and so adds nothing to step 1
+    ((starts, ends, (annuity_int, square_int, per_strategy)),) = pieces
+    empty = np.flatnonzero((starts == times[2]) & (ends == times[2]))
+    assert len(empty) == 1
+    assert not annuity_int[empty].any() and not square_int[empty].any() and not per_strategy[..., empty].any()
+    for row, path, row_normals in zip(got, paths, normals):
+        assert np.array_equal(row.income, loop_income_path(market, 0.2, 0.5, path, row_normals))
+        wealth = loop_wealth_path(market, strategy, 0.2, 1.0, 0.5, path, row_normals)
+        assert_allclose(row.wealth, wealth, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("chain", ["slow", "absorbing"])
@@ -741,6 +767,24 @@ def test_start_time_out_of_range_is_a_value_error(t_start):
     ]
     for call in calls:
         with pytest.raises(ValueError, match=rf"t_start must lie in \[0, horizon\), got {t_start}"):
+            call()
+
+
+@pytest.mark.parametrize("n_paths", [-1, 0, 1])
+def test_too_few_paths_is_a_value_error_before_any_chain(n_paths, monkeypatch):
+    # -1 used to raise numpy's "negative dimensions", and 1 simulated a whole
+    # block before the standard error rejected it
+    def no_chains(*args, **kwargs):
+        raise AssertionError("chains simulated for a path count that cannot give an estimate")
+
+    monkeypatch.setattr(montecarlo, "_simulate_chains", no_chains)
+    market = make_market()
+    calls = [
+        lambda: estimate_regime_factor(market, 0.0, 0, n_paths, RngStream(1)),
+        lambda: evaluate_policy(market, optimal_strategy(market), 0.0, 1.0, 0.5, 0, n_paths, RngStream(1)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="^need at least two paths for a standard error$"):
             call()
 
 
