@@ -657,7 +657,8 @@ def cmd_evaluate(
     rows, scored = [], {}
     for (name, _), est in zip(policies, estimates):
         rows.append([name, est.value, est.stderr, est.n_paths, predicted, est.value - predicted])
-        scored[name] = {"estimate": est.value, "stderr": est.stderr}
+        scored[name] = {"estimate": est.value, "stderr": est.stderr,
+                        "control_mean_gap": est.mean_gap, "control_mean_panels": est.mean_panels}
     out.table("evaluation", "expected terminal utility, dimensionless", "MC±stderr",
               ["policy", "estimate", "stderr", "n_paths", "predicted_value", "gap"], list(zip(*rows)))
     return out.report(

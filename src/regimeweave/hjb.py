@@ -192,31 +192,29 @@ class IncomeLoading:
 
 def _int_expm1(r: float, delta):
     """``integral of (exp(r w) - 1) dw`` from 0 to delta, cancellation-safe."""
-    z = r * delta
-    series = (
-        r
-        * delta**2
-        * (1.0 / 2.0 + z * (1.0 / 6.0 + z * (1.0 / 24.0 + z * (1.0 / 120.0 + z / 720.0))))
-    )
-    direct = (np.expm1(z) - z) / np.where(r == 0.0, 1.0, r)
-    return np.where(np.abs(z) < SMALL_EXPONENT, series, direct)
+    return _by_size(r, delta, lambda z, d: r * d**2 * (
+        1.0 / 2.0 + z * (1.0 / 6.0 + z * (1.0 / 24.0 + z * (1.0 / 120.0 + z / 720.0)))
+    ), lambda z, d: (np.expm1(z) - z) / r)
 
 
 def _int_expm1_sq(r: float, delta):
     """``integral of (exp(r w) - 1)**2 dw`` from 0 to delta, cancellation-safe."""
+    return _by_size(r, delta, lambda z, d: r**2 * d**3 * (
+        1.0 / 3.0 + z * (1.0 / 4.0 + z * (7.0 / 60.0 + z * (1.0 / 24.0 + z * (31.0 / 2520.0 + z / 320.0))))
+    ), lambda z, d: np.expm1(2.0 * z) / (2.0 * r) - 2.0 * np.expm1(z) / r + d)
+
+
+def _by_size(r: float, delta, series, direct):
+    """``series(z, delta)`` where ``z = r delta`` is below :data:`SMALL_EXPONENT`
+    in size, ``direct(z, delta)`` elsewhere (never at ``r = 0``), each computed
+    only where it is used."""
+    delta = np.asarray(delta, dtype=float)
     z = r * delta
-    series = (
-        r**2
-        * delta**3
-        * (
-            1.0 / 3.0
-            + z
-            * (1.0 / 4.0 + z * (7.0 / 60.0 + z * (1.0 / 24.0 + z * (31.0 / 2520.0 + z / 320.0))))
-        )
-    )
-    safe_r = np.where(r == 0.0, 1.0, r)
-    direct = np.expm1(2.0 * z) / (2.0 * safe_r) - 2.0 * np.expm1(z) / safe_r + delta
-    return np.where(np.abs(z) < SMALL_EXPONENT, series, direct)
+    small = np.abs(z) < SMALL_EXPONENT
+    out = np.empty_like(z)
+    out[small] = series(z[small], delta[small])
+    out[~small] = direct(z[~small], delta[~small])
+    return out
 
 
 def solve_income_loading(market: MarketModel) -> IncomeLoading:
@@ -393,6 +391,8 @@ def _hermite_coefficients(
 GAUSS_NODES = 0.5 + np.array([-1.0, 1.0]) * np.sqrt(3.0) / 6.0
 # steps whose exponentials are multiplied together in one batch
 CHAIN_BLOCK = 32
+# highest Taylor degree of a scaled matrix exponential
+TAYLOR_DEGREE = 18
 
 
 def _magnus_grid(market: MarketModel, n_steps: int) -> NDArray[np.float64]:
@@ -438,15 +438,22 @@ def _expm_stack(a: NDArray[np.float64]) -> NDArray[np.float64]:
     """Matrix exponentials of a stack ``(..., n, n)`` by scaling and squaring.
 
     One common exponent ``s`` brings every ``a / 2**s`` to a 1-norm of at
-    most 1/2, where the degree-18 Taylor polynomial is exact to rounding;
-    ``s`` squarings then undo the scaling.
+    most ``theta <= 1/2``.  The Taylor polynomial then stops at the smallest
+    degree ``m`` whose first omitted term bound ``theta**(m+1) / (m+1)!`` is at
+    most ``2**-53`` (at most :data:`TAYLOR_DEGREE`), exact to rounding; ``s``
+    squarings then undo the scaling.
     """
     norm = float(np.abs(a).sum(axis=-2).max(initial=0.0))
     squarings = int(np.ceil(np.log2(2.0 * norm))) if norm > 0.5 else 0
+    theta = norm / 2.0**squarings
+    degree, bound = 1, theta
+    while degree < TAYLOR_DEGREE and bound * theta / (degree + 1) > 2.0**-53:  # bound = theta^d / d!
+        degree += 1
+        bound *= theta / degree
     scaled = a / 2.0**squarings
     eye = np.eye(a.shape[-1])
-    out = eye + scaled / 18.0
-    for k in range(17, 0, -1):  # Horner: I + X/k (I + X/(k+1) (...))
+    out = eye + scaled / degree
+    for k in range(degree - 1, 0, -1):  # Horner: I + X/k (I + X/(k+1) (...))
         out = eye + (scaled @ out) / k
     for _ in range(squarings):
         out = out @ out

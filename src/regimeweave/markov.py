@@ -218,16 +218,25 @@ def embedded_chain(generator: GeneratorMatrix) -> TransitionMatrix:
 def stationary_distribution(generator: GeneratorMatrix) -> NDArray[np.float64]:
     """Unique probability vector ``pi`` with ``pi @ Q = 0``.
 
-    Raises :class:`Reducible` when the left null space of the rate matrix is
-    not one-dimensional or the solution is not strictly positive.
+    Grassmann-Taksar-Heyman elimination (*Oper. Res.* 33(5), 1985): states
+    are censored out from the last, each by the rates of the chain left,
+    with no subtraction, so every entry is accurate relative to itself
+    (O'Cinneide, *Numer. Math.* 65, 1993), along a slow direction as well.
+    Raises :class:`Reducible` when a state cannot reach the states before it
+    in the censored chain (a zero pivot sum), when the law is not strictly
+    positive, or when its residual is not small against the rates.
     """
     q = generator.rates
-    _, s, vt = np.linalg.svd(q.T)
-    rank = int(np.sum(s > s.max(initial=0.0) * max(q.shape) * np.finfo(float).eps))
-    ns = vt[rank:].T  # orthonormal basis of the left null space of q
-    if ns.shape[1] != 1:
-        raise Reducible(f"left null space has dimension {ns.shape[1]}, expected 1")
-    pi = ns[:, 0]
+    a = q.copy()
+    for k in range(generator.n_states - 1, 0, -1):
+        pivot = a[k, :k].sum()
+        if pivot == 0.0:
+            raise Reducible(f"state {k} cannot reach states 0-{k - 1} of the chain censored to them")
+        a[:k, k] /= pivot
+        a[:k, :k] += np.outer(a[:k, k], a[k, :k])
+    pi = np.ones(generator.n_states)
+    for k in range(1, generator.n_states):
+        pi[k] = pi[:k] @ a[:k, k]
     pi = pi / pi.sum()
     if np.any(pi <= 0):
         raise Reducible("stationary solution is not strictly positive")

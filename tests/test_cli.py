@@ -763,7 +763,10 @@ class TestEvaluate:
             est = evaluate_policy(
                 market, strategy, 0.0, 0.7, 0.1, 2, 300, RngStream(config.seed, 0)
             )
-            assert report.results["policies"][name] == {"estimate": est.value, "stderr": est.stderr}
+            assert report.results["policies"][name] == {
+                "estimate": est.value, "stderr": est.stderr,
+                "control_mean_gap": est.mean_gap, "control_mean_panels": est.mean_panels,
+            }
 
 
 class TestValidate:

@@ -18,6 +18,8 @@ from regimeweave.hjb import (
     MarketModel,
     StepTooCoarse,
     _expm_stack,
+    _int_expm1,
+    _int_expm1_sq,
     _magnus_grid,
     _partials,
     growth_coefficients,
@@ -240,6 +242,17 @@ class TestIncomeLoading:
             assert integral[k] == m.integral(a[k], b[k])
             assert square[k] == m.square_integral(a[k], b[k])
 
+    @pytest.mark.parametrize("rate", [-0.7, -0.05, 0.0, 0.05, 2.5])
+    def test_one_branch_forms_equal_the_two_branch_forms(self, rate):
+        # each form is computed only where it is used; the values are those of
+        # computing both everywhere and picking one, bit for bit, on either
+        # side of the threshold and at it
+        threshold = SMALL_EXPONENT / abs(rate) if rate else 1.0
+        delta = np.concatenate([threshold * (1.0 + np.linspace(-1e-3, 1e-3, 2001)), [threshold, 0.0, 1e-12, 40.0]])
+        for got, expected in ((_int_expm1, two_branch_int_expm1), (_int_expm1_sq, two_branch_int_expm1_sq)):
+            assert np.array_equal(got(rate, delta), expected(rate, delta))
+            assert got(rate, np.float64(threshold)) == expected(rate, np.float64(threshold))
+
     def test_reversed_segment_rejected(self):
         m = IncomeLoading(risk_aversion=1.5, rate=0.05, horizon=2.0)
         with pytest.raises(ValueError):
@@ -455,7 +468,44 @@ class TestHermiteTable:
         assert_allclose(table.value(t), ((c[3] * w + c[2]) * w + c[1]) * w + c[0], rtol=1e-14)
 
 
+def two_branch_int_expm1(r, delta):
+    """The integral of ``expm1(r w)``, both the series and the direct form
+    computed everywhere, one picked by the size of ``r delta``."""
+    z = r * delta
+    series = r * delta**2 * (1.0 / 2.0 + z * (1.0 / 6.0 + z * (1.0 / 24.0 + z * (1.0 / 120.0 + z / 720.0))))
+    direct = (np.expm1(z) - z) / np.where(r == 0.0, 1.0, r)
+    return np.where(np.abs(z) < SMALL_EXPONENT, series, direct)
+
+
+def two_branch_int_expm1_sq(r, delta):
+    """The integral of ``expm1(r w)**2``, as :func:`two_branch_int_expm1`."""
+    z = r * delta
+    series = r**2 * delta**3 * (
+        1.0 / 3.0 + z * (1.0 / 4.0 + z * (7.0 / 60.0 + z * (1.0 / 24.0 + z * (31.0 / 2520.0 + z / 320.0))))
+    )
+    safe_r = np.where(r == 0.0, 1.0, r)
+    direct = np.expm1(2.0 * z) / (2.0 * safe_r) - 2.0 * np.expm1(z) / safe_r + delta
+    return np.where(np.abs(z) < SMALL_EXPONENT, series, direct)
+
+
 class TestExpmStack:
+    @pytest.mark.parametrize("norm", 10.0 ** np.arange(-4.0, 3.5, 0.5))
+    def test_matches_scipy_at_each_norm(self, norm):
+        # one stack per 1-norm, so each runs the Taylor degree its norm picks; half
+        # are generators, half general matrices up to norm 1 (past it, a general
+        # matrix's exponential loses digits to its conditioning, in scipy as here)
+        rng = np.random.default_rng(int(100 * np.log10(norm)) + 1000)
+        stack = rng.standard_normal((40, 4, 4))
+        generators = slice(None) if norm > 1.0 else slice(20)
+        stack[generators] = np.abs(stack[generators])  # nonnegative off the diagonal, zero row sums
+        diag = np.arange(4)
+        stack[generators, diag, diag] = 0.0
+        stack[generators, diag, diag] = -stack[generators].sum(axis=2)
+        stack *= norm / np.abs(stack).sum(axis=-2).max()
+        for a, e in zip(stack, _expm_stack(stack)):
+            ref = expm(a)
+            assert np.abs(e - ref).sum(axis=0).max() <= 1e-12 * np.abs(ref).sum(axis=0).max()
+
     @pytest.mark.parametrize("n", [1, 2, 4, 7])
     def test_matches_scipy_on_generator_stacks(self, n):
         # one stack mixes 1-norms from 1e-6 to 1e3, so its small members are

@@ -122,6 +122,23 @@ class TestStationaryDistribution:
             fast = stationary_distribution(validate_generator(np.array(rates) * scale))
             assert_allclose(fast, slow, rtol=1e-10)
 
+    @pytest.mark.parametrize("fast, coupling", [(1e6, 1e-7), (1e3, 1e-9), (1.0, 1e-12), (1.0, 1.0)])
+    def test_nearly_decoupled_fast_pairs_keep_their_uniform_law(self, fast, coupling):
+        # two fast pairs joined by a slow rate: the rate matrix is symmetric, so the
+        # law is exactly uniform however slow the coupling; a residual relative to the
+        # fast rates cannot see an error along the slow direction, so check every entry
+        pair = np.array([[-fast, fast], [fast, -fast]])
+        rates = np.kron(np.eye(2), pair) + coupling * (np.fliplr(np.eye(4)) - np.eye(4))
+        pi = stationary_distribution(validate_generator(rates))
+        assert np.abs(pi - 0.25).max() <= 4 * np.finfo(float).eps
+
+    def test_transient_state_rejected(self):
+        # a unique law exists, but it leaves state 0 empty: not strictly positive
+        for rates in ([[-1.0, 1.0, 0.0], [0.0, -2.0, 2.0], [0.0, 3.0, -3.0]],
+                      [[-2.0, 2.0, 0.0], [3.0, -3.0, 0.0], [1.0, 0.0, -1.0]]):
+            with pytest.raises(Reducible):
+                stationary_distribution(validate_generator(rates))
+
     def test_fast_reducible_still_rejected(self):
         block = np.kron(np.eye(2), [[-1.0, 1.0], [1.0, -1.0]]) * 1e6
         with pytest.raises(Reducible):

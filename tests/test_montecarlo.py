@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.integrate import quad_vec
+from scipy.integrate import quad_vec, solve_ivp
 
 from regimeweave import montecarlo, portfolio
 from regimeweave.cli import load_config
@@ -365,35 +365,80 @@ def loop_regime_factor(market, path):
     return stay * closed_form_factor(market, path.t_start, 0.0, regime) + leave * jumping
 
 
-def loop_policy_utility(market, strategy, t_start, wealth_start, income_start, path):
-    """Conditional expected utility of a strategy on one chain path, its
-    segment integrals by adaptive Gauss-Kronrod quadrature, all segments of
-    the path in one vector-valued ``quad_vec`` call."""
+def oracle_rates(market, strategy, t_start, u, states):
+    """The integrands of a path's terminal wealth mean and variance at times
+    ``u`` in ``states`` (broadcast), from the wealth dynamics as written."""
     r, horizon, rho = market.rate, market.horizon, market.correlation
-    starts, ends, states = path.segments()
-    span = ends - starts
     excess, vol = market.excess_return()[states], market.stock_vol[states]
     drift, income_vol = market.income_drift[states], market.income_vol[states]
+    discount = np.exp(-r * (u - t_start))
+    annuity = (discount - np.exp(-r * (horizon - t_start))) / r  # integral of the discount from u on
+    position = strategy(u, states)
+    mean = discount * position * excess + annuity * drift
+    var = (discount * position * vol + annuity * income_vol * rho) ** 2 + (annuity * income_vol) ** 2 * (1 - rho**2)
+    return mean, var
 
-    def discount(u):
-        return np.exp(-r * (u - t_start))
 
-    def annuity(u):  # integral of the discount from u to the horizon
-        return (discount(u) - discount(horizon)) / r
+def loop_policy_exponent(market, strategy, t_start, wealth_start, income_start, path):
+    """Exponent ``a`` of the conditional expected utility ``-exp(a) / gamma``
+    of a strategy on one chain path, its segment integrals by adaptive
+    Gauss-Kronrod quadrature, all segments of the path in one vector-valued
+    ``quad_vec`` call."""
+    r, horizon = market.rate, market.horizon
+    starts, ends, states = path.segments()
+    span = ends - starts
 
     def integrands(s):
-        u = starts + s * span
-        position = strategy(u, states)
-        d, k = discount(u), annuity(u)
-        mean = d * position * excess + k * drift
-        var = (d * position * vol + k * income_vol * rho) ** 2 + (k * income_vol) ** 2 * (1 - rho**2)
+        mean, var = oracle_rates(market, strategy, t_start, starts + s * span, states)
         return np.concatenate([mean * span, var * span])
 
     integrals, _ = quad_vec(integrands, 0.0, 1.0, epsabs=0.0, epsrel=1e-14, norm="max")
-    mean = wealth_start + income_start * annuity(t_start) + integrals[: len(span)].sum()
+    annuity = -np.expm1(-r * (horizon - t_start)) / r
+    mean = wealth_start + income_start * annuity + integrals[: len(span)].sum()
     var = integrals[len(span) :].sum()
     scale = market.risk_aversion * np.exp(r * (horizon - t_start))
-    return float(-np.exp(-scale * mean + scale**2 * var / 2.0) / market.risk_aversion)
+    return float(-scale * mean + scale**2 * var / 2.0)
+
+
+def ode_exponent_mean(market, strategy, t_start, wealth_start, income_start):
+    """``E[a]`` from each start regime: ``mu' = -(c + Q mu)``, ``mu(horizon) =
+    0``, for the exponent's rate ``c`` in every regime, by scipy's Radau, less
+    the start's ``gamma e^{r tau} (x + y K(t))``."""
+    r, horizon = market.rate, market.horizon
+    scale = market.risk_aversion * np.exp(r * (horizon - t_start))
+    q, regimes = market.generator.rates, np.arange(market.n_regimes)
+
+    def slope(t, mu):
+        mean, var = oracle_rates(market, strategy, t_start, t, regimes)
+        return -(scale**2 * var / 2.0 - scale * mean + q @ mu)
+
+    solved = solve_ivp(slope, (horizon, t_start), np.zeros(len(regimes)), method="Radau",
+                       rtol=1e-13, atol=1e-15, jac=lambda t, mu: -q)
+    assert solved.success
+    annuity = -np.expm1(-r * (horizon - t_start)) / r
+    return solved.y[:, -1] - scale * (wealth_start + income_start * annuity)
+
+
+def loop_policy_estimate(market, strategy, t_start, wealth_start, income_start, regime, paths):
+    """The controlled policy estimate from loop oracles: each path's utility
+    ``u`` less ``beta (a - E[a])``, ``beta`` the utility's slope at the
+    sampled branch's mean exponent, mixed with the branch that stays."""
+    gamma = market.risk_aversion
+    stay_path = RegimePath(t_start, market.horizon, np.array([t_start]), np.array([regime]), market.n_regimes)
+    stayed = loop_policy_exponent(market, strategy, t_start, wealth_start, income_start, stay_path)
+    exits = market.generator.exit_rates()[regime] * (market.horizon - t_start)
+    stay, leave = float(np.exp(-exits)), float(-np.expm1(-exits))
+    mean = ode_exponent_mean(market, strategy, t_start, wealth_start, income_start)[regime]
+    slope = -np.exp((mean - stay * stayed) / leave) / gamma if leave else 0.0
+
+    def controlled(a):
+        return -np.exp(a) / gamma - slope * (a - mean)
+
+    return loop_estimate([
+        stay * controlled(stayed)
+        + leave * controlled(loop_policy_exponent(market, strategy, t_start, wealth_start, income_start, path))
+        for path, _ in paths
+    ])
 
 
 GL8_NODES, GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)  # on [-1, 1]
@@ -529,14 +574,7 @@ class TestStreamContract:
         n = CONTRACT_CHAINS[chain][1]
         for regime in range(market.n_regimes):
             paths = layout_paths(market, regime, 0.2, n, RngStream(63, 9), first_jump_by_end=True)
-            stay_path = RegimePath(0.2, market.horizon, np.array([0.2]), np.array([regime]), market.n_regimes)
-            stayed = loop_policy_utility(market, strategy, 0.2, 1.0, 0.5, stay_path)
-            exits = market.generator.exit_rates()[regime] * (market.horizon - 0.2)
-            stay, leave = float(np.exp(-exits)), float(-np.expm1(-exits))
-            expected = loop_estimate([
-                stay * stayed + leave * loop_policy_utility(market, strategy, 0.2, 1.0, 0.5, path)
-                for path, _ in paths
-            ])
+            expected = loop_policy_estimate(market, strategy, 0.2, 1.0, 0.5, regime, paths)
             got = evaluate_policy(market, strategy, 0.2, 1.0, 0.5, regime, n, RngStream(63, 9))
             # three Gauss-Legendre nodes a segment leave up to 4.2e-11 of the
             # value here, on segments up to 1.8 long; one path off the layout
@@ -734,6 +772,57 @@ def test_first_jump_conditioning_cuts_the_policy_variance():
     plain = loop_estimate(values)
     assert conditioned.stderr <= 0.7 * plain.stderr
     assert abs(conditioned.value - plain.value) <= 4.0 * np.hypot(conditioned.stderr, plain.stderr)
+
+
+@pytest.mark.parametrize("config", ["reference", "copula"])
+def test_control_mean_matches_radau(config):
+    # the control's mean from the chain's law at quadrature nodes, against the
+    # backward ODE mu' = -(c + Q mu), mu(horizon) = 0, for every start regime
+    market = load_config(REPO / "configs" / f"{config}.json").market
+    strategies = [optimal_strategy(market), optimal_strategy(market).scaled(0.5),
+                  portfolio.Strategy(position=lambda t, regime: 0.7, label="constant")]
+    expected = np.array([ode_exponent_mean(market, strategy, 0.3, 0.0, 0.0) for strategy in strategies])
+    for regime in range(market.n_regimes):
+        mean, gap, panels = portfolio._exponent_mean(market, strategies, 0.3, regime)
+        assert np.all(np.abs(mean - expected[:, regime]) <= 1e-11 * np.maximum(1.0, np.abs(mean)))
+        assert np.all(gap <= portfolio.MEAN_TOL * np.maximum(1.0, np.abs(mean)))
+        assert np.all(panels >= 2 * portfolio.MIN_PANELS)
+        for k, strategy in enumerate(strategies):  # each strategy's entry is its own call's
+            assert portfolio._exponent_mean(market, [strategy], 0.3, regime) == (mean[k], gap[k], panels[k])
+
+
+def test_policy_scores_are_centred_on_the_value_with_calibrated_stderr():
+    # the controlled estimate against the factor ODE's value at 100 seeds: its
+    # z-scores have mean 0 and spread 1 to within four of their own standard
+    # errors (over 1000 seeds, a 40-seed window's spread ranged 0.77 to 1.40)
+    config = load_config(REPO / "configs" / "reference.json")
+    market, seeds = config.market, 100
+    strategy = optimal_strategy(market, config.case)
+    value = float(portfolio.value_function(market, n_steps=config.n_steps)(0.0, 1.0, 0.0, 0))
+    scores = (evaluate_policy(market, strategy, 0.0, 1.0, 0.0, 0, 500, RngStream(seed)) for seed in range(1, seeds + 1))
+    z = np.array([(est.value - value) / est.stderr for est in scores])
+    assert abs(z.mean()) < 4.0 / np.sqrt(seeds)
+    assert abs(z.std(ddof=1) - 1.0) < 4.0 / np.sqrt(2.0 * (seeds - 1))
+
+
+def test_control_cuts_the_policy_variance():
+    # a path's utility and its exponent correlate almost perfectly, so the
+    # control leaves a small part of the first-jump estimator's variance
+    config = load_config(REPO / "configs" / "reference.json")
+    market, n, rng = config.market, 2000, RngStream(config.seed, 0)
+    strategy = optimal_strategy(market, config.case)
+    controlled = evaluate_policy(market, strategy, 0.0, 1.0, 0.0, 0, n, rng)
+    scale = market.risk_aversion * np.exp(market.rate * market.horizon)
+    leave = float(-np.expm1(-market.generator.exit_rates()[0] * market.horizon))
+    values = []
+    for _, counts, starts, ends, states, _ in montecarlo._simulate_chains(
+        market.generator, 0, 0.0, market.horizon, n, rng, first_jump_by_end=True
+    ):
+        moments = oracle_moments(market, strategy, 0.0, starts, ends, states)
+        mean, var = np.add.reduceat(moments[:2], np.cumsum(counts) - counts, axis=1)
+        values.extend(-np.exp(-scale * (1.0 + mean) + scale**2 * var / 2.0) / market.risk_aversion)
+    uncontrolled = leave * loop_estimate(values).stderr  # the branch that stays adds no variance
+    assert controlled.stderr <= 0.05 * uncontrolled
 
 
 @pytest.mark.parametrize("regime", [2, -1])  # n_regimes of the two-regime market, and -1

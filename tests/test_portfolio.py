@@ -298,6 +298,18 @@ class TestConditionalEvaluation:
         target = bundle.value(0.3, 1.0, 0.5, 0)
         assert abs(est.value - target) <= 1e-10 * abs(target)
         assert est.stderr == 0.0
+        assert est.mean_gap == 0.0 and est.mean_panels == 0  # no control where no path leaves
+
+    def test_a_start_left_at_a_tiny_rate_scores_finitely(self):
+        # leaving has probability 2e-20: the sampled branch's mean exponent, a
+        # difference of two near-equal exponents over that chance, carries no
+        # digits, and taken as it is its slope would overflow the estimate
+        market = make_market(generator=validate_generator([[-1e-20, 1e-20], [0.3, -0.3]]))
+        bundle = build_solution(market, NORMAL_INCOME)
+        est = evaluate_policy(market, bundle.strategy, 0.0, 1.0, 0.5, 0, 64, RngStream(seed=3))
+        target = bundle.value(0.0, 1.0, 0.5, 0)
+        assert abs(est.value - target) <= 1e-10 * abs(target)
+        assert est.stderr <= 1e-15 * abs(target)
 
     def test_a_branch_of_weight_zero_adds_nothing(self):
         # regime 0 is left at rate 1000 for good: staying there to the horizon
