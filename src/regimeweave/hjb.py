@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from .markov import GeneratorMatrix, InvalidInput
+from .markov import GeneratorMatrix, InvalidInput, _expm_stack
 
 __all__ = [
     "StepTooCoarse",
@@ -391,8 +391,6 @@ def _hermite_coefficients(
 GAUSS_NODES = 0.5 + np.array([-1.0, 1.0]) * np.sqrt(3.0) / 6.0
 # steps whose exponentials are multiplied together in one batch
 CHAIN_BLOCK = 32
-# highest Taylor degree of a scaled matrix exponential
-TAYLOR_DEGREE = 18
 
 
 def _magnus_grid(market: MarketModel, n_steps: int) -> NDArray[np.float64]:
@@ -432,32 +430,6 @@ def _magnus_grid(market: MarketModel, n_steps: int) -> NDArray[np.float64]:
             starts[b + 1] = prefix[-1, b] @ starts[b]
         chained = np.einsum("kbij,bj->bki", prefix, starts).reshape(-1, n)
     return np.concatenate([np.ones((1, n)), chained[:n_steps]])
-
-
-def _expm_stack(a: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Matrix exponentials of a stack ``(..., n, n)`` by scaling and squaring.
-
-    One common exponent ``s`` brings every ``a / 2**s`` to a 1-norm of at
-    most ``theta <= 1/2``.  The Taylor polynomial then stops at the smallest
-    degree ``m`` whose first omitted term bound ``theta**(m+1) / (m+1)!`` is at
-    most ``2**-53`` (at most :data:`TAYLOR_DEGREE`), exact to rounding; ``s``
-    squarings then undo the scaling.
-    """
-    norm = float(np.abs(a).sum(axis=-2).max(initial=0.0))
-    squarings = int(np.ceil(np.log2(2.0 * norm))) if norm > 0.5 else 0
-    theta = norm / 2.0**squarings
-    degree, bound = 1, theta
-    while degree < TAYLOR_DEGREE and bound * theta / (degree + 1) > 2.0**-53:  # bound = theta^d / d!
-        degree += 1
-        bound *= theta / degree
-    scaled = a / 2.0**squarings
-    eye = np.eye(a.shape[-1])
-    out = eye + scaled / degree
-    for k in range(degree - 1, 0, -1):  # Horner: I + X/k (I + X/(k+1) (...))
-        out = eye + (scaled @ out) / k
-    for _ in range(squarings):
-        out = out @ out
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Continuous-time Markov chains: generators, embedded chains, simulation.
+"""Continuous-time Markov chains: generators, transition laws, embedded chains, simulation.
 
 The rate matrix convention throughout is ``rates[i, j]`` = jump rate from
 state ``i`` to state ``j`` (row = from-state), with zero row sums and the
@@ -36,6 +36,8 @@ ROW_SUM_TOL = 1e-9
 STATIONARY_RESIDUAL_TOL = 1e-12
 # variates per exponential and per uniform block drawn by path simulation
 JUMP_BLOCK = 1024
+# highest Taylor degree of a scaled matrix exponential
+TAYLOR_DEGREE = 18
 
 
 class InvalidInput(ValueError):
@@ -92,18 +94,20 @@ class GeneratorMatrix:
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """Row-stochastic probability matrix over a finite state space."""
+    """Row-stochastic probability matrix over a finite state space, or a
+    stack of them on the last two axes of ``probs``."""
 
     probs: NDArray[np.float64]
     n_states: int
 
     def __post_init__(self) -> None:
         p = self.probs
-        if p.shape != (self.n_states, self.n_states):
-            raise NonSquare(f"expected ({self.n_states}, {self.n_states}), got {p.shape}")
-        if np.any(p < -1e-15) or np.any(p > 1 + 1e-12):
+        if p.shape[-2:] != (self.n_states, self.n_states):
+            raise NonSquare(f"expected (..., {self.n_states}, {self.n_states}), got {p.shape}")
+        if p.min(initial=0.0) < -1e-15 or p.max(initial=0.0) > 1 + 1e-12:
             raise ValueError("transition probabilities must lie in [0, 1]")
-        if not np.allclose(p.sum(axis=1), 1.0, rtol=0, atol=1e-12):
+        rows = np.einsum("...ij->...i", p)  # a stack's row sums, much faster than sum(axis=-1)
+        if not (rows.min(initial=1.0) >= 1 - 1e-12 and rows.max(initial=1.0) <= 1 + 1e-12):  # NaN fails too
             raise RowSumViolation("transition-matrix rows must sum to 1 within 1e-12")
 
 
@@ -316,42 +320,48 @@ def _jump_table(generator: GeneratorMatrix) -> tuple[NDArray[np.float64], NDArra
     return lam, cum
 
 
-def transition_probabilities(generator: GeneratorMatrix, t: float) -> TransitionMatrix:
-    """Transition matrix ``exp(Q t)`` computed by uniformization.
+def transition_probabilities(generator: GeneratorMatrix, t) -> TransitionMatrix:
+    """Transition matrices ``exp(Q t)``: one for a time ``t``, a stack of shape
+    ``t.shape + (n, n)`` for an array of times.
 
-    The Poisson-weighted power series of the uniformized jump chain keeps
-    every intermediate matrix row-stochastic and nonnegative, unlike the
-    naive Taylor series.  Series truncated when the Poisson tail mass drops
-    below 1e-14; large ``t`` handled by repeated squaring of a short-time
-    factor, which preserves stochasticity as well.
+    Each is :func:`_expm_stack`'s scaling-and-squaring Taylor polynomial of
+    ``Q t`` (Moler & Van Loan, *SIAM Rev.* 45(1), 2003), the identity
+    exactly at ``t = 0``, with its rows renormalized once against the
+    rounding of the squarings.  Raises :class:`ValueError` for a time that
+    is negative or not finite.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    n = generator.n_states
-    lam_max = float(np.max(generator.exit_rates()))
-    if t == 0.0 or lam_max == 0.0:
-        return TransitionMatrix(probs=np.eye(n), n_states=n)
+    t = np.asarray(t, dtype=float)
+    valid = (t >= 0.0) & (t < np.inf)  # NaN fails both
+    if not valid.all():
+        raise ValueError(f"t must be finite and nonnegative, got {t[~valid].ravel()[0]!r}")
+    p = _expm_stack(t[..., None, None] * generator.rates)
+    p /= np.einsum("...ij->...i", p)[..., None]
+    return TransitionMatrix(probs=p, n_states=generator.n_states)
 
-    # Split so the base factor has uniformization intensity <= 8.
-    n_squarings = max(0, int(np.ceil(np.log2(lam_max * t / 8.0))))
-    dt = t / (2**n_squarings)
 
-    w = np.eye(n) + generator.rates / lam_max  # uniformized DTMC, row-stochastic
-    mu = lam_max * dt
-    weight = np.exp(-mu)
-    term = np.eye(n)
-    p = weight * term
-    mass = weight
-    k = 0
-    while 1.0 - mass > 1e-14:
-        k += 1
-        term = term @ w
-        weight = weight * mu / k
-        p = p + weight * term
-        mass += weight
-    p /= p.sum(axis=1, keepdims=True)  # remove the truncated tail mass
+def _expm_stack(a: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Matrix exponentials of a stack ``(..., n, n)`` by scaling and squaring.
 
-    for _ in range(n_squarings):
-        p = p @ p
-        p /= p.sum(axis=1, keepdims=True)  # rounding would otherwise compound over the squarings
-    return TransitionMatrix(probs=p, n_states=n)
+    One common exponent ``s`` brings every ``a / 2**s`` to a 1-norm of at
+    most ``theta <= 1/2``.  The Taylor polynomial then stops at the smallest
+    degree ``m`` whose first omitted term bound ``theta**(m+1) / (m+1)!`` is at
+    most ``2**-53`` (at most :data:`TAYLOR_DEGREE`), exact to rounding; ``s``
+    squarings then undo the scaling.  The library's one matrix exponential:
+    :func:`transition_probabilities` and the factor ODE's Magnus steps
+    (:mod:`regimeweave.hjb`) both run on it.
+    """
+    norm = float(np.abs(a).sum(axis=-2).max(initial=0.0))
+    squarings = int(np.ceil(np.log2(2.0 * norm))) if norm > 0.5 else 0
+    theta = norm / 2.0**squarings
+    degree, bound = 1, theta
+    while degree < TAYLOR_DEGREE and bound * theta / (degree + 1) > 2.0**-53:  # bound = theta^d / d!
+        degree += 1
+        bound *= theta / degree
+    scaled = a / 2.0**squarings
+    eye = np.eye(a.shape[-1])
+    out = eye + scaled / degree
+    for k in range(degree - 1, 0, -1):  # Horner: I + X/k (I + X/(k+1) (...))
+        out = eye + (scaled @ out) / k
+    for _ in range(squarings):
+        out = out @ out
+    return out

@@ -36,8 +36,9 @@ onward) draws everything from the one Philox key
    weigh them against the branch that never leaves the start regime,
    valued by their own per-segment code (:func:`_first_jump_estimates`).
    :func:`~regimeweave.portfolio.evaluate_policy`'s control variate draws
-   nothing either: its mean comes from the chain's law ``exp(Q s)``, and
-   its slope is a constant, so a path's value stays its own path's alone.
+   nothing either: its mean comes from the chain's law ``exp(Q s)``
+   (:func:`~regimeweave.markov.transition_probabilities`), and its slope
+   is a constant, so a path's value stays its own path's alone.
 
 The first arrays are ``head = m + 3 sqrt(m) + 4`` columns wide (at most
 ``JUMP_BLOCK``), ``m`` the expected jumps of the fastest state over the

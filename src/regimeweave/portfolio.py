@@ -18,10 +18,8 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
-from .hjb import (
-    IncomeLoading, MarketModel, RegimeFactorTable, _expm_stack, solve_income_loading, solve_regime_factors
-)
-from .markov import InvalidInput, RngStream
+from .hjb import IncomeLoading, MarketModel, RegimeFactorTable, solve_income_loading, solve_regime_factors
+from .markov import InvalidInput, RngStream, transition_probabilities
 from .montecarlo import MCEstimate, _check_start, _first_jump_estimates, _first_jump_split, _simulate_chains
 
 __all__ = [
@@ -48,6 +46,9 @@ NORMAL_INCOME = "normal_income"
 # 3-node Gauss-Legendre rule on [0, 1] for the segment integrals
 QUAD_NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * np.sqrt(15.0) / 10.0
 QUAD_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 18.0
+# the most that the integrands' fastest exponential exp(-2 rate u) may change
+# in exponent across one piece of the 3-node rule
+PIECE_EXPONENT = 0.1
 # the control's mean: its fewest panels, the agreement of two runs that ends the
 # doubling, and the most matrix entries of one run's exponential stack
 MIN_PANELS = 8
@@ -329,8 +330,9 @@ def evaluate_policy(
     ``-exp(-gamma e^{r tau} M + gamma^2 e^{2 r tau} S / 2) / gamma``
     (conditional Monte Carlo; Glasserman 2004, section 4.5).  Both
     integrals run over the path's segments with a 3-node Gauss-Legendre
-    rule, whose error (about 4e-11 of the value on segments 1.8 long) lies
-    far below the statistical one, and no time step enters.
+    rule, on pieces that the rate keeps short (:func:`_segment_integrals`),
+    whose error (under 1e-10 of the value on a segment 10 long) lies far
+    below the statistical one, and no time step enters.
 
     The estimate is conditioned on the first jump by the estimator that
     :func:`~regimeweave.montecarlo.estimate_regime_factor` uses: the chain
@@ -432,16 +434,17 @@ def _exponent_mean(market, strategies, t_start, regime):
     ``t_start`` and ``c_pi`` from :func:`_exponent_rates`.
 
     It needs only the chain's law ``p(u)``, row ``regime`` of ``exp(Q (u -
-    t_start))``, from one batched :func:`~regimeweave.hjb._expm_stack` call
-    at the nodes of a composite 3-node Gauss-Legendre rule.  Its panels
-    start at about two per expected jump of the fastest state, at least
+    t_start))``, from one batched
+    :func:`~regimeweave.markov.transition_probabilities` call at the nodes
+    of a composite 3-node Gauss-Legendre rule.  Its panels start at about
+    two per expected jump of the fastest state, at least
     :data:`MIN_PANELS`, and double until two runs agree to :data:`MEAN_TOL`
     (relative above one), or until a run would pass :data:`MEAN_ENTRIES`.
     Each strategy keeps its own first such run, so its entry does not depend
     on the others: ``mean`` is the finer run, ``gap`` its difference from the
     one before, and ``panels`` the finer run's panels.
     """
-    q, n, rows = market.generator.rates, market.n_regimes, len(strategies)
+    n, rows = market.n_regimes, len(strategies)
     span = market.horizon - t_start
     panels = 1 << int(np.ceil(np.log2(max(MIN_PANELS, 2.0 * market.generator.exit_rates().max() * span))))
     mean, gap, settled_at = np.empty(rows), np.empty(rows), np.zeros(rows, dtype=np.int64)
@@ -449,7 +452,8 @@ def _exponent_mean(market, strategies, t_start, regime):
     while not settled_at.all():
         width = span / panels
         offsets = (width * (np.arange(panels)[:, None] + QUAD_NODES)).ravel()  # u - t_start at each node
-        laws = _expm_stack(offsets[:, None, None] * q)[:, regime] * np.tile(width * QUAD_WEIGHTS, panels)[:, None]
+        weights = np.tile(width * QUAD_WEIGHTS, panels)[:, None]
+        laws = transition_probabilities(market.generator, offsets).probs[:, regime] * weights
         integrands = _integrands(market, strategies, t_start, t_start + offsets[:, None], np.arange(n))
         run = np.einsum("knj,nj->k", _exponent_rates(market, t_start, *integrands, np.arange(n)), laws)
         if previous is not None:
@@ -463,13 +467,25 @@ def _exponent_mean(market, strategies, t_start, regime):
 
 def _segment_integrals(market, strategies, t_start, starts, ends, states):
     """:func:`_integrands` integrated over each segment, from ``starts`` to
-    ``ends`` in ``states``, by the 3-node Gauss-Legendre rule."""
-    # node k of segment s sits at [k, s], so the per-regime
-    # coefficients, looked up at the segments' shape, broadcast over nodes
+    ``ends`` in ``states``, by the 3-node Gauss-Legendre rule on equal pieces:
+    the fewest that keep ``2 |rate|`` times a piece's length, the change of the
+    integrands' fastest exponential ``exp(-2 rate u)`` across it, within
+    :data:`PIECE_EXPONENT`.  The count depends on the segment alone, so its
+    integrals do too; it is one on the committed configs."""
     span = ends - starts
+    pieces = np.maximum(np.ceil(2.0 * abs(market.rate) * span / PIECE_EXPONENT), 1.0).astype(np.int64)
+    split = pieces.max(initial=1) > 1
+    if split:
+        first = np.cumsum(pieces) - pieces  # each segment's first piece
+        segment = np.repeat(np.arange(len(span)), pieces)
+        span = (span / pieces)[segment]
+        starts, states = starts[segment] + (np.arange(len(segment)) - first[segment]) * span, states[segment]
+    # node k of piece s sits at [k, s], so the per-regime
+    # coefficients, looked up at the pieces' shape, broadcast over nodes
     weights = QUAD_WEIGHTS[:, None] * span
     integrands = _integrands(market, strategies, t_start, starts + QUAD_NODES[:, None] * span, states)
-    return tuple((weights * f).sum(axis=-2) for f in integrands)
+    integrals = tuple((weights * f).sum(axis=-2) for f in integrands)
+    return tuple(np.add.reduceat(f, first, axis=-1) for f in integrals) if split else integrals
 
 
 def _integrands(market, strategies, t_start, times, states):

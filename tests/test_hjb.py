@@ -17,7 +17,6 @@ from regimeweave.hjb import (
     IncomeLoading,
     MarketModel,
     StepTooCoarse,
-    _expm_stack,
     _int_expm1,
     _int_expm1_sq,
     _magnus_grid,
@@ -28,7 +27,7 @@ from regimeweave.hjb import (
     solve_income_loading,
     solve_regime_factors,
 )
-from regimeweave.markov import InvalidInput, validate_generator
+from regimeweave.markov import InvalidInput, _expm_stack, validate_generator
 
 Q2 = validate_generator([[-0.5, 0.5], [0.3, -0.3]])
 
@@ -489,6 +488,9 @@ def two_branch_int_expm1_sq(r, delta):
 
 
 class TestExpmStack:
+    """:mod:`regimeweave.markov`'s matrix-exponential kernel, on the Magnus
+    steps' general matrices as well as on generators."""
+
     @pytest.mark.parametrize("norm", 10.0 ** np.arange(-4.0, 3.5, 0.5))
     def test_matches_scipy_at_each_norm(self, norm):
         # one stack per 1-norm, so each runs the Taylor degree its norm picks; half

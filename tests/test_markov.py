@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
@@ -15,6 +17,7 @@ from regimeweave.markov import (
     Reducible,
     RngStream,
     RowSumViolation,
+    TransitionMatrix,
     embedded_chain,
     simulate_path,
     stationary_distribution,
@@ -176,8 +179,8 @@ class TestTransitionProbabilities:
                 )
 
     def test_fast_chains_stay_stochastic(self):
-        # tens of squarings compound the rounding of the row sums past the
-        # 1e-12 that TransitionMatrix checks, unless each squaring renormalizes
+        # tens of squarings compound the rounding of the row sums; the one
+        # renormalization after them keeps the rows within 1e-15
         fast = np.array([[-1e6, 1e6], [2e6, -2e6]])
         p = transition_probabilities(validate_generator(fast), 5.0).probs
         # exp(-3e6 t) leaves the stationary law in every row
@@ -209,8 +212,71 @@ class TestTransitionProbabilities:
         assert_allclose(p, np.tile(pi, (3, 1)), atol=1e-12)
 
     def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            transition_probabilities(validate_generator(Q2), -1.0)
+        for t in (-1.0, [[1.0], [-2.0]]):
+            with pytest.raises(ValueError, match="t must be finite and nonnegative"):
+                transition_probabilities(validate_generator(Q2), t)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, [0.5, np.nan], [np.inf, 1.0]])
+    def test_non_finite_time_rejected(self, t):
+        with pytest.raises(ValueError, match="t must be finite and nonnegative"):
+            transition_probabilities(validate_generator(Q2), t)
+
+    def test_array_of_times_is_a_stack(self):
+        g = validate_generator(Q3)
+        times = np.array([[0.0, 0.4], [1.5, 12.0]])
+        p = transition_probabilities(g, times)
+        assert p.probs.shape == (2, 2, 3, 3) and p.n_states == 3
+        assert np.array_equal(p.probs[0, 0], np.eye(3))
+        for t, law in zip(times.ravel(), p.probs.reshape(-1, 3, 3)):
+            assert_allclose(law, expm(g.rates * t), rtol=0, atol=1e-14)
+
+
+class TestTransitionMatrix:
+    def test_checks_a_stack_on_its_last_two_axes(self):
+        stack = np.tile(np.eye(3), (4, 2, 1, 1))
+        assert TransitionMatrix(probs=stack, n_states=3).probs.shape == (4, 2, 3, 3)
+        for shape in ((4, 2, 3, 2), (3,), ()):
+            with pytest.raises(NonSquare):
+                TransitionMatrix(probs=np.zeros(shape), n_states=3)
+        # one bad entry deep in the stack: out of range, or a row that does not sum to 1
+        for at, entry, message in (((3, 1, 2, 0), -1e-14, "must lie in"), ((3, 1, 2, 2), 1.0 + 1e-11, "must lie in"),
+                                   ((2, 0, 1, 1), 1.0 - 1e-11, "sum to 1"), ((0, 1, 0, 0), np.nan, "sum to 1")):
+            bad = stack.copy()
+            bad[at] = entry
+            with pytest.raises(ValueError, match=message):
+                TransitionMatrix(probs=bad, n_states=3)
+
+
+def random_generators():
+    """Rate matrices of 2 to 8 states, each off-diagonal rate zero or between
+    1e-6 and 1e6 on a log scale."""
+    rate = st.one_of(st.just(0.0), st.floats(-6.0, 6.0).map(lambda e: 10.0**e))
+
+    def of_size(n):
+        return st.lists(rate, min_size=n * n, max_size=n * n).map(lambda rates: np.reshape(rates, (n, n)))
+
+    return st.integers(2, 8).flatmap(of_size).map(lambda q: validate_generator(q - np.diag(q.sum(axis=1))))
+
+
+@settings(max_examples=150, deadline=2000, derandomize=True, database=None)
+@given(random_generators(), st.lists(st.floats(-6.0, 3.0).map(lambda e: 10.0**e), min_size=1, max_size=4))
+def test_transition_probabilities_property(generator, times):
+    # a common squaring count serves the whole stack, and each squaring can
+    # double the rounding of an entry: the errors against expm, and between a
+    # stack's member and its own call, scale with the largest 1-norm of Q t
+    q, times = generator.rates, np.array(times)
+    stack = transition_probabilities(generator, times).probs
+    assert stack.shape == (len(times), generator.n_states, generator.n_states)
+    assert np.abs(stack.sum(axis=-1) - 1.0).max() <= 1e-15
+    assert stack.min() >= -1e-15
+
+    def bound(t):
+        return max(1e-14, 128 * 2.0**-53 * np.abs(q).sum(axis=0).max() * t)
+
+    for t, law in zip(times, stack):
+        own = transition_probabilities(generator, t).probs
+        assert np.abs(own - expm(q * t)).max() <= bound(t)
+        assert np.abs(law - own).max() <= bound(times.max())
 
 
 class TestSimulatePath:

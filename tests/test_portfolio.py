@@ -300,6 +300,15 @@ class TestConditionalEvaluation:
         assert est.stderr == 0.0
         assert est.mean_gap == 0.0 and est.mean_panels == 0  # no control where no path leaves
 
+    @pytest.mark.parametrize("horizon", [5.0, 10.0])
+    def test_a_long_absorbing_start_matches_the_value_function(self, horizon):
+        # the one segment [0, horizon] is as long as a segment gets: a single
+        # 3-node rule on it was 3e-8 (horizon 5) and 5e-6 (horizon 10) off
+        market = make_market(horizon=horizon, generator=validate_generator([[0.0, 0.0], [0.3, -0.3]]))
+        est = evaluate_policy(market, optimal_strategy(market), 0.0, 1.0, 0.5, 0, 64, RngStream(seed=16))
+        target = value_function(market)(0.0, 1.0, 0.5, 0)
+        assert abs(est.value - target) <= 1e-9 * abs(target)
+
     def test_a_start_left_at_a_tiny_rate_scores_finitely(self):
         # leaving has probability 2e-20: the sampled branch's mean exponent, a
         # difference of two near-equal exponents over that chance, carries no
