@@ -94,8 +94,7 @@ class GeneratorMatrix:
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """Row-stochastic probability matrix over a finite state space, or a
-    stack of them on the last two axes of ``probs``."""
+    """Row-stochastic probability matrix over a finite state space, or a stack on ``probs``' last two axes."""
 
     probs: NDArray[np.float64]
     n_states: int
@@ -324,11 +323,10 @@ def transition_probabilities(generator: GeneratorMatrix, t) -> TransitionMatrix:
     """Transition matrices ``exp(Q t)``: one for a time ``t``, a stack of shape
     ``t.shape + (n, n)`` for an array of times.
 
-    Each is :func:`_expm_stack`'s scaling-and-squaring Taylor polynomial of
-    ``Q t`` (Moler & Van Loan, *SIAM Rev.* 45(1), 2003), the identity
-    exactly at ``t = 0``, with its rows renormalized once against the
-    rounding of the squarings.  Raises :class:`ValueError` for a time that
-    is negative or not finite.
+    Each is :func:`_expm_stack` on ``Q t`` (scaling and squaring; Moler &
+    Van Loan, *SIAM Rev.* 45(1), 2003), the identity exactly at ``t = 0``,
+    its rows renormalized once after the squarings.  A negative or
+    non-finite time raises :class:`ValueError`.
     """
     t = np.asarray(t, dtype=float)
     valid = (t >= 0.0) & (t < np.inf)  # NaN fails both
@@ -346,9 +344,8 @@ def _expm_stack(a: NDArray[np.float64]) -> NDArray[np.float64]:
     most ``theta <= 1/2``.  The Taylor polynomial then stops at the smallest
     degree ``m`` whose first omitted term bound ``theta**(m+1) / (m+1)!`` is at
     most ``2**-53`` (at most :data:`TAYLOR_DEGREE`), exact to rounding; ``s``
-    squarings then undo the scaling.  The library's one matrix exponential:
-    :func:`transition_probabilities` and the factor ODE's Magnus steps
-    (:mod:`regimeweave.hjb`) both run on it.
+    squarings then undo the scaling.  The library's one matrix exponential,
+    behind :func:`transition_probabilities` and :mod:`regimeweave.hjb`'s Magnus steps.
     """
     norm = float(np.abs(a).sum(axis=-2).max(initial=0.0))
     squarings = int(np.ceil(np.log2(2.0 * norm))) if norm > 0.5 else 0

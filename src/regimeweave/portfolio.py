@@ -46,8 +46,7 @@ NORMAL_INCOME = "normal_income"
 # 3-node Gauss-Legendre rule on [0, 1] for the segment integrals
 QUAD_NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * np.sqrt(15.0) / 10.0
 QUAD_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 18.0
-# the most that the integrands' fastest exponential exp(-2 rate u) may change
-# in exponent across one piece of the 3-node rule
+# the most change in exponent of exp(-2 rate u), the fastest integrand, across a piece of the segment rule
 PIECE_EXPONENT = 0.1
 # the control's mean: its fewest panels, the agreement of two runs that ends the
 # doubling, and the most matrix entries of one run's exponential stack
@@ -329,9 +328,8 @@ def evaluate_policy(
     so the path contributes the exact conditional expected utility
     ``-exp(-gamma e^{r tau} M + gamma^2 e^{2 r tau} S / 2) / gamma``
     (conditional Monte Carlo; Glasserman 2004, section 4.5).  Both
-    integrals run over the path's segments with a 3-node Gauss-Legendre
-    rule, on pieces that the rate keeps short (:func:`_segment_integrals`),
-    whose error (under 1e-10 of the value on a segment 10 long) lies far
+    integrals run over the path's segments by :func:`_segment_integrals`,
+    whose error (about 1e-10 of the value on a segment 10 long) lies far
     below the statistical one, and no time step enters.
 
     The estimate is conditioned on the first jump by the estimator that
@@ -467,25 +465,30 @@ def _exponent_mean(market, strategies, t_start, regime):
 
 def _segment_integrals(market, strategies, t_start, starts, ends, states):
     """:func:`_integrands` integrated over each segment, from ``starts`` to
-    ``ends`` in ``states``, by the 3-node Gauss-Legendre rule on equal pieces:
-    the fewest that keep ``2 |rate|`` times a piece's length, the change of the
-    integrands' fastest exponential ``exp(-2 rate u)`` across it, within
-    :data:`PIECE_EXPONENT`.  The count depends on the segment alone, so its
-    integrals do too; it is one on the committed configs."""
+    ``ends`` in ``states``, by the 3-node Gauss-Legendre rule on the fewest
+    equal pieces that keep ``2 |rate|`` times a piece's length within
+    :data:`PIECE_EXPONENT` (one piece on the committed configs).  The count
+    depends on the segment alone, and piece ``j`` of every segment that has
+    one is added in turn, so memory stays that of the segments."""
     span = ends - starts
-    pieces = np.maximum(np.ceil(2.0 * abs(market.rate) * span / PIECE_EXPONENT), 1.0).astype(np.int64)
-    split = pieces.max(initial=1) > 1
-    if split:
-        first = np.cumsum(pieces) - pieces  # each segment's first piece
-        segment = np.repeat(np.arange(len(span)), pieces)
-        span = (span / pieces)[segment]
-        starts, states = starts[segment] + (np.arange(len(segment)) - first[segment]) * span, states[segment]
-    # node k of piece s sits at [k, s], so the per-regime
-    # coefficients, looked up at the pieces' shape, broadcast over nodes
-    weights = QUAD_WEIGHTS[:, None] * span
-    integrands = _integrands(market, strategies, t_start, starts + QUAD_NODES[:, None] * span, states)
-    integrals = tuple((weights * f).sum(axis=-2) for f in integrands)
-    return tuple(np.add.reduceat(f, first, axis=-1) for f in integrals) if split else integrals
+    pieces = np.maximum(np.ceil(2.0 * abs(market.rate) * span / PIECE_EXPONENT), 1.0)
+    width = span / pieces
+    totals = _piece_integrals(market, strategies, t_start, starts, width, states)
+    for j in range(1, int(pieces.max(initial=1.0))):
+        live = np.flatnonzero(pieces > j)
+        step = width[live]
+        parts = _piece_integrals(market, strategies, t_start, starts[live] + j * step, step, states[live])
+        for total, part in zip(totals, parts):
+            total[..., live] += part
+    return totals
+
+
+def _piece_integrals(market, strategies, t_start, starts, width, states):
+    """:func:`_integrands` by the 3-node Gauss-Legendre rule on pieces ``width`` long from ``starts``."""
+    # node k of piece s sits at [k, s]; per-regime coefficients at the pieces' shape broadcast over nodes
+    weights = QUAD_WEIGHTS[:, None] * width
+    integrands = _integrands(market, strategies, t_start, starts + QUAD_NODES[:, None] * width, states)
+    return tuple((weights * f).sum(axis=-2) for f in integrands)
 
 
 def _integrands(market, strategies, t_start, times, states):

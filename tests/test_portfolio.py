@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -308,6 +309,24 @@ class TestConditionalEvaluation:
         est = evaluate_policy(market, optimal_strategy(market), 0.0, 1.0, 0.5, 0, 64, RngStream(seed=16))
         target = value_function(market)(0.0, 1.0, 0.5, 0)
         assert abs(est.value - target) <= 1e-9 * abs(target)
+
+    def test_long_segments_take_no_more_memory_than_short_ones(self):
+        # at rate 0.1 each path's one segment takes 10 pieces of the rule at
+        # horizon 5 and 80 at horizon 40; memory must stay that of the 2048
+        # segments (about 1 MB), where all pieces laid out at once take 7.2 and 56.5 MB
+        def peak(horizon):
+            market = make_market(
+                rate=0.1, risk_aversion=0.5, horizon=horizon, stock_drift=[0.15, 0.13], income_vol=[0.02, 0.03],
+                generator=validate_generator([[0.0, 0.0], [0.3, -0.3]]),
+            )
+            tracemalloc.start()
+            try:
+                evaluate_policy(market, optimal_strategy(market), 0.0, 1.0, 0.5, 0, 2048, RngStream(seed=17))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(40.0) <= 1.25 * peak(5.0)
 
     def test_a_start_left_at_a_tiny_rate_scores_finitely(self):
         # leaving has probability 2e-20: the sampled branch's mean exponent, a
