@@ -37,7 +37,7 @@ from .compose import (
     compose_independent,
 )
 from .hjb import (
-    FACTOR_RTOL, PER_REGIME, MarketModel, StepTooCoarse, _check_steps, hjb_residual,
+    FACTOR_RTOL, PER_REGIME, MarketModel, StepTooCoarse, _check_steps, _unit_value, hjb_residual,
     solve_income_loading, solve_regime_factors,
 )
 from .markov import (
@@ -50,13 +50,12 @@ from .markov import (
     transition_probabilities,
     validate_generator,
 )
-from .montecarlo import BLOCK, estimate_regime_factor, estimate_value_factor, estimate_value_mc
+from .montecarlo import BLOCK, estimate_regime_factor, estimate_value_mc
 from .portfolio import (
     NORMAL_INCOME,
     Strategy,
     _check_case,
     _evaluate_policies,
-    _unit_value,
     build_solution,
     hedge_weight,
     merton_weight,
@@ -509,18 +508,19 @@ def cmd_solve(
     """Emit the income loading, regime or value factors, strategy, and value grid.
 
     The value is the unit value of :func:`~regimeweave.portfolio.value_function` times the
-    factor ODE's ``f_k(t)``, or for rho0 the wealth-free factor sampled once per (t, regime)
-    at income 0, each point on the stream ids after the previous one's, times the exact
-    ``exp(m(t) y)`` for each income ``y``.  All is computed before the first file is
-    written, so a config error leaves none.
+    factor ODE's ``h_k(t)``, or for rho0 times the regime factor sampled once per (t, regime),
+    each point on the stream ids after the previous one's; the rho0 table of value factors
+    is that sample times the exact ``exp(m(t) y)`` for each income ``y``.  All is computed
+    before the first file is written, so a config error leaves none.
     """
     out = _Artifacts("solve", config, out_dir)
     market, horizon, n_regimes = config.market, config.market.horizon, config.market.n_regimes
+    _check_case(config.case, market.correlation)
     labels = np.array(_state_labels(n_regimes, config.mapping), dtype=object)
     axes = grid or []
     defaults = [np.linspace(0.0, 0.9 * horizon, 5), np.linspace(0.0, 2.0, 5), np.linspace(-1.0, 1.0, 5)]
     t_axis, x_axis, y_axis = [*axes, *defaults[len(axes):]]
-    # the sampled value factor needs time left before the horizon
+    # the sampled regime factor needs time left before the horizon
     closed = config.case == NORMAL_INCOME
     below = t_axis <= horizon if closed else t_axis < horizon
     if not np.all((t_axis >= 0.0) & below):
@@ -536,7 +536,7 @@ def cmd_solve(
         n_mc = n_paths if n_paths is not None else config.n_paths
         blocks = -(-n_mc // BLOCK)  # point p draws from stream ids p * blocks onward, one per block
         points = itertools.product(t_axis, range(n_regimes))
-        estimates = [estimate_value_factor(market, t, 0.0, k, n_mc, RngStream(config.seed, p * blocks))
+        estimates = [estimate_regime_factor(market, t, k, n_mc, RngStream(config.seed, p * blocks))
                      for p, (t, k) in enumerate(points)]
         factor, stderr = (np.reshape([getattr(est, name) for est in estimates], (-1, n_regimes))
                           for name in ("value", "stderr"))
@@ -546,7 +546,7 @@ def cmd_solve(
         if overflow.size:
             i, j = overflow[0]
             raise ParseError(f"grid: exp(m(t) y) overflows at t = {t_axis[i]:g}, y = {y_axis[j]:g}")
-        # g(t, y, k) is exp(m(t) y) times g(t, 0, k) on the same paths
+        # the value factor g(t, y, k) is exp(m(t) y) times h_k(t), sampled on the same paths
         factor_columns = [
             *(axis.ravel() for axis in np.meshgrid(t_axis, y_axis, labels, indexing="ij")),
             *((income[:, :, None] * part[:, None, :]).ravel() for part in (factor, stderr)),

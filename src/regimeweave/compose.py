@@ -165,7 +165,9 @@ def compose_copula(
     Both finite-horizon estimates are probabilities over ``h``, hence
     nonnegative, so the extrapolation can fall below zero by at most its
     own Richardson gap ``|r(h/2) - r(h)|``: a joint move that is rarer than
-    O(h) at negative correlation.  Such rates are clamped to zero.
+    O(h) at negative correlation.  Such a joint rate is clamped to zero and
+    its negative mass added to both single moves, so each component's move
+    rate stays its extrapolated marginal rate and each component is Markov.
 
     Only 2x2 marginals are supported: with more states the copula on hold
     indicators does not pin down which destination a joint jump selects.
@@ -195,7 +197,10 @@ def compose_copula(
             f"extrapolated rate {off[s, t]:.3e} from state {s} to {t} is negative beyond "
             f"its Richardson gap {gap[s, t]:.3e} plus the {RATE_CLAMP} clamp"
         )
-    off[off < 0] = 0.0
+    s = np.arange(4)[:, None]
+    joint = np.minimum(off[s, s ^ 3], 0.0)  # a negative joint rate, moved onto both single moves
+    off[s, s ^ np.array([1, 2, 3])] += joint * [1.0, 1.0, -1.0]
+    off[off < 0] = 0.0  # a single move below zero by rounding
     np.fill_diagonal(off, -off.sum(axis=1))
     return CompoundChainSpec(
         eps=eps,

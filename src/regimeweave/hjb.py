@@ -16,7 +16,8 @@ integrated with a fourth-order Magnus exponential integrator whose error is
 estimated by step doubling, and interpolated between steps by cubic Hermite
 polynomials on the ODE's own slopes.  This module computes both pieces and
 the residual of the dynamic-programming equation, which verifies candidate
-value functions that need not be separable.
+value functions that need not be separable.  The closed form and the
+sampler price with one unit value, the formula's first line (``_unit_value``).
 """
 
 from __future__ import annotations
@@ -222,6 +223,15 @@ def solve_income_loading(market: MarketModel) -> IncomeLoading:
     return IncomeLoading(
         risk_aversion=market.risk_aversion, rate=market.rate, horizon=market.horizon
     )
+
+
+def _unit_value(market: MarketModel, loading: IncomeLoading, t, wealth, income):
+    """``-(1/gamma) exp(-gamma wealth e^{rate (horizon - t)} + m(t) income)``, one exponent: the
+    value is this times a regime factor ``h_k(t)``, the ODE table's or a sampled one."""
+    gamma = market.risk_aversion
+    growth = np.exp(market.rate * (market.horizon - np.asarray(t, dtype=float)))
+    wealth, income = np.asarray(wealth, dtype=float), np.asarray(income, dtype=float)
+    return -np.exp(-gamma * wealth * growth + loading.value(t) * income) / gamma
 
 
 @dataclass(frozen=True)
@@ -463,8 +473,11 @@ def hjb_residual(
     truncation error.  ``t``, ``x`` and ``y`` broadcast against each other
     and ``value_fn`` is called on whole arrays, for one scalar ``regime``;
     every operation is elementwise, so each entry equals the scalar call at
-    its point, and scalar arguments return a ``float``.
+    its point, and scalar arguments return a ``float``.  A ``relative_step``
+    not positive and finite is an :class:`~regimeweave.markov.InvalidInput`.
     """
+    if not 0.0 < relative_step < np.inf:
+        raise InvalidInput([("relative_step", f"must be positive and finite, got {float(relative_step)!r}")])
     t, x, y = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (t, x, y)))
     v, v_t, v_x, v_y, v_xx, v_yy, v_xy = _partials(value_fn, t, x, y, regime, relative_step)
     if not np.all(v_xx < 0):

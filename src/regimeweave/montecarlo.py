@@ -4,15 +4,16 @@ One probabilistic representation is sampled here, driven by the regime
 chain: the regime factor ``h_i(t)`` equals the expectation of the
 exponential of the growth rate integrated along the regime path, which is
 computable exactly per path because the loading integrals have closed
-forms.  With zero stock-income correlation the wealth-free factor
-``g(t, y, regime)`` equals the expectation of
+forms.  With zero stock-income correlation the wealth-free part of the
+value equals the expectation of
 ``exp(-integral of (risk_aversion * exp(rate*(horizon-s)) * Y_s
 + half squared Sharpe of the current regime) ds)``
 over income paths ``Y``.  Given the regime path the income integral is
 Gaussian (conditional Monte Carlo; Glasserman 2004, section 4.5), and its
 expected exponential is ``exp(m(t) y)`` times the regime factor's own
-per-path sample, so the value-factor estimate is ``exp(m(t) y)`` times the
-regime factor's.
+per-path sample, so :func:`estimate_value_mc` prices the regime factor's
+estimate with the explicit solution's unit value, whose one exponent holds
+wealth and income together.
 
 Stream layout (Salmon et al., SC'11): an estimator called with ``rng`` runs
 its paths in blocks of :data:`BLOCK`, and block ``b`` (paths ``b * BLOCK``
@@ -31,7 +32,7 @@ onward) draws everything from the one Philox key
    ``standard_normal((kept, 2, n_steps))``, path-major, for the block's
    ``kept`` rows below ``n_paths``: a prefix of the block's full draw, so
    path ``r`` reads its two rows of step normals wherever the block ends.
-   The regime and value factors and
+   The regime factor (and so the zero-correlation value) and
    :func:`~regimeweave.portfolio.evaluate_policy` draw chains only, and
    weigh them against the branch that never leaves the start regime,
    valued by their own per-segment code (:func:`_first_jump_estimates`).
@@ -66,14 +67,13 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .hjb import MarketModel, growth_coefficients, solve_income_loading
+from .hjb import MarketModel, _unit_value, growth_coefficients, solve_income_loading
 from .markov import JUMP_BLOCK, GeneratorMatrix, InvalidInput, RngStream, _check_path_span, _jump_table
 
 __all__ = [
     "NonZeroRho",
     "MCEstimate",
     "estimate_regime_factor",
-    "estimate_value_factor",
     "estimate_value_mc",
 ]
 
@@ -136,36 +136,6 @@ def estimate_regime_factor(
     return _first_jump_estimates(market, regime, t_start, n_paths, rng, factors, [message])[0]
 
 
-def estimate_value_factor(
-    market: MarketModel,
-    t_start: float,
-    income_start: float,
-    regime: int,
-    n_paths: int,
-    rng: RngStream,
-) -> MCEstimate:
-    """Monte Carlo estimate of the wealth-free value factor ``g``.
-
-    Valid only for zero stock-income correlation, where the linear and
-    quadratic growth terms are the income's drift and half its variance.
-    Given the chain path the income integral is then Gaussian, and its
-    expected exponential is ``exp(m(t) y)`` times the regime factor's own
-    sample, so the estimate is ``exp(m(t) y)`` times
-    :func:`estimate_regime_factor`'s, value and standard error alike.
-    Raises :class:`OverflowError` when the estimate leaves the float range.
-    """
-    if market.correlation != 0.0:
-        raise NonZeroRho(
-            f"value-factor sampling requires zero correlation, got {market.correlation}"
-        )
-    _check_start(income_start=income_start)
-    factor = estimate_regime_factor(market, t_start, regime, n_paths, rng)
-    with np.errstate(over="ignore"):  # an overflow leaves inf or NaN, which raises below
-        income = float(np.exp(solve_income_loading(market).value(t_start) * income_start))
-    return _finite(MCEstimate(income * factor.value, income * factor.stderr, factor.n_paths),
-                   f"value factor at income {income_start:g} exceeds the float range")
-
-
 def estimate_value_mc(
     market: MarketModel,
     t_start: float,
@@ -177,18 +147,23 @@ def estimate_value_mc(
 ) -> MCEstimate:
     """Monte Carlo estimate of the value function at zero correlation.
 
-    Scales the sampled wealth-free factor by the deterministic wealth term
-    ``-(1/gamma) exp(-gamma * wealth * exp(rate * (horizon - t)))``.  Raises
+    Valid only for zero stock-income correlation, where the linear and
+    quadratic growth terms are the income's drift and half its variance.
+    Given the chain path the income integral is then Gaussian, so the value
+    is the unit value ``-(1/gamma) exp(-gamma * wealth * exp(rate * (horizon
+    - t)) + m(t) * income)`` times :func:`estimate_regime_factor`'s sample,
+    value and standard error alike, with one exponent for wealth and income
+    together.  Raises :class:`NonZeroRho` at nonzero correlation and
     :class:`OverflowError` when the value leaves the float range.
     """
     _check_start(wealth_start=wealth_start, income_start=income_start)
-    factor = estimate_value_factor(market, t_start, income_start, regime, n_paths, rng)
-    gamma = market.risk_aversion
-    growth = np.exp(market.rate * (market.horizon - t_start))
+    if market.correlation != 0.0:
+        raise NonZeroRho(f"value sampling requires zero correlation, got {market.correlation}")
+    factor = estimate_regime_factor(market, t_start, regime, n_paths, rng)
     with np.errstate(over="ignore"):  # an overflow leaves inf or NaN, which raises below
-        scale = float(-np.exp(-gamma * wealth_start * growth) / gamma)
-    return _finite(MCEstimate(scale * factor.value, abs(scale) * factor.stderr, factor.n_paths),
-                   f"value at wealth {wealth_start:g} exceeds the float range")
+        unit = float(_unit_value(market, solve_income_loading(market), t_start, wealth_start, income_start))
+    return _finite(MCEstimate(unit * factor.value, abs(unit) * factor.stderr, factor.n_paths),
+                   f"value at wealth {wealth_start:g}, income {income_start:g} exceeds the float range")
 
 
 def _check_start(**starts: float) -> None:

@@ -18,7 +18,9 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
-from .hjb import IncomeLoading, MarketModel, RegimeFactorTable, solve_income_loading, solve_regime_factors
+from .hjb import (
+    IncomeLoading, MarketModel, RegimeFactorTable, _unit_value, solve_income_loading, solve_regime_factors,
+)
 from .markov import InvalidInput, RngStream, transition_probabilities
 from .montecarlo import MCEstimate, _check_start, _first_jump_estimates, _first_jump_split, _simulate_chains
 
@@ -191,15 +193,6 @@ def value_function(
         return out if np.ndim(out) else float(out)
 
     return value
-
-
-def _unit_value(market: MarketModel, loading: IncomeLoading, t, wealth, income):
-    """``-(1/gamma) exp(-gamma wealth e^{rate (horizon - t)} + m(t) income)``: both cases' value
-    is this times a factor ``f_k(t)``, the ODE table's or the sampled income-0 one."""
-    gamma = market.risk_aversion
-    growth = np.exp(market.rate * (market.horizon - np.asarray(t, dtype=float)))
-    wealth, income = np.asarray(wealth, dtype=float), np.asarray(income, dtype=float)
-    return -np.exp(-gamma * wealth * growth + loading.value(t) * income) / gamma
 
 
 def build_solution(market: MarketModel, case: str = NORMAL_INCOME, n_steps: int = 2048) -> SolutionBundle:
@@ -435,9 +428,10 @@ def _exponent_mean(market, strategies, t_start, regime):
     t_start))``, from one batched
     :func:`~regimeweave.markov.transition_probabilities` call at the nodes
     of a composite 3-node Gauss-Legendre rule.  Its panels start at about
-    two per expected jump of the fastest state, at least
-    :data:`MIN_PANELS`, and double until two runs agree to :data:`MEAN_TOL`
-    (relative above one), or until a run would pass :data:`MEAN_ENTRIES`.
+    two per expected jump of the fastest state, at least :data:`MIN_PANELS`
+    and at most what keeps two runs within :data:`MEAN_ENTRIES`, and double
+    until two runs agree to :data:`MEAN_TOL` (relative above one), or until
+    a run would pass :data:`MEAN_ENTRIES`.
     Each strategy keeps its own first such run, so its entry does not depend
     on the others: ``mean`` is the finer run, ``gap`` its difference from the
     one before, and ``panels`` the finer run's panels.
@@ -445,6 +439,8 @@ def _exponent_mean(market, strategies, t_start, regime):
     n, rows = market.n_regimes, len(strategies)
     span = market.horizon - t_start
     panels = 1 << int(np.ceil(np.log2(max(MIN_PANELS, 2.0 * market.generator.exit_rates().max() * span))))
+    most = MEAN_ENTRIES // (6 * n * n)  # a run of `panels` holds 3 panels n^2 entries, the next twice that
+    panels = min(panels, 1 << max(most.bit_length() - 1, 0))
     mean, gap, settled_at = np.empty(rows), np.empty(rows), np.zeros(rows, dtype=np.int64)
     previous = None
     while not settled_at.all():

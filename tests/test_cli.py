@@ -32,8 +32,10 @@ from regimeweave.cli import (
 from regimeweave.compose import compose_independent
 from regimeweave.hjb import solve_income_loading
 from regimeweave.markov import RngStream, validate_generator
-from regimeweave.montecarlo import estimate_value_factor
-from regimeweave.portfolio import Strategy, evaluate_policy, optimal_strategy, simulate_wealth, utility
+from regimeweave.montecarlo import estimate_regime_factor
+from regimeweave.portfolio import (
+    CaseMismatch, Strategy, evaluate_policy, optimal_strategy, simulate_wealth, utility,
+)
 
 REPO = Path(__file__).resolve().parents[1]
 REFERENCE = str(REPO / "configs" / "reference.json")
@@ -490,21 +492,30 @@ class TestSolve:
         assert len(rows) == 16
         assert all(float(v) > 0.0 for v in column(header, rows, "estimate"))
 
+    def test_rho0_solve_at_nonzero_correlation_is_a_case_mismatch(self, tmp_path):
+        # the loader rejects such a config; one built past it must not sample a
+        # zero-correlation value at correlation 0.35 either, and writes nothing
+        config = replace(load_config(REFERENCE), case="rho0")
+        out = tmp_path / "out"
+        with pytest.raises(CaseMismatch, match="'rho0' requires zero correlation, got 0.35"):
+            cli.cmd_solve(config, out)
+        assert not out.exists() or not any(out.iterdir())
+
     def test_rho0_points_take_adjacent_key_ranges(self, tmp_path, monkeypatch):
-        # 300 paths take 3 blocks of 128, so (t, regime) point p draws from stream ids 3p,
-        # 3p + 1 and 3p + 2 at income 0, and each income y of the grid scales it by exp(m(t) y)
+        # 300 paths take 3 blocks of 128, so (t, regime) point p samples its regime factor
+        # from stream ids 3p, 3p + 1 and 3p + 2, and each income y of the grid scales it by
+        # exp(m(t) y)
         document = minimal_config()
         document["market"]["rho"] = 0.0
         document["case"] = "rho0"
         path = dump_config(tmp_path, document)
-        seen, incomes = [], []
+        seen = []
 
-        def recording(market, t, y, regime, n_paths, rng):
+        def recording(market, t, regime, n_paths, rng):
             seen.append((rng.seed, rng.stream_id, -(-n_paths // montecarlo.BLOCK)))
-            incomes.append(y)
-            return estimate_value_factor(market, t, y, regime, n_paths, rng)
+            return estimate_regime_factor(market, t, regime, n_paths, rng)
 
-        monkeypatch.setattr(cli, "estimate_value_factor", recording)
+        monkeypatch.setattr(cli, "estimate_regime_factor", recording)
         code = main(
             ["solve", "--config", path, "--out", str(tmp_path / "out"),
              "--grid", "0:1:2,0:1:2,-0.5:0.5:2", "--paths", "300"]
@@ -512,7 +523,6 @@ class TestSolve:
         assert code == 0
         _, header, rows = read_csv(tmp_path / "out" / "value_factor_mc.csv")
         assert len(seen) == 8 and len(rows) == 16
-        assert incomes == [0.0] * 8
         for previous, following in zip(seen, seen[1:]):
             assert following[1] == previous[1] + previous[2]  # adjacent, hence disjoint
         market, seed = load_config(path).market, document["numerics"]["seed"]
@@ -523,7 +533,7 @@ class TestSolve:
             t, y = float(row[0]), float(row[1])
             regime = labels.index(row[2])
             p = [0.0, 1.0].index(t) * 4 + regime
-            base = estimate_value_factor(market, t, 0.0, regime, 300, RngStream(seed, 3 * p))
+            base = estimate_regime_factor(market, t, regime, 300, RngStream(seed, 3 * p))
             income = math.exp(loading.value(t) * y)
             assert float(column(header, [row], "estimate")[0]) == income * base.value
             assert float(column(header, [row], "stderr")[0]) == income * base.stderr

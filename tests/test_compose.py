@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 from scipy.special import ndtr, ndtri
@@ -380,7 +382,15 @@ class TestComposeCopula:
                             loop[t, s, s ^ 3] = (1.0 - u - v + both_hold) / h
                             loop[t, s, s] = -(1.0 - both_hold) / h
                 assert np.array_equal(_copula_rates(eps, zeta, rho, steps), loop)
-                expected = np.maximum(2.0 * loop[0] - loop[1], 0.0)
+                expected = 2.0 * loop[0] - loop[1]
+                for s in range(4):
+                    # a negative joint rate's mass moves onto both single moves, so that
+                    # each component's move rate stays as extrapolated
+                    if expected[s, s ^ 3] < 0.0:
+                        expected[s, s ^ 1] += expected[s, s ^ 3]
+                        expected[s, s ^ 2] += expected[s, s ^ 3]
+                        expected[s, s ^ 3] = 0.0
+                expected = np.maximum(expected, 0.0)
                 np.fill_diagonal(expected, 0.0)
                 np.fill_diagonal(expected, -expected.sum(axis=1))
                 rates = compose_copula(eps, zeta, CopulaSpec(rho, fd_step=1e-4)).generator.rates
@@ -415,12 +425,31 @@ class TestComposeCopula:
         np.fill_diagonal(off, 0.0)
         assert off.min() >= 0.0
 
-        # marginals: the Richardson-extrapolated exit rates, up to the clamp
-        back = marginalize(spec.generator, spec.mapping, atol=clamped + 1e-9)
+        # the clamp moves the joint rate's mass onto the single moves, so each component
+        # is still Markov, at the Richardson-extrapolated exit rates
+        back = marginalize(spec.generator, spec.mapping, atol=1e-12 * np.abs(q).max())
         for chain, recovered in zip((eps, zeta), back):
             rate = chain.exit_rates()
             expected = 2.0 * -np.expm1(-rate * h / 2) / (h / 2) + np.expm1(-rate * h) / h
-            assert_allclose(recovered.exit_rates(), expected, rtol=0, atol=clamped + 1e-9)
+            assert_allclose(recovered.exit_rates(), expected, rtol=0, atol=1e-9)
+
+    def test_clamped_joint_rate_keeps_each_component_markov(self):
+        # the joint move extrapolates below zero in two states here; zeroing it alone
+        # raised the move rates of those states, and each component's rate came to
+        # depend on the other's state by 3.03e-2
+        eps, zeta = two_state(79.13, 0.0438), two_state(84.90, 8.355)
+        h = CopulaSpec(-0.177).fd_step
+        half, full = _copula_rates(eps, zeta, -0.177, np.array([h / 2, h]))
+        s = np.arange(4)
+        assert (2.0 * half - full)[s, s ^ 3].min() < -1e-3
+        spec = compose_copula(eps, zeta, CopulaSpec(-0.177))
+        q = spec.generator.rates
+        back = marginalize(spec.generator, spec.mapping, atol=1e-12 * np.abs(q).max())
+        for chain, recovered in zip((eps, zeta), back):
+            rate = chain.exit_rates()
+            expected = 2.0 * -np.expm1(-rate * h / 2) / (h / 2) + np.expm1(-rate * h) / h
+            assert_allclose(recovered.exit_rates(), expected, rtol=0, atol=1e-9)
+        assert q[s, s ^ 3].min() == 0.0 and (q - np.diag(np.diag(q))).min() >= 0.0
 
     def test_negative_rate_beyond_its_gap_raises(self, monkeypatch):
         real = compose._copula_rates
@@ -434,3 +463,45 @@ class TestComposeCopula:
         eps, zeta = (two_state(*rates) for rates in REFERENCE_MARGINALS)
         with pytest.raises(NonGenerator, match="from state 0 to 3"):
             compose_copula(eps, zeta, CopulaSpec(0.6))
+
+
+# the normal-score correlation: either branch of the CDF, the switch between them
+# at |rho| = 0.925, and the comonotone and countermonotone ends
+CORRELATIONS = st.one_of(
+    st.floats(-1.0, 1.0),
+    st.sampled_from([-1.0, -0.925, 0.925, 1.0]),
+    st.floats(0.9, 0.95).map(lambda r: r if r > 0.925 else -r),
+)
+
+
+@settings(max_examples=150, deadline=2000, derandomize=True, database=None)
+@given(
+    st.lists(st.floats(-9.0, 9.0), min_size=2, max_size=12),
+    st.lists(st.floats(-9.0, 9.0), min_size=2, max_size=12),
+    CORRELATIONS,
+)
+def test_bivariate_normal_cdf_property(xs, ys, rho):
+    # within the Frechet bounds of its marginals, and nondecreasing in x and in y
+    x, y = np.sort(xs)[:, None], np.sort(ys)[None, :]
+    cdf = bivariate_normal_cdf(x, y, rho)
+    px, py = ndtr(x), ndtr(y)
+    assert np.all(cdf >= np.maximum(0.0, px + py - 1.0) - 4e-16)
+    assert np.all(cdf <= np.minimum(px, py) + 4e-16)
+    assert np.diff(cdf, axis=0).min(initial=0.0) >= -4e-16
+    assert np.diff(cdf, axis=1).min(initial=0.0) >= -4e-16
+
+
+@settings(max_examples=100, deadline=2000, derandomize=True, database=None)
+@given(st.lists(st.floats(-3.0, 2.0).map(lambda e: 10.0**e), min_size=4, max_size=4), CORRELATIONS)
+def test_compose_copula_property(rates, rho):
+    # a valid generator whose components are each a Markov chain, or NonGenerator
+    eps, zeta = two_state(*rates[:2]), two_state(*rates[2:])
+    try:
+        spec = compose_copula(eps, zeta, CopulaSpec(rho))
+    except NonGenerator:
+        return
+    q = spec.generator.rates
+    scale = np.abs(q).max()
+    assert (q - np.diag(np.diag(q))).min() >= 0.0
+    assert np.abs(q.sum(axis=1)).max() <= 1e-12 * scale
+    marginalize(spec.generator, spec.mapping, atol=1e-12 * scale)

@@ -629,6 +629,18 @@ class TestHjbOperator:
 
         assert shift() < 0.05 * shift(relative_step=1e-5)
 
+    @pytest.mark.parametrize("relative_step", [0.0, -1e-4, np.nan, np.inf])
+    def test_rejects_a_bad_relative_step(self, solved, relative_step):
+        # a zero step used to end in a ConcavityViolation at V_xx = nan after three
+        # RuntimeWarnings, and NaN or inf in a time outside the tabulated range
+        market, table, loading = solved
+        value = closed_form_value(market, table, loading)
+        with pytest.raises(InvalidInput) as caught:
+            hjb_residual(market, value, 0.3, 1.0, 0.0, 0, relative_step=relative_step)
+        assert caught.value.problems == (
+            ("relative_step", f"must be positive and finite, got {float(relative_step)!r}"),
+        )
+
     def test_concavity_violation(self, solved):
         market, _, _ = solved
 

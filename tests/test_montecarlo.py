@@ -17,6 +17,7 @@ from regimeweave import montecarlo, portfolio
 from regimeweave.cli import load_config
 from regimeweave.hjb import (
     MarketModel,
+    _unit_value,
     growth_coefficients,
     solve_income_loading,
     solve_regime_factors,
@@ -26,13 +27,13 @@ from regimeweave.montecarlo import (
     MCEstimate,
     NonZeroRho,
     estimate_regime_factor,
-    estimate_value_factor,
     estimate_value_mc,
 )
 from regimeweave.portfolio import (
     evaluate_policy,
     optimal_strategy,
     simulate_wealth,
+    value_function,
 )
 
 REPO = Path(__file__).resolve().parents[1]
@@ -97,6 +98,15 @@ def closed_form_factor(market, t_start, income_start, regime=0):
     return float(np.exp(exponent))
 
 
+def sampled_value_factor(market, t_start, income_start, regime, n_paths, rng):
+    """The wealth-free value factor ``exp(m(t) y) h_regime(t)`` that
+    :func:`estimate_value_mc` samples: its estimate at zero wealth, whose unit
+    value is ``-exp(m(t) y) / gamma``, times ``-gamma``."""
+    est = estimate_value_mc(market, t_start, 0.0, income_start, regime, n_paths, rng)
+    gamma = market.risk_aversion
+    return MCEstimate(-gamma * est.value, gamma * est.stderr, est.n_paths)
+
+
 class TestEstimateRegimeFactor:
     def test_single_regime_is_exact(self):
         # no chain randomness: every path yields the same closed-form value
@@ -144,21 +154,23 @@ class TestEstimateRegimeFactor:
 
 
 class TestEstimateValueFactor:
+    # the zero-correlation value factor exp(m(t) y) h(t), as estimate_value_mc samples it
+
     def test_rejects_nonzero_correlation(self):
         market = make_market(correlation=0.4)
-        with pytest.raises(NonZeroRho):
-            estimate_value_factor(market, 0.0, 1.0, 0, 100, RngStream(seed=31))
+        with pytest.raises(NonZeroRho, match="requires zero correlation, got 0.4"):
+            estimate_value_mc(market, 0.0, 1.0, 1.0, 0, 100, RngStream(seed=31))
 
     def test_deterministic_income_single_regime(self):
         market = single_regime_market(income_vol=[0.0])
-        est = estimate_value_factor(market, 0.0, 1.0, 0, 4, RngStream(seed=32))
+        est = sampled_value_factor(market, 0.0, 1.0, 0, 4, RngStream(seed=32))
         assert est.value == pytest.approx(closed_form_factor(market, 0.0, 1.0), rel=1e-14)
         assert est.stderr == 0.0
 
     def test_gaussian_income_single_regime(self):
         # a regime that cannot be left takes only the closed-form branch
         market = single_regime_market()
-        est = estimate_value_factor(market, 0.0, 1.0, 0, 4000, RngStream(seed=33))
+        est = sampled_value_factor(market, 0.0, 1.0, 0, 4000, RngStream(seed=33))
         assert est.value == pytest.approx(closed_form_factor(market, 0.0, 1.0), rel=1e-14)
         assert est.stderr == 0.0
 
@@ -168,7 +180,7 @@ class TestEstimateValueFactor:
         # chain path the Gaussian income is integrated exactly, so every
         # path gives the closed form and only rounding varies
         market = twin_regime_market()
-        est = estimate_value_factor(market, t_start, 1.0, 0, 4000, RngStream(seed=37))
+        est = sampled_value_factor(market, t_start, 1.0, 0, 4000, RngStream(seed=37))
         target = closed_form_factor(market, t_start, 1.0)
         assert est.value == pytest.approx(target, rel=1e-13)
         assert est.stderr <= 1e-14 * target
@@ -187,7 +199,7 @@ class TestEstimateValueFactor:
         loading = solve_income_loading(market)
         y0 = 0.8
         for regime in (0, 1):
-            est = estimate_value_factor(market, 0.0, y0, regime, 3000, RngStream(seed=35))
+            est = sampled_value_factor(market, 0.0, y0, regime, 3000, RngStream(seed=35))
             target = float(np.exp(loading.value(0.0) * y0) * table.value(0.0, regime))
             assert abs(est.value - target) < 4 * est.stderr
 
@@ -195,18 +207,19 @@ class TestEstimateValueFactor:
         market = make_market()
         table = solve_regime_factors(market)
         loading = solve_income_loading(market)
-        est = estimate_value_factor(market, 0.9, -0.3, 1, 3000, RngStream(seed=36))
+        est = sampled_value_factor(market, 0.9, -0.3, 1, 3000, RngStream(seed=36))
         target = float(np.exp(loading.value(0.9) * -0.3) * table.value(0.9, regime=1))
         assert abs(est.value - target) < 4 * est.stderr
 
 
 class TestEstimateValueMc:
     def test_scales_value_factor(self):
+        # the unit value, wealth and income in one exponent, times the regime factor's sample
         market = make_market()
-        factor = estimate_value_factor(market, 0.0, 1.0, 0, 400, RngStream(seed=41))
+        factor = estimate_regime_factor(market, 0.0, 0, 400, RngStream(seed=41))
         value = estimate_value_mc(market, 0.0, 2.0, 1.0, 0, 400, RngStream(seed=41))
-        gamma = market.risk_aversion
-        scale = -np.exp(-gamma * 2.0 * np.exp(market.rate * market.horizon)) / gamma
+        gamma, m = market.risk_aversion, solve_income_loading(market).value(0.0)
+        scale = -np.exp(-gamma * 2.0 * np.exp(market.rate * market.horizon) + m * 1.0) / gamma
         assert value.value == pytest.approx(scale * factor.value, rel=1e-15)
         assert value.stderr == pytest.approx(abs(scale) * factor.stderr, rel=1e-15)
         assert value.value < 0
@@ -232,6 +245,19 @@ class TestEstimateValueMc:
             warnings.simplefilter("error")
             with pytest.raises(OverflowError, match="float range"):
                 estimate_value_mc(market, 0.0, -1e4, 0.0, 0, 100, RngStream(seed=44))
+
+    def test_wealth_and_income_share_one_exponent(self):
+        # m(0) y is 918 at y = -300, so exp(m(0) y) alone overflows, but the wealth
+        # term -gamma x e^{rT} is -312 at x = 200 and the value's exponent is 606;
+        # pricing the income factor first used to raise an overflow here
+        config = load_config(REPO / "configs" / "rho_zero.json")
+        market = config.market
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = estimate_value_mc(market, 0.0, 200.0, -300.0, 0, 2000, RngStream(seed=45))
+        target = value_function(market, n_steps=config.n_steps)(0.0, 200.0, -300.0, 0)
+        assert np.isfinite([est.value, est.stderr]).all() and est.value < -1e262
+        assert abs(est.value - target) < 4 * est.stderr
 
     def test_estimate_is_dataclass_with_counts(self):
         market = make_market()
@@ -557,16 +583,16 @@ class TestStreamContract:
 
     @pytest.mark.parametrize("with_income", [True, False])
     def test_value_factor(self, chain, layout, with_income):
-        # a zero income start makes the income factor exp(m(t) y) exactly one
+        # the zero-correlation value is the unit value times the loop's regime factor
         market = contract_market(chain)
         n = CONTRACT_CHAINS[chain][1]
         income_start = 0.7 if with_income else 0.0
-        income = float(np.exp(solve_income_loading(market).value(0.4) * income_start))
+        unit = float(_unit_value(market, solve_income_loading(market), 0.4, 1.0, income_start))
         for regime in range(market.n_regimes):
             paths = layout_paths(market, regime, 0.4, n, RngStream(62), first_jump_by_end=True)
             factor = loop_estimate([loop_regime_factor(market, path) for path, _ in paths])
-            got = estimate_value_factor(market, 0.4, income_start, regime, n, RngStream(62))
-            assert got == MCEstimate(income * factor.value, income * factor.stderr, n)
+            got = estimate_value_mc(market, 0.4, 1.0, income_start, regime, n, RngStream(62))
+            assert got == MCEstimate(unit * factor.value, abs(unit) * factor.stderr, n)
 
     def test_policy(self, chain, layout):
         market = contract_market(chain, correlation=0.3)
@@ -644,8 +670,9 @@ def test_wealth_steps_on_a_jump_at_a_node_and_many_jumps_a_step(monkeypatch):
 
 @pytest.mark.parametrize("chain", ["slow", "absorbing"])
 def test_value_factor_is_the_income_factor_times_its_value_at_zero_income(chain):
-    # the rho0 grid of `solve` samples each (t, regime) at income 0 and scales it by
-    # exp(m(t) y); an income-dependent term in the estimator would break that
+    # the rho0 grid of `solve` samples each (t, regime) once and prices every income
+    # with it; so the sampled value must be the unit value times one income-free
+    # sample, the regime factor on the same paths, at every start and income
     market = contract_market(chain)
     n = CONTRACT_CHAINS[chain][1]
     loading = solve_income_loading(market)
@@ -653,9 +680,9 @@ def test_value_factor_is_the_income_factor_times_its_value_at_zero_income(chain)
         for regime in range(market.n_regimes):
             factor = estimate_regime_factor(market, t_start, regime, n, RngStream(63, 2))
             for income_start in (-1.5, -0.3, 0.0, 0.7, 2.0):
-                got = estimate_value_factor(market, t_start, income_start, regime, n, RngStream(63, 2))
-                income = float(np.exp(loading.value(t_start) * income_start))
-                assert got == MCEstimate(income * factor.value, income * factor.stderr, n)
+                got = estimate_value_mc(market, t_start, 0.5, income_start, regime, n, RngStream(63, 2))
+                unit = float(_unit_value(market, loading, t_start, 0.5, income_start))
+                assert got == MCEstimate(unit * factor.value, abs(unit) * factor.stderr, n)
 
 
 def wealth_path_bytes(paths):
@@ -791,6 +818,30 @@ def test_control_mean_matches_radau(config):
             assert portfolio._exponent_mean(market, [strategy], 0.3, regime) == (mean[k], gap[k], panels[k])
 
 
+def test_control_mean_stays_within_its_entry_bound(monkeypatch):
+    # a two-state chain at rate 3e4 over horizon 1.5 asks for 2^17 panels to start;
+    # its first two runs built stacks of 1.57M and 3.1M entries against the 2^20
+    # bound, at a traced peak of 157 MiB
+    market = make_market(horizon=1.5, generator=validate_generator([[-3e4, 3e4], [3e4, -3e4]]))
+    stacks = []
+    law = portfolio.transition_probabilities
+
+    def recording(generator, t):
+        stacks.append(np.size(t) * generator.n_states**2)
+        return law(generator, t)
+
+    monkeypatch.setattr(portfolio, "transition_probabilities", recording)
+    tracemalloc.start()
+    try:
+        mean, gap, _ = portfolio._exponent_mean(market, [optimal_strategy(market)], 0.0, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(stacks) >= 2 and max(stacks) <= portfolio.MEAN_ENTRIES
+    assert peak <= 64 * portfolio.MEAN_ENTRIES  # 64 MiB: a few stacks of 8-byte entries
+    assert np.isfinite(mean).all() and gap[0] <= 1e-9 * max(1.0, abs(mean[0]))
+
+
 def test_policy_scores_are_centred_on_the_value_with_calibrated_stderr():
     # the controlled estimate against the factor ODE's value at 100 seeds: its
     # z-scores have mean 0 and spread 1 to within four of their own standard
@@ -832,7 +883,6 @@ def test_start_regime_out_of_range_is_a_value_error(regime):
     strategy = optimal_strategy(market)
     calls = [
         lambda: estimate_regime_factor(market, 0.0, regime, 4, RngStream(1)),
-        lambda: estimate_value_factor(market, 0.0, 0.5, regime, 4, RngStream(1)),
         lambda: estimate_value_mc(market, 0.0, 1.0, 0.5, regime, 4, RngStream(1)),
         lambda: evaluate_policy(market, strategy, 0.0, 1.0, 0.5, regime, 4, RngStream(1)),
     ]
@@ -849,7 +899,6 @@ def test_start_time_out_of_range_is_a_value_error(t_start):
     strategy = optimal_strategy(market)
     calls = [
         lambda: estimate_regime_factor(market, t_start, 0, 4, RngStream(1)),
-        lambda: estimate_value_factor(market, t_start, 0.5, 0, 4, RngStream(1)),
         lambda: estimate_value_mc(market, t_start, 1.0, 0.5, 0, 4, RngStream(1)),
         lambda: evaluate_policy(market, strategy, t_start, 1.0, 0.5, 0, 4, RngStream(1)),
         lambda: simulate_wealth(market, strategy, t_start, 1.0, 0.5, 0, 4, 3, RngStream(1)),
@@ -887,7 +936,6 @@ def test_float_range_is_an_overflow_error_without_warnings():
     calls = [
         (lambda: solve_regime_factors(market), factors),
         (lambda: estimate_regime_factor(market, 0.0, 0, 64, RngStream(1)), factors),
-        (lambda: estimate_value_factor(market, 0.0, 0.5, 0, 64, RngStream(1)), factors),
         (lambda: estimate_value_mc(market, 0.0, 1.0, 0.5, 0, 64, RngStream(1)), factors),
         (lambda: evaluate_policy(market, strategy, 0.0, 1.0, 0.5, 0, 64, RngStream(1)),
          "policy 'normal_income' exceeds the float range over horizon 2.0"),
@@ -900,13 +948,14 @@ def test_float_range_is_an_overflow_error_without_warnings():
 
 
 def test_value_factor_income_scale_past_the_float_range_is_an_overflow_error():
-    # m(0) is about -3.09 here, so exp(m(0) y) overflows at y = -300 on a healthy
-    # market; the estimate used to be inf with an inf stderr
+    # m(0) is about -3.09 here, so at zero wealth the value's exponent m(0) y passes
+    # the float range at y = -300 on a healthy market; the estimate used to be inf
+    # with an inf stderr
     market = make_market()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(OverflowError, match="value factor at income -300 exceeds the float range"):
-            estimate_value_factor(market, 0.0, -300.0, 0, 64, RngStream(1))
+        with pytest.raises(OverflowError, match="value at wealth 0, income -300 exceeds the float range"):
+            estimate_value_mc(market, 0.0, 0.0, -300.0, 0, 64, RngStream(1))
 
 
 def test_past_block_chain_crosses_the_block():
@@ -928,7 +977,7 @@ def test_group_size_invariance(monkeypatch):
     def estimates():
         return (
             estimate_regime_factor(market, 0.0, 0, 300, RngStream(24)),
-            estimate_value_factor(market0, 0.1, 0.4, 1, 300, RngStream(25)),
+            estimate_value_mc(market0, 0.1, 1.0, 0.4, 1, 300, RngStream(25)),
             evaluate_policy(market, strategy, 0.0, 1.0, 0.3, 1, 300, RngStream(26)),
             wealth_path_bytes(simulate_wealth(market, strategy, 0.0, 1.0, 0.3, 1, 300, 9, RngStream(27))),
         )

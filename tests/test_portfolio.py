@@ -13,7 +13,7 @@ from scipy.integrate import quad
 
 from regimeweave.hjb import MarketModel
 from regimeweave.markov import InvalidInput, RngStream, validate_generator
-from regimeweave.montecarlo import _simulate_chains, estimate_value_factor, estimate_value_mc
+from regimeweave.montecarlo import _simulate_chains, estimate_value_mc
 from regimeweave.portfolio import (
     NORMAL_INCOME,
     RHO_ZERO,
@@ -394,9 +394,6 @@ def test_non_finite_start_is_invalid_input(field, wealth_start, income_start):
     with pytest.raises(InvalidInput, match=f"^{field}: must be finite") as caught:
         estimate_value_mc(uncorrelated, 0.0, wealth_start, income_start, 0, 8, RngStream(seed=13))
     assert [name for name, _ in caught.value.problems] == [field]
-    if field == "income_start":
-        with pytest.raises(InvalidInput, match=f"^{field}: must be finite"):
-            estimate_value_factor(uncorrelated, 0.0, income_start, 0, 8, RngStream(seed=13))
 
 
 class TestSolutionBundleAndValue:
