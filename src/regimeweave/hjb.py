@@ -208,10 +208,14 @@ def _int_expm1_sq(r: float, delta):
 def _by_size(r: float, delta, series, direct):
     """``series(z, delta)`` where ``z = r delta`` is below :data:`SMALL_EXPONENT`
     in size, ``direct(z, delta)`` elsewhere (never at ``r = 0``), each computed
-    only where it is used."""
+    only where it is used, on the whole array where one form covers it."""
     delta = np.asarray(delta, dtype=float)
     z = r * delta
     small = np.abs(z) < SMALL_EXPONENT
+    if small.all():
+        return series(z, delta)
+    if not small.any():
+        return direct(z, delta)
     out = np.empty_like(z)
     out[small] = series(z[small], delta[small])
     out[~small] = direct(z[~small], delta[~small])
@@ -276,6 +280,25 @@ def regime_growth_rate(market: MarketModel, t):
     """Growth rates ``c_i(t)`` of all regime factors; shape ``t.shape + (n_regimes,)``."""
     loading = solve_income_loading(market)
     return growth_coefficients(market).evaluate(loading.value(t))
+
+
+def _growth_mean(market: MarketModel, t: float) -> NDArray[np.float64]:
+    """``mu_i(t) = E[integral of c(u, X_u) du from t to horizon | X_t = i]`` for every regime.
+
+    ``mu`` solves ``mu' = -Q mu - constant - linear m - quadratic m^2``, ``mu(horizon) = 0``,
+    and the loading's ``m' = -rate m + gamma`` gives ``(m^2)' = -2 rate m^2 + 2 gamma m``:
+    so ``(mu, m^2, m, 1)`` is linear, ``v' = L v``, and ``mu(t)`` heads the last column of
+    ``exp(-(horizon - t) L)`` (Van Loan, *IEEE TAC* 23(3), 1978), from one call of
+    :func:`~regimeweave.markov._expm_stack` with no quadrature and no ``rate -> 0`` branch.
+    """
+    n, coeffs = market.n_regimes, growth_coefficients(market)
+    r, gamma = market.rate, market.risk_aversion
+    generator = np.zeros((n + 3, n + 3))
+    generator[:n, :n] = -market.generator.rates
+    generator[:n, n:] = -np.stack([coeffs.quadratic, coeffs.linear, coeffs.constant], axis=1)
+    generator[n, n : n + 2] = -2.0 * r, 2.0 * gamma
+    generator[n + 1, n + 1 :] = -r, gamma
+    return _expm_stack(-(market.horizon - t) * generator)[:n, -1]
 
 
 @dataclass(frozen=True)

@@ -55,8 +55,6 @@ PIECE_EXPONENT = 0.1
 MIN_PANELS = 8
 MEAN_TOL = 1e-12
 MEAN_ENTRIES = 2**20
-# below this chance of leaving the start regime, the control's slope is taken at the unconditional mean
-RARE_LEAVE = 1e-8
 
 
 class CaseMismatch(InvalidInput):
@@ -364,9 +362,8 @@ def _evaluate_policies(
 
     The exponent ``a`` is the path integral of :func:`_exponent_rates` plus
     the start term ``-gamma e^{r tau} (x + y K(t))``, and ``E[a]`` comes from
-    :func:`_exponent_mean`.  The control's ``beta = -exp(m) / gamma`` is the
-    utility's slope at the sampled branch's mean exponent ``m = (E[a] - stay
-    a_stay) / leave``.
+    :func:`_exponent_mean`; :func:`~regimeweave.montecarlo._first_jump_estimates`
+    scores ``u = -exp(a) / gamma`` under its control.
     """
     _check_start(wealth_start=wealth_start, income_start=income_start)
     r, gamma, horizon = market.rate, market.risk_aversion, market.horizon
@@ -380,32 +377,19 @@ def _evaluate_policies(
         return np.add.reduceat(_exponent_rates(market, t_start, *integrals, states), np.cumsum(counts) - counts,
                                axis=-1) + start
 
-    stay, leave = _first_jump_split(market.generator, regime, t_start, horizon)
+    _, leave = _first_jump_split(market.generator, regime, t_start, horizon)
     n = len(strategies)
-    mean, gap, panels, slope = np.zeros(n), np.zeros(n), np.zeros(n, dtype=np.int64), np.zeros(n)
+    mean, gap, panels = np.zeros(n), np.zeros(n), np.zeros(n, dtype=np.int64)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves inf or NaN, which raises below
         if leave:  # a start that cannot be left scores exactly, with no control
             mean, gap, panels = _exponent_mean(market, strategies, t_start, regime)
-            mean += start
-            stayed = exponents(np.array([1]), np.array([t_start]), np.array([horizon]), np.array([regime]))[:, 0]
-            # the sampled branch's mean exponent; where leaving is so rare that the difference
-            # carries no digits, the branch weighs next to nothing and any finite slope will do
-            tangent = (mean - (stay * stayed if stay else 0.0)) / leave if leave >= RARE_LEAVE else mean
-            slope = -np.exp(tangent) / gamma
-
-    def utilities(counts, starts, ends, states):
-        """Each strategy's controlled conditional expected utility on each path of a chunk."""
-        a = exponents(counts, starts, ends, states)
-        return -np.exp(a) / gamma - slope[:, None] * (a - mean[:, None])
-
-    estimates = _first_jump_estimates(market, regime, t_start, n_paths, rng, utilities, [
+        mean = mean + start
+    estimates = _first_jump_estimates(market, regime, t_start, n_paths, rng, exponents, mean, gap, -gamma, [
         f"expected utility of policy {strategy.label!r} exceeds the float range over horizon {horizon}"
         for strategy in strategies
     ])
-    return [
-        PolicyEstimate(est.value, est.stderr + abs(float(b)) * float(g), est.n_paths, float(g), int(p))
-        for est, b, g, p in zip(estimates, slope, gap, panels)
-    ]
+    return [PolicyEstimate(est.value, est.stderr, est.n_paths, float(g), int(p))
+            for est, g, p in zip(estimates, gap, panels)]
 
 
 def _exponent_rates(market, t_start, annuity, square, per_strategy, states):

@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad, solve_ivp
 from scipy.linalg import expm
@@ -17,6 +19,7 @@ from regimeweave.hjb import (
     IncomeLoading,
     MarketModel,
     StepTooCoarse,
+    _growth_mean,
     _int_expm1,
     _int_expm1_sq,
     _magnus_grid,
@@ -280,6 +283,56 @@ class TestGrowthCoefficients:
         c = growth_coefficients(make_market())
         assert c.evaluate(0.0).shape == (2,)
         assert c.evaluate(np.zeros(5)).shape == (5, 2)
+
+
+def growth_markets():
+    """Markets of 2 to 8 regimes, each off-diagonal rate zero or between 1e-3
+    and 1e3 on a log scale, a rate of 0, 0.02 or -0.03, and a horizon between
+    0.01 and 50 on a log scale."""
+    rate = st.one_of(st.just(0.0), st.floats(-3.0, 3.0).map(lambda e: 10.0**e))
+
+    @st.composite
+    def of_size(draw, n):
+        q = np.reshape(draw(st.lists(rate, min_size=n * n, max_size=n * n)), (n, n))
+
+        def per_regime(lo, hi):
+            return draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n))
+
+        return MarketModel(
+            rate=draw(st.sampled_from([0.0, 0.02, -0.03])),
+            correlation=draw(st.floats(-0.9, 0.9)),
+            risk_aversion=draw(st.floats(0.5, 3.0)),
+            horizon=draw(st.floats(-2.0, np.log10(50.0)).map(lambda e: 10.0**e)),
+            stock_drift=per_regime(0.0, 0.12),
+            stock_vol=per_regime(0.1, 0.5),
+            income_drift=per_regime(-0.05, 0.05),
+            income_vol=per_regime(0.0, 0.3),
+            generator=validate_generator(q - np.diag(q.sum(axis=1))),
+        )
+
+    return st.integers(2, 8).flatmap(of_size)
+
+
+# Radau at these tolerances takes thousands of steps on the stiffest chains: few examples keep Tier-1's time
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(growth_markets(), st.floats(0.0, 0.99))
+def test_growth_mean_matches_radau(market, fraction):
+    # the control's mean from one matrix exponential, against the backward ODE
+    # mu' = -(c + Q mu), mu(horizon) = 0, for every start regime
+    t, q = fraction * market.horizon, market.generator.rates
+    tau = market.horizon - t
+    # errors relative to the integral of the rate's parts in size, which cancel where the rate is near 0
+    c, m = growth_coefficients(market), solve_income_loading(market).value(t)
+    size = tau * (np.abs(c.constant) + np.abs(c.linear * m) + c.quadratic * m**2).max()
+    solved = solve_ivp(lambda u, mu: -(regime_growth_rate(market, u) + q @ mu), (market.horizon, t),
+                       np.zeros(market.n_regimes), method="Radau", rtol=1e-13, atol=1e-15 * size or 1.0,
+                       jac=lambda u, mu: -q)
+    assert solved.success
+    # scaling and squaring rounds in proportion to the 1-norm of Q tau: on chains whose rates
+    # span six decades that bound, not 1e-12, holds (up to 1.2e-11 seen, where scipy's expm
+    # stays near 1e-14)
+    tolerance = max(1e-12, 32 * 2.0**-53 * np.abs(q).sum(axis=0).max() * tau)
+    assert np.abs(_growth_mean(market, t) - solved.y[:, -1]).max() <= tolerance * size
 
 
 class TestSolveRegimeFactors:

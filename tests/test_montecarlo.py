@@ -17,6 +17,7 @@ from regimeweave import montecarlo, portfolio
 from regimeweave.cli import load_config
 from regimeweave.hjb import (
     MarketModel,
+    _growth_mean,
     _unit_value,
     growth_coefficients,
     solve_income_loading,
@@ -381,14 +382,23 @@ def loop_exponent(market, path):
 
 
 def loop_regime_factor(market, path):
-    """The closed form on the branch that never leaves the start regime, and
-    the path's sample on the other, its first jump conditioned to land
-    before the horizon."""
-    regime = int(path.states[0])
-    exits = market.generator.exit_rates()[regime] * (market.horizon - path.t_start)
+    """The controlled regime factor from loop oracles: the path's factor
+    ``exp(a)`` less ``beta (a - E[a])``, mixed with the same on the branch that
+    never leaves the start regime, its first jump conditioned to land before
+    the horizon.  ``E[a]`` is :func:`hjb._growth_mean`'s, and ``beta`` the
+    factor's slope at the sampled branch's mean exponent."""
+    regime, t_start = int(path.states[0]), path.t_start
+    exits = market.generator.exit_rates()[regime] * (market.horizon - t_start)
     stay, leave = float(np.exp(-exits)), float(-np.expm1(-exits))
-    jumping = float(np.exp(loop_exponent(market, path)))
-    return stay * closed_form_factor(market, path.t_start, 0.0, regime) + leave * jumping
+    stay_path = RegimePath(t_start, path.t_end, np.array([t_start]), np.array([regime]), market.n_regimes)
+    stayed = loop_exponent(market, stay_path)
+    mean = _growth_mean(market, t_start)[regime]
+    slope = np.exp((mean - stay * stayed) / leave) if leave else 0.0
+
+    def controlled(a):
+        return np.exp(a) - slope * (a - mean)
+
+    return float(stay * controlled(stayed) + leave * controlled(loop_exponent(market, path)))
 
 
 def oracle_rates(market, strategy, t_start, u, states):
@@ -873,6 +883,32 @@ def test_control_cuts_the_policy_variance():
         mean, var = np.add.reduceat(moments[:2], np.cumsum(counts) - counts, axis=1)
         values.extend(-np.exp(-scale * (1.0 + mean) + scale**2 * var / 2.0) / market.risk_aversion)
     uncontrolled = leave * loop_estimate(values).stderr  # the branch that stays adds no variance
+    assert controlled.stderr <= 0.05 * uncontrolled
+
+
+def test_regime_factors_are_centred_on_the_ode_with_calibrated_stderr():
+    # the controlled factor against the factor ODE at 100 seeds: its z-scores
+    # have mean 0 and spread 1 to within four of their own standard errors
+    config = load_config(REPO / "configs" / "reference.json")
+    market, seeds = config.market, 100
+    factor = float(solve_regime_factors(market, n_steps=config.n_steps).value(0.0, 0))
+    estimates = (estimate_regime_factor(market, 0.0, 0, 500, RngStream(seed)) for seed in range(1, seeds + 1))
+    z = np.array([(est.value - factor) / est.stderr for est in estimates])
+    assert abs(z.mean()) < 4.0 / np.sqrt(seeds)
+    assert abs(z.std(ddof=1) - 1.0) < 4.0 / np.sqrt(2.0 * (seeds - 1))
+
+
+@pytest.mark.parametrize("config", ["reference", "rho_zero", "copula"])
+def test_control_cuts_the_regime_factor_variance(config):
+    # a path's factor exp(a) and its exponent a correlate almost perfectly, so
+    # the control leaves a small part of the first-jump estimator's variance
+    config = load_config(REPO / "configs" / f"{config}.json")
+    market, n, rng = config.market, 1000, RngStream(config.seed, 0)
+    controlled = estimate_regime_factor(market, 0.0, 0, n, rng)
+    leave = float(-np.expm1(-market.generator.exit_rates()[0] * market.horizon))
+    paths = layout_paths(market, 0, 0.0, n, rng, first_jump_by_end=True)
+    factors = [np.exp(loop_exponent(market, path)) for path, _ in paths]
+    uncontrolled = leave * loop_estimate(factors).stderr  # the branch that stays adds no variance
     assert controlled.stderr <= 0.05 * uncontrolled
 
 
