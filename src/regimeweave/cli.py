@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -361,12 +363,26 @@ def _json_text(value) -> str:
 
 
 def _cells(column) -> list[str]:
-    """One column's cells: floats to 17 significant digits with negative zero
-    normalized (``+ 0.0``), anything else through ``str``."""
+    """One column's cells as :mod:`csv` writes them among other fields: floats to 17
+    significant digits with negative zero normalized (``+ 0.0``), anything else through
+    ``str``, and only where the column holds one of ``csv``'s special characters, each
+    distinct cell quoted by ``csv`` once."""
     values = np.asarray(column)
     if values.dtype.kind == "f":
         return [format(v, ".17g") for v in (values + 0.0).tolist()]
-    return [str(v) for v in values.tolist()]
+    cells = [str(v) for v in values.tolist()]
+    text = "".join(cells)
+    if any(special in text for special in ',"\r\n'):
+        quoted = {cell: _csv_field(cell) for cell in set(cells)}
+        cells = [quoted[cell] for cell in cells]
+    return cells
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as :mod:`csv` writes it in a row of more than one field."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow([text, ""])
+    return buffer.getvalue()[: -len(",\n")]
 
 
 class _Artifacts:
@@ -392,10 +408,10 @@ class _Artifacts:
         with open(path, "w", newline="") as stream:
             stream.write(f"# units: {units}\n# provenance: {provenance}\n")
             stream.write(f"# config: {self.config.config_hash} seed: {self.config.seed}\n")
-            writer = csv.writer(stream, lineterminator="\n")
-            writer.writerow(header)
+            stream.write(",".join(_cells(header)) + "\n")
             for lo in range(0, len(columns[0]), TABLE_BATCH):
-                writer.writerows(zip(*(_cells(column[lo : lo + TABLE_BATCH]) for column in columns)))
+                cells = (_cells(column[lo : lo + TABLE_BATCH]) for column in columns)
+                stream.write("".join(",".join(row) + "\n" for row in zip(*cells)))
 
     def json(self, key: str, name: str, value) -> None:
         """Write a closed-form JSON artifact."""
@@ -640,7 +656,7 @@ def cmd_evaluate(
 
     policies = [("pi-hat (optimal)", bundle.strategy)]
     for level in comparisons:
-        policies.append((f"constant pi={level:g}", Strategy(position=lambda t, regime, level=level: level)))
+        policies.append((f"constant pi={level:g}", Strategy.constant(market, level)))
     # one simulation of the chain paths pairs every policy on identical paths
     strategies = [replace(strategy, label=name) for name, strategy in policies]
     try:
@@ -657,8 +673,7 @@ def cmd_evaluate(
     rows, scored = [], {}
     for (name, _), est in zip(policies, estimates):
         rows.append([name, est.value, est.stderr, est.n_paths, predicted, est.value - predicted])
-        scored[name] = {"estimate": est.value, "stderr": est.stderr,
-                        "control_mean_gap": est.mean_gap, "control_mean_panels": est.mean_panels}
+        scored[name] = {"estimate": est.value, "stderr": est.stderr, "control_mean_gap": est.mean_gap}
     out.table("evaluation", "expected terminal utility, dimensionless", "MC±stderr",
               ["policy", "estimate", "stderr", "n_paths", "predicted_value", "gap"], list(zip(*rows)))
     return out.report(
@@ -793,6 +808,7 @@ def _marginal_gap(chain: CompoundChainSpec, t: float) -> float:
 # argument parsing and dispatch
 
 
+@functools.cache  # one parser a process: building one costs more than most runs' parsing
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="regimeweave",

@@ -282,23 +282,37 @@ def regime_growth_rate(market: MarketModel, t):
     return growth_coefficients(market).evaluate(loading.value(t))
 
 
-def _growth_mean(market: MarketModel, t: float) -> NDArray[np.float64]:
-    """``mu_i(t) = E[integral of c(u, X_u) du from t to horizon | X_t = i]`` for every regime.
+def _growth_mean(market: MarketModel, coefficients, t: float):
+    """``(mean, gap)`` of each rate ``c = constant + linear m + quadratic m^2`` in ``coefficients``,
+    a ``(rows, 3, n_regimes)`` stack of per-regime ``(constant, linear, quadratic)``:
+    ``mean[k, i] = E[integral of c_k(u, X_u) du from t to horizon | X_t = i]`` and ``gap[k]``
+    a bound on row ``k``'s rounding.
 
     ``mu`` solves ``mu' = -Q mu - constant - linear m - quadratic m^2``, ``mu(horizon) = 0``,
     and the loading's ``m' = -rate m + gamma`` gives ``(m^2)' = -2 rate m^2 + 2 gamma m``:
     so ``(mu, m^2, m, 1)`` is linear, ``v' = L v``, and ``mu(t)`` heads the last column of
-    ``exp(-(horizon - t) L)`` (Van Loan, *IEEE TAC* 23(3), 1978), from one call of
+    ``exp(-(horizon - t) L)`` (Van Loan, *IEEE TAC* 23(3), 1978), from
     :func:`~regimeweave.markov._expm_stack` with no quadrature and no ``rate -> 0`` branch.
+    Each row takes its own exponential, so that its mean does not depend on the rows beside
+    it, as a stack's shared squarings would make it; a row with a non-finite coefficient
+    has a NaN mean and gap.  Scaling and squaring rounds in proportion to the 1-norm of
+    ``(horizon - t) L`` (Higham, *SIAM J. Matrix Anal. Appl.* 26(4), 2005), so ``gap`` is
+    ``2^-51 (1 + that norm)`` times the column's largest entry.
     """
-    n, coeffs = market.n_regimes, growth_coefficients(market)
+    n, rows = market.n_regimes, len(coefficients)
     r, gamma = market.rate, market.risk_aversion
-    generator = np.zeros((n + 3, n + 3))
-    generator[:n, :n] = -market.generator.rates
-    generator[:n, n:] = -np.stack([coeffs.quadratic, coeffs.linear, coeffs.constant], axis=1)
-    generator[n, n : n + 2] = -2.0 * r, 2.0 * gamma
-    generator[n + 1, n + 1 :] = -r, gamma
-    return _expm_stack(-(market.horizon - t) * generator)[:n, -1]
+    generator = np.zeros((rows, n + 3, n + 3))
+    generator[:, :n, :n] = -market.generator.rates
+    generator[:, :n, n:] = -np.swapaxes(coefficients[:, ::-1], 1, 2)  # columns quadratic, linear, constant
+    generator[:, n, n : n + 2] = -2.0 * r, 2.0 * gamma
+    generator[:, n + 1, n + 1 :] = -r, gamma
+    mean, gap = np.full((rows, n), np.nan), np.full(rows, np.nan)
+    for k, exponent in enumerate(-(market.horizon - t) * generator):
+        if np.isfinite(exponent).all():
+            column = _expm_stack(exponent)[:, -1]
+            mean[k] = column[:n]
+            gap[k] = 2.0**-51 * (1.0 + np.abs(exponent).sum(axis=0).max()) * np.abs(column).max()
+    return mean, gap
 
 
 @dataclass(frozen=True)

@@ -37,11 +37,9 @@ onward) draws everything from the one Philox key
    weigh them against the branch that never leaves the start regime,
    valued by their own per-segment code (:func:`_first_jump_estimates`).
    Both are controlled there by each path's own exponent, and the control
-   draws nothing either: the factor's mean is one matrix exponential
-   (:func:`~regimeweave.hjb._growth_mean`), a policy's comes from the
-   chain's law ``exp(Q s)``
-   (:func:`~regimeweave.markov.transition_probabilities`), and the slope
-   is a constant, so a path's value stays its own path's alone.
+   draws nothing either: the factor's mean and a policy's alike are one
+   matrix exponential (:func:`~regimeweave.hjb._growth_mean`), and the
+   slope is a constant, so a path's value stays its own path's alone.
 
 The first arrays are ``head = m + 3 sqrt(m) + 4`` columns wide (at most
 ``JUMP_BLOCK``), ``m`` the expected jumps of the fastest state over the
@@ -128,23 +126,11 @@ def estimate_regime_factor(
     Raises :class:`ValueError` for a start time outside ``[0, horizon)`` or a
     regime out of range, and :class:`OverflowError` past the float range.
     """
-    coeffs, loading = growth_coefficients(market), solve_income_loading(market)
-
-    def exponents(counts, starts, ends, states):
-        integral, square_integral = loading._integrals(starts, ends)
-        terms = (
-            coeffs.constant[states] * (ends - starts)
-            + coeffs.linear[states] * integral
-            + coeffs.quadratic[states] * square_integral
-        )
-        return np.add.reduceat(terms, np.cumsum(counts) - counts)[None]
-
-    _first_jump_split(market.generator, regime, t_start, market.horizon)  # the start's checks, before its mean
-    mean = _growth_mean(market, t_start)[[regime]]
+    coeffs = growth_coefficients(market)
+    rates = np.stack([coeffs.constant, coeffs.linear, coeffs.quadratic])[None]
     message = f"regime factors exceed the float range over horizon {market.horizon}"
-    return _first_jump_estimates(
-        market, regime, t_start, n_paths, rng, exponents, mean, np.zeros(1), 1.0, [message]
-    )[0]
+    (estimate,), _ = _first_jump_estimates(market, regime, t_start, n_paths, rng, rates, 0.0, 1.0, [message])
+    return estimate
 
 
 def estimate_value_mc(
@@ -197,33 +183,54 @@ def _first_jump_split(generator: GeneratorMatrix, regime: int, t_start, horizon)
     return float(np.exp(-exits)), float(-np.expm1(-exits))
 
 
-def _first_jump_estimates(market, regime, t_start, n_paths, rng, exponents, mean, gap, divisor,
-                          overflow) -> list[MCEstimate]:
-    """One controlled estimate of ``E[exp(a) / divisor]`` per row of ``exponents(counts,
-    starts, ends, states)``, the ``(rows, paths)`` exponents ``a`` of a chunk's paths laid
-    out as :func:`_simulate_chains` yields them, conditioned on the first jump.
+def _segment_sums(loading, coefficients, starts, ends, states, at):
+    """Sums over runs of segments of ``constant dt + linear integral of m + quadratic integral
+    of m^2``, each segment's integrals of the ``loading`` ``m`` in closed form: a run starts
+    at each index of ``at``, and ``coefficients`` holds ``(..., 3, n_regimes)`` per-regime
+    ``(constant, linear, quadratic)``, so the result is ``(..., len(at))``.  A path's exponent
+    is its run's sum, and each of :func:`~regimeweave.portfolio.simulate_wealth`'s moments
+    a step's."""
+    integral, square_integral = loading._integrals(starts, ends)
+    constant, linear, quadratic = np.moveaxis(coefficients[..., states], -2, 0)
+    terms = constant * (ends - starts) + linear * integral + quadratic * square_integral
+    return np.add.reduceat(terms, at, axis=-1)
+
+
+def _first_jump_estimates(market, regime, t_start, n_paths, rng, coefficients, start, divisor, overflow):
+    """One controlled estimate of ``E[exp(a) / divisor]`` per row of ``coefficients``, each
+    path's exponent ``a`` its :func:`_segment_sums` plus ``start``, conditioned on the first
+    jump; and each row's control mean gap.
 
     With ``stay = exp(-exit_rate * (horizon - t_start))`` the one segment ``[t_start,
     horizon]`` in ``regime`` is integrated once, and each path contributes ``stay`` times
     the value on it plus ``1 - stay`` times its own, its first jump conditioned to land
     before the horizon; a branch of weight 0 adds 0 even where its value is not finite.
     Each value ``f(a) = exp(a) / divisor`` is scored as ``f(a) - beta (a - mean)``, a
-    control variate on the exponent (Glasserman 2004, section 4.1) whose mean ``E[a]`` the
-    caller gives per row with its ``gap``: ``beta = f(m)``, the slope of ``f`` at the sampled
-    branch's mean exponent ``m = (mean - stay a_stay) / leave``, taken at ``mean`` where
-    leaving is rarer than :data:`RARE_LEAVE`, and 0 for a start that cannot be left, which
-    is scored exactly.  The slope is a constant, so the estimate stays unbiased and each
-    path's value its own; ``stderr`` adds ``|beta| gap``.  Raises :class:`OverflowError`
-    with ``overflow[row]`` for the first row past the float range, and warns of nothing."""
+    control variate on the exponent (Glasserman 2004, section 4.1) whose mean ``E[a]`` and
+    its ``gap`` come from one matrix exponential a row
+    (:func:`~regimeweave.hjb._growth_mean`): ``beta = f(m)``, the slope of ``f`` at the
+    sampled branch's mean exponent ``m = (mean - stay a_stay) / leave``, taken at ``mean``
+    where leaving is rarer than :data:`RARE_LEAVE`; a start that cannot be left is scored
+    exactly, with no control and a standard error of 0.  The slope is a constant, so the
+    estimate stays unbiased and each path's value its own.  An error ``e`` in ``mean``
+    moves the estimate by ``beta e``, which ``|beta| gap`` bounds apart from ``stderr``.  Raises
+    :class:`OverflowError` with ``overflow[row]`` for the first row past the float range,
+    and warns of nothing."""
     if n_paths < 2:
         raise ValueError("need at least two paths for a standard error")
     horizon = market.horizon
     stay, leave = _first_jump_split(market.generator, regime, t_start, horizon)
+    loading = solve_income_loading(market)
     chunks = _simulate_chains(market.generator, regime, t_start, horizon, n_paths, rng, first_jump_by_end=True)
+    rows = len(coefficients)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves inf or NaN, which raises below
-        stayed = exponents(np.array([1]), np.array([t_start]), np.array([horizon]), np.array([regime]))
-        slope = np.zeros(len(stayed))
+        stayed = start + _segment_sums(
+            loading, coefficients, np.array([t_start]), np.array([horizon]), np.array([regime]), [0]
+        )
+        mean, gap, slope = np.zeros(rows), np.zeros(rows), np.zeros(rows)
         if leave:
+            means, gap = _growth_mean(market, coefficients, t_start)
+            mean = start + means[:, regime]
             # where leaving is so rare that the difference carries no digits, the sampled
             # branch weighs next to nothing and any finite slope will do
             tangent = (mean - (stay * stayed[:, 0] if stay else 0.0)) / leave if leave >= RARE_LEAVE else mean
@@ -232,14 +239,18 @@ def _first_jump_estimates(market, regime, t_start, n_paths, rng, exponents, mean
         def controlled(a):
             return np.exp(a) / divisor - slope[:, None] * (a - mean[:, None])
 
-        values = np.empty((len(stayed), n_paths))
+        values = np.empty((rows, n_paths))
         for first, counts, starts, ends, states, _ in chunks:
-            values[:, first : first + len(counts)] = controlled(exponents(counts, starts, ends, states))
-        mixed = (stay * controlled(stayed) if stay else 0.0) + (leave * values if leave else np.zeros_like(values))
-        return [
-            _finite(MCEstimate(est.value, est.stderr + abs(float(b)) * float(g), est.n_paths), message)
-            for est, b, g, message in zip(map(_estimate, mixed), slope, gap, overflow)
-        ]
+            paths = np.cumsum(counts) - counts  # each path's first segment
+            values[:, first : first + len(counts)] = controlled(
+                start + _segment_sums(loading, coefficients, starts, ends, states, paths)
+            )
+        if leave:
+            sampled = map(_estimate, (stay * controlled(stayed) if stay else 0.0) + leave * values)
+        else:  # every path stays: its one value, with no mean of copies to round
+            sampled = (MCEstimate(float(value), 0.0, n_paths) for value in controlled(stayed)[:, 0])
+        estimates = [_finite(est, message) for est, message in zip(sampled, overflow)]
+    return estimates, gap
 
 
 def _block_head(mean_jumps: float) -> int:

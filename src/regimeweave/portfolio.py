@@ -2,27 +2,31 @@
 
 Positions are money amounts held in the stock, not fractions of wealth:
 with exponential utility the optimal position is wealth-independent and
-splits into a myopic mean-variance part and an income hedge.  Given the
+splits into a myopic mean-variance part and an income hedge.  A strategy
+is a pair of per-regime coefficients, so its exponent rate is quadratic
+in the income loading, like the regime factor's growth rate.  Given the
 regime path, discounted wealth plus discounted future income is Gaussian
-with independent increments, and so is income; one segment-integral rule
-gives their moments.  Policies are scored on the terminal moments in
-closed form, and wealth paths are sampled exactly from each uniform
-step's moments, so no time step enters either.
+with independent increments, and so is income; their moments are linear
+in each segment's closed-form loading integrals.  Policies are scored on
+the terminal moments in closed form, and wealth paths are sampled exactly
+from each uniform step's moments, so no time step or quadrature enters
+either.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .hjb import (
-    IncomeLoading, MarketModel, RegimeFactorTable, _unit_value, solve_income_loading, solve_regime_factors,
+    IncomeLoading, MarketModel, RegimeFactorTable, _frozen_array, _unit_value, solve_income_loading,
+    solve_regime_factors,
 )
-from .markov import InvalidInput, RngStream, transition_probabilities
-from .montecarlo import MCEstimate, _check_start, _first_jump_estimates, _first_jump_split, _simulate_chains
+from .markov import InvalidInput, RngStream
+from .montecarlo import MCEstimate, _check_start, _first_jump_estimates, _segment_sums, _simulate_chains
 
 __all__ = [
     "CaseMismatch",
@@ -45,17 +49,6 @@ __all__ = [
 RHO_ZERO = "rho0"
 NORMAL_INCOME = "normal_income"
 
-# 3-node Gauss-Legendre rule on [0, 1] for the segment integrals
-QUAD_NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * np.sqrt(15.0) / 10.0
-QUAD_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 18.0
-# the most change in exponent of exp(-2 rate u), the fastest integrand, across a piece of the segment rule
-PIECE_EXPONENT = 0.1
-# the control's mean: its fewest panels, the agreement of two runs that ends the
-# doubling, and the most matrix entries of one run's exponential stack
-MIN_PANELS = 8
-MEAN_TOL = 1e-12
-MEAN_ENTRIES = 2**20
-
 
 class CaseMismatch(InvalidInput):
     """Requested solution case contradicts the market's parameters."""
@@ -63,25 +56,46 @@ class CaseMismatch(InvalidInput):
 
 @dataclass(frozen=True)
 class Strategy:
-    """Feedback rule for the money amount held in the stock.
+    """Money amount held in the stock: in regime ``i`` at time ``t``,
 
-    ``position(t, regime)`` must accept numpy arrays broadcast against each
-    other; neither wealth nor income enters, because exponential utility
-    makes the optimum free of both.
+        a_i e^{-r (T - t)} + b_i (1 - e^{-r (T - t)}) / r
+
+    (``b_i (T - t)`` at ``r = 0``), ``r`` and ``T`` its market's ``rate`` and
+    ``horizon``; discounted, ``a D(T) + b K(u)`` (:func:`evaluate_policy`).  The
+    optimum holds ``a = excess / (gamma sigma^2)``, ``b = -rho delta / sigma``,
+    a constant amount ``c`` holds ``a = c``, ``b = r c``.  Neither wealth nor
+    income enters: exponential utility makes the optimum free of both.
     """
 
-    position: Callable[[float, int], float]
+    a: NDArray[np.float64]
+    b: NDArray[np.float64]
+    rate: float
+    horizon: float
     label: str = ""
 
-    def __call__(self, t, regime):
-        return self.position(t, regime)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "a", _frozen_array(self.a))
+        object.__setattr__(self, "b", _frozen_array(self.b))
+
+    @classmethod
+    def constant(cls, market: MarketModel, level, label: str = "") -> "Strategy":
+        """The amount ``level`` in every regime, or ``level[i]`` in regime ``i``, at all times."""
+        a = np.broadcast_to(np.asarray(level, dtype=float), (market.n_regimes,))
+        return cls(a=a, b=market.rate * a, rate=market.rate, horizon=market.horizon, label=label)
+
+    def position(self, t, regime):
+        """The amount held at ``t`` in ``regime``, broadcast against each other."""
+        tau = self.horizon - np.asarray(t, dtype=float)
+        r = self.rate
+        annuity = tau if r == 0.0 else -np.expm1(-r * tau) / r
+        out = self.a[regime] * np.exp(-r * tau) + self.b[regime] * annuity
+        return out if np.ndim(out) else float(out)
+
+    __call__ = position
 
     def scaled(self, factor: float) -> "Strategy":
-        def scaled_position(t, regime):
-            return factor * self.position(t, regime)
-
         suffix = f" x{factor:g}" if self.label else f"x{factor:g}"
-        return Strategy(position=scaled_position, label=self.label + suffix)
+        return replace(self, a=factor * self.a, b=factor * self.b, label=self.label + suffix)
 
 
 @dataclass(frozen=True)
@@ -99,12 +113,11 @@ class WealthPath:
 
 @dataclass(frozen=True)
 class PolicyEstimate(MCEstimate):
-    """A policy's score, with the accuracy of its control's mean: ``mean_gap``,
-    the exponent mean's last doubling gap (its part of ``stderr``), and
-    ``mean_panels``, the panels of its quadrature; 0 for a start that cannot be left."""
+    """A policy's score, with ``mean_gap``, the rounding bound of its control's
+    mean, which moves the score by at most the control's slope times it; 0 for a
+    start that cannot be left."""
 
     mean_gap: float
-    mean_panels: int
 
 
 @dataclass(frozen=True)
@@ -165,11 +178,9 @@ def optimal_strategy(market: MarketModel, case: str = NORMAL_INCOME) -> Strategy
     is zero and only the myopic part remains.
     """
     _check_case(case, market.correlation)
-
-    def position(t, regime):
-        return merton_weight(market, t, regime) + hedge_weight(market, t, regime)
-
-    return Strategy(position=position, label=case)
+    a = market.excess_return() / (market.risk_aversion * market.stock_vol**2)
+    b = -market.correlation * market.income_vol / market.stock_vol
+    return Strategy(a=a, b=b, rate=market.rate, horizon=market.horizon, label=case)
 
 
 def value_function(
@@ -231,11 +242,11 @@ def simulate_wealth(
     as in :func:`evaluate_policy`) are Gaussian with independent
     increments, so each of ``n_steps`` uniform steps draws income from its
     law, then ``Z`` given income, exactly (Glasserman 2004, section 3.3),
-    and wealth is ``X = (Z - K Y) / D``.  A step's moments sum the 3-node
-    rule of :func:`evaluate_policy` over the step's own pieces, cut at the
-    path's jumps (a jump on a node ends the step before it), so the only
-    error is the rule's on each piece.  Its chain paths are plain samples,
-    not conditioned on the first jump as :func:`evaluate_policy`'s are, so
+    and wealth is ``X = (Z - K Y) / D``.  A step's moments sum those of its
+    pieces, cut at the path's jumps (a jump on a node ends the step before
+    it), each linear in the piece's closed-form loading integrals
+    (:func:`_moment_coefficients`).  Its chain paths are plain samples, not
+    conditioned on the first jump as :func:`evaluate_policy`'s are, so
     path ``k`` does not run on chain path ``k`` of :func:`evaluate_policy`.
     It reads two normals a step in the layout of
     :mod:`~regimeweave.montecarlo`, and does not depend on ``n_paths``.  No
@@ -246,11 +257,13 @@ def simulate_wealth(
     _check_start(wealth_start=wealth_start, income_start=income_start)
     if n_steps < 1:
         raise ValueError("n_steps must be positive")
-    r, horizon, rho = market.rate, market.horizon, market.correlation
+    r, horizon = market.rate, market.horizon
     times = np.linspace(float(t_start), float(horizon), n_steps + 1)
     times.flags.writeable = False  # shared by every path
-    discount, annuity = np.exp(-r * (times - t_start)), _annuity(r, times, t_start, horizon)
-    drift, variance = market.income_drift, market.income_vol**2
+    loading, table = solve_income_loading(market), _moment_coefficients(market, strategy, t_start)
+    # D and K at the nodes, K = -m e^{-r tau} / gamma
+    discount = np.exp(-r * (times - t_start))
+    annuity = -loading.value(times) * (np.exp(-r * (horizon - t_start)) / market.risk_aversion)
     paths = []
     for _, counts, starts, _, states, normals in _simulate_chains(
         market.generator, regime, t_start, horizon, n_paths, rng, n_steps
@@ -267,19 +280,9 @@ def simulate_wealth(
         lo = np.empty(len(is_jump))
         lo[at_jump], lo[at_node] = starts[jump], np.tile(times, n_rows)
         hi = np.maximum(np.append(lo[1:], horizon), lo)  # the row's next piece's start; the horizon's is empty
-        k, span = states[np.repeat(np.arange(n_rows), sizes) + np.cumsum(is_jump)], hi - lo
-        annuity_int, square_int, ((position_int, risk_int),) = _segment_integrals(
-            market, [strategy], t_start, lo, hi, k
-        )
+        k = states[np.repeat(np.arange(n_rows), sizes) + np.cumsum(is_jump)]
         # mean of Z and of Y, variance of Z and of Y, and their covariance, summed over each step's pieces
-        moments = np.stack([
-            market.excess_return()[k] * position_int + drift[k] * annuity_int,
-            drift[k] * span,
-            risk_int + (1.0 - rho**2) * variance[k] * square_int,
-            variance[k] * span,
-            rho * (market.income_vol * market.stock_vol)[k] * position_int + variance[k] * annuity_int,
-        ])
-        steps = np.add.reduceat(moments, at_node, axis=-1).reshape(len(moments), n_rows, n_steps + 1)
+        steps = _segment_sums(loading, table, lo, hi, k, at_node).reshape(len(table), n_rows, n_steps + 1)
         mean_z, mean_y, var_z, var_y, cov = steps[..., :-1]  # the horizon's empty piece dropped
         # each step draws income, then Z given income
         root_y = np.sqrt(var_y)
@@ -307,46 +310,37 @@ def evaluate_policy(
 ) -> PolicyEstimate:
     """Expected terminal utility of a strategy, conditional on the regime path.
 
-    Each path draws only the regime chain.  Given it, a position that
-    depends on ``(t, regime)`` makes terminal wealth Gaussian with mean
-    ``e^{r tau} M`` and variance ``e^{2 r tau} S``, where, with ``x`` and
-    ``y`` the start wealth and income, ``D(u) = exp(-r (u - t))`` and
-    ``K(u)`` the integral of ``D`` from ``u`` to the horizon,
+    Each path draws only the regime chain.  Given it, terminal wealth is
+    Gaussian with mean ``e^{r tau} M`` and variance ``e^{2 r tau} S``, where,
+    with ``x`` and ``y`` the start wealth and income, ``D(u) = exp(-r (u - t))``
+    and ``K(u)`` the integral of ``D`` from ``u`` to the horizon,
 
         M = x + y K(t) + integral of [D pi (alpha - r) + K mu] du
         S = integral of [(D pi sigma + K delta rho)^2 + K^2 delta^2 (1 - rho^2)] du
 
     so the path contributes the exact conditional expected utility
-    ``-exp(-gamma e^{r tau} M + gamma^2 e^{2 r tau} S / 2) / gamma``
-    (conditional Monte Carlo; Glasserman 2004, section 4.5).  Both
-    integrals run over the path's segments by :func:`_segment_integrals`,
-    whose error (about 1e-10 of the value on a segment 10 long) lies far
-    below the statistical one, and no time step enters.
+    ``-exp(a) / gamma``, ``a = -gamma e^{r tau} M + gamma^2 e^{2 r tau} S / 2``
+    (conditional Monte Carlo; Glasserman 2004, section 4.5).  As ``D pi =
+    a_i D(T) + b_i K`` and ``K`` is the loading ``m`` over ``-gamma e^{r tau}``,
+    ``a`` is the start term ``-gamma e^{r tau} (x + y K(t))`` plus the path
+    integral of ``constant + linear m + quadratic m^2``
+    (:func:`_rate_coefficients`), summed over the segments in closed form.
 
-    The estimate is conditioned on the first jump by the estimator that
-    :func:`~regimeweave.montecarlo.estimate_regime_factor` uses: the chain
-    stays in ``regime`` up to the horizon with probability ``stay =
-    exp(-exit_rate * (horizon - t_start))``, and each path contributes
-    ``stay`` times the utility on that one-segment path, from the same
-    segment integrals, plus ``1 - stay`` times its own, its first jump
-    conditioned to land before the horizon.
-
-    The utility on a path is ``-exp(a) / gamma`` for the exponent ``a``
-    above, a sum of path integrals whose mean ``E[a]`` needs only the chain's
-    law ``exp(Q s)``, not the factor ODE.  So every path, and the branch that
-    stays, scores ``u - beta (a - E[a])``, a control variate (Glasserman
-    2004, section 4.1) with a constant ``beta``: the estimate stays
-    unbiased, and the optimal policy's variance falls 800- to 49000-fold on
-    the committed configs.  The returned :class:`PolicyEstimate`'s
-    ``stderr`` adds ``|beta|`` times the gap of ``E[a]``'s quadrature to the
-    sampling error, and reports that gap and the quadrature's panels.  A
-    start regime that cannot be left scores exactly, with no control.  Block ``b`` of
-    :data:`~regimeweave.montecarlo.BLOCK` paths draws from key
-    ``[rng.seed, rng.stream_id + b]``; running different strategies with
-    the same ``rng`` pairs them on identical chain paths.  Raises
-    :class:`InvalidInput` for a non-finite start, :class:`ValueError` for a
-    start time outside ``[0, horizon)`` or a start regime out of range, and
-    :class:`OverflowError` when the expected utility leaves the float range.
+    The estimate runs on the regime factor's estimator
+    (:func:`~regimeweave.montecarlo._first_jump_estimates`): conditioned on
+    the first jump, the branch that never leaves ``regime`` valued once, and
+    each path's utility controlled by its exponent, whose mean is one matrix
+    exponential (:func:`~regimeweave.hjb._growth_mean`), which cuts the
+    optimal policy's variance 800- to 49000-fold on the committed configs.
+    The :class:`PolicyEstimate` reports that mean's rounding bound beside
+    the sampling error.  A start regime that cannot be left scores exactly.  Block ``b`` of
+    :data:`~regimeweave.montecarlo.BLOCK` paths draws from key ``[rng.seed,
+    rng.stream_id + b]``; running different strategies with the same ``rng``
+    pairs them on identical chain paths.  Raises :class:`InvalidInput` for a
+    non-finite start or a strategy of another market, :class:`ValueError`
+    for a start time outside ``[0, horizon)`` or a start regime out of
+    range, and :class:`OverflowError` when the expected utility leaves the
+    float range.
     """
     (estimate,) = _evaluate_policies(
         market, [strategy], t_start, wealth_start, income_start, regime, n_paths, rng
@@ -358,138 +352,60 @@ def _evaluate_policies(
     market, strategies, t_start, wealth_start, income_start, regime, n_paths, rng
 ) -> list[PolicyEstimate]:
     """:func:`evaluate_policy` of each strategy, all on one simulation of
-    the chain paths; each estimate equals its own call's.
-
-    The exponent ``a`` is the path integral of :func:`_exponent_rates` plus
-    the start term ``-gamma e^{r tau} (x + y K(t))``, and ``E[a]`` comes from
-    :func:`_exponent_mean`; :func:`~regimeweave.montecarlo._first_jump_estimates`
-    scores ``u = -exp(a) / gamma`` under its control.
-    """
+    the chain paths; each estimate equals its own call's."""
     _check_start(wealth_start=wealth_start, income_start=income_start)
-    r, gamma, horizon = market.rate, market.risk_aversion, market.horizon
-    # the exponent's start term, -gamma e^{r tau} (x + y K(t))
-    start = wealth_start + income_start * _annuity(r, t_start, t_start, horizon)
-    start *= -gamma * np.exp(r * (horizon - t_start))
-
-    def exponents(counts, starts, ends, states):
-        """Each strategy's exponent ``a`` on each path of a chunk."""
-        integrals = _segment_integrals(market, strategies, t_start, starts, ends, states)
-        return np.add.reduceat(_exponent_rates(market, t_start, *integrals, states), np.cumsum(counts) - counts,
-                               axis=-1) + start
-
-    _, leave = _first_jump_split(market.generator, regime, t_start, horizon)
-    n = len(strategies)
-    mean, gap, panels = np.zeros(n), np.zeros(n), np.zeros(n, dtype=np.int64)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves inf or NaN, which raises below
-        if leave:  # a start that cannot be left scores exactly, with no control
-            mean, gap, panels = _exponent_mean(market, strategies, t_start, regime)
-        mean = mean + start
-    estimates = _first_jump_estimates(market, regime, t_start, n_paths, rng, exponents, mean, gap, -gamma, [
+    gamma, horizon = market.risk_aversion, market.horizon
+    # the exponent's start term, -gamma e^{r tau} (x + y K(t)) = -gamma e^{r tau} x + m(t) y
+    growth = np.exp(market.rate * (horizon - t_start))
+    start = -gamma * wealth_start * growth + solve_income_loading(market).value(t_start) * income_start
+    with np.errstate(over="ignore", invalid="ignore"):  # a coefficient past the float range raises below
+        rates = np.stack([_rate_coefficients(market, strategy) for strategy in strategies])
+    estimates, gaps = _first_jump_estimates(market, regime, t_start, n_paths, rng, rates, start, -gamma, [
         f"expected utility of policy {strategy.label!r} exceeds the float range over horizon {horizon}"
         for strategy in strategies
     ])
-    return [PolicyEstimate(est.value, est.stderr, est.n_paths, float(g), int(p))
-            for est, g, p in zip(estimates, gap, panels)]
+    return [PolicyEstimate(est.value, est.stderr, est.n_paths, float(gap)) for est, gap in zip(estimates, gaps)]
 
 
-def _exponent_rates(market, t_start, annuity, square, per_strategy, states):
-    """Each strategy's exponent rate ``c_pi = gamma^2 e^{2 r tau} s / 2 -
-    gamma e^{r tau} m`` from :func:`_integrands`, ``m`` and ``s`` the
-    integrands of ``M`` and ``S`` in :func:`evaluate_policy`; or, being linear
-    in them, its integrals from :func:`_segment_integrals`."""
-    scale = market.risk_aversion * np.exp(market.rate * (market.horizon - t_start))  # gamma e^{r tau}
-    unhedged = (1.0 - market.correlation**2) * market.income_vol**2  # income variance the stock cannot hedge
-    mean = market.excess_return()[states] * per_strategy[:, 0] + market.income_drift[states] * annuity
-    return scale**2 * (per_strategy[:, 1] + unhedged[states] * square) / 2.0 - scale * mean
+def _rate_coefficients(market: MarketModel, strategy: Strategy) -> NDArray[np.float64]:
+    """Per regime ``(constant, linear, quadratic)`` of the strategy's exponent rate in the
+    loading ``m`` (:func:`evaluate_policy`), ``gamma^2 var / 2 - gamma mean`` of the
+    :func:`_moment_coefficients` of ``Z`` at the horizon, where ``D = 1``; with ``e =
+    sigma b + rho delta``,
+
+        constant = (gamma sigma a)^2 / 2 - gamma (alpha - r) a
+        linear = mu + (alpha - r) b - gamma sigma a e
+        quadratic = (e^2 + (1 - rho^2) delta^2) / 2
+
+    free of the start time; the optimum's are :func:`~regimeweave.hjb.growth_coefficients`."""
+    mean, _, variance, _, _ = _moment_coefficients(market, strategy, market.horizon)
+    return market.risk_aversion**2 * variance / 2.0 - market.risk_aversion * mean
 
 
-def _exponent_mean(market, strategies, t_start, regime):
-    """``(mean, gap, panels)``: each strategy's ``E[integral of c_pi(u, X_u)
-    du]`` from ``t_start`` to the horizon, the chain ``X`` in ``regime`` at
-    ``t_start`` and ``c_pi`` from :func:`_exponent_rates`.
-
-    It needs only the chain's law ``p(u)``, row ``regime`` of ``exp(Q (u -
-    t_start))``, from one batched
-    :func:`~regimeweave.markov.transition_probabilities` call at the nodes
-    of a composite 3-node Gauss-Legendre rule.  Its panels start at about
-    two per expected jump of the fastest state, at least :data:`MIN_PANELS`
-    and at most what keeps two runs within :data:`MEAN_ENTRIES`, and double
-    until two runs agree to :data:`MEAN_TOL` (relative above one), or until
-    a run would pass :data:`MEAN_ENTRIES`.
-    Each strategy keeps its own first such run, so its entry does not depend
-    on the others: ``mean`` is the finer run, ``gap`` its difference from the
-    one before, and ``panels`` the finer run's panels.
-    """
-    n, rows = market.n_regimes, len(strategies)
-    span = market.horizon - t_start
-    panels = 1 << int(np.ceil(np.log2(max(MIN_PANELS, 2.0 * market.generator.exit_rates().max() * span))))
-    most = MEAN_ENTRIES // (6 * n * n)  # a run of `panels` holds 3 panels n^2 entries, the next twice that
-    panels = min(panels, 1 << max(most.bit_length() - 1, 0))
-    mean, gap, settled_at = np.empty(rows), np.empty(rows), np.zeros(rows, dtype=np.int64)
-    previous = None
-    while not settled_at.all():
-        width = span / panels
-        offsets = (width * (np.arange(panels)[:, None] + QUAD_NODES)).ravel()  # u - t_start at each node
-        weights = np.tile(width * QUAD_WEIGHTS, panels)[:, None]
-        laws = transition_probabilities(market.generator, offsets).probs[:, regime] * weights
-        integrands = _integrands(market, strategies, t_start, t_start + offsets[:, None], np.arange(n))
-        run = np.einsum("knj,nj->k", _exponent_rates(market, t_start, *integrands, np.arange(n)), laws)
-        if previous is not None:
-            last = 6 * panels * n * n > MEAN_ENTRIES  # the next run would pass the bound
-            change = np.abs(run - previous)
-            settle = (settled_at == 0) & (last | (change <= MEAN_TOL * np.maximum(1.0, np.abs(run))))
-            mean[settle], gap[settle], settled_at[settle] = run[settle], change[settle], panels
-        previous, panels = run, 2 * panels
-    return mean, gap, settled_at
+def _moment_coefficients(market: MarketModel, strategy: Strategy, t_start: float) -> NDArray[np.float64]:
+    """``(5, 3, n_regimes)``: the per-regime coefficients of a piece's length and integrals of
+    ``m`` and ``m^2`` in the means of ``Z`` and ``Y``, their variances and their covariance
+    (:func:`simulate_wealth`), from ``D pi = a D(T) + b K`` and ``K = -k m``."""
+    _check_strategy(market, strategy)
+    a, b, rho, drift = strategy.a, strategy.b, market.correlation, market.income_drift
+    excess, sigma, delta = market.excess_return(), market.stock_vol, market.income_vol
+    discount = np.exp(-market.rate * (market.horizon - t_start))  # D(T)
+    held, k = a * discount, discount / market.risk_aversion
+    exposure = sigma * b + rho * delta
+    square = (exposure**2 + (1.0 - rho**2) * delta**2) * k**2
+    zero = np.zeros_like(a)
+    return np.stack([
+        [excess * held, -(excess * b + drift) * k, zero],
+        [drift, zero, zero],
+        [(sigma * held) ** 2, -2.0 * sigma * held * exposure * k, square],
+        [delta**2, zero, zero],
+        [rho * delta * sigma * held, -(rho * delta * sigma * b + delta**2) * k, zero],
+    ])
 
 
-def _segment_integrals(market, strategies, t_start, starts, ends, states):
-    """:func:`_integrands` integrated over each segment, from ``starts`` to
-    ``ends`` in ``states``, by the 3-node Gauss-Legendre rule on the fewest
-    equal pieces that keep ``2 |rate|`` times a piece's length within
-    :data:`PIECE_EXPONENT` (one piece on the committed configs).  The count
-    depends on the segment alone, and piece ``j`` of every segment that has
-    one is added in turn, so memory stays that of the segments."""
-    span = ends - starts
-    pieces = np.maximum(np.ceil(2.0 * abs(market.rate) * span / PIECE_EXPONENT), 1.0)
-    width = span / pieces
-    totals = _piece_integrals(market, strategies, t_start, starts, width, states)
-    for j in range(1, int(pieces.max(initial=1.0))):
-        live = np.flatnonzero(pieces > j)
-        step = width[live]
-        parts = _piece_integrals(market, strategies, t_start, starts[live] + j * step, step, states[live])
-        for total, part in zip(totals, parts):
-            total[..., live] += part
-    return totals
-
-
-def _piece_integrals(market, strategies, t_start, starts, width, states):
-    """:func:`_integrands` by the 3-node Gauss-Legendre rule on pieces ``width`` long from ``starts``."""
-    # node k of piece s sits at [k, s]; per-regime coefficients at the pieces' shape broadcast over nodes
-    weights = QUAD_WEIGHTS[:, None] * width
-    integrands = _integrands(market, strategies, t_start, starts + QUAD_NODES[:, None] * width, states)
-    return tuple((weights * f).sum(axis=-2) for f in integrands)
-
-
-def _integrands(market, strategies, t_start, times, states):
-    """``(K, K^2, per_strategy)`` at ``times`` in ``states``, broadcast against
-    each other (``D``, ``K`` as in :func:`evaluate_policy`); ``per_strategy[k]``
-    holds strategy ``k``'s ``D pi`` and ``(D pi sigma + K rho delta)^2``."""
-    r, horizon = market.rate, market.horizon
-    discount = np.exp(-r * (times - t_start))
-    annuity = _annuity(r, times, t_start, horizon)
-    hedge = annuity * (market.correlation * market.income_vol)[states]
-    per_strategy = np.empty((len(strategies), 2, *hedge.shape))
-    for k, strategy in enumerate(strategies):
-        position = discount * strategy(times, states)
-        per_strategy[k, 0] = position
-        per_strategy[k, 1] = (position * market.stock_vol[states] + hedge) ** 2
-    return annuity, annuity**2, per_strategy
-
-
-def _annuity(rate: float, u, t_start: float, horizon: float):
-    """``K(u)``: integral of ``exp(-rate (s - t_start))`` over ``s`` from ``u``
-    to ``horizon``, in the cancellation-safe ``expm1`` form."""
-    if rate == 0.0:
-        return horizon - u
-    return -np.exp(-rate * (u - t_start)) * np.expm1(-rate * (horizon - u)) / rate
+def _check_strategy(market: MarketModel, strategy: Strategy) -> None:
+    """Raise :class:`~regimeweave.markov.InvalidInput` unless ``strategy`` is held in ``market``."""
+    n, r, horizon = market.n_regimes, market.rate, market.horizon
+    if (strategy.a.shape, strategy.b.shape, strategy.rate, strategy.horizon) != ((n,), (n,), r, horizon):
+        rule = f"needs one (a, b) per regime ({n}) at the market's rate {r!r} and horizon {horizon!r}"
+        raise InvalidInput([("strategy", rule)])

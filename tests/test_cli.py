@@ -357,7 +357,7 @@ def test_overflowing_optimum_is_a_market_error(tmp_path, capsys, monkeypatch):
 
     def huge_optimum(market, strategies, *args):
         # the optimum keeps its label at a position no utility survives
-        huge = replace(strategies[0], position=lambda t, regime: 1e200)
+        huge = Strategy.constant(market, 1e200, label=strategies[0].label)
         return real(market, [huge, *strategies[1:]], *args)
 
     monkeypatch.setattr(cli, "_evaluate_policies", huge_optimum)
@@ -393,11 +393,11 @@ def test_table_writer_golden_text(tmp_path):
     config = load_config(REFERENCE)
     out = _Artifacts("solve", config, tmp_path)
     out.table("golden", "units", "closed-form", ["label", "a", "b", "n", "flag"], [
-        ["0 (eps=0,zeta=1)", ""],
-        [-0.0, float("nan")],
-        [np.float64(np.inf), 0.1],
-        [3, np.int64(-4)],
-        [True, False],
+        ["0 (eps=0,zeta=1)", "", None],
+        [-0.0, float("nan"), 2.5],
+        [np.float64(np.inf), 0.1, -1e-300],
+        [3, np.int64(-4), 0],
+        [True, False, True],
     ])
     assert (tmp_path / "golden.csv").read_text() == (
         "# units: units\n"
@@ -406,8 +406,28 @@ def test_table_writer_golden_text(tmp_path):
         "label,a,b,n,flag\n"
         '"0 (eps=0,zeta=1)",0,inf,3,True\n'
         ",nan,0.10000000000000001,-4,False\n"
+        "None,2.5,-1e-300,0,True\n"
     )
     assert out.outputs == {"golden": "golden.csv"}
+
+
+@pytest.mark.parametrize("first, second", [
+    (["evaluate", "--compare", "0.5", "--paths", "40"], ["evaluate", "--paths", "40"]),
+    (["simulate", "--x0", "2", "--paths", "3"], ["simulate", "--paths", "3"]),
+])
+def test_one_parser_serves_calls_in_turn(tmp_path, first, second):
+    # main builds one parser a process: a flag of one call must not leak into the next,
+    # so the second call writes what it writes after a fresh parser
+    cli._build_parser.cache_clear()
+    assert main([*first, "--config", REFERENCE, "--out", str(tmp_path / "first")]) == 0
+    assert main([*second, "--config", REFERENCE, "--out", str(tmp_path / "reused")]) == 0
+    cli._build_parser.cache_clear()
+    assert main([*second, "--config", REFERENCE, "--out", str(tmp_path / "fresh")]) == 0
+    names = sorted(path.name for path in (tmp_path / "fresh").iterdir())
+    assert names == sorted(path.name for path in (tmp_path / "reused").iterdir())
+    for name in names:
+        assert (tmp_path / "reused" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+    assert (tmp_path / "first" / names[0]).read_bytes() != (tmp_path / "fresh" / names[0]).read_bytes()
 
 
 class TestCompose:
@@ -765,8 +785,8 @@ class TestEvaluate:
         market = config.market
         policies = {
             "pi-hat (optimal)": optimal_strategy(market, config.case),
-            "constant pi=0.5": Strategy(lambda t, regime: 0.5),
-            "constant pi=1": Strategy(lambda t, regime: 1.0),
+            "constant pi=0.5": Strategy.constant(market, 0.5),
+            "constant pi=1": Strategy.constant(market, 1.0),
         }
         assert list(report.results["policies"]) == list(policies)
         for name, strategy in policies.items():
@@ -774,8 +794,7 @@ class TestEvaluate:
                 market, strategy, 0.0, 0.7, 0.1, 2, 300, RngStream(config.seed, 0)
             )
             assert report.results["policies"][name] == {
-                "estimate": est.value, "stderr": est.stderr,
-                "control_mean_gap": est.mean_gap, "control_mean_panels": est.mean_panels,
+                "estimate": est.value, "stderr": est.stderr, "control_mean_gap": est.mean_gap,
             }
 
 

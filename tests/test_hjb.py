@@ -31,6 +31,7 @@ from regimeweave.hjb import (
     solve_regime_factors,
 )
 from regimeweave.markov import InvalidInput, _expm_stack, validate_generator
+from regimeweave.portfolio import Strategy, _rate_coefficients, optimal_strategy
 
 Q2 = validate_generator([[-0.5, 0.5], [0.3, -0.3]])
 
@@ -313,26 +314,76 @@ def growth_markets():
     return st.integers(2, 8).flatmap(of_size)
 
 
+def strategy_rates(market, factor, level):
+    """``(rows, 3, n_regimes)`` rate coefficients of the optimum, the optimum
+    scaled by ``factor``, and the constant amount ``level``."""
+    optimum = optimal_strategy(market)
+    strategies = [optimum, optimum.scaled(factor), Strategy.constant(market, level)]
+    return np.stack([_rate_coefficients(market, strategy) for strategy in strategies])
+
+
 # Radau at these tolerances takes thousands of steps on the stiffest chains: few examples keep Tier-1's time
-@settings(max_examples=10, deadline=None, derandomize=True, database=None)
-@given(growth_markets(), st.floats(0.0, 0.99))
-def test_growth_mean_matches_radau(market, fraction):
-    # the control's mean from one matrix exponential, against the backward ODE
-    # mu' = -(c + Q mu), mu(horizon) = 0, for every start regime
-    t, q = fraction * market.horizon, market.generator.rates
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(growth_markets(), st.floats(0.0, 0.99), st.floats(0.0, 2.0), st.floats(-2.0, 2.0))
+def test_growth_mean_matches_radau(market, fraction, factor, level):
+    # each control's mean from one matrix exponential, against the backward ODE
+    # mu' = -(c + Q mu), mu(horizon) = 0, for every start regime, for the
+    # optimal, a scaled and a constant strategy, solved together
+    t, q, n = fraction * market.horizon, market.generator.rates, market.n_regimes
     tau = market.horizon - t
+    rates = strategy_rates(market, factor, level)
+    loading = solve_income_loading(market)
+
+    def rate(u):
+        m = loading.value(u)
+        return (rates[:, 0] + rates[:, 1] * m + rates[:, 2] * m**2).ravel()
+
     # errors relative to the integral of the rate's parts in size, which cancel where the rate is near 0
-    c, m = growth_coefficients(market), solve_income_loading(market).value(t)
-    size = tau * (np.abs(c.constant) + np.abs(c.linear * m) + c.quadratic * m**2).max()
-    solved = solve_ivp(lambda u, mu: -(regime_growth_rate(market, u) + q @ mu), (market.horizon, t),
-                       np.zeros(market.n_regimes), method="Radau", rtol=1e-13, atol=1e-15 * size or 1.0,
-                       jac=lambda u, mu: -q)
+    m = loading.value(t)
+    size = tau * (np.abs(rates[:, 0]) + np.abs(rates[:, 1] * m) + rates[:, 2] * m**2).max(axis=1)
+    jac = np.kron(np.eye(len(rates)), -q)
+    solved = solve_ivp(lambda u, mu: -(rate(u) + jac @ -mu), (market.horizon, t), np.zeros(len(rates) * n),
+                       method="Radau", rtol=1e-13, atol=1e-15 * size.min() or 1.0, jac=lambda u, mu: jac)
     assert solved.success
     # scaling and squaring rounds in proportion to the 1-norm of Q tau: on chains whose rates
     # span six decades that bound, not 1e-12, holds (up to 1.2e-11 seen, where scipy's expm
     # stays near 1e-14)
     tolerance = max(1e-12, 32 * 2.0**-53 * np.abs(q).sum(axis=0).max() * tau)
-    assert np.abs(_growth_mean(market, t) - solved.y[:, -1]).max() <= tolerance * size
+    mean, _ = _growth_mean(market, rates, t)
+    assert np.all(np.abs(mean - solved.y[:, -1].reshape(len(rates), n)).max(axis=1) <= tolerance * size)
+    # the optimum's rate is the regime factor's
+    assert_allclose(rate(t)[:n], regime_growth_rate(market, t), rtol=1e-13, atol=1e-15)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(growth_markets(), st.floats(0.0, 0.99), st.floats(0.0, 2.0), st.floats(-2.0, 2.0))
+def test_growth_mean_gap_covers_its_rounding(market, fraction, factor, level):
+    # the reported gap bounds the mean's distance from scipy's expm of the same
+    # (mu, m^2, m, 1) system, built here from its equations
+    t, n = fraction * market.horizon, market.n_regimes
+    r, gamma = market.rate, market.risk_aversion
+    rates = strategy_rates(market, factor, level)
+    mean, gap = _growth_mean(market, rates, t)
+    for row, coefficients in enumerate(rates):
+        system = np.zeros((n + 3, n + 3))  # d/du of (mu, m^2, m, 1)
+        system[:n, :n] = -market.generator.rates
+        constant, linear, quadratic = coefficients
+        system[:n, n], system[:n, n + 1], system[:n, n + 2] = -quadratic, -linear, -constant
+        system[n, n], system[n, n + 1] = -2.0 * r, 2.0 * gamma
+        system[n + 1, n + 1], system[n + 1, n + 2] = -r, gamma
+        oracle = expm(-(market.horizon - t) * system)[:n, -1]
+        assert 0.0 < gap[row] and np.abs(mean[row] - oracle).max() <= gap[row]
+
+
+def test_growth_mean_of_a_non_finite_rate_is_nan():
+    # a coefficient past the float range leaves that row's mean and gap NaN, and no other row's
+    market = make_market()
+    rates = strategy_rates(market, 0.5, 1.0)
+    with np.errstate(over="ignore"):
+        rates[2] = _rate_coefficients(market, Strategy.constant(market, 1e200))
+    mean, gap = _growth_mean(market, rates, 0.0)
+    assert np.isnan(mean[2]).all() and np.isnan(gap[2])
+    assert np.array_equal(mean[:2], _growth_mean(market, rates[:2], 0.0)[0])
 
 
 class TestSolveRegimeFactors:

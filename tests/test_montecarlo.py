@@ -16,6 +16,7 @@ from scipy.integrate import quad_vec, solve_ivp
 from regimeweave import montecarlo, portfolio
 from regimeweave.cli import load_config
 from regimeweave.hjb import (
+    IncomeLoading,
     MarketModel,
     _growth_mean,
     _unit_value,
@@ -381,24 +382,32 @@ def loop_exponent(market, path):
     return np.add.reduceat(terms, [0])[0]
 
 
-def loop_regime_factor(market, path):
-    """The controlled regime factor from loop oracles: the path's factor
+def loop_regime_estimate(market, paths):
+    """The controlled regime factor from loop oracles: each path's factor
     ``exp(a)`` less ``beta (a - E[a])``, mixed with the same on the branch that
     never leaves the start regime, its first jump conditioned to land before
-    the horizon.  ``E[a]`` is :func:`hjb._growth_mean`'s, and ``beta`` the
-    factor's slope at the sampled branch's mean exponent."""
+    the horizon.  ``E[a]`` is :func:`hjb._growth_mean`'s and ``beta`` the
+    factor's slope at the sampled branch's mean exponent.  A start that cannot
+    be left gives its one value with a standard error of 0."""
+    path = paths[0][0]
     regime, t_start = int(path.states[0]), path.t_start
     exits = market.generator.exit_rates()[regime] * (market.horizon - t_start)
     stay, leave = float(np.exp(-exits)), float(-np.expm1(-exits))
     stay_path = RegimePath(t_start, path.t_end, np.array([t_start]), np.array([regime]), market.n_regimes)
     stayed = loop_exponent(market, stay_path)
-    mean = _growth_mean(market, t_start)[regime]
-    slope = np.exp((mean - stay * stayed) / leave) if leave else 0.0
+    if not leave:
+        return MCEstimate(float(np.exp(stayed)), 0.0, len(paths))
+    coeffs = growth_coefficients(market)
+    rates = np.stack([coeffs.constant, coeffs.linear, coeffs.quadratic])[None]
+    mean = _growth_mean(market, rates, t_start)[0][0, regime]
+    slope = np.exp((mean - stay * stayed) / leave)
 
     def controlled(a):
         return np.exp(a) - slope * (a - mean)
 
-    return float(stay * controlled(stayed) + leave * controlled(loop_exponent(market, path)))
+    return loop_estimate([
+        float(stay * controlled(stayed) + leave * controlled(loop_exponent(market, path))) for path, _ in paths
+    ])
 
 
 def oracle_rates(market, strategy, t_start, u, states):
@@ -588,7 +597,7 @@ class TestStreamContract:
         n = CONTRACT_CHAINS[chain][1]
         for regime in range(market.n_regimes):
             paths = layout_paths(market, regime, 0.3, n, RngStream(61, 5), first_jump_by_end=True)
-            expected = loop_estimate([loop_regime_factor(market, path) for path, _ in paths])
+            expected = loop_regime_estimate(market, paths)
             assert estimate_regime_factor(market, 0.3, regime, n, RngStream(61, 5)) == expected
 
     @pytest.mark.parametrize("with_income", [True, False])
@@ -600,7 +609,7 @@ class TestStreamContract:
         unit = float(_unit_value(market, solve_income_loading(market), 0.4, 1.0, income_start))
         for regime in range(market.n_regimes):
             paths = layout_paths(market, regime, 0.4, n, RngStream(62), first_jump_by_end=True)
-            factor = loop_estimate([loop_regime_factor(market, path) for path, _ in paths])
+            factor = loop_regime_estimate(market, paths)
             got = estimate_value_mc(market, 0.4, 1.0, income_start, regime, n, RngStream(62))
             assert got == MCEstimate(unit * factor.value, abs(unit) * factor.stderr, n)
 
@@ -612,12 +621,12 @@ class TestStreamContract:
             paths = layout_paths(market, regime, 0.2, n, RngStream(63, 9), first_jump_by_end=True)
             expected = loop_policy_estimate(market, strategy, 0.2, 1.0, 0.5, regime, paths)
             got = evaluate_policy(market, strategy, 0.2, 1.0, 0.5, regime, n, RngStream(63, 9))
-            # three Gauss-Legendre nodes a segment leave up to 4.2e-11 of the
-            # value here, on segments up to 1.8 long; one path off the layout
-            # moves the mean by orders of magnitude more
+            # the closed-form segment sums leave up to 1.7e-14 of the value here,
+            # on segments up to 1.8 long; one path off the layout moves the mean
+            # by orders of magnitude more
             assert got.n_paths == n
-            assert abs(got.value - expected.value) <= 2e-10 * abs(expected.value)
-            assert abs(got.stderr - expected.stderr) <= 2e-10 * abs(expected.value)
+            assert abs(got.value - expected.value) <= 1e-13 * abs(expected.value)
+            assert abs(got.stderr - expected.stderr) <= 1e-13 * abs(expected.value)
 
     def test_wealth_paths(self, chain, layout):
         market = contract_market(chain, correlation=0.3)
@@ -654,24 +663,23 @@ def test_wealth_steps_on_a_jump_at_a_node_and_many_jumps_a_step(monkeypatch):
     segments = [np.concatenate(part) for part in zip(*(path.segments() for path in paths))]
     chunk = (0, np.array([4, 2]), *segments, normals)
     monkeypatch.setattr(portfolio, "_simulate_chains", lambda *args: iter([chunk]))
-    pieces = []
+    pieces, integrals = [], IncomeLoading._integrals
 
-    def recording_integrals(market, strategies, t_start, starts, ends, states):
-        integrals = segment_integrals(market, strategies, t_start, starts, ends, states)
-        pieces.append((starts, ends, integrals))
-        return integrals
+    def recording_integrals(loading, starts, ends):
+        out = integrals(loading, starts, ends)
+        pieces.append((starts, ends, out))
+        return out
 
-    segment_integrals = portfolio._segment_integrals
-    monkeypatch.setattr(portfolio, "_segment_integrals", recording_integrals)
+    monkeypatch.setattr(IncomeLoading, "_integrals", recording_integrals)
     got = simulate_wealth(market, strategy, 0.2, 1.0, 0.5, 0, 2, 6, RngStream(1))
     # the regime at node 2 is the one after the jump there
     assert np.array_equal(got[0].regimes, [0, 0, 1, 1, 1, 1, 1])
     assert np.array_equal(got[1].regimes, [0, 0, 1, 1, 1, 1, 1])
     # the empty piece before node 2 integrates to exactly zero, and so adds nothing to step 1
-    ((starts, ends, (annuity_int, square_int, per_strategy)),) = pieces
+    ((starts, ends, (integral, square_integral)),) = pieces
     empty = np.flatnonzero((starts == times[2]) & (ends == times[2]))
     assert len(empty) == 1
-    assert not annuity_int[empty].any() and not square_int[empty].any() and not per_strategy[..., empty].any()
+    assert not integral[empty].any() and not square_integral[empty].any()
     for row, path, row_normals in zip(got, paths, normals):
         assert np.array_equal(row.income, loop_income_path(market, 0.2, 0.5, path, row_normals))
         wealth = loop_wealth_path(market, strategy, 0.2, 1.0, 0.5, path, row_normals)
@@ -813,43 +821,19 @@ def test_first_jump_conditioning_cuts_the_policy_variance():
 
 @pytest.mark.parametrize("config", ["reference", "copula"])
 def test_control_mean_matches_radau(config):
-    # the control's mean from the chain's law at quadrature nodes, against the
+    # each strategy's control mean from one matrix exponential, against the
     # backward ODE mu' = -(c + Q mu), mu(horizon) = 0, for every start regime
     market = load_config(REPO / "configs" / f"{config}.json").market
     strategies = [optimal_strategy(market), optimal_strategy(market).scaled(0.5),
-                  portfolio.Strategy(position=lambda t, regime: 0.7, label="constant")]
+                  portfolio.Strategy.constant(market, 0.7, label="constant")]
     expected = np.array([ode_exponent_mean(market, strategy, 0.3, 0.0, 0.0) for strategy in strategies])
-    for regime in range(market.n_regimes):
-        mean, gap, panels = portfolio._exponent_mean(market, strategies, 0.3, regime)
-        assert np.all(np.abs(mean - expected[:, regime]) <= 1e-11 * np.maximum(1.0, np.abs(mean)))
-        assert np.all(gap <= portfolio.MEAN_TOL * np.maximum(1.0, np.abs(mean)))
-        assert np.all(panels >= 2 * portfolio.MIN_PANELS)
-        for k, strategy in enumerate(strategies):  # each strategy's entry is its own call's
-            assert portfolio._exponent_mean(market, [strategy], 0.3, regime) == (mean[k], gap[k], panels[k])
-
-
-def test_control_mean_stays_within_its_entry_bound(monkeypatch):
-    # a two-state chain at rate 3e4 over horizon 1.5 asks for 2^17 panels to start;
-    # its first two runs built stacks of 1.57M and 3.1M entries against the 2^20
-    # bound, at a traced peak of 157 MiB
-    market = make_market(horizon=1.5, generator=validate_generator([[-3e4, 3e4], [3e4, -3e4]]))
-    stacks = []
-    law = portfolio.transition_probabilities
-
-    def recording(generator, t):
-        stacks.append(np.size(t) * generator.n_states**2)
-        return law(generator, t)
-
-    monkeypatch.setattr(portfolio, "transition_probabilities", recording)
-    tracemalloc.start()
-    try:
-        mean, gap, _ = portfolio._exponent_mean(market, [optimal_strategy(market)], 0.0, 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(stacks) >= 2 and max(stacks) <= portfolio.MEAN_ENTRIES
-    assert peak <= 64 * portfolio.MEAN_ENTRIES  # 64 MiB: a few stacks of 8-byte entries
-    assert np.isfinite(mean).all() and gap[0] <= 1e-9 * max(1.0, abs(mean[0]))
+    coefficients = np.stack([portfolio._rate_coefficients(market, strategy) for strategy in strategies])
+    mean, gap = _growth_mean(market, coefficients, 0.3)
+    assert np.all(np.abs(mean - expected) <= 1e-12 * np.maximum(1.0, np.abs(mean)))
+    assert np.all((0.0 < gap) & (gap <= 1e-12))
+    for k in range(len(strategies)):  # each strategy's entry is its own call's
+        alone = _growth_mean(market, coefficients[k : k + 1], 0.3)
+        assert np.array_equal(alone[0][0], mean[k]) and alone[1][0] == gap[k]
 
 
 def test_policy_scores_are_centred_on_the_value_with_calibrated_stderr():

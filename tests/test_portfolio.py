@@ -2,23 +2,25 @@
 
 from __future__ import annotations
 
-import tracemalloc
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from regimeweave.hjb import MarketModel
+from regimeweave.hjb import MarketModel, growth_coefficients, solve_income_loading
 from regimeweave.markov import InvalidInput, RngStream, validate_generator
-from regimeweave.montecarlo import _simulate_chains, estimate_value_mc
+from regimeweave.montecarlo import _segment_sums, _simulate_chains, estimate_value_mc
 from regimeweave.portfolio import (
     NORMAL_INCOME,
     RHO_ZERO,
     CaseMismatch,
     Strategy,
+    _rate_coefficients,
     build_solution,
     evaluate_policy,
     hedge_weight,
@@ -139,11 +141,97 @@ class TestOptimalStrategy:
         bumped = strat.scaled(1.25)
         assert bumped(0.7, 1) == pytest.approx(1.25 * strat(0.7, 1), rel=1e-15)
 
+@st.composite
+def markets(draw):
+    """Markets of 1 to 6 regimes over a few rates, correlations and horizons."""
+    n = draw(st.integers(1, 6))
+
+    def per_regime(lo, hi):
+        return draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n))
+
+    return MarketModel(
+        rate=draw(st.sampled_from([0.0, 0.03, -0.02, 0.1])),
+        correlation=draw(st.floats(-0.95, 0.95)),
+        risk_aversion=draw(st.floats(0.2, 5.0)),
+        horizon=draw(st.floats(0.1, 10.0)),
+        stock_drift=per_regime(-0.05, 0.2),
+        stock_vol=per_regime(0.05, 0.6),
+        income_drift=per_regime(-0.1, 0.1),
+        income_vol=per_regime(0.0, 0.4),
+        generator=validate_generator(np.zeros((n, n))),
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(markets())
+def test_the_optimum_rate_is_the_regime_factor_growth_rate(market):
+    # the optimum's exponent rate is the factor ODE's growth rate, term by term, to rounding
+    coefficients = _rate_coefficients(market, optimal_strategy(market))
+    growth = growth_coefficients(market)
+    excess, sigma, rho, delta = market.excess_return(), market.stock_vol, market.correlation, market.income_vol
+    # each term's rounding is a few units of the sizes of its parts, or of the smallest normal float
+    sizes = [excess**2 / sigma**2, np.abs(market.income_drift) + np.abs(rho * delta * excess / sigma), delta**2]
+    for got, expected, size in zip(coefficients, (growth.constant, growth.linear, growth.quadratic), sizes):
+        assert np.all(np.abs(got - expected) <= 8 * 2.0**-52 * np.maximum(size, np.finfo(float).tiny))
+
+
+def gl8_exponent(market, position, t_start, start, end, regime):
+    """The integral of the exponent rate ``c_pi`` over ``[start, end]`` in
+    ``regime`` by the 8-node Gauss-Legendre rule, the position from its
+    callable, and the integral of ``|c_pi|``'s parts, the scale of its rounding."""
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    half = (end - start) / 2.0
+    u = start + half * (1.0 + nodes)
+    r, horizon, gamma, rho = market.rate, market.horizon, market.risk_aversion, market.correlation
+    sigma, delta = market.stock_vol[regime], market.income_vol[regime]
+    discount = np.exp(-r * (u - t_start))
+    annuity = horizon - u if r == 0.0 else (discount - np.exp(-r * (horizon - t_start))) / r
+    held = discount * position(u, regime)
+    scale = gamma * np.exp(r * (horizon - t_start))
+    variance = (held * sigma + annuity * delta * rho) ** 2 + (annuity * delta) ** 2 * (1.0 - rho**2)
+    parts = [
+        scale**2 * variance / 2.0,
+        -scale * held * market.excess_return()[regime],
+        -scale * annuity * market.income_drift[regime],
+    ]
+    return half * weights @ sum(parts), half * weights @ sum(np.abs(part) for part in parts)
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.03, -0.05])
+def test_segment_exponents_match_gauss_legendre_on_the_positions(rate):
+    # the closed-form exponent of a segment, from the strategy's coefficients,
+    # against an 8-node rule on c_pi built from merton_weight and hedge_weight
+    market = make_market(rate=rate, horizon=6.0, correlation=-0.6)
+    loading = solve_income_loading(market)
+
+    def optimum(u, regime):
+        return merton_weight(market, u, regime) + hedge_weight(market, u, regime)
+
+    cases = [
+        (optimal_strategy(market), optimum),
+        (optimal_strategy(market).scaled(0.4), lambda u, regime: 0.4 * optimum(u, regime)),
+        (Strategy.constant(market, 1.7), lambda u, regime: np.full_like(u, 1.7)),
+        (Strategy.constant(market, [-0.8, 2.5]), lambda u, regime: np.full_like(u, [-0.8, 2.5][regime])),
+    ]
+    rng = np.random.default_rng(21)
+    t_start = 0.7
+    starts = t_start + rng.uniform(0.0, market.horizon - t_start, 40)
+    ends = np.minimum(starts + rng.exponential(1.0, 40), market.horizon)
+    states = rng.integers(0, 2, 40)
+    for strategy, position in cases:
+        coefficients = _rate_coefficients(market, strategy)[None]
+        got = _segment_sums(loading, coefficients, starts, ends, states, np.arange(40))[0]
+        for k in range(40):
+            expected, size = gl8_exponent(market, position, t_start, starts[k], ends[k], states[k])
+            # the start term does not enter a segment's own exponent
+            assert abs(got[k] - expected) <= 1e-12 * size, (strategy.label, k)
+
+
 class TestSimulateWealth:
     def test_riskless_growth_exact(self):
         # no position and no income leaves pure compounding
         market = make_market(income_drift=[0.0, 0.0], income_vol=[0.0, 0.0])
-        idle = Strategy(position=lambda t, i: 0.0 * np.asarray(t), label="idle")
+        idle = Strategy.constant(market, 0.0, label="idle")
         for path in simulate_wealth(market, idle, 0.0, 2.0, 0.0, 0, 4, 64, RngStream(seed=1)):
             assert_allclose(path.wealth, 2.0 * np.exp(0.03 * path.times), rtol=1e-14)
 
@@ -154,7 +242,7 @@ class TestSimulateWealth:
             generator=validate_generator([[0.0, 0.0], [0.0, 0.0]]),
             income_vol=[0.0, 0.0],
         )
-        idle = Strategy(position=lambda t, i: 0.0 * np.asarray(t), label="idle")
+        idle = Strategy.constant(market, 0.0, label="idle")
         oracle = 1.0 * np.exp(0.03 * 2.0) + quad(
             lambda s: np.exp(0.03 * (2.0 - s)) * (0.5 + 0.02 * s), 0.0, 2.0, epsabs=0.0, epsrel=1e-13
         )[0]
@@ -197,7 +285,7 @@ class TestSimulateWealth:
             income_drift=[0.0, 0.0],
             income_vol=[0.0, 0.0],
         )
-        hold = Strategy(position=lambda t, i: 2.0 + 0.0 * np.asarray(t), label="hold")
+        hold = Strategy.constant(market, 2.0, label="hold")
         paths = simulate_wealth(market, hold, 0.0, 1.0, 0.0, 0, 3000, 16, RngStream(seed=3))
         finals = np.array([path.wealth[-1] for path in paths])
         expected_mean = 1.0 + 2.0 * 0.08 * 2.0
@@ -299,34 +387,16 @@ class TestConditionalEvaluation:
         target = bundle.value(0.3, 1.0, 0.5, 0)
         assert abs(est.value - target) <= 1e-10 * abs(target)
         assert est.stderr == 0.0
-        assert est.mean_gap == 0.0 and est.mean_panels == 0  # no control where no path leaves
+        assert est.mean_gap == 0.0  # no control where no path leaves
 
     @pytest.mark.parametrize("horizon", [5.0, 10.0])
     def test_a_long_absorbing_start_matches_the_value_function(self, horizon):
-        # the one segment [0, horizon] is as long as a segment gets: a single
-        # 3-node rule on it was 3e-8 (horizon 5) and 5e-6 (horizon 10) off
+        # the one segment [0, horizon] is as long as a segment gets: its
+        # closed-form sums are 1.0e-14 (horizon 5) and 1.1e-14 (horizon 10) off
         market = make_market(horizon=horizon, generator=validate_generator([[0.0, 0.0], [0.3, -0.3]]))
         est = evaluate_policy(market, optimal_strategy(market), 0.0, 1.0, 0.5, 0, 64, RngStream(seed=16))
         target = value_function(market)(0.0, 1.0, 0.5, 0)
-        assert abs(est.value - target) <= 1e-9 * abs(target)
-
-    def test_long_segments_take_no_more_memory_than_short_ones(self):
-        # at rate 0.1 each path's one segment takes 10 pieces of the rule at
-        # horizon 5 and 80 at horizon 40; memory must stay that of the 2048
-        # segments (about 1 MB), where all pieces laid out at once take 7.2 and 56.5 MB
-        def peak(horizon):
-            market = make_market(
-                rate=0.1, risk_aversion=0.5, horizon=horizon, stock_drift=[0.15, 0.13], income_vol=[0.02, 0.03],
-                generator=validate_generator([[0.0, 0.0], [0.3, -0.3]]),
-            )
-            tracemalloc.start()
-            try:
-                evaluate_policy(market, optimal_strategy(market), 0.0, 1.0, 0.5, 0, 2048, RngStream(seed=17))
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        assert peak(40.0) <= 1.25 * peak(5.0)
+        assert abs(est.value - target) <= 1e-13 * abs(target)
 
     def test_a_start_left_at_a_tiny_rate_scores_finitely(self):
         # leaving has probability 2e-20: the sampled branch's mean exponent, a
@@ -344,7 +414,7 @@ class TestConditionalEvaluation:
         # has probability exp(-2000), which is 0, and a utility beyond the
         # float range; the paths that leave score finitely
         market = make_market(generator=validate_generator([[-1000.0, 1000.0], [0.0, 0.0]]))
-        bold = Strategy(position=lambda t, i: np.where(i == 0, 100.0, 0.0), label="bold")
+        bold = Strategy.constant(market, [100.0, 0.0], label="bold")
         stuck = replace(market, generator=validate_generator([[0.0, 0.0], [0.0, 0.0]]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -358,7 +428,7 @@ class TestConditionalEvaluation:
         # no position and no income shock leave S = 0, and with one income
         # drift in both regimes the chain's jumps change nothing
         market = make_market(income_drift=[0.02, 0.02], income_vol=[0.0, 0.0])
-        idle = Strategy(position=lambda t, i: 0.0, label="idle")
+        idle = Strategy.constant(market, 0.0, label="idle")
         t, x, y = 0.4, 1.3, 0.5
         est = evaluate_policy(market, idle, t, x, y, 0, 300, RngStream(seed=11))
         r, mu, tau = market.rate, 0.02, market.horizon - t
@@ -367,7 +437,7 @@ class TestConditionalEvaluation:
 
     def test_overflow_is_an_error(self):
         market = make_market(risk_aversion=50.0, horizon=50.0)
-        hold = Strategy(position=lambda t, i: 2.0, label="hold")
+        hold = Strategy.constant(market, 2.0, label="hold")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(OverflowError, match="policy 'hold' exceeds the float range"):
