@@ -35,6 +35,9 @@ from .compose import (
     NonGenerator,
     QuadratureFailure,
     Unsupported,
+    _loop_kronecker,
+    _marginal_gap,
+    _simultaneous_mass,
     compose_copula,
     compose_independent,
 )
@@ -49,7 +52,6 @@ from .markov import (
     RngStream,
     embedded_chain,
     stationary_distribution,
-    transition_probabilities,
     validate_generator,
 )
 from .montecarlo import BLOCK, estimate_regime_factor, estimate_value_mc
@@ -709,17 +711,20 @@ def cmd_validate(config: ModelConfig, out_dir: Path, n_paths: int | None = None)
         ):
             check(name, "closed-form", 0.0, 0.0, f"skipped: {reason}")
     else:
-        eps, zeta = config.chain.eps, config.chain.zeta
-        independent = compose_independent(eps, zeta)
-        oracle = _loop_kronecker(eps.rates, zeta.rates)
-        scale = max(np.max(np.abs(eps.rates)), np.max(np.abs(zeta.rates)))
-        check("kronecker_oracle", "closed-form",
-              float(np.max(np.abs(independent.generator.rates - oracle))), 1e-13 * scale,
-              "independent composition vs loop-built Kronecker sum")
-        check("simultaneous_jumps_zero", "closed-form", _simultaneous_mass(independent), 0.0,
-              "rates where both components would jump at once")
+        chain = config.chain
+        if chain.method == "copula":
+            for name in ("kronecker_oracle", "simultaneous_jumps_zero"):
+                check(name, "closed-form", 0.0, 0.0, "skipped: the copula couples the components' jumps")
+        else:
+            eps, zeta = chain.eps.rates, chain.zeta.rates
+            scale = max(np.max(np.abs(eps)), np.max(np.abs(zeta)))
+            check("kronecker_oracle", "closed-form",
+                  float(np.max(np.abs(chain.generator.rates - _loop_kronecker(eps, zeta)))),
+                  1e-13 * scale, "independent composition vs loop-built Kronecker sum")
+            check("simultaneous_jumps_zero", "closed-form", _simultaneous_mass(chain), 0.0,
+                  "rates where both components would jump at once")
         check("marginal_preservation", "closed-form",
-              max(_marginal_gap(independent, t) for t in (0.1, 1.0, 5.0)), 1e-10,
+              max(_marginal_gap(chain, t) for t in (0.1, 1.0, 5.0)), 1e-10,
               "compound time-t law marginalized vs component laws at t in {0.1, 1, 5}")
 
     factors = solve_regime_factors(market, n_steps=config.n_steps)
@@ -772,36 +777,6 @@ def _gap(estimate: float, prediction: float, stderr: float) -> float:
     """``|estimate - prediction|`` in stderr units, or in the factor solve's accepted relative
     error where that is larger: paths from an absorbing regime are alike, with stderr 0 or noise."""
     return abs(estimate - prediction) / max(stderr, FACTOR_RTOL * abs(prediction))
-
-
-def _loop_kronecker(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # element-by-element rebuild, deliberately independent of np.kron
-    n, m = a.shape[0], b.shape[0]
-    out = np.zeros((n * m, n * m))
-    for i in range(n):
-        for j in range(m):
-            row = i + n * j
-            for i2 in range(n):
-                out[row, i2 + n * j] += a[i, i2]
-            for j2 in range(m):
-                out[row, i + n * j2] += b[j, j2]
-    return out
-
-
-def _simultaneous_mass(chain: CompoundChainSpec) -> float:
-    i, j = np.array([chain.mapping.pair(k) for k in range(chain.mapping.n_compound)]).T
-    both = (i[:, None] != i) & (j[:, None] != j)  # pairs of states where both components differ
-    return float(np.max(np.abs(chain.generator.rates[both]), initial=0.0))
-
-
-def _marginal_gap(chain: CompoundChainSpec, t: float) -> float:
-    n, m = chain.eps.n_states, chain.zeta.n_states
-    joint = transition_probabilities(chain.generator, t).probs.reshape(m, n, m, n)
-    p_eps = transition_probabilities(chain.eps, t).probs
-    p_zeta = transition_probabilities(chain.zeta, t).probs
-    gap_eps = np.max(np.abs(joint.sum(axis=2) - p_eps[None, :, :]))
-    gap_zeta = np.max(np.abs(joint.sum(axis=3) - p_zeta[:, None, :]))
-    return float(max(gap_eps, gap_zeta))
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@
 A pair of independent chains (sizes m and n) composes into a single chain on
 m*n states via the Kronecker sum of the rate matrices.  Dependence between
 the marginal jump processes is introduced through a Gaussian copula on the
-short-horizon jump indicators, with the compound rate matrix recovered by
-finite-difference extrapolation.
+short-horizon jump indicators.  The copula sets only the rate at which both
+components jump together, recovered by finite-difference extrapolation; each
+single move takes the rest of its component's exit rate, so each component
+keeps its own law to rounding.
 
 The copula needs the standard normal CDF and quantile; both come from the
 standard library (``math.erfc`` and ``statistics.NormalDist``), so the
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .markov import GeneratorMatrix, InvalidInput, validate_generator
+from .markov import GeneratorMatrix, InvalidInput, transition_probabilities, validate_generator
 
 __all__ = [
     "Unsupported",
@@ -41,9 +43,9 @@ __all__ = [
 
 TWO_PI = 2.0 * np.pi
 
-# roundoff allowance on top of each rate's Richardson gap: negative
-# extrapolated rates beyond gap + clamp abort composition, smaller ones are
-# clamped to zero
+# roundoff allowance on top of the joint rate's Richardson gap: an extrapolated
+# joint rate outside its Frechet bounds by more than gap + clamp aborts
+# composition, a nearer one is clipped to the bound
 RATE_CLAMP = 1e-8
 
 
@@ -91,9 +93,10 @@ class CopulaSpec:
 
     ``correlation`` is the copula's normal-score correlation, not the
     correlation of the regime indicators themselves.  ``fd_step`` is the
-    short horizon used to extrapolate compound rates; the leading
-    finite-horizon error is removed by a step-halving (Richardson)
-    combination, leaving an error of order ``fd_step**2``.  Raises :class:`InvalidInput`.
+    short horizon used to extrapolate the joint-move rate, the only rate the
+    copula sets; the leading finite-horizon error is removed by a
+    step-halving (Richardson) combination, leaving an error of order
+    ``fd_step**2``.  Raises :class:`InvalidInput`.
     """
 
     correlation: float
@@ -157,17 +160,17 @@ def compose_copula(
 
     Over a short horizon ``h`` each marginal either holds or jumps; the pair
     of hold indicators is coupled by a Gaussian copula on their survival
-    probabilities ``u = exp(-rate_i h)`` and ``v = exp(-rate_j h)``.  Joint
-    transition probabilities follow by inclusion-exclusion, rates are the
-    probabilities divided by ``h``, and two step sizes are combined as
-    ``2 r(h/2) - r(h)`` to cancel the O(h) bias from multiple jumps.
+    probabilities ``u = exp(-rate_i h)`` and ``v = exp(-rate_j h)``.  The
+    copula sets one number per compound state, the rate of the joint move:
+    the chance that both jump, ``1 - u - v + C(u, v)``, over ``h``, with two
+    step sizes combined as ``2 r(h/2) - r(h)`` to cancel the O(h) bias from
+    multiple jumps.  Each single move is the component's own exit rate less
+    the joint rate, so each component keeps its own law to rounding.
 
-    Both finite-horizon estimates are probabilities over ``h``, hence
-    nonnegative, so the extrapolation can fall below zero by at most its
-    own Richardson gap ``|r(h/2) - r(h)|``: a joint move that is rarer than
-    O(h) at negative correlation.  Such a joint rate is clamped to zero and
-    its negative mass added to both single moves, so each component's move
-    rate stays its extrapolated marginal rate and each component is Markov.
+    The joint rate is clipped to its Frechet bounds ``[0, min(rate_i, rate_j)]``,
+    which both finite-horizon estimates respect; the extrapolation leaves them
+    by at most its Richardson gap ``|r(h/2) - r(h)|``, below zero for a joint
+    move rarer than O(h) at negative correlation, above by rounding near comonotone.
 
     Only 2x2 marginals are supported: with more states the copula on hold
     indicators does not pin down which destination a joint jump selects.
@@ -177,7 +180,7 @@ def compose_copula(
     Unsupported
         If either marginal chain has more than two states.
     NonGenerator
-        If an extrapolated off-diagonal rate is negative by more than its
+        If an extrapolated joint rate lies outside its bounds by more than its
         Richardson gap plus ``RATE_CLAMP``.
     """
     if eps.n_states != 2 or zeta.n_states != 2:
@@ -186,52 +189,46 @@ def compose_copula(
             f"{eps.n_states} and {zeta.n_states}"
         )
     h = copula.fd_step
-    half, full = _copula_rates(eps, zeta, copula.correlation, np.array([h / 2, h]))
-    off = 2.0 * half - full
-    np.fill_diagonal(off, 0.0)
+    first, second = np.tile(eps.exit_rates(), 2), np.repeat(zeta.exit_rates(), 2)  # at s = i + 2 j
+    steps = np.array([[h / 2], [h]])
+    u, v = np.exp(-first * steps), np.exp(-second * steps)  # each chain holds, [step, s]
+    half, full = (1.0 - u - v + gaussian_copula(u, v, copula.correlation)) / steps
+    joint = 2.0 * half - full
+    bound = np.minimum(first, second)
     gap = np.abs(half - full)
-    excess = -off - gap
+    excess = np.maximum(-joint, joint - bound) - gap
     if excess.max() > RATE_CLAMP:
-        s, t = divmod(int(np.argmax(excess)), 4)
+        s = int(np.argmax(excess))
         raise NonGenerator(
-            f"extrapolated rate {off[s, t]:.3e} from state {s} to {t} is negative beyond "
-            f"its Richardson gap {gap[s, t]:.3e} plus the {RATE_CLAMP} clamp"
+            f"extrapolated joint rate {joint[s]:.3e} from state {s} lies outside [0, {bound[s]:.3e}] "
+            f"beyond its Richardson gap {gap[s]:.3e} plus the {RATE_CLAMP} clamp"
         )
-    s = np.arange(4)[:, None]
-    joint = np.minimum(off[s, s ^ 3], 0.0)  # a negative joint rate, moved onto both single moves
-    off[s, s ^ np.array([1, 2, 3])] += joint * [1.0, 1.0, -1.0]
-    off[off < 0] = 0.0  # a single move below zero by rounding
-    np.fill_diagonal(off, -off.sum(axis=1))
+    joint = np.clip(joint, 0.0, bound)
+    s = np.arange(4)  # state s moves the first coordinate at s ^ 1, the second at s ^ 2, both at s ^ 3
+    q = np.zeros((4, 4))
+    q[s, s ^ 1], q[s, s ^ 2], q[s, s ^ 3] = first - joint, second - joint, joint
+    # on a grid of twice the spacing at the row's total rate every partial sum is exact, so
+    # each row sums to exactly zero in any order; each component's rate moves by at most a step
+    grid = 2.0 * np.spacing(first + second)[:, None]
+    q = np.rint(q / grid) * grid
+    np.fill_diagonal(q, -q.sum(axis=1))
     return CompoundChainSpec(
         eps=eps,
         zeta=zeta,
         mapping=StateMapping(2, 2),
-        generator=validate_generator(off),
+        generator=validate_generator(q),
         method="copula",
         copula=copula,
     )
 
 
-def _copula_rates(
-    eps: GeneratorMatrix, zeta: GeneratorMatrix, correlation: float, steps: NDArray[np.float64]
-) -> NDArray[np.float64]:
-    """Finite-horizon rate estimates ``P_h / h``, one 4x4 matrix per step ``h``.
-
-    All copula values come from one ``gaussian_copula`` call.  State
-    ``s = i + 2 j`` moves the first coordinate at ``s ^ 1``, the second at
-    ``s ^ 2`` and both at ``s ^ 3``.
-    """
-    h = steps[:, None]
-    u = np.exp(-np.tile(eps.exit_rates(), 2) * h)  # first chain holds, [step, s]
-    v = np.exp(-np.repeat(zeta.exit_rates(), 2) * h)  # second chain holds
-    both_hold = gaussian_copula(u, v, correlation)
-    s = np.arange(4)
-    q = np.zeros((len(steps), 4, 4))
-    q[:, s, s ^ 1] = (v - both_hold) / h
-    q[:, s, s ^ 2] = (u - both_hold) / h
-    q[:, s, s ^ 3] = (1.0 - u - v + both_hold) / h
-    q[:, s, s] = -(1.0 - both_hold) / h
-    return q
+def _component_sums(matrix: NDArray[np.float64], mapping: StateMapping):
+    """A compound matrix's entries summed over one coordinate's destination:
+    ``[j, i, i2]`` for a first-coordinate move ``i -> i2`` from ``(i, j)``,
+    and ``[i, j, j2]`` for a second-coordinate move ``j -> j2``."""
+    m, n = mapping.n_first, mapping.n_second
+    blocks = matrix.reshape(n, m, n, m)  # [j, i, j2, i2]
+    return blocks.sum(axis=2), np.moveaxis(blocks.sum(axis=3), 1, 0)
 
 
 def marginalize(
@@ -249,15 +246,8 @@ def marginalize(
         raise ValueError(
             f"generator has {q.shape[0]} states but mapping expects {mapping.n_compound}"
         )
-    m, n = mapping.n_first, mapping.n_second
-    # reshape to blocks indexed [j, i, j2, i2]
-    blocks = q.reshape(n, m, n, m)
-
     marginals = []
-    # summed over the other coordinate's destination, then that coordinate's state moved first:
-    # [j, i, i2] for a first-coordinate move, [i, j, j2] for a second-coordinate one
-    for name, destination, other in (("first", 2, 0), ("second", 3, 1)):
-        rates = np.moveaxis(blocks.sum(axis=destination), other, 0)
+    for name, rates in zip(("first", "second"), _component_sums(q, mapping)):
         spread = rates.max(axis=0) - rates.min(axis=0)
         np.fill_diagonal(spread, 0.0)
         if spread.max() > atol:
@@ -269,6 +259,36 @@ def marginalize(
         np.fill_diagonal(marginal, -marginal.sum(axis=1))
         marginals.append(marginal)
     return validate_generator(marginals[0]), validate_generator(marginals[1])
+
+
+def _marginal_gap(chain: CompoundChainSpec, t: float) -> float:
+    """Largest gap, from any compound state, between the chain's time-``t`` law summed
+    over one coordinate and the other coordinate's own law; one ``exp(Q t)`` call a
+    chain, so that no law shares the squarings of a larger one."""
+    laws = _component_sums(transition_probabilities(chain.generator, t).probs, chain.mapping)
+    return float(max(np.max(np.abs(law - transition_probabilities(parent, t).probs))
+                     for law, parent in zip(laws, (chain.eps, chain.zeta))))
+
+
+def _loop_kronecker(a: NDArray[np.float64], b: NDArray[np.float64]) -> NDArray[np.float64]:
+    """The Kronecker sum rebuilt element by element, an oracle independent of ``np.kron``."""
+    n, m = a.shape[0], b.shape[0]
+    out = np.zeros((n * m, n * m))
+    for i in range(n):
+        for j in range(m):
+            row = i + n * j
+            for i2 in range(n):
+                out[row, i2 + n * j] += a[i, i2]
+            for j2 in range(m):
+                out[row, i + n * j2] += b[j, j2]
+    return out
+
+
+def _simultaneous_mass(chain: CompoundChainSpec) -> float:
+    """Largest rate of a move in which both coordinates change."""
+    i, j = np.array([chain.mapping.pair(k) for k in range(chain.mapping.n_compound)]).T
+    both = (i[:, None] != i) & (j[:, None] != j)  # pairs of states where both components differ
+    return float(np.max(np.abs(chain.generator.rates[both]), initial=0.0))
 
 
 # ---------------------------------------------------------------------------

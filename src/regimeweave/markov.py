@@ -31,6 +31,7 @@ __all__ = [
     "transition_probabilities",
 ]
 
+# times the row's largest rate, or 1 if that is smaller, so a healthy chain passes in any time unit
 ROW_SUM_TOL = 1e-9
 # relative to the largest exit rate, so the check is invariant to time units
 STATIONARY_RESIDUAL_TOL = 1e-12
@@ -175,8 +176,8 @@ def validate_generator(rates) -> GeneratorMatrix:
     """Validate a rate matrix and return it with the diagonal repaired.
 
     Off-diagonal entries must be nonnegative and each row must sum to zero
-    within ``1e-9``; the diagonal is then reset to the exact negative sum of
-    the off-diagonal row so downstream code can rely on exact zero row sums.
+    within ``1e-9`` times the row's largest rate (or 1, if that is smaller);
+    the diagonal is then reset to the negative sum of the off-diagonal row.
 
     Raises
     ------
@@ -194,9 +195,10 @@ def validate_generator(rates) -> GeneratorMatrix:
         i, j = np.argwhere(off < 0)[0]
         raise NegativeOffDiagonal(f"negative rate {q[i, j]} at ({i}, {j})")
     row_sums = q.sum(axis=1)
-    if np.any(np.abs(row_sums) > ROW_SUM_TOL):
-        i = int(np.argmax(np.abs(row_sums)))
-        raise RowSumViolation(f"row {i} sums to {row_sums[i]:.3e} (tolerance {ROW_SUM_TOL})")
+    excess = np.abs(row_sums) / np.maximum(1.0, np.abs(q).max(axis=1, initial=0.0))
+    if np.any(excess > ROW_SUM_TOL):
+        i = int(np.argmax(excess))
+        raise RowSumViolation(f"row {i} sums to {row_sums[i]:.3e}, past {ROW_SUM_TOL} of its scale")
     q = off
     np.fill_diagonal(q, -off.sum(axis=1))
     q.flags.writeable = False

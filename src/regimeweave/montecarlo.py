@@ -220,8 +220,8 @@ def _first_jump_estimates(market, regime, t_start, n_paths, rng, coefficients, s
         raise ValueError("need at least two paths for a standard error")
     horizon = market.horizon
     stay, leave = _first_jump_split(market.generator, regime, t_start, horizon)
+    RngStream(rng.seed, rng.stream_id + (n_paths - 1) // BLOCK)  # the last path's key, drawn from or not
     loading = solve_income_loading(market)
-    chunks = _simulate_chains(market.generator, regime, t_start, horizon, n_paths, rng, first_jump_by_end=True)
     rows = len(coefficients)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves inf or NaN, which raises below
         stayed = start + _segment_sums(
@@ -239,15 +239,17 @@ def _first_jump_estimates(market, regime, t_start, n_paths, rng, coefficients, s
         def controlled(a):
             return np.exp(a) / divisor - slope[:, None] * (a - mean[:, None])
 
-        values = np.empty((rows, n_paths))
-        for first, counts, starts, ends, states, _ in chunks:
-            paths = np.cumsum(counts) - counts  # each path's first segment
-            values[:, first : first + len(counts)] = controlled(
-                start + _segment_sums(loading, coefficients, starts, ends, states, paths)
-            )
         if leave:
+            values = np.empty((rows, n_paths))
+            for first, counts, starts, ends, states, _ in _simulate_chains(
+                market.generator, regime, t_start, horizon, n_paths, rng, first_jump_by_end=True
+            ):
+                paths = np.cumsum(counts) - counts  # each path's first segment
+                values[:, first : first + len(counts)] = controlled(
+                    start + _segment_sums(loading, coefficients, starts, ends, states, paths)
+                )
             sampled = map(_estimate, (stay * controlled(stayed) if stay else 0.0) + leave * values)
-        else:  # every path stays: its one value, with no mean of copies to round
+        else:  # every path stays: its one value, with no chain to draw and no mean of copies to round
             sampled = (MCEstimate(float(value), 0.0, n_paths) for value in controlled(stayed)[:, 0])
         estimates = [_finite(est, message) for est, message in zip(sampled, overflow)]
     return estimates, gap

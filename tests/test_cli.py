@@ -214,6 +214,16 @@ class TestLoadConfig:
         assert config.chain.method == "copula"
         assert config.chain.copula.correlation == 0.4
 
+    @pytest.mark.parametrize("per_year", [525960.0, 31557600.0])  # minutes, seconds
+    def test_compound_generator_in_other_time_units_loads(self, tmp_path, per_year):
+        # the copula config's compound chain in finer units: its rows sum to 3.7e-9 and
+        # 2.4e-7 by rounding alone, far past an absolute 1e-9, at 1e-16 of the row's rates
+        rates = load_config(COPULA_CONFIG).generator.rates * per_year
+        document = minimal_config()
+        document["chains"] = {"compound": rates.tolist()}
+        config = load_config(dump_config(tmp_path, document))
+        assert_allclose(config.generator.rates, rates, rtol=0, atol=1e-15 * np.abs(rates).max())
+
     def test_copula_correlation_out_of_range(self, tmp_path):
         document = minimal_config()
         document["chains"]["composition"] = {"method": "copula", "correlation": -2.0}
@@ -807,6 +817,18 @@ class TestValidate:
         for expected in ("kronecker_oracle", "h_mc_vs_ode", "policy_vs_value",
                          "hjb_residual", "rho_zero_hedge", "rho_zero_value"):
             assert expected in names
+
+    def test_copula_config_checks_its_own_chain(self, tmp_path):
+        # the composition rows test the chain the config runs: a copula chain keeps each
+        # component's law to rounding, and the rows of the independent composition are skipped
+        assert main(["validate", "--config", COPULA_CONFIG, "--out", str(tmp_path), "--paths", "500"]) == 0
+        _, header, rows = read_csv(tmp_path / "validation.csv")
+        by_name = {row[header.index("check")]: dict(zip(header, row)) for row in rows}
+        assert len(by_name) == 8 and all(row["status"] == "pass" for row in by_name.values())
+        marginal = by_name["marginal_preservation"]
+        assert float(marginal["margin"]) <= 1e-14 and float(marginal["tolerance"]) == 1e-10
+        for name in ("kronecker_oracle", "simultaneous_jumps_zero"):
+            assert by_name[name]["detail"].startswith("skipped: ")
 
     def test_failure_exit_code(self, tmp_path, monkeypatch):
         import regimeweave.cli as cli

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -21,9 +22,11 @@ from regimeweave.compose import (
     NonGenerator,
     StateMapping,
     Unsupported,
-    _copula_rates,
+    _loop_kronecker,
+    _marginal_gap,
     _ndtr,
     _ndtri,
+    _simultaneous_mass,
     bivariate_normal_cdf,
     compose_copula,
     compose_independent,
@@ -44,6 +47,28 @@ def two_state(rate_01: float, rate_10: float):
 
 REFERENCE_MARGINALS = ((0.5, 0.3), (0.2, 0.7))
 FAST_MARGINALS = ((30.0, 20.0), (8.0, 40.0))
+# a few ulps of the rate scale: what a single move less the joint rate, plus the joint rate, may round to
+ROUNDING = 4 * np.finfo(float).eps
+
+
+def loop_joint_rates(eps, zeta, rho: float, h: float):
+    """Each compound state's finite-horizon joint-move rate ``P(both jump) / h``, one
+    ``gaussian_copula`` call per state ``i + 2 j``."""
+    rates = np.zeros(4)
+    for j in range(2):
+        for i in range(2):
+            u = np.exp(-eps.exit_rates()[i] * h)
+            v = np.exp(-zeta.exit_rates()[j] * h)
+            rates[i + 2 * j] = (1.0 - u - v + float(gaussian_copula(u, v, rho))) / h
+    return rates
+
+
+def assert_components_exact(spec):
+    # each component is Markov at its own rates, to rounding of the rate scale
+    scale = np.abs(spec.generator.rates).max()
+    back = marginalize(spec.generator, spec.mapping, atol=ROUNDING * scale)
+    for chain, recovered in zip((spec.eps, spec.zeta), back):
+        assert_allclose(recovered.rates, chain.rates, rtol=0, atol=ROUNDING * scale)
 
 
 def random_generator(rng, n: int):
@@ -334,10 +359,16 @@ class TestComposeCopula:
     def test_marginal_rates_preserved(self):
         eps = two_state(0.5, 0.3)
         zeta = two_state(0.2, 0.7)
+        assert_components_exact(compose_copula(eps, zeta, CopulaSpec(correlation=0.6)))
+
+    @pytest.mark.parametrize("marginals", [REFERENCE_MARGINALS, FAST_MARGINALS])
+    def test_time_t_laws_marginalize_to_the_components(self, marginals):
+        # the fast pair is configs/copula.json's; there the extrapolated single moves left
+        # each component's law 2.1e-7 off
+        eps, zeta = (two_state(*rates) for rates in marginals)
         spec = compose_copula(eps, zeta, CopulaSpec(correlation=0.6))
-        back_eps, back_zeta = marginalize(spec.generator, spec.mapping, atol=1e-6)
-        assert_allclose(back_eps.rates, eps.rates, atol=1e-7)
-        assert_allclose(back_zeta.rates, zeta.rates, atol=1e-7)
+        for t in (0.1, 1.0, 5.0):
+            assert _marginal_gap(spec, t) <= 1e-14
 
     def test_rejects_larger_chains(self):
         rng = np.random.default_rng(12)
@@ -362,38 +393,26 @@ class TestComposeCopula:
         assert spec.copula.correlation == 0.25
 
     def test_vectorized_rates_equal_scalar_copula_loop(self):
-        # one gaussian_copula call over every state and step == one call per pair
+        # one gaussian_copula call over every state and step == one call per state and step
         rng = np.random.default_rng(13)
-        steps = np.array([5e-5, 1e-4])
+        h = 1e-4
         for _ in range(40):
             eps = two_state(*10.0 ** rng.uniform(-2, 2, size=2))
             zeta = two_state(*10.0 ** rng.uniform(-2, 2, size=2))
+            first, second = eps.exit_rates()[[0, 1, 0, 1]], zeta.exit_rates()[[0, 0, 1, 1]]
             for rho in (rng.uniform(-1, 1), -1.0, 0.0, 0.95, 1.0):
-                loop = np.zeros((2, 4, 4))
-                for t, h in enumerate(steps):
-                    for j in range(2):
-                        for i in range(2):
-                            u = np.exp(-eps.exit_rates()[i] * h)
-                            v = np.exp(-zeta.exit_rates()[j] * h)
-                            both_hold = float(gaussian_copula(u, v, rho))
-                            s = i + 2 * j
-                            loop[t, s, s ^ 1] = (v - both_hold) / h
-                            loop[t, s, s ^ 2] = (u - both_hold) / h
-                            loop[t, s, s ^ 3] = (1.0 - u - v + both_hold) / h
-                            loop[t, s, s] = -(1.0 - both_hold) / h
-                assert np.array_equal(_copula_rates(eps, zeta, rho, steps), loop)
-                expected = 2.0 * loop[0] - loop[1]
+                half, full = loop_joint_rates(eps, zeta, rho, h / 2), loop_joint_rates(eps, zeta, rho, h)
+                extrapolated = 2.0 * half - full
+                expected = np.zeros((4, 4))
                 for s in range(4):
-                    # a negative joint rate's mass moves onto both single moves, so that
-                    # each component's move rate stays as extrapolated
-                    if expected[s, s ^ 3] < 0.0:
-                        expected[s, s ^ 1] += expected[s, s ^ 3]
-                        expected[s, s ^ 2] += expected[s, s ^ 3]
-                        expected[s, s ^ 3] = 0.0
-                expected = np.maximum(expected, 0.0)
-                np.fill_diagonal(expected, 0.0)
+                    # the joint rate within its Frechet bounds, each single move the rest of its
+                    # component's exit rate, all three on the grid 2**-52 of the row's binade
+                    joint = min(max(extrapolated[s], 0.0), first[s], second[s])
+                    grid = 2.0 ** (math.frexp(first[s] + second[s])[1] - 52)
+                    for move, rate in ((s ^ 1, first[s] - joint), (s ^ 2, second[s] - joint), (s ^ 3, joint)):
+                        expected[s, move] = round(rate / grid) * grid
                 np.fill_diagonal(expected, -expected.sum(axis=1))
-                rates = compose_copula(eps, zeta, CopulaSpec(rho, fd_step=1e-4)).generator.rates
+                rates = compose_copula(eps, zeta, CopulaSpec(rho, fd_step=h)).generator.rates
                 assert np.array_equal(rates, expected)
 
     @pytest.mark.parametrize(
@@ -408,14 +427,12 @@ class TestComposeCopula:
     )
     def test_negative_correlation_within_richardson_gap(self, marginals, rho):
         # a joint move rarer than O(h) extrapolates below zero, by less than
-        # its own Richardson gap; it is clamped instead of rejected
+        # its own Richardson gap; it is clipped instead of rejected
         eps, zeta = (two_state(*rates) for rates in marginals)
         h = CopulaSpec(rho).fd_step
-        half, full = _copula_rates(eps, zeta, rho, np.array([h / 2, h]))
+        half, full = loop_joint_rates(eps, zeta, rho, h / 2), loop_joint_rates(eps, zeta, rho, h)
         extrapolated = 2.0 * half - full
-        np.fill_diagonal(extrapolated, 0.0)
-        clamped = -extrapolated.min()
-        assert clamped > RATE_CLAMP
+        assert -extrapolated.min() > RATE_CLAMP
         assert np.all(-extrapolated <= np.abs(half - full))
 
         spec = compose_copula(eps, zeta, CopulaSpec(rho))
@@ -424,14 +441,9 @@ class TestComposeCopula:
         off = q.copy()
         np.fill_diagonal(off, 0.0)
         assert off.min() >= 0.0
-
-        # the clamp moves the joint rate's mass onto the single moves, so each component
-        # is still Markov, at the Richardson-extrapolated exit rates
-        back = marginalize(spec.generator, spec.mapping, atol=1e-12 * np.abs(q).max())
-        for chain, recovered in zip((eps, zeta), back):
-            rate = chain.exit_rates()
-            expected = 2.0 * -np.expm1(-rate * h / 2) / (h / 2) + np.expm1(-rate * h) / h
-            assert_allclose(recovered.exit_rates(), expected, rtol=0, atol=1e-9)
+        # the single moves take the rest of each component's exit rate, so each component
+        # is Markov at its own rates
+        assert_components_exact(spec)
 
     def test_clamped_joint_rate_keeps_each_component_markov(self):
         # the joint move extrapolates below zero in two states here; zeroing it alone
@@ -439,30 +451,49 @@ class TestComposeCopula:
         # depend on the other's state by 3.03e-2
         eps, zeta = two_state(79.13, 0.0438), two_state(84.90, 8.355)
         h = CopulaSpec(-0.177).fd_step
-        half, full = _copula_rates(eps, zeta, -0.177, np.array([h / 2, h]))
-        s = np.arange(4)
-        assert (2.0 * half - full)[s, s ^ 3].min() < -1e-3
+        extrapolated = 2.0 * loop_joint_rates(eps, zeta, -0.177, h / 2) - loop_joint_rates(eps, zeta, -0.177, h)
+        assert extrapolated.min() < -1e-3
         spec = compose_copula(eps, zeta, CopulaSpec(-0.177))
+        assert_components_exact(spec)
         q = spec.generator.rates
-        back = marginalize(spec.generator, spec.mapping, atol=1e-12 * np.abs(q).max())
-        for chain, recovered in zip((eps, zeta), back):
-            rate = chain.exit_rates()
-            expected = 2.0 * -np.expm1(-rate * h / 2) / (h / 2) + np.expm1(-rate * h) / h
-            assert_allclose(recovered.exit_rates(), expected, rtol=0, atol=1e-9)
+        s = np.arange(4)
         assert q[s, s ^ 3].min() == 0.0 and (q - np.diag(np.diag(q))).min() >= 0.0
 
+    @staticmethod
+    def corrupt_half_step(monkeypatch, half_rate):
+        """Make state 0's joint rate at ``h/2`` read ``half_rate``; its Richardson gap is then
+        about ``half_rate``'s distance from the true rate, and the extrapolation twice that."""
+        real = compose.gaussian_copula
+        h = CopulaSpec(0.6).fd_step
+
+        def corrupted(u, v, correlation):
+            both_hold = real(u, v, correlation)
+            both_hold[0, 0] = u[0, 0] + v[0, 0] - 1.0 + half_rate * h / 2
+            return both_hold
+
+        monkeypatch.setattr(compose, "gaussian_copula", corrupted)
+
     def test_negative_rate_beyond_its_gap_raises(self, monkeypatch):
-        real = compose._copula_rates
-
-        def corrupted(eps, zeta, correlation, steps):
-            q = real(eps, zeta, correlation, steps)
-            q[0, 0, 3] = -1e-3  # a negative joint-jump probability at h/2
-            return q
-
-        monkeypatch.setattr(compose, "_copula_rates", corrupted)
+        self.corrupt_half_step(monkeypatch, -1e-3)
         eps, zeta = (two_state(*rates) for rates in REFERENCE_MARGINALS)
-        with pytest.raises(NonGenerator, match="from state 0 to 3"):
+        with pytest.raises(NonGenerator, match=r"from state 0 lies outside \[0, 2\.000e-01\]"):
             compose_copula(eps, zeta, CopulaSpec(0.6))
+
+    def test_joint_rate_above_the_slower_exit_rate_beyond_its_gap_raises(self, monkeypatch):
+        # state 0 exits at 0.5 and 0.2, so a joint rate near 1.2 + 1 leaves [0, 0.2] past its gap
+        self.corrupt_half_step(monkeypatch, 1.2)
+        eps, zeta = (two_state(*rates) for rates in REFERENCE_MARGINALS)
+        with pytest.raises(NonGenerator, match=r"rate 2\.\d+e\+00 from state 0 lies outside"):
+            compose_copula(eps, zeta, CopulaSpec(0.6))
+
+    def test_independent_checks_see_a_coupled_chain(self):
+        eps, zeta = (two_state(*rates) for rates in FAST_MARGINALS)
+        independent = compose_independent(eps, zeta)
+        assert np.array_equal(_loop_kronecker(eps.rates, zeta.rates), independent.generator.rates)
+        assert _simultaneous_mass(independent) == 0.0
+        coupled = compose_copula(eps, zeta, CopulaSpec(0.6))
+        s = np.arange(4)
+        assert _simultaneous_mass(coupled) == coupled.generator.rates[s, s ^ 3].max() > 1.0
 
 
 # the normal-score correlation: either branch of the CDF, the switch between them
@@ -501,7 +532,25 @@ def test_compose_copula_property(rates, rho):
     except NonGenerator:
         return
     q = spec.generator.rates
-    scale = np.abs(q).max()
     assert (q - np.diag(np.diag(q))).min() >= 0.0
-    assert np.abs(q.sum(axis=1)).max() <= 1e-12 * scale
-    marginalize(spec.generator, spec.mapping, atol=1e-12 * scale)
+    assert np.all(q.sum(axis=1) == 0.0)
+    assert_components_exact(spec)
+
+
+@st.composite
+def generators(draw, max_states: int = 5):
+    """A rate matrix of 1 to ``max_states`` states, each off-diagonal rate 0 or 1e-3 to 1e2."""
+    n = draw(st.integers(1, max_states))
+    rates = st.one_of(st.just(0.0), st.floats(-3.0, 2.0).map(lambda e: 10.0**e))
+    q = np.array(draw(st.lists(rates, min_size=n * n, max_size=n * n))).reshape(n, n)
+    np.fill_diagonal(q, 0.0)
+    np.fill_diagonal(q, -q.sum(axis=1))
+    return validate_generator(q)
+
+
+@settings(max_examples=100, deadline=2000, derandomize=True, database=None)
+@given(generators(), generators())
+def test_compose_independent_property(eps, zeta):
+    # the Kronecker sum marginalizes back to its components to rounding; two one-state
+    # chains give the zero chain, which must come back exactly
+    assert_components_exact(compose_independent(eps, zeta))

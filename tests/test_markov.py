@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
+from scipy.sparse.csgraph import connected_components
 
 from regimeweave.markov import (
     AbsorbingState,
@@ -64,6 +65,22 @@ class TestValidateGenerator:
     def test_rejects_row_sum_violation(self):
         with pytest.raises(RowSumViolation):
             validate_generator([[-0.5, 0.6], [0.3, -0.3]])
+
+    def test_row_sum_tolerance_scales_with_the_row(self):
+        # 1e-9 of the row's largest rate, and never less than 1e-9: a row at rates of 1e6
+        # sums to 3e-3 within tolerance; a slow row keeps the absolute tolerance
+        fast = np.array([[-3e6, 1e6, 2e6], [1.0, -1.0, 0.0], [0.5, 0.5, -1.0]])
+        fast[0, 0] += 2.9e-3
+        assert validate_generator(fast).rates[0, 0] == -3e6
+        fast[0, 0] += 2e-4
+        with pytest.raises(RowSumViolation, match="row 0 sums to 3.100e-03"):
+            validate_generator(fast)
+        slow = np.array([[-1e-3, 1e-3], [0.0, 0.0]])
+        slow[0, 0] += 9e-10
+        validate_generator(slow)
+        slow[0, 0] += 2e-10
+        with pytest.raises(RowSumViolation, match="row 0"):
+            validate_generator(slow)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -146,6 +163,35 @@ class TestStationaryDistribution:
         block = np.kron(np.eye(2), [[-1.0, 1.0], [1.0, -1.0]]) * 1e6
         with pytest.raises(Reducible):
             stationary_distribution(validate_generator(block))
+
+
+@st.composite
+def chains(draw, max_states: int = 30):
+    """A rate matrix of 1 to ``max_states`` states, each off-diagonal rate 0 (with a drawn
+    chance) or 1e-6 to 1e6 on a log scale, the rates from a drawn seed."""
+    n, zero_share = draw(st.integers(1, max_states)), draw(st.floats(0.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    q = np.where(rng.random((n, n)) < zero_share, 0.0, 10.0 ** rng.uniform(-6.0, 6.0, (n, n)))
+    np.fill_diagonal(q, 0.0)
+    np.fill_diagonal(q, -q.sum(axis=1))
+    return validate_generator(q)
+
+
+@settings(max_examples=200, deadline=2000, derandomize=True, database=None)
+@given(chains())
+def test_stationary_distribution_property(generator):
+    # Reducible exactly when the graph of positive rates is not strongly connected;
+    # otherwise a strictly positive law whose balance holds to rounding in every state
+    q = generator.rates
+    n_components, _ = connected_components(q > 0, directed=True, connection="strong")
+    if n_components > 1:
+        with pytest.raises(Reducible):
+            stationary_distribution(generator)
+        return
+    pi = stationary_distribution(generator)
+    assert np.all(pi > 0)
+    assert abs(pi.sum() - 1.0) <= generator.n_states * np.finfo(float).eps
+    assert np.all(np.abs(pi @ q) <= 1e-14 * (pi @ np.abs(q)))
 
 
 class TestTransitionProbabilities:

@@ -24,7 +24,7 @@ from regimeweave.hjb import (
     solve_income_loading,
     solve_regime_factors,
 )
-from regimeweave.markov import RegimePath, RngStream, simulate_path, validate_generator
+from regimeweave.markov import InvalidInput, RegimePath, RngStream, simulate_path, validate_generator
 from regimeweave.montecarlo import (
     MCEstimate,
     NonZeroRho,
@@ -944,6 +944,25 @@ def test_too_few_paths_is_a_value_error_before_any_chain(n_paths, monkeypatch):
     for call in calls:
         with pytest.raises(ValueError, match="^need at least two paths for a standard error$"):
             call()
+
+
+def test_an_absorbing_start_simulates_no_chains(monkeypatch):
+    # every path stays, so the estimate is the stay branch's one value; the key range
+    # of the paths is still checked, as a simulation would check it
+    def no_chains(*args, **kwargs):
+        raise AssertionError("chains simulated from a start that cannot be left")
+
+    monkeypatch.setattr(montecarlo, "_simulate_chains", no_chains)
+    market = contract_market("absorbing")
+    calls = [
+        lambda n, rng: estimate_regime_factor(market, 0.1, 1, n, rng),
+        lambda n, rng: evaluate_policy(market, optimal_strategy(market), 0.1, 1.0, 0.5, 1, n, rng),
+    ]
+    for call in calls:
+        estimate = call(128, RngStream(1, 2**64 - 1))
+        assert estimate.stderr == 0.0 and estimate.n_paths == 128
+        with pytest.raises(InvalidInput, match="stream_id"):
+            call(129, RngStream(1, 2**64 - 1))
 
 
 def test_float_range_is_an_overflow_error_without_warnings():
