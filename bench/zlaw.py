@@ -2,12 +2,12 @@
 
 Usage (from the repository root, with the package installed or ``src`` on ``PYTHONPATH``)::
 
-    python3 bench/zlaw.py {optimal,half,factor} [CONFIG ...]
+    python3 bench/zlaw.py {optimal,half,factor}
 
-For each config (by default the three committed ones) the check scores 300
-estimates, from seeds 1 to 300, as z-scores against an ODE value, prints one
-line of their law, and exits nonzero at the first config whose z-scores have a
-mean off 0 or a spread off 1 by four of its own standard errors:
+For each of the three committed configs the check scores 300 estimates, from
+seeds 1 to 300, as z-scores against an ODE value, prints one line of their law,
+and exits nonzero at the first config whose z-scores have a mean off 0 or a
+spread off 1 by four of its own standard errors:
 
 - ``optimal``: the optimal policy's score against the value function;
 - ``half``: half the optimum, against ``-(1/gamma) e^{start} f_0(0)``, where
@@ -89,9 +89,8 @@ def main() -> None:
     checks = {"optimal": optimal, "half": half, "factor": factor}
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("check", choices=checks)
-    parser.add_argument("configs", nargs="*", default=CONFIGS)
     args = parser.parse_args()
-    for path in args.configs:
+    for path in CONFIGS:
         z_law(path, *checks[args.check](load_config(path)))
 
 

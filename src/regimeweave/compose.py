@@ -6,7 +6,7 @@ the marginal jump processes is introduced through a Gaussian copula on the
 short-horizon jump indicators.  The copula sets only the rate at which both
 components jump together, recovered by finite-difference extrapolation; each
 single move takes the rest of its component's exit rate, so each component
-keeps its own law to rounding.
+keeps its own law to rounding of its compound rows' total rates.
 
 The copula needs the standard normal CDF and quantile; both come from the
 standard library (``math.erfc`` and ``statistics.NormalDist``), so the
@@ -165,7 +165,11 @@ def compose_copula(
     the chance that both jump, ``1 - u - v + C(u, v)``, over ``h``, with two
     step sizes combined as ``2 r(h/2) - r(h)`` to cancel the O(h) bias from
     multiple jumps.  Each single move is the component's own exit rate less
-    the joint rate, so each component keeps its own law to rounding.
+    the joint rate, and each row is rounded to a grid of ``2 spacing(rate_i +
+    rate_j)``, on which it sums to exactly zero in any order.  Each component
+    keeps its own rate to ``2 eps (rate_i + rate_j)``, relative to the row's
+    total rate, not its own: a rate of 1e-6 beside 1e2 to about 4e-8 of
+    itself, one below about ``2**-52`` of the total not at all.
 
     The joint rate is clipped to its Frechet bounds ``[0, min(rate_i, rate_j)]``,
     which both finite-horizon estimates respect; the extrapolation leaves them
@@ -208,7 +212,7 @@ def compose_copula(
     q = np.zeros((4, 4))
     q[s, s ^ 1], q[s, s ^ 2], q[s, s ^ 3] = first - joint, second - joint, joint
     # on a grid of twice the spacing at the row's total rate every partial sum is exact, so
-    # each row sums to exactly zero in any order; each component's rate moves by at most a step
+    # each row sums to exactly zero in any order; a rate, however slow, moves by up to a step
     grid = 2.0 * np.spacing(first + second)[:, None]
     q = np.rint(q / grid) * grid
     np.fill_diagonal(q, -q.sum(axis=1))
@@ -271,16 +275,12 @@ def _marginal_gap(chain: CompoundChainSpec, t: float) -> float:
 
 
 def _loop_kronecker(a: NDArray[np.float64], b: NDArray[np.float64]) -> NDArray[np.float64]:
-    """The Kronecker sum rebuilt element by element, an oracle independent of ``np.kron``."""
+    """The Kronecker sum rebuilt row by row, an oracle independent of ``np.kron``."""
     n, m = a.shape[0], b.shape[0]
     out = np.zeros((n * m, n * m))
-    for i in range(n):
-        for j in range(m):
-            row = i + n * j
-            for i2 in range(n):
-                out[row, i2 + n * j] += a[i, i2]
-            for j2 in range(m):
-                out[row, i + n * j2] += b[j, j2]
+    for i, j in np.ndindex(n, m):  # row i + n j moves the first coordinate, then the second
+        out[i + n * j, np.arange(n) + n * j] += a[i]
+        out[i + n * j, i + n * np.arange(m)] += b[j]
     return out
 
 

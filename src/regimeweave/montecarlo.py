@@ -220,7 +220,6 @@ def _first_jump_estimates(market, regime, t_start, n_paths, rng, coefficients, s
         raise ValueError("need at least two paths for a standard error")
     horizon = market.horizon
     stay, leave = _first_jump_split(market.generator, regime, t_start, horizon)
-    RngStream(rng.seed, rng.stream_id + (n_paths - 1) // BLOCK)  # the last path's key, drawn from or not
     loading = solve_income_loading(market)
     rows = len(coefficients)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves inf or NaN, which raises below
@@ -250,6 +249,7 @@ def _first_jump_estimates(market, regime, t_start, n_paths, rng, coefficients, s
                 )
             sampled = map(_estimate, (stay * controlled(stayed) if stay else 0.0) + leave * values)
         else:  # every path stays: its one value, with no chain to draw and no mean of copies to round
+            RngStream(rng.seed, rng.stream_id + (n_paths - 1) // BLOCK)  # the key _simulate_chains checks
             sampled = (MCEstimate(float(value), 0.0, n_paths) for value in controlled(stayed)[:, 0])
         estimates = [_finite(est, message) for est, message in zip(sampled, overflow)]
     return estimates, gap

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
@@ -459,6 +459,17 @@ class TestComposeCopula:
         s = np.arange(4)
         assert q[s, s ^ 3].min() == 0.0 and (q - np.diag(np.diag(q))).min() >= 0.0
 
+    @pytest.mark.parametrize("rho", [-0.5, 0.0, 0.6, 1.0])
+    def test_slow_component_keeps_its_rate_to_rounding_of_the_row_total(self, rho):
+        # rows sum to zero on the grid of their total rate, so a component at 1e-6 beside one
+        # at 1e2 keeps its rate to 2 eps (1e2 + 3e-6) / 1e-6, about 4.4e-8 of itself (2.5e-9 seen)
+        slow, fast = two_state(1e-6, 3e-6), two_state(1e2, 40.0)
+        bound = 2 * np.finfo(float).eps * (1e2 + 3e-6) / 1e-6
+        for pair, at in (((slow, fast), 0), ((fast, slow), 1)):
+            spec = compose_copula(*pair, CopulaSpec(rho))
+            recovered = marginalize(spec.generator, spec.mapping, atol=ROUNDING * 1e2)[at]
+            assert_allclose(recovered.exit_rates(), slow.exit_rates(), rtol=bound, atol=0)
+
     @staticmethod
     def corrupt_half_step(monkeypatch, half_rate):
         """Make state 0's joint rate at ``h/2`` read ``half_rate``; its Richardson gap is then
@@ -524,6 +535,8 @@ def test_bivariate_normal_cdf_property(xs, ys, rho):
 
 @settings(max_examples=100, deadline=2000, derandomize=True, database=None)
 @given(st.lists(st.floats(-3.0, 2.0).map(lambda e: 10.0**e), min_size=4, max_size=4), CORRELATIONS)
+@example([1e-6, 3e-6, 1e2, 40.0], 0.6)
+@example([1e2, 40.0, 1e-6, 3e-6], -0.5)
 def test_compose_copula_property(rates, rho):
     # a valid generator whose components are each a Markov chain, or NonGenerator
     eps, zeta = two_state(*rates[:2]), two_state(*rates[2:])
